@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .protocol import Declaration, ProtocolParams, honest_declarations
 from .quantum import (
@@ -301,6 +300,8 @@ def sweep_open_probability(
     generators.  Converges to the closed-form optimum within 1e-6 and is
     deliberately independent of the Uhlmann construction.
     """
+    from scipy import optimize  # deferred: scipy.optimize dominates import time
+
     p_dim = protocol.purifier_dim
 
     def accept(unitary: np.ndarray) -> float:

@@ -35,7 +35,7 @@ from .protocol import (
     honest_declarations,
     spin_labels,
 )
-from .quantum import SpinLabel, StateVector, fidelity, measure_probabilities, spin_state
+from .quantum import SpinLabel, StateVector, fidelity, signal_probabilities, spin_state
 from .rng import RandomStream
 from .spacetime import Event, in_past_cone
 
@@ -127,8 +127,7 @@ def _match_probability_table() -> dict[tuple[SpinLabel, int], float]:
     """P(outcome == claimed) for a conjugate-basis measurement, per the core."""
     table = {}
     for label in SpinLabel:
-        conj = label.basis.conjugate()
-        probs = measure_probabilities(spin_state(label), conj, 0)
+        probs = signal_probabilities(label, label.basis.conjugate())
         for claim_index in (0, 1):
             table[(label, claim_index)] = probs[claim_index]
     return table

@@ -16,7 +16,8 @@ accepts classical bits only.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from typing import Callable, Protocol, runtime_checkable
 
 from .quantum import (
@@ -456,7 +457,10 @@ class ReductionScenario:
     rest, with committer and verifier sites alternating along a line at
     unit separations.  All messages travel at light speed.  ``tamper``
     post-processes the built message list and exists so shipped scenarios
-    can inject causal violations.
+    can inject causal violations; it must be a pure function of the message
+    list, because ``run_session`` builds a scenario's schedule once per
+    ``(scenario, n0)`` and reuses it.  A scenario must therefore also be
+    hashable, as the frozen fields it is made of are.
     """
 
     name: str = "line-default"
@@ -492,23 +496,27 @@ class ReductionScenario:
 
         # Oracle commitments, one per committed bit, assigned round-robin
         # over the committer/receiver site pairs; confirmations are the
-        # receive events.
+        # receive events.  Every commitment of one pair is the same flight.
+        pair_flights = [
+            self._flight(self.site(a_id), self.site(b_id), 0.0) for a_id, b_id in self.oracle_pairs
+        ]
         for index in range(params.n_commitments):
-            a_id, b_id = self.oracle_pairs[index % len(self.oracle_pairs)]
-            emit, receive = self._flight(self.site(a_id), self.site(b_id), 0.0)
+            pair = index % len(self.oracle_pairs)
+            a_id, b_id = self.oracle_pairs[pair]
+            emit, receive = pair_flights[pair]
             messages.append(Message(a_id, b_id, emit, receive, f"commit[{index}]"))
             confirmations.append(receive)
 
-        t_c = earliest_commitment_time(b0, confirmations)
+        used_pairs = pair_flights[: params.n_commitments]
+        t_c = earliest_commitment_time(b0, [receive for _, receive in used_pairs])
         commitment_point = b0.event_at(t_c)
 
-        # Spin particles, emitted strictly after t_c.
+        # Spin particles, emitted strictly after t_c, all on the same flight.
         spins_emit_t = t_c + self.spin_delay
-        spin_recv_t = spins_emit_t
+        spin_emit, spin_recv = self._flight(alice, b0, spins_emit_t)
         for i in range(params.n0):
-            emit, receive = self._flight(alice, b0, spins_emit_t)
-            messages.append(Message(self.alice_id, self.b0_id, emit, receive, f"spin[{i}]"))
-            spin_recv_t = max(spin_recv_t, receive.t)
+            messages.append(Message(self.alice_id, self.b0_id, spin_emit, spin_recv, f"spin[{i}]"))
+        spin_recv_t = max(spins_emit_t, spin_recv.t)
 
         # Challenge out, openings and declarations back.
         chal_emit, chal_recv = self._flight(b0, alice, spin_recv_t)
@@ -561,11 +569,52 @@ def default_scenario(suspension_rounds: int = 0) -> ReductionScenario:
     return ReductionScenario(suspension_rounds=suspension_rounds)
 
 
-def _message_event(schedule: Schedule, payload: str, which: str = "receive") -> Event | None:
+# Most distinct (scenario, n0) keys whose schedules ``run_session`` keeps.
+SCHEDULE_CACHE_SIZE = 16
+
+
+@functools.lru_cache(maxsize=SCHEDULE_CACHE_SIZE)
+def _session_plan(
+    scenario: ReductionScenario, n0: int
+) -> tuple[Schedule, tuple[Violation, ...], dict[str, Event]]:
+    """Schedule, its causal violations and the stage events for one key.
+
+    Everything here depends on the scenario and n0 alone, never on a
+    session's randomness, so it is computed once per key and shared.
+    """
+    # build_schedule reads only the sizes n0 and 2*n0 from its params.
+    schedule = scenario.build_schedule(ProtocolParams(n0=n0, m=1, strict=False))
+    violations = validate_schedule(schedule)
+    # Spins must leave strictly after the commitment time.
     for message in schedule.messages:
-        if message.payload == payload:
-            return message.receive if which == "receive" else message.emit
-    return None
+        if message.payload.startswith("spin[") and message.emit.t <= schedule.t_c:
+            violations.append(
+                Violation("ordering", message.payload, "spin emitted at or before t_c")
+            )
+
+    by_payload: dict[str, Message] = {}
+    for message in schedule.messages:
+        by_payload.setdefault(message.payload, message)
+
+    def received(payload: str) -> Event | None:
+        message = by_payload.get(payload)
+        return message.receive if message else None
+
+    def emitted(payload: str) -> Event | None:
+        message = by_payload.get(payload)
+        return message.emit if message else None
+
+    events = {
+        "commitment_point": schedule.commitment_point,
+        "spins_received": received(f"spin[{n0 - 1}]") or schedule.commitment_point,
+        "challenge_received": received("challenge"),
+        "tested_verified": scenario.site(scenario.b0_id).event_at(schedule.t_r),
+        "declarations_received": received("declarations"),
+        "reveal_received": received("reveal"),
+        "declarations_emitted": emitted("declarations"),
+        "reveal_emitted": emitted("reveal"),
+    }
+    return schedule, tuple(violations), events
 
 
 def run_session(
@@ -582,6 +631,12 @@ def run_session(
     suspension, reveal, verdict.  Any stage failure yields a transcript
     whose verdict is reject/abort with the stage recorded.  The suspended
     (untested) commitments are never opened.
+
+    The schedule, its validation and the stage events depend only on
+    ``(scenario, params.n0)``; they are memoized per key (at most
+    ``SCHEDULE_CACHE_SIZE`` keys), so transcripts of one key share one
+    read-only ``Schedule``.  Only the strategy, oracle and measurements
+    draw randomness.
     """
     if scenario is None:
         scenario = default_scenario()
@@ -592,8 +647,7 @@ def run_session(
     if oracle is None:
         oracle = IdealCommitmentOracle(params.flip_probability, params.leak_probability)
 
-    schedule = scenario.build_schedule(params)
-    b0 = scenario.site(scenario.b0_id)
+    schedule, violations, events = _session_plan(scenario, params.n0)
 
     def abort(stage: Stage, violations=(), **partial) -> SessionTranscript:
         return _transcript(
@@ -607,13 +661,6 @@ def run_session(
             **partial,
         )
 
-    violations = validate_schedule(schedule)
-    # Spins must leave strictly after the commitment time.
-    for message in schedule.messages:
-        if message.payload.startswith("spin[") and message.emit.t <= schedule.t_c:
-            violations.append(
-                Violation("ordering", message.payload, "spin emitted at or before t_c")
-            )
     if violations:
         return abort(Stage.SCHEDULE, violations)
 
@@ -625,7 +672,6 @@ def run_session(
         )
     for index, bit in enumerate(bits):
         oracle.commit(index, bit, randomness)
-    t_c = earliest_commitment_time(b0, schedule.confirmations)
 
     # Spin transmission (states held by B0 for later measurement).
     labels = tuple(spin_labels(bits, encoding))
@@ -633,23 +679,13 @@ def run_session(
 
     # Challenge and tested verification.
     tested = draw_challenge(params, randomness)
-    untested = tuple(i for i in range(params.n0) if i not in set(tested))
+    tested_set = set(tested)
+    untested = tuple(i for i in range(params.n0) if i not in tested_set)
     try:
         revealed = {i: (oracle.reveal(2 * i), oracle.reveal(2 * i + 1)) for i in tested}
     except KeyError:
         return abort(Stage.TESTED, committed_bits=bits, sent_labels=labels, challenge=tested, untested=untested)
     tested_outcome = verify_tested(tested, revealed, stored, encoding, randomness)
-
-    events = {
-        "commitment_point": schedule.commitment_point,
-        "spins_received": _message_event(schedule, f"spin[{params.n0 - 1}]") or schedule.commitment_point,
-        "challenge_received": _message_event(schedule, "challenge"),
-        "tested_verified": b0.event_at(schedule.t_r),
-        "declarations_received": _message_event(schedule, "declarations"),
-        "reveal_received": _message_event(schedule, "reveal"),
-    }
-    events["declarations_emitted"] = _message_event(schedule, "declarations", "emit")
-    events["reveal_emitted"] = _message_event(schedule, "reveal", "emit")
 
     base = dict(
         committed_bits=bits,

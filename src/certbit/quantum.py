@@ -35,6 +35,7 @@ __all__ = [
     "measure_probabilities",
     "measure",
     "measure_label",
+    "signal_probabilities",
     "partial_trace",
     "fidelity",
     "schmidt_decompose",
@@ -208,13 +209,32 @@ def _basis_components(state: StateVector, basis: Basis, qubit: int):
     return (a0 + a1) * _SQRT_HALF, (a0 - a1) * _SQRT_HALF
 
 
-def measure_probabilities(state: StateVector, basis: Basis, qubit: int = 0) -> tuple[float, float]:
-    """Born probabilities of outcomes (0, 1) without sampling."""
+def _born(state: StateVector, basis: Basis, qubit: int):
+    """Branch amplitudes of outcomes 0 and 1 and their Born probabilities."""
     c0, c1 = _basis_components(state, basis, qubit)
     p0 = float(np.vdot(c0, c0).real)
     p1 = float(np.vdot(c1, c1).real)
     total = p0 + p1
-    return p0 / total, p1 / total
+    return c0, c1, p0 / total, p1 / total
+
+
+def _collapse(branch: np.ndarray, weight: float, basis: Basis, qubit: int, outcome: int) -> StateVector:
+    """Normalized post-measurement state: the outcome's eigenstate on ``qubit``."""
+    branch = branch / np.sqrt(weight)
+    eigvec = _KETS[_BASIS_OUTCOMES[basis][outcome]]
+    post = np.stack([eigvec[0] * branch, eigvec[1] * branch], axis=qubit)
+    return StateVector(post.reshape(-1))
+
+
+def _draw(p0: float, randomness: RandomStream) -> int:
+    """One uniform draw decides the outcome: 0 with probability ``p0``."""
+    return 0 if randomness.random() < p0 else 1
+
+
+def measure_probabilities(state: StateVector, basis: Basis, qubit: int = 0) -> tuple[float, float]:
+    """Born probabilities of outcomes (0, 1) without sampling."""
+    _, _, p0, p1 = _born(state, basis, qubit)
+    return p0, p1
 
 
 def measure(
@@ -225,30 +245,59 @@ def measure(
     Returns the outcome bit and the normalized post-measurement state.
     A zero-probability branch is never returned.
     """
-    c0, c1 = _basis_components(state, basis, qubit)
-    p0 = float(np.vdot(c0, c0).real)
-    p1 = float(np.vdot(c1, c1).real)
-    total = p0 + p1
-    p0 /= total
-    outcome = 0 if randomness.random() < p0 else 1
-    branch = c0 if outcome == 0 else c1
-    weight = p0 if outcome == 0 else 1.0 - p0
-    branch = branch / np.sqrt(weight)
-    if basis is Basis.Z:
-        eigvec = _KETS[SpinLabel.UP] if outcome == 0 else _KETS[SpinLabel.DOWN]
-    else:
-        eigvec = _KETS[SpinLabel.RIGHT] if outcome == 0 else _KETS[SpinLabel.LEFT]
-    post = np.stack([eigvec[0] * branch, eigvec[1] * branch], axis=qubit)
-    return outcome, StateVector(post.reshape(-1))
+    c0, c1, p0, _ = _born(state, basis, qubit)
+    outcome = _draw(p0, randomness)
+    if outcome == 0:
+        return 0, _collapse(c0, p0, basis, qubit, 0)
+    return 1, _collapse(c1, 1.0 - p0, basis, qubit, 1)
+
+
+def _born_entry(state: StateVector, basis: Basis):
+    """Born probabilities and both post-states of a single-qubit measurement.
+
+    A zero-probability branch, which no draw selects, has post-state None.
+    """
+    c0, c1, p0, p1 = _born(state, basis, 0)
+    posts = tuple(
+        _collapse(branch, weight, basis, 0, outcome) if weight > 0.0 else None
+        for outcome, (branch, weight) in enumerate(((c0, p0), (c1, 1.0 - p0)))
+    )
+    return p0, p1, posts
+
+
+# Born table of the four signal states in both bases, keyed on the canonical
+# ``spin_state`` objects (``StateVector`` hashes by identity).  Built with the
+# same helpers as ``measure``, so a lookup gives the very floats it computes.
+_BORN_TABLE = {
+    (state, basis): _born_entry(state, basis)
+    for state in _SPIN_STATES.values()
+    for basis in Basis
+}
+
+
+def signal_probabilities(label: SpinLabel, basis: Basis) -> tuple[float, float]:
+    """Born probabilities of outcomes (0, 1) for a signal state, from the table."""
+    p0, p1, _ = _BORN_TABLE[(_SPIN_STATES[label], basis)]
+    return p0, p1
 
 
 def measure_label(
     state: StateVector, basis: Basis, randomness: RandomStream
 ) -> tuple[SpinLabel, StateVector]:
-    """Measure a single-qubit state; report the eigenstate it collapsed to."""
-    if state.n_qubits != 1:
-        raise ValueError("measure_label expects a single-qubit state")
-    outcome, post = measure(state, basis, 0, randomness)
+    """Measure a single-qubit state; report the eigenstate it collapsed to.
+
+    The four canonical signal states are looked up in the Born table; like
+    ``measure``, that takes exactly one draw compared with the same ``p0``.
+    """
+    entry = _BORN_TABLE.get((state, basis))
+    if entry is None:
+        if state.n_qubits != 1:
+            raise ValueError("measure_label expects a single-qubit state")
+        outcome, post = measure(state, basis, 0, randomness)
+    else:
+        p0, _, posts = entry
+        outcome = _draw(p0, randomness)
+        post = posts[outcome]
     return outcome_label(basis, outcome), post
 
 

@@ -9,7 +9,9 @@ the causal order transitive.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 __all__ = [
     "CONE_ATOL",
@@ -135,14 +137,19 @@ class Schedule:
     ``commitment_point`` is where the verifier's anchor site first knows
     every oracle commitment is in its causal past; ``t_c`` is its time
     coordinate and ``t_r`` the deadline for tested-commitment openings.
+    ``sites`` is stored as a read-only mapping, since one schedule may be
+    shared by many transcripts.
     """
 
-    sites: dict = field(repr=False)
+    sites: Mapping[str, Site] = field(repr=False)
     messages: tuple
     commitment_point: Event
     t_c: float
     t_r: float
     confirmations: tuple = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "sites", MappingProxyType(dict(self.sites)))
 
     def site(self, site_id: str) -> Site:
         return self.sites[site_id]

@@ -1,11 +1,18 @@
 """Config parsing, scenario orchestration, artifact determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from certbit.cli import ConfigError, list_scenarios, main, parse_config, run_experiment
 from certbit.scenarios import EXIT_CAUSAL_ABORT
+
+ROOT = Path(__file__).resolve().parents[1]
+SHIPPED = sorted(path.stem for path in (ROOT / "configs").glob("*.ini"))
 
 
 def write_config(tmp_path, body, name="experiment.ini"):
@@ -176,3 +183,34 @@ k_values = 1
         assert main(["run", str(path), "--seed", "9", "--out", str(out_dir), "--format", "machine"]) == 0
         header = json.loads((out_dir / "report.jsonl").read_text().splitlines()[0])
         assert header["seed"] == 9
+
+
+class TestShippedOutputs:
+    """The six shipped configs, unchanged, reproduce the tracked ``runs/`` bytes."""
+
+    def test_six_configs_shipped(self):
+        assert len(SHIPPED) == 6
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_golden_bytes(self, name, tmp_path, capsys):
+        status = main(["run", str(ROOT / "configs" / f"{name}.ini"), "--out", str(tmp_path)])
+        assert status == (EXIT_CAUSAL_ABORT if name == "causal-violation" else 0)
+        golden = ROOT / "runs" / name
+        compared = 0
+        for file_name in ("report.jsonl", "transcript.jsonl"):
+            reference = golden / file_name
+            assert (tmp_path / file_name).exists() == reference.exists(), file_name
+            if reference.exists():
+                assert (tmp_path / file_name).read_bytes() == reference.read_bytes(), file_name
+                compared += 1
+        assert compared >= 1
+
+
+def test_import_leaves_scipy_unloaded():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    probe = "import sys, certbit; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    assert result.stdout.strip() == "[]"

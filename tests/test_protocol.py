@@ -2,10 +2,12 @@
 
 import json
 import math
+from types import MappingProxyType
 
 import numpy as np
 import pytest
 
+from certbit import protocol
 from certbit.adversary import ClassicalFlip, Honest
 from certbit.protocol import (
     DEFAULT_ENCODING,
@@ -26,7 +28,7 @@ from certbit.protocol import (
     verify_tested,
 )
 from certbit.quantum import Basis, SpinLabel, spin_state
-from certbit.spacetime import Event, Message, validate_schedule
+from certbit.spacetime import Event, Message, Site, earliest_commitment_time, validate_schedule
 
 
 class TestProtocolParams:
@@ -377,3 +379,132 @@ class TestRunSession:
             c.t + math.dist(c.x, b0.position) for c in transcript.schedule.confirmations
         )
         assert transcript.t_c == pytest.approx(expected, abs=1e-12)
+
+
+def moving_scenario(**fields) -> ReductionScenario:
+    """Every site on its own constant-velocity worldline, two receivers."""
+    return ReductionScenario(
+        name="moving",
+        sites=(
+            Site("B0", (0.0, 0.0, 0.0), (0.1, -0.05, 0.0)),
+            Site("A1", (1.0, 0.5, 0.0), (-0.2, 0.1, 0.05)),
+            Site("B1", (2.0, -1.0, 0.5), (0.0, 0.25, 0.0)),
+            Site("A2", (-3.0, 0.0, 1.0), (0.3, 0.0, -0.1)),
+            Site("B2", (0.5, 2.0, -1.0), (-0.15, -0.15, 0.0)),
+        ),
+        oracle_pairs=(("A1", "B1"), ("A2", "B2"), ("A1", "B2")),
+        suspension_rounds=2,
+        **fields,
+    )
+
+
+def tamper_spin0(messages):
+    """Make spin[0] arrive at its own emission time: superluminal."""
+    out = []
+    for message in messages:
+        if message.payload == "spin[0]":
+            message = Message(
+                message.sender,
+                message.receiver,
+                message.emit,
+                Event(message.emit.t, message.receive.x),
+                message.payload,
+            )
+        out.append(message)
+    return out
+
+
+class TestBuiltSchedule:
+    """Deduplicated flights leave every message where a fresh flight puts it."""
+
+    @pytest.mark.parametrize("scenario", [default_scenario(3), moving_scenario()], ids=["line", "moving"])
+    def test_every_receive_recomputed(self, scenario):
+        params = ProtocolParams(n0=8, m=2)
+        schedule = scenario.build_schedule(params)
+        for message in schedule.messages:
+            receiver = scenario.site(message.receiver)
+            assert scenario.site(message.sender).on_worldline(message.emit)
+            t = earliest_commitment_time(receiver, [message.emit])
+            assert message.receive == receiver.event_at(t)
+        assert validate_schedule(schedule) == []
+        assert schedule.t_c == earliest_commitment_time(scenario.site("B0"), schedule.confirmations)
+
+    @pytest.mark.parametrize("scenario", [default_scenario(3), moving_scenario()], ids=["line", "moving"])
+    def test_payload_order(self, scenario):
+        n0 = 8
+        schedule = scenario.build_schedule(ProtocolParams(n0=n0, m=2))
+        endpoints = sorted({b_id for _, b_id in scenario.oracle_pairs})
+        expected = (
+            [f"commit[{i}]" for i in range(2 * n0)]
+            + [f"spin[{i}]" for i in range(n0)]
+            + ["challenge"]
+            + [p for b_id in endpoints for p in (f"open-instruction[{b_id}]", f"oracle-reveals[{b_id}]")]
+            + ["declarations"]
+            + [
+                p
+                for r in range(scenario.suspension_rounds)
+                for p in (f"heartbeat-out[{r}]", f"heartbeat-back[{r}]")
+            ]
+            + ["reveal"]
+        )
+        assert [message.payload for message in schedule.messages] == expected
+        pairs = scenario.oracle_pairs
+        for index, message in enumerate(schedule.messages[: 2 * n0]):
+            assert (message.sender, message.receiver) == pairs[index % len(pairs)]
+            assert message.emit.t == 0.0
+
+    def test_sites_read_only(self):
+        schedule = default_scenario().build_schedule(ProtocolParams(n0=8, m=2))
+        assert isinstance(schedule.sites, MappingProxyType)
+        with pytest.raises(TypeError):
+            schedule.sites["B9"] = Site("B9", (9.0, 0.0, 0.0))
+
+
+class TestScheduleMemo:
+    def test_one_key_shares_one_schedule(self, make_rng):
+        params = ProtocolParams(n0=16, m=4)
+        first = run_session(Honest(), params, randomness=make_rng(1))
+        second = run_session(Honest(), params, randomness=make_rng(2))
+        assert first.schedule is second.schedule
+        assert first.events == second.events
+        first.events["extra"] = first.events["commitment_point"]
+        assert "extra" not in second.events
+
+    def test_tampered_scenario_aborts_alike_on_every_call(self, make_rng):
+        calls = []
+
+        def tamper(messages):
+            calls.append(len(messages))
+            return tamper_spin0(messages)
+
+        scenario = ReductionScenario(name="tamper-memo", tamper=tamper)
+        params = ProtocolParams(n0=16, m=4)
+        seen = []
+        for seed in range(4):
+            transcript = run_session(Honest(), params, scenario=scenario, randomness=make_rng(seed))
+            assert transcript.verdict is Verdict.ABORT
+            assert transcript.failed_stage is Stage.SCHEDULE
+            assert isinstance(transcript.violations, tuple)
+            seen.append([str(v) for v in transcript.violations])
+        assert len(seen[0]) == 1 and seen[0][0].startswith("superluminal [spin[0]]")
+        assert all(violations == seen[0] for violations in seen)
+        assert calls == [len(transcript.schedule.messages)]  # built once for the key
+
+    def test_moving_tampered_scenario_aborts(self, make_rng):
+        params = ProtocolParams(n0=8, m=2)
+        scenario = moving_scenario(tamper=tamper_spin0)
+        first, again = (
+            run_session(Honest(), params, scenario=scenario, randomness=make_rng(seed)) for seed in (3, 4)
+        )
+        assert first.failed_stage is again.failed_stage is Stage.SCHEDULE
+        assert {v.payload for v in first.violations} == {"spin[0]"}
+        assert "superluminal" in {v.kind for v in first.violations}
+        assert first.violations == again.violations
+
+    def test_cache_stays_bounded(self, make_rng):
+        params = ProtocolParams(n0=4, m=1, strict=False)
+        for index in range(protocol.SCHEDULE_CACHE_SIZE + 5):
+            scenario = ReductionScenario(name=f"bounded-{index}")
+            assert run_session(Honest(), params, scenario=scenario, randomness=make_rng(index)).accepted
+            assert protocol._session_plan.cache_info().currsize <= protocol.SCHEDULE_CACHE_SIZE
+        assert protocol._session_plan.cache_info().currsize == protocol.SCHEDULE_CACHE_SIZE

@@ -21,10 +21,12 @@ from certbit.quantum import (
     partial_trace,
     purify,
     schmidt_decompose,
+    signal_probabilities,
     spin_state,
     tensor,
     uhlmann_rotation,
 )
+from certbit.rng import RandomStream
 import oracles
 
 SQ2 = 1.0 / np.sqrt(2.0)
@@ -170,6 +172,43 @@ class TestMeasurement:
     def test_bad_qubit_index(self, rng):
         with pytest.raises(IndexError):
             measure(spin_state(SpinLabel.UP), Basis.Z, 1, rng)
+
+
+class TestBornTable:
+    """The signal-state fast path of ``measure_label`` against generic ``measure``."""
+
+    @pytest.mark.parametrize("basis", list(Basis))
+    @pytest.mark.parametrize("label", list(SpinLabel))
+    def test_matches_generic_measure(self, label, basis):
+        state = spin_state(label)
+        outcomes = set()
+        for seed in range(24):
+            fast_stream, generic_stream = RandomStream(seed), RandomStream(seed)
+            seen, fast_post = measure_label(state, basis, fast_stream)
+            outcome, generic_post = measure(state, basis, 0, generic_stream)
+            assert seen is outcome_label(basis, outcome)
+            assert fast_post.allclose(generic_post)
+            # Both consumed the same number of draws: the streams stay in step.
+            assert fast_stream.random() == generic_stream.random()
+            outcomes.add(outcome)
+        assert len(outcomes) == (1 if label.basis is basis else 2)
+
+    @pytest.mark.parametrize("basis", list(Basis))
+    @pytest.mark.parametrize("label", list(SpinLabel))
+    def test_probabilities_are_the_generic_floats(self, label, basis):
+        assert signal_probabilities(label, basis) == measure_probabilities(spin_state(label), basis, 0)
+
+    def test_equal_copy_agrees(self):
+        # Not one of the canonical objects, so measured by the generic path.
+        copy = StateVector(spin_state(SpinLabel.RIGHT).amplitudes.copy())
+        for seed in range(8):
+            fast, _ = measure_label(spin_state(SpinLabel.RIGHT), Basis.Z, RandomStream(seed))
+            generic, _ = measure_label(copy, Basis.Z, RandomStream(seed))
+            assert fast is generic
+
+    def test_multi_qubit_state_rejected(self, rng):
+        with pytest.raises(ValueError, match="single-qubit"):
+            measure_label(tensor(spin_state(SpinLabel.UP), spin_state(SpinLabel.UP)), Basis.Z, rng)
 
 
 class TestPartialTrace:

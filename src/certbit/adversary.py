@@ -261,8 +261,12 @@ def purification_attack(protocol: ToyBCProtocol) -> PurificationAttackResult:
     )
 
 
-def _unitary_2x2(theta: float, alpha: float, beta: float) -> np.ndarray:
-    """U(2) up to global phase."""
+def _unitary_2x2(theta, alpha, beta) -> np.ndarray:
+    """U(2) up to global phase.
+
+    Array angles broadcast: the result then has shape ``(2, 2, *shape)``,
+    one unitary per angle triple along the trailing axes.
+    """
     c, s = np.cos(theta), np.sin(theta)
     return np.array(
         [
@@ -287,6 +291,51 @@ def _hermitian_from_params(params: np.ndarray, dim: int) -> np.ndarray:
     return h
 
 
+# Grid points whose batched acceptance lies within this of the batched
+# maximum are re-evaluated one by one.  It exceeds twice the batched
+# rounding error (~1e-15) by far, so the exact maximum is always among them.
+SWEEP_TIE_ATOL = 1e-9
+
+
+def _steered_acceptance(protocol: ToyBCProtocol, joint_state: StateVector, bit: int, unitary) -> float:
+    """Acceptance of opening ``bit`` after ``unitary`` acts on the purifier."""
+    steered = apply_purifier_unitary(joint_state, unitary, protocol.system_dim)
+    return protocol.open_probability(steered, bit)
+
+
+def _grid_search_2x2(protocol: ToyBCProtocol, joint_state: StateVector, bit: int, grid: int):
+    """Best ``(value, (theta, alpha, beta))`` on the sweep grid, for a 2-dim purifier.
+
+    The grid is evaluated in numpy, one theta slab of ``(2 grid)^2`` unitaries
+    at a time, so memory stays at one slab.  Batched sums can differ from
+    the scalar :func:`_steered_acceptance` in the last ulp, and the grid has
+    exact ties, so the result is not a batched argmax: every point within
+    ``SWEEP_TIE_ATOL`` of the batched maximum is re-evaluated with the
+    scalar path in (theta, alpha, beta) C order, and the first strict
+    maximum is kept.  That is the point and value a scalar loop over the
+    whole grid picks.
+    """
+    angles = np.linspace(0.0, np.pi / 2.0, grid)
+    phases = np.linspace(0.0, 2.0 * np.pi, 2 * grid, endpoint=False)
+    alpha, beta = np.meshgrid(phases, phases, indexing="ij")
+    amp = joint_state.amplitudes.reshape(protocol.system_dim, 2)
+    test = protocol.accept_tests[bit]
+    values = np.empty((grid, alpha.size))
+    for row, theta in enumerate(angles):
+        unitaries = _unitary_2x2(theta, alpha.ravel(), beta.ravel())
+        steered = np.einsum("il,jlk->kij", amp, unitaries).reshape(alpha.size, -1)
+        values[row] = np.einsum("ka,ab,kb->k", steered.conj(), test, steered).real
+
+    best_value, best_point = -1.0, (0.0, 0.0, 0.0)
+    for flat in np.flatnonzero(values >= values.max() - SWEEP_TIE_ATOL):
+        row, a, b = np.unravel_index(flat, (grid, 2 * grid, 2 * grid))
+        point = (angles[row], phases[a], phases[b])
+        value = _steered_acceptance(protocol, joint_state, bit, _unitary_2x2(*point))
+        if value > best_value:
+            best_value, best_point = value, point
+    return best_value, best_point
+
+
 def sweep_open_probability(
     protocol: ToyBCProtocol,
     joint_state: StateVector,
@@ -295,29 +344,25 @@ def sweep_open_probability(
 ) -> float:
     """Best acceptance of opening ``bit`` over purifier unitaries, numerically.
 
-    For a 2-dimensional purifier this is a dense 3-angle grid search with
-    local refinement; for larger purifiers it refines from random Hermitian
-    generators.  Converges to the closed-form optimum within 1e-6 and is
-    deliberately independent of the Uhlmann construction.
+    For a 2-dimensional purifier this is a dense 3-angle grid search
+    (``grid`` x ``2 grid`` x ``2 grid`` points) with Nelder-Mead refinement
+    from the grid's best point.  The grid is evaluated in numpy one theta
+    slab at a time; near-ties with the maximum are re-evaluated one by one
+    and the first strict maximum in grid order is kept, so the start point
+    is the one a scalar loop would pick (see :func:`_grid_search_2x2`).
+    For larger purifiers it refines from random Hermitian generators.
+    Converges to the closed-form optimum within 1e-6 and is deliberately
+    independent of the Uhlmann construction.
     """
     from scipy import optimize  # deferred: scipy.optimize dominates import time
 
     p_dim = protocol.purifier_dim
 
     def accept(unitary: np.ndarray) -> float:
-        steered = apply_purifier_unitary(joint_state, unitary, protocol.system_dim)
-        return protocol.open_probability(steered, bit)
+        return _steered_acceptance(protocol, joint_state, bit, unitary)
 
     if p_dim == 2:
-        angles = np.linspace(0.0, np.pi / 2.0, grid)
-        phases = np.linspace(0.0, 2.0 * np.pi, 2 * grid, endpoint=False)
-        best_value, best_point = -1.0, (0.0, 0.0, 0.0)
-        for theta in angles:
-            for alpha in phases:
-                for beta in phases:
-                    value = accept(_unitary_2x2(theta, alpha, beta))
-                    if value > best_value:
-                        best_value, best_point = value, (theta, alpha, beta)
+        best_value, best_point = _grid_search_2x2(protocol, joint_state, bit, grid)
         result = optimize.minimize(
             lambda p: -accept(_unitary_2x2(*p)),
             np.array(best_point),

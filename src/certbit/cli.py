@@ -90,6 +90,15 @@ class ExperimentConfig:
         return self.trials if self.trials is not None else default
 
 
+# Every section and key a config may set; anything else is an error.
+_KNOWN_FIELDS = {
+    "experiment": ("scenario", "seed", "trials", "out", "format"),
+    "protocol": ("n0", "m", "n1", "epsilon", "flip_probability", "leak_probability"),
+    "spacetime": ("suspension_rounds",),
+    "analysis": ("sessions", "k_values", "theta_points", "alpha_squares"),
+}
+
+
 def _get(parser, section, option, convert, default, errors):
     if not parser.has_option(section, option):
         return default
@@ -123,6 +132,13 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     errors: list[str] = []
     if not parser.has_section("experiment"):
         raise ConfigError("experiment: section missing")
+    for section in parser.sections():
+        if section not in _KNOWN_FIELDS:
+            errors.append(f"{section}: unknown section; valid: {', '.join(_KNOWN_FIELDS)}")
+            continue
+        for key in parser.options(section):
+            if key not in _KNOWN_FIELDS[section]:
+                errors.append(f"{section}.{key}: unknown field; valid: {', '.join(_KNOWN_FIELDS[section])}")
     if not parser.has_option("experiment", "scenario"):
         errors.append("experiment.scenario: required")
         scenario = ""
@@ -162,6 +178,8 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         errors.append(f"experiment.format: {config.format!r} not one of summary|machine|both")
     if config.trials is not None and config.trials < 1:
         errors.append("experiment.trials: must be >= 1")
+    if config.suspension_rounds < 0:
+        errors.append("spacetime.suspension_rounds: must be >= 0")
     if errors:
         raise ConfigError("; ".join(errors))
     # Validate protocol sizes eagerly so bad configs fail before running.

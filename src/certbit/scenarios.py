@@ -36,7 +36,7 @@ from .analysis import (
     evaluate_relativistic,
     nogo_tradeoff_sweep,
 )
-from .protocol import Message, ReductionScenario, Verdict, run_session
+from .protocol import Message, ReductionScenario, Verdict, default_scenario, run_session
 from .quantum import SpinLabel, partial_trace, spin_state
 from .rng import RandomStream
 from .spacetime import Event, in_past_cone
@@ -89,13 +89,14 @@ def _run_honest_default(config) -> ExperimentResult:
     sessions = config.sessions
     randomness = RandomStream(config.seed)
     streams = randomness.split(sessions + 1)
+    scenario = default_scenario(config.suspension_rounds)
 
     accepted = 0
     bit_matches = 0
     first = None
     for i in range(sessions):
         strategy = Honest()
-        transcript = run_session(strategy, params, randomness=streams[i])
+        transcript = run_session(strategy, params, scenario=scenario, randomness=streams[i])
         if transcript.accepted:
             accepted += 1
             if transcript.claimed_bit == strategy.last_bit:
@@ -285,10 +286,11 @@ def _run_oracle_degradation(config) -> ExperimentResult:
     result = ExperimentResult("oracle-degradation", EXIT_OK)
     sessions = config.trials_or(300)
     randomness = RandomStream(config.seed)
+    scenario = default_scenario(config.suspension_rounds)
     records = []
 
     base = config.params()
-    ideal = weak_oracle_degradation(base, sessions, randomness)
+    ideal = weak_oracle_degradation(base, sessions, randomness, scenario=scenario)
     _expect(
         result,
         ideal.honest_accept_rate == 1.0 and ideal.leaked_fraction == 0.0,
@@ -297,7 +299,7 @@ def _run_oracle_degradation(config) -> ExperimentResult:
     records.append(_degradation_record(ideal))
 
     flipped = config.params(flip_probability=0.1)
-    degraded = weak_oracle_degradation(flipped, sessions, randomness)
+    degraded = weak_oracle_degradation(flipped, sessions, randomness, scenario=scenario)
     _expect(
         result,
         degraded.honest_accept_rate < 1.0,
@@ -353,7 +355,9 @@ def _superluminal_spin(messages: list[Message]) -> list[Message]:
 def _run_causal_violation(config) -> ExperimentResult:
     result = ExperimentResult("causal-violation", EXIT_OK)
     params = config.params()
-    scenario = ReductionScenario(name="superluminal-spin", tamper=_superluminal_spin)
+    scenario = ReductionScenario(
+        name="superluminal-spin", suspension_rounds=config.suspension_rounds, tamper=_superluminal_spin
+    )
     transcript = run_session(Honest(), params, scenario=scenario, randomness=RandomStream(config.seed))
     _expect(result, transcript.verdict is Verdict.ABORT, "session aborted at schedule validation")
     _expect(

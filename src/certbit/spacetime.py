@@ -156,10 +156,27 @@ class Schedule:
 
 
 def validate_schedule(schedule: Schedule, atol: float = CONE_ATOL) -> list[Violation]:
-    """Every causal defect in the schedule; empty means causally valid."""
+    """Every causal defect in the schedule; empty means causally valid.
+
+    Messages that share a flight (the same sender, receiver and emit and
+    receive ``Event`` objects, as one oracle pair's commitments do) are
+    checked once; each failing message still gets its own violations.
+    """
     violations = []
+    flight_checks: dict[tuple, tuple[bool, bool, bool]] = {}
     for message in schedule.messages:
-        if not in_past_cone(message.emit, message.receive, atol):
+        key = (message.sender, message.receiver, id(message.emit), id(message.receive))
+        checks = flight_checks.get(key)
+        if checks is None:
+            sender = schedule.sites.get(message.sender)
+            receiver = schedule.sites.get(message.receiver)
+            checks = flight_checks[key] = (
+                in_past_cone(message.emit, message.receive, atol),
+                sender is None or sender.on_worldline(message.emit, atol),
+                receiver is None or receiver.on_worldline(message.receive, atol),
+            )
+        in_cone, sender_ok, receiver_ok = checks
+        if not in_cone:
             violations.append(
                 Violation(
                     "superluminal",
@@ -168,8 +185,7 @@ def validate_schedule(schedule: Schedule, atol: float = CONE_ATOL) -> list[Viola
                     f"emit at t={message.emit.t}",
                 )
             )
-        sender = schedule.sites.get(message.sender)
-        if sender is not None and not sender.on_worldline(message.emit, atol):
+        if not sender_ok:
             violations.append(
                 Violation(
                     "off-worldline",
@@ -177,8 +193,7 @@ def validate_schedule(schedule: Schedule, atol: float = CONE_ATOL) -> list[Viola
                     f"emit event not on worldline of site {message.sender}",
                 )
             )
-        receiver = schedule.sites.get(message.receiver)
-        if receiver is not None and not receiver.on_worldline(message.receive, atol):
+        if not receiver_ok:
             violations.append(
                 Violation(
                     "off-worldline",

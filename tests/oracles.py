@@ -3,13 +3,17 @@
 Nothing here imports the code paths it verifies: fidelity goes through
 scipy's Schur-based matrix square root instead of the library's
 eigendecomposition, purifier alignment is maximized by brute parameter
-sweep instead of SVD, and pass probabilities come from exhaustive
-enumeration of outcome strings instead of the closed form.
+sweep instead of SVD, pass probabilities come from exhaustive
+enumeration of outcome strings instead of the closed form, the unitary
+sweep's grid is scanned one point at a time instead of in numpy slabs,
+and schedules are validated one message at a time instead of once per
+shared flight.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 from scipy import linalg, optimize
@@ -75,10 +79,8 @@ def brute_force_purifier_overlap(
     return max(best_value, -float(refined.fun))
 
 
-def brute_force_open_probability(
-    accept_test: np.ndarray, joint_state: np.ndarray, system_dim: int, grid: int = 24
-) -> float:
-    """Max acceptance over 2x2 purifier unitaries, by sweep."""
+def _open_acceptance(accept_test: np.ndarray, joint_state: np.ndarray, system_dim: int):
+    """Acceptance after a 2x2 purifier unitary, as a function of its angles."""
     purifier_dim = joint_state.size // system_dim
     if purifier_dim != 2:
         raise ValueError("brute-force oracle only handles 2-dimensional purifiers")
@@ -88,13 +90,33 @@ def brute_force_open_probability(
         moved = (a @ unitary_2x2(*params).T).reshape(-1)
         return float(np.vdot(moved, accept_test @ moved).real)
 
-    best_value, best_point = -1.0, None
+    return accept
+
+
+def reference_grid_search(
+    accept_test: np.ndarray, joint_state: np.ndarray, system_dim: int, grid: int = 18
+) -> tuple[float, tuple]:
+    """Best ``(value, (theta, alpha, beta))`` on the sweep grid, one point at a time.
+
+    Scans theta, then alpha, then beta, keeping the first strict maximum.
+    """
+    accept = _open_acceptance(accept_test, joint_state, system_dim)
+    best_value, best_point = -1.0, (0.0, 0.0, 0.0)
     for theta in np.linspace(0.0, np.pi / 2.0, grid):
         for alpha in np.linspace(0.0, 2.0 * np.pi, 2 * grid, endpoint=False):
             for beta in np.linspace(0.0, 2.0 * np.pi, 2 * grid, endpoint=False):
                 value = accept((theta, alpha, beta))
                 if value > best_value:
                     best_value, best_point = value, (theta, alpha, beta)
+    return best_value, best_point
+
+
+def brute_force_open_probability(
+    accept_test: np.ndarray, joint_state: np.ndarray, system_dim: int, grid: int = 24
+) -> float:
+    """Max acceptance over 2x2 purifier unitaries, by sweep."""
+    accept = _open_acceptance(accept_test, joint_state, system_dim)
+    best_value, best_point = reference_grid_search(accept_test, joint_state, system_dim, grid)
     refined = optimize.minimize(
         lambda p: -accept(p),
         np.array(best_point),
@@ -102,6 +124,43 @@ def brute_force_open_probability(
         options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 5000},
     )
     return max(best_value, -float(refined.fun))
+
+
+def reference_violations(schedule, atol: float = 1e-9) -> list[tuple[str, str, str]]:
+    """``(kind, payload, detail)`` of every causal defect, checking each message on its own.
+
+    Uses ``math.dist`` for the light-cone and worldline distances instead of
+    the library's component sums.
+    """
+
+    def on_worldline(site, event) -> bool:
+        expected = [p + v * event.t for p, v in zip(site.position, site.velocity)]
+        return math.dist(event.x, expected) <= atol
+
+    found = []
+    for message in schedule.messages:
+        emit, receive = message.emit, message.receive
+        if (receive.t - emit.t) - math.dist(receive.x, emit.x) < -atol:
+            found.append(
+                (
+                    "superluminal",
+                    message.payload,
+                    f"receive at t={receive.t} outside causal future of emit at t={emit.t}",
+                )
+            )
+        sender = schedule.sites.get(message.sender)
+        if sender is not None and not on_worldline(sender, emit):
+            found.append(
+                ("off-worldline", message.payload, f"emit event not on worldline of site {message.sender}")
+            )
+        receiver = schedule.sites.get(message.receiver)
+        if receiver is not None and not on_worldline(receiver, receive):
+            found.append(
+                ("off-worldline", message.payload, f"receive event not on worldline of site {message.receiver}")
+            )
+    if not schedule.t_r > schedule.t_c:
+        found.append(("ordering", "t_r", f"t_r={schedule.t_r} must be strictly after t_c={schedule.t_c}"))
+    return found
 
 
 def enumerate_flip_pass_probability(k: int) -> float:

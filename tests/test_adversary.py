@@ -7,6 +7,7 @@ import pytest
 
 from certbit.adversary import (
     ClassicalFlip,
+    _grid_search_2x2,
     ToyBCProtocol,
     entangled_commit,
     entangled_reveal_probability,
@@ -184,6 +185,34 @@ class TestPurificationAttack:
         result = purification_attack(toy)
         swept = sweep_open_probability(toy, result.commit_state, 1)
         assert swept == pytest.approx(result.p1, abs=1e-6)
+
+
+def sweep_cases():
+    """|0> vs |+>, |0> vs each of 9 tradeoff angles, and one mixed pair."""
+    zero = spin_state(SpinLabel.UP).density()
+    cases = {"conjugate": ToyBCProtocol((zero, spin_state(SpinLabel.RIGHT).density()))}
+    for theta in np.linspace(0.0, np.pi / 2.0, 9):
+        other = StateVector(np.array([np.cos(theta), np.sin(theta)], dtype=np.complex128))
+        cases[f"theta={theta:.4f}"] = ToyBCProtocol((zero, other.density()))
+    cases["mixed"] = ToyBCProtocol((density(5), density(55)))
+    return cases
+
+
+SWEEP_CASES = sweep_cases()
+
+
+class TestSweepGrid:
+    """The batched grid picks the value and point of a scalar scan."""
+
+    @pytest.mark.parametrize("name", SWEEP_CASES)
+    def test_matches_scalar_scan(self, name):
+        toy = SWEEP_CASES[name]
+        state = purification_attack(toy).commit_state
+        for bit in (0, 1):
+            expected = oracles.reference_grid_search(
+                toy.accept_tests[bit], state.amplitudes, toy.system_dim, grid=18
+            )
+            assert _grid_search_2x2(toy, state, bit, grid=18) == expected
 
 
 class TestWeakOracle:

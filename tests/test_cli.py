@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from certbit.cli import ConfigError, list_scenarios, main, parse_config, run_experiment
+from certbit import scenarios
 from certbit.scenarios import EXIT_CAUSAL_ABORT
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -63,6 +64,30 @@ class TestConfigParsing:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             parse_config(tmp_path / "nope.ini")
+
+    def test_misspelled_key_rejected(self, tmp_path, capsys):
+        path = write_config(tmp_path, MINIMAL + "\n[protocol]\nflip_probabilty = 0.1\n")
+        with pytest.raises(ConfigError, match="protocol.flip_probabilty: unknown field"):
+            parse_config(path)
+        assert main(["validate", str(path)]) == 2
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "protocol.flip_probabilty" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_section_rejected(self, tmp_path):
+        path = write_config(tmp_path, MINIMAL + "\n[foo]\nbar = 1\n")
+        with pytest.raises(ConfigError, match="foo: unknown section"):
+            parse_config(path)
+        assert main(["validate", str(path)]) == 2
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_shipped_config_validates(self, name, capsys):
+        assert main(["validate", str(ROOT / "configs" / f"{name}.ini")]) == 0
+
+    def test_negative_suspension_rounds_rejected(self, tmp_path):
+        body = MINIMAL + "\n[spacetime]\nsuspension_rounds = -1\n"
+        with pytest.raises(ConfigError, match="spacetime.suspension_rounds"):
+            parse_config(write_config(tmp_path, body))
 
 
 class TestScenarioRegistry:
@@ -149,6 +174,80 @@ sessions = 25
         transcript = (tmp_path / "out" / "transcript.jsonl").read_text().splitlines()
         types = {json.loads(line)["type"] for line in transcript}
         assert types == {"params", "message", "stage", "verdict"}
+
+
+SMALL_HONEST = """
+[experiment]
+scenario = honest-default
+seed = 2
+trials = 2000
+format = machine
+
+[protocol]
+n0 = 16
+m = 4
+
+[analysis]
+sessions = 3
+
+[spacetime]
+suspension_rounds = {rounds}
+"""
+
+
+def transcript_of(path):
+    return [json.loads(line) for line in (path / "transcript.jsonl").read_text().splitlines()]
+
+
+class TestSuspensionRounds:
+    """``[spacetime] suspension_rounds`` reaches the scenarios' schedules."""
+
+    def test_honest_default_heartbeats(self, tmp_path):
+        stages = {}
+        for rounds in (0, 2):
+            body = SMALL_HONEST.format(rounds=rounds)
+            config = parse_config(write_config(tmp_path, body, f"r{rounds}.ini"))
+            assert run_experiment(config, out_dir=tmp_path / str(rounds)) == 0
+            records = transcript_of(tmp_path / str(rounds))
+            payloads = [r["payload"] for r in records if r["type"] == "message"]
+            assert sum(p.startswith("heartbeat-") for p in payloads) == 2 * rounds
+            stages[rounds] = {r["name"]: r["t"] for r in records if r["type"] == "stage"}
+        # Heartbeats delay the reveal; the tested-commitment deadline t_r comes before them.
+        assert stages[2]["reveal_received"] > stages[0]["reveal_received"]
+        assert stages[2]["tested_verified"] == stages[0]["tested_verified"]
+
+    def test_causal_violation_heartbeats(self, tmp_path):
+        body = MINIMAL + "format = machine\n\n[spacetime]\nsuspension_rounds = 1\n"
+        config = parse_config(write_config(tmp_path, body))
+        assert run_experiment(config, out_dir=tmp_path / "out") == EXIT_CAUSAL_ABORT
+        payloads = [r["payload"] for r in transcript_of(tmp_path / "out") if r["type"] == "message"]
+        assert "heartbeat-out[0]" in payloads and "heartbeat-back[0]" in payloads
+
+    def test_oracle_degradation_scenario(self, tmp_path, monkeypatch):
+        seen = []
+        original = scenarios.weak_oracle_degradation
+
+        def spy(*args, scenario=None, **kwargs):
+            seen.append(scenario)
+            return original(*args, scenario=scenario, **kwargs)
+
+        monkeypatch.setattr(scenarios, "weak_oracle_degradation", spy)
+        body = """
+[experiment]
+scenario = oracle-degradation
+seed = 3
+trials = 40
+format = machine
+
+[protocol]
+n0 = 16
+m = 4
+
+[spacetime]
+suspension_rounds = 3
+"""
+        assert run_experiment(parse_config(write_config(tmp_path, body)), out_dir=tmp_path / "out") == 0
+        assert [s.suspension_rounds for s in seen] == [3, 3]
 
 
 class TestMain:

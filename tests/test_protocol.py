@@ -29,6 +29,7 @@ from certbit.protocol import (
 )
 from certbit.quantum import Basis, SpinLabel, spin_state
 from certbit.spacetime import Event, Message, Site, earliest_commitment_time, validate_schedule
+import oracles
 
 
 class TestProtocolParams:
@@ -414,8 +415,60 @@ def tamper_spin0(messages):
     return out
 
 
+def tamper_commits(messages):
+    """Displace commit[3]'s receive and commit[5]'s emit; give commit[7] and
+    commit[9] one shared receive event at their emission time."""
+    out = []
+    shared = None
+    for message in messages:
+        emit, receive = message.emit, message.receive
+        if message.payload == "commit[3]":
+            receive = Event(receive.t, (receive.x[0] + 0.5, receive.x[1], receive.x[2]))
+        elif message.payload == "commit[5]":
+            emit = Event(emit.t, (emit.x[0], emit.x[1] - 0.5, emit.x[2]))
+        elif message.payload in ("commit[7]", "commit[9]"):
+            shared = shared or Event(emit.t, receive.x)
+            receive = shared
+        out.append(Message(message.sender, message.receiver, emit, receive, message.payload))
+    return out
+
+
+def random_moving_scenario(seed: int, tamper=None) -> ReductionScenario:
+    """Seeded positions and velocities; two committers, two receivers."""
+    gen = np.random.default_rng(seed)
+
+    def site(site_id, position=None):
+        position = gen.uniform(-4.0, 4.0, 3) if position is None else position
+        return Site(site_id, tuple(position), tuple(gen.uniform(-0.3, 0.3, 3)))
+
+    sites = (site("B0", (0.0, 0.0, 0.0)), site("A1"), site("A2"), site("B1"), site("B2"))
+    return ReductionScenario(
+        name=f"random-{seed}",
+        sites=sites,
+        oracle_pairs=(("A1", "B1"), ("A1", "B2"), ("A2", "B1"), ("A2", "B2")),
+        suspension_rounds=1,
+        tamper=tamper,
+    )
+
+
 class TestBuiltSchedule:
     """Deduplicated flights leave every message where a fresh flight puts it."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_validation_matches_per_message_oracle(self, seed):
+        params = ProtocolParams(n0=8, m=2)
+        for tamper in (None, tamper_spin0, tamper_commits):
+            schedule = random_moving_scenario(seed, tamper).build_schedule(params)
+            found = [(v.kind, v.payload, v.detail) for v in validate_schedule(schedule)]
+            assert found == oracles.reference_violations(schedule)
+            payloads = {payload for _, payload, _ in found}
+            if tamper is None:
+                assert found == []
+            elif tamper is tamper_spin0:
+                assert payloads == {"spin[0]"}
+            else:
+                # commit[11] shares commit[3]'s and commit[7]'s oracle pair.
+                assert payloads == {"commit[3]", "commit[5]", "commit[7]", "commit[9]"}
 
     @pytest.mark.parametrize("scenario", [default_scenario(3), moving_scenario()], ids=["line", "moving"])
     def test_every_receive_recomputed(self, scenario):

@@ -6,9 +6,9 @@ sampling with a 99% Wilson (or bootstrap) confidence interval.  Re-running
 with the same seed reproduces every report byte for byte.
 
 The supremum over all committer strategies is not computable; cheat
-probabilities are maxima over the implemented strategy class (plus a
-numeric unitary sweep for the finite commitment abstractions), and every
-report says so.
+probabilities are maxima over the implemented strategy class (the
+closed-form purifier-steering attack for the finite commitment
+abstractions), and every report says so.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .adversary import (
     Honest,
     ToyBCProtocol,
     purification_attack,
-    sweep_open_probability,
 )
 from .protocol import (
     DEFAULT_ENCODING,
@@ -369,21 +368,14 @@ class CheatSum:
     notes: tuple[str, ...] = ()
 
 
-def _cheat_sum_toy(protocol: ToyBCProtocol, refine: bool) -> CheatSum:
+def _cheat_sum_toy(protocol: ToyBCProtocol) -> CheatSum:
     attack = purification_attack(protocol)
-    note0 = note1 = "closed-form purifier steering"
-    p0, p1 = attack.p0, attack.p1
-    if refine:
-        swept0 = sweep_open_probability(protocol, attack.commit_state, 0)
-        swept1 = sweep_open_probability(protocol, attack.commit_state, 1)
-        note0 = f"closed form {attack.p0!r}; unitary sweep {swept0!r}"
-        note1 = f"closed form {attack.p1!r}; unitary sweep {swept1!r}"
-        p0, p1 = max(p0, swept0), max(p1, swept1)
+    note = "closed-form purifier steering"
     return CheatSum(
-        p0=Quantity(p0, "exact", note=note0),
-        p1=Quantity(p1, "exact", note=note1),
-        p_sum=Quantity(p0 + p1, "exact", note=f"sqrt(F) = {math.sqrt(attack.fidelity)!r}"),
-        strategy_class="purifier steering + unitary sweep",
+        p0=Quantity(attack.p0, "exact", note=note),
+        p1=Quantity(attack.p1, "exact", note=note),
+        p_sum=Quantity(attack.p_sum, "exact", note=f"sqrt(F) = {math.sqrt(attack.fidelity)!r}"),
+        strategy_class="purifier steering",
         notes=(STRATEGY_CLASS_NOTE,),
     )
 
@@ -433,17 +425,16 @@ def cheat_sum(
     trials: int | None = None,
     randomness: RandomStream | None = None,
     strategy_class: str = "classical-flip",
-    refine: bool = True,
 ) -> CheatSum:
     """Maximal p0 + p1 over the implemented strategy class.
 
-    ``target`` is either a :class:`ToyBCProtocol` (purifier-steering attack
-    plus numeric unitary sweep) or :class:`ProtocolParams` for the
+    ``target`` is either a :class:`ToyBCProtocol` (closed-form
+    purifier-steering attack) or :class:`ProtocolParams` for the
     reduction protocol (declaration-hedging family, optionally confirmed by
     Monte Carlo when ``trials`` is given).
     """
     if isinstance(target, ToyBCProtocol):
-        return _cheat_sum_toy(target, refine)
+        return _cheat_sum_toy(target)
     if isinstance(target, ProtocolParams):
         return _cheat_sum_reduction(target, trials, randomness, strategy_class)
     raise TypeError(f"cannot analyse {type(target).__name__}")
@@ -634,9 +625,8 @@ def evaluate_relativistic(
     bound = 1.0 + 2.0 ** (-params.m / 2.0 + 1.0)
     decl_emit = transcript.events.get("declarations_emitted")
     reveal_emit = transcript.events.get("reveal_emitted")
-    # Committer site ids start with "A" by scenario convention.
-    alice_actions = [
-        message.emit for message in schedule.messages if message.sender.startswith("A")
+    committer_actions = [
+        message.emit for message in schedule.messages if message.sender in schedule.committer_ids
     ]
 
     evaluations = []
@@ -654,7 +644,7 @@ def evaluate_relativistic(
             fixed.append("declarations")
         if reveal_emit is not None and in_past_cone(reveal_emit, q, tolerance):
             fixed.append("reveal")
-        if all(in_past_cone(e, q, tolerance) for e in alice_actions):
+        if all(in_past_cone(e, q, tolerance) for e in committer_actions):
             flags.append("causally-vacuous: no committer action remains outside PC(Q)")
 
         if "reveal" in fixed:

@@ -62,11 +62,15 @@ __all__ = [
 ]
 
 
+# Smallest n0 / m that a strict ProtocolParams accepts.
+MIN_RATIO = 4
+
+
 @dataclass(frozen=True)
 class ProtocolParams:
     """Sizes and oracle knobs for one reduction run.
 
-    ``n0 >> m`` is operationalized as ``n0 >= min_ratio * m``; pass
+    ``n0 >> m`` is operationalized as ``n0 >= MIN_RATIO * m``; pass
     ``strict=False`` to relax it for small test instances.  ``n1`` is the
     security parameter handed to the commitment oracle (recorded, since the
     ideal oracle needs none).  ``flip_probability`` and ``leak_probability``
@@ -80,7 +84,6 @@ class ProtocolParams:
     flip_probability: float = 0.0
     leak_probability: float = 0.0
     seed: int | None = None
-    min_ratio: int = 4
     strict: bool = True
 
     def __post_init__(self):
@@ -88,9 +91,9 @@ class ProtocolParams:
             raise ValueError("m must be >= 1")
         if self.n0 < self.m:
             raise ValueError(f"n0={self.n0} must be >= m={self.m}")
-        if self.strict and self.n0 < self.min_ratio * self.m:
+        if self.strict and self.n0 < MIN_RATIO * self.m:
             raise ValueError(
-                f"n0={self.n0} must be >= {self.min_ratio}*m={self.min_ratio * self.m}"
+                f"n0={self.n0} must be >= {MIN_RATIO}*m={MIN_RATIO * self.m}"
                 " (pass strict=False for degenerate test sizes)"
             )
         if not 0.0 <= self.epsilon < 1.0:
@@ -562,6 +565,7 @@ class ReductionScenario:
             t_c=t_c,
             t_r=t_r,
             confirmations=tuple(confirmations),
+            committer_ids=frozenset([self.alice_id, *(a_id for a_id, _ in self.oracle_pairs)]),
         )
 
 
@@ -622,8 +626,6 @@ def run_session(
     params: ProtocolParams,
     scenario: ReductionScenario | None = None,
     randomness: RandomStream | None = None,
-    oracle: IdealCommitmentOracle | None = None,
-    encoding: EncodingRule = DEFAULT_ENCODING,
 ) -> SessionTranscript:
     """Execute one full run and return its transcript.
 
@@ -644,8 +646,7 @@ def run_session(
         if params.seed is None:
             raise ValueError("either pass a RandomStream or set params.seed")
         randomness = RandomStream(params.seed)
-    if oracle is None:
-        oracle = IdealCommitmentOracle(params.flip_probability, params.leak_probability)
+    oracle = IdealCommitmentOracle(params.flip_probability, params.leak_probability)
 
     schedule, violations, events = _session_plan(scenario, params.n0)
 
@@ -674,7 +675,7 @@ def run_session(
         oracle.commit(index, bit, randomness)
 
     # Spin transmission (states held by B0 for later measurement).
-    labels = tuple(spin_labels(bits, encoding))
+    labels = tuple(spin_labels(bits))
     stored = {i: spin_state(label) for i, label in enumerate(labels)}
 
     # Challenge and tested verification.
@@ -685,7 +686,7 @@ def run_session(
         revealed = {i: (oracle.reveal(2 * i), oracle.reveal(2 * i + 1)) for i in tested}
     except KeyError:
         return abort(Stage.TESTED, committed_bits=bits, sent_labels=labels, challenge=tested, untested=untested)
-    tested_outcome = verify_tested(tested, revealed, stored, encoding, randomness)
+    tested_outcome = verify_tested(tested, revealed, stored, DEFAULT_ENCODING, randomness)
 
     base = dict(
         committed_bits=bits,

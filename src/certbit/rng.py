@@ -25,11 +25,6 @@ class RandomStream:
         self._sequence = _sequence
         self._generator = np.random.Generator(np.random.Philox(_sequence))
 
-    @property
-    def seed_path(self) -> tuple:
-        """Root entropy plus spawn path; identifies the stream."""
-        return (self._sequence.entropy, tuple(self._sequence.spawn_key))
-
     def split(self, n: int) -> list["RandomStream"]:
         """Derive ``n`` independent child streams (deterministic)."""
         if n < 1:

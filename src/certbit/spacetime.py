@@ -138,7 +138,8 @@ class Schedule:
     every oracle commitment is in its causal past; ``t_c`` is its time
     coordinate and ``t_r`` the deadline for tested-commitment openings.
     ``sites`` is stored as a read-only mapping, since one schedule may be
-    shared by many transcripts.
+    shared by many transcripts.  ``committer_ids`` names the sites whose
+    messages are committer actions.
     """
 
     sites: Mapping[str, Site] = field(repr=False)
@@ -147,6 +148,7 @@ class Schedule:
     t_c: float
     t_r: float
     confirmations: tuple = ()
+    committer_ids: frozenset[str] = frozenset()
 
     def __post_init__(self):
         object.__setattr__(self, "sites", MappingProxyType(dict(self.sites)))

@@ -5,7 +5,7 @@ scipy's Schur-based matrix square root instead of the library's
 eigendecomposition, purifier alignment is maximized by brute parameter
 sweep instead of SVD, pass probabilities come from exhaustive
 enumeration of outcome strings instead of the closed form, the unitary
-sweep's grid is scanned one point at a time instead of in numpy slabs,
+sweep's grid is scanned one point at a time instead of in one numpy batch,
 and schedules are validated one message at a time instead of once per
 shared flight.
 """

@@ -7,7 +7,6 @@ import pytest
 
 from certbit.adversary import (
     ClassicalFlip,
-    _grid_search_2x2,
     ToyBCProtocol,
     entangled_commit,
     entangled_reveal_probability,
@@ -188,13 +187,15 @@ class TestPurificationAttack:
 
 
 def sweep_cases():
-    """|0> vs |+>, |0> vs each of 9 tradeoff angles, and one mixed pair."""
+    """|0> vs |+>, |0> vs each of 9 tradeoff angles, one mixed and one pure-vs-mixed pair."""
     zero = spin_state(SpinLabel.UP).density()
     cases = {"conjugate": ToyBCProtocol((zero, spin_state(SpinLabel.RIGHT).density()))}
     for theta in np.linspace(0.0, np.pi / 2.0, 9):
         other = StateVector(np.array([np.cos(theta), np.sin(theta)], dtype=np.complex128))
         cases[f"theta={theta:.4f}"] = ToyBCProtocol((zero, other.density()))
     cases["mixed"] = ToyBCProtocol((density(5), density(55)))
+    # Halving the search step every round stops ~1e-3 short of the optimum here.
+    cases["pure-mixed"] = ToyBCProtocol((density(7, rank=1), density(57)))
     return cases
 
 
@@ -202,17 +203,25 @@ SWEEP_CASES = sweep_cases()
 
 
 class TestSweepGrid:
-    """The batched grid picks the value and point of a scalar scan."""
+    """The numpy sweep reaches the closed form and the scalar scan's best grid point."""
 
     @pytest.mark.parametrize("name", SWEEP_CASES)
     def test_matches_scalar_scan(self, name):
         toy = SWEEP_CASES[name]
-        state = purification_attack(toy).commit_state
+        attack = purification_attack(toy)
         for bit in (0, 1):
-            expected = oracles.reference_grid_search(
-                toy.accept_tests[bit], state.amplitudes, toy.system_dim, grid=18
+            swept = sweep_open_probability(toy, attack.commit_state, bit)
+            assert abs(swept - [attack.p0, attack.p1][bit]) <= 1e-9
+            grid_value, _ = oracles.reference_grid_search(
+                toy.accept_tests[bit], attack.commit_state.amplitudes, toy.system_dim, grid=18
             )
-            assert _grid_search_2x2(toy, state, bit, grid=18) == expected
+            assert swept >= grid_value - 1e-12
+
+    def test_rejects_larger_purifier(self):
+        toy = ToyBCProtocol((density(3, dim=4), density(4, dim=4)))
+        state = purification_attack(toy).commit_state
+        with pytest.raises(ValueError, match="2-dimensional purifier"):
+            sweep_open_probability(toy, state, 0)
 
 
 class TestWeakOracle:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from certbit.adversary import ClassicalFlip, Honest, ToyBCProtocol
+from certbit.adversary import ClassicalFlip, Honest, ToyBCProtocol, purification_attack
 from certbit.analysis import (
     EvaluationPoint,
     Quantity,
@@ -20,10 +20,10 @@ from certbit.analysis import (
     nogo_tradeoff_sweep,
     wilson_interval,
 )
-from certbit.protocol import ProtocolParams, run_session
+from certbit.protocol import ProtocolParams, ReductionScenario, default_scenario, run_session
 from certbit.quantum import SpinLabel, spin_state
 from certbit.rng import RandomStream
-from certbit.spacetime import Event
+from certbit.spacetime import Event, Site
 
 import oracles
 
@@ -169,9 +169,12 @@ class TestCheatSum:
     def test_toy_protocol_conjugate_pair(self):
         zero = spin_state(SpinLabel.UP).density()
         plus = spin_state(SpinLabel.RIGHT).density()
-        result = cheat_sum(ToyBCProtocol((zero, plus)))
+        toy = ToyBCProtocol((zero, plus))
+        result = cheat_sum(toy)
         assert result.p_sum.value == pytest.approx(1.0 + 2**-0.5, abs=1e-6)
-        assert "sweep" in result.p0.note
+        attack = purification_attack(toy)
+        assert result.p0.value == attack.p0
+        assert result.p1.value == attack.p1
 
     def test_unsupported_target(self):
         with pytest.raises(TypeError):
@@ -256,6 +259,33 @@ class TestEvaluateRelativistic:
         transcript = self._transcript()
         with pytest.raises(ValueError, match="commitment point"):
             evaluate_relativistic(transcript, [Event(0.0, (0, 0, 0))])
+
+    def test_committer_sites_come_from_the_scenario(self):
+        # The same geometry with committer sites not named A*: every point
+        # must get the flags it gets under the default names.
+        renamed = ReductionScenario(
+            name="renamed",
+            sites=(
+                Site("B0", (0.0, 0.0, 0.0)),
+                Site("C1", (1.0, 0.0, 0.0)),
+                Site("V1", (2.0, 0.0, 0.0)),
+                Site("C2", (3.0, 0.0, 0.0)),
+            ),
+            alice_id="C1",
+            oracle_pairs=(("C1", "V1"), ("C2", "V1")),
+        )
+        names = ("challenge_received", "declarations_received", "reveal_received")
+        flags = []
+        for scenario in (default_scenario(), renamed):
+            transcript = run_session(
+                Honest(), ProtocolParams(n0=16, m=4), scenario=scenario, randomness=RandomStream(9)
+            )
+            points = [transcript.events[name] for name in names] + [Event(1e6, (0, 0, 0))]
+            report = evaluate_relativistic(transcript, points)
+            flags.append([evaluation.flags for evaluation in report.points])
+        assert flags[1] == flags[0]
+        assert flags[0][0] == ()
+        assert flags[0][-1] != ()
 
     def test_spacelike_point_rejected(self):
         transcript = self._transcript()

@@ -305,11 +305,35 @@ class TestShippedOutputs:
         assert compared >= 1
 
 
-def test_import_leaves_scipy_unloaded():
+SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+RUN_SHIPPED_PROBE = f"""
+import pathlib, sys
+from certbit.cli import main
+configs, out = map(pathlib.Path, sys.argv[1:])
+for config in sorted(configs.glob('*.ini')):
+    main(['run', str(config), '--out', str(out / config.stem)])
+print({SCIPY_MODULES})
+"""
+
+
+def test_import_leaves_scipy_unloaded(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    probe = "import sys, certbit; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    probe = f"import sys, certbit; print({SCIPY_MODULES})"
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120, check=True
     )
     assert result.stdout.strip() == "[]"
+
+    # Running every shipped config does not load scipy either.
+    result = subprocess.run(
+        [sys.executable, "-c", RUN_SHIPPED_PROBE, str(ROOT / "configs"), str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    assert sorted(path.name for path in tmp_path.iterdir()) == SHIPPED
+    assert result.stdout.strip().splitlines()[-1] == "[]"

@@ -25,7 +25,6 @@ from .spacetime import Event, Schedule, Site, earliest_commitment_time, in_past_
 from .protocol import (
     DEFAULT_ENCODING,
     Declaration,
-    EncodingRule,
     IdealCommitmentOracle,
     ProtocolParams,
     ReductionScenario,

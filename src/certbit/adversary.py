@@ -50,17 +50,14 @@ class Honest:
 
     name = "honest"
 
-    def __init__(self, bit: int | None = None):
-        if bit not in (None, 0, 1):
-            raise ValueError("bit must be 0, 1 or None")
-        self.bit = bit
+    def __init__(self):
         self.last_bit: int | None = None
 
     def commit_bits(self, params: ProtocolParams, randomness: RandomStream) -> tuple[int, ...]:
         return randomness.bits(params.n_commitments)
 
     def plan_declarations(self, particles, labels, randomness: RandomStream):
-        self.last_bit = self.bit if self.bit is not None else randomness.bit()
+        self.last_bit = randomness.bit()
         return honest_declarations(self.last_bit, particles, labels)
 
     def reveal_claim(self, particles, labels, declarations, randomness: RandomStream):
@@ -70,23 +67,22 @@ class Honest:
 class ClassicalFlip:
     """Hedged declarations: exactly k of them are false for the target bit.
 
-    The committer declares truthfully for the non-target bit on k particles
-    (so those declarations are false for ``target_bit``) and truthfully for
-    the target bit on the rest.  At reveal she claims ``target_bit``; on
-    each falsely declared particle she must name an eigenstate of a basis
-    conjugate to the particle's actual state, and the default guess rule
-    picks one of the two uniformly.  Each such particle passes the
-    measurement check with probability 1/2, so the reveal is accepted with
-    probability 2^-k.
+    The target bit is drawn at random.  The committer declares truthfully
+    for the non-target bit on k particles (so those declarations are false
+    for the target) and truthfully for the target bit on the rest.  At
+    reveal the committer claims the target bit; on each falsely declared
+    particle it must name an eigenstate of a basis conjugate to the
+    particle's actual state, and the guess picks one of the two uniformly.
+    Each such particle passes the measurement check with probability 1/2,
+    so the reveal is accepted with probability 2^-k.
     """
 
     name = "classical-flip"
 
-    def __init__(self, k: int, target_bit: int | None = None):
+    def __init__(self, k: int):
         if k < 0:
             raise ValueError("k must be >= 0")
         self.k = k
-        self.target_bit = target_bit
         self.last_bit: int | None = None
         self.false_particles: tuple[int, ...] = ()
 
@@ -98,7 +94,7 @@ class ClassicalFlip:
     def plan_declarations(self, particles, labels, randomness: RandomStream):
         if self.k > len(particles):
             raise ValueError(f"k={self.k} exceeds the {len(particles)} untested particles")
-        self.last_bit = self.target_bit if self.target_bit is not None else randomness.bit()
+        self.last_bit = randomness.bit()
         flipped = randomness.choice(len(particles), size=self.k, replace=False)
         flip_positions = set(int(i) for i in np.atleast_1d(flipped))
         self.false_particles = tuple(
@@ -338,12 +334,7 @@ class WeakOracleReport:
     leak_probability: float
     trials: int
     honest_accept_rate: float
-    reveal_bit_error_rate: float
     leaked_fraction: float
-
-    @property
-    def completeness_degradation(self) -> float:
-        return 1.0 - self.honest_accept_rate
 
 
 def weak_oracle_degradation(
@@ -361,21 +352,15 @@ def weak_oracle_degradation(
     from .protocol import run_session  # local import to keep module load light
 
     accepted = 0
-    bit_errors = 0
     leaked_total = 0
     for _ in range(trials):
-        strategy = Honest()
-        transcript = run_session(strategy, params, scenario=scenario, randomness=randomness)
-        if transcript.accepted:
-            accepted += 1
-            if transcript.claimed_bit != strategy.last_bit:
-                bit_errors += 1
+        transcript = run_session(Honest(), params, scenario=scenario, randomness=randomness)
+        accepted += transcript.accepted
         leaked_total += len(transcript.leaked_view)
     return WeakOracleReport(
         flip_probability=params.flip_probability,
         leak_probability=params.leak_probability,
         trials=trials,
         honest_accept_rate=accepted / trials,
-        reveal_bit_error_rate=bit_errors / max(accepted, 1),
         leaked_fraction=leaked_total / (trials * params.n_commitments),
     )

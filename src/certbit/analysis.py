@@ -27,7 +27,6 @@ from .adversary import (
     purification_attack,
 )
 from .protocol import (
-    DEFAULT_ENCODING,
     ProtocolParams,
     SessionTranscript,
     Verdict,
@@ -184,7 +183,7 @@ class BobInformation:
     notes: tuple[str, ...] = ()
 
 
-def _enumerate_views(params: ProtocolParams, encoding=DEFAULT_ENCODING):
+def _enumerate_views(params: ProtocolParams):
     """Exact distribution of the verifier's pre-reveal view, per bit value.
 
     Enumerates all committed bit strings and challenge subsets for an
@@ -201,7 +200,7 @@ def _enumerate_views(params: ProtocolParams, encoding=DEFAULT_ENCODING):
     distributions = ({}, {})
     for bits_value in range(2**n_bits):
         bits = tuple((bits_value >> i) & 1 for i in range(n_bits))
-        labels = spin_labels(bits, encoding)
+        labels = spin_labels(bits)
         for subset in subsets:
             tested_view = tuple(
                 (i, bits[2 * i], bits[2 * i + 1], labels[i].value) for i in subset
@@ -380,9 +379,7 @@ def _cheat_sum_toy(protocol: ToyBCProtocol) -> CheatSum:
     )
 
 
-def _cheat_sum_reduction(
-    params: ProtocolParams, trials: int | None, randomness: RandomStream | None, strategy_class: str
-) -> CheatSum:
+def _cheat_sum_reduction(params: ProtocolParams, strategy_class: str) -> CheatSum:
     m = params.m
     if strategy_class == "honest":
         return CheatSum(
@@ -393,50 +390,30 @@ def _cheat_sum_reduction(
             notes=(STRATEGY_CLASS_NOTE,),
         )
     # Hedged declarations false on k particles for one bit are false on
-    # m - k for the other; the best split is k = 0 (or symmetrically m).
-    best_k = max(range(m + 1), key=lambda k: 2.0**-k + 2.0 ** -(m - k))
-    p0_value = detection_probability_exact(best_k)
-    p1_value = detection_probability_exact(m - best_k)
-    notes = [STRATEGY_CLASS_NOTE, ORACLE_INTERFACE_NOTE]
-    if trials is None:
-        p0 = Quantity(p0_value, "exact", note=f"hedge k={best_k}")
-        p1 = Quantity(p1_value, "exact", note=f"hedge k={m - best_k}")
-        p_sum = Quantity(p0_value + p1_value, "exact")
-    else:
-        if randomness is None:
-            raise ValueError("monte-carlo confirmation needs a RandomStream")
-        strategy0 = ClassicalFlip(best_k) if best_k else Honest()
-        strategy1 = ClassicalFlip(m - best_k) if m - best_k else Honest()
-        p0 = detection_probability_mc(strategy0, params, trials, randomness)
-        p1 = detection_probability_mc(strategy1, params, trials, randomness)
-        p_sum = Quantity(
-            p0.value + p1.value,
-            "monte-carlo",
-            trials=trials,
-            ci=(p0.ci[0] + p1.ci[0], p0.ci[1] + p1.ci[1]),
-            note=f"exact {p0_value + p1_value!r}",
-        )
-    return CheatSum(p0=p0, p1=p1, p_sum=p_sum, strategy_class="classical-flip hedging", notes=tuple(notes))
+    # m - k for the other.  2^-k + 2^-(m-k) is largest at k = 0 (and
+    # symmetrically at k = m).
+    p0_value = detection_probability_exact(0)
+    p1_value = detection_probability_exact(m)
+    return CheatSum(
+        p0=Quantity(p0_value, "exact", note="hedge k=0"),
+        p1=Quantity(p1_value, "exact", note=f"hedge k={m}"),
+        p_sum=Quantity(p0_value + p1_value, "exact"),
+        strategy_class="classical-flip hedging",
+        notes=(STRATEGY_CLASS_NOTE, ORACLE_INTERFACE_NOTE),
+    )
 
 
-def cheat_sum(
-    target,
-    *,
-    trials: int | None = None,
-    randomness: RandomStream | None = None,
-    strategy_class: str = "classical-flip",
-) -> CheatSum:
+def cheat_sum(target, *, strategy_class: str = "classical-flip") -> CheatSum:
     """Maximal p0 + p1 over the implemented strategy class.
 
     ``target`` is either a :class:`ToyBCProtocol` (closed-form
     purifier-steering attack) or :class:`ProtocolParams` for the
-    reduction protocol (declaration-hedging family, optionally confirmed by
-    Monte Carlo when ``trials`` is given).
+    reduction protocol (declaration-hedging family, in closed form).
     """
     if isinstance(target, ToyBCProtocol):
         return _cheat_sum_toy(target)
     if isinstance(target, ProtocolParams):
-        return _cheat_sum_reduction(target, trials, randomness, strategy_class)
+        return _cheat_sum_reduction(target, strategy_class)
     raise TypeError(f"cannot analyse {type(target).__name__}")
 
 
@@ -527,7 +504,7 @@ class PointEvaluation:
 class SecurityReport:
     """Bundle of security quantities for one configuration, with provenance."""
 
-    epsilons: tuple[float, float, float]
+    epsilons: tuple[float, float]
     points: tuple[PointEvaluation, ...] = ()
     bob: BobInformation | None = None
     detection_table: tuple[tuple[int, Quantity, Quantity | None], ...] = ()
@@ -539,9 +516,8 @@ class SecurityReport:
             {
                 "schema": 1,
                 "type": "epsilons",
-                "hiding": self.epsilons[0],
-                "fidelity_defect": self.epsilons[1],
-                "leak": self.epsilons[2],
+                "fidelity_defect": self.epsilons[0],
+                "leak": self.epsilons[1],
             }
         ]
         for evaluation in self.points:
@@ -661,7 +637,7 @@ def evaluate_relativistic(
             p0 = Quantity(detection_probability_exact(k0), "exact", note=f"{k0} false declarations for 0")
             p1 = Quantity(detection_probability_exact(k1), "exact", note=f"{k1} false declarations for 1")
         else:
-            reduction = _cheat_sum_reduction(params, None, None, "classical-flip")
+            reduction = _cheat_sum_reduction(params, "classical-flip")
             p0, p1 = reduction.p0, reduction.p1
         p_sum_value = p0.value + p1.value
         evaluations.append(

@@ -13,7 +13,6 @@ package modules::
     [protocol]
     n0 = 64
     m = 16
-    n1 = 128
     flip_probability = 0.0
     leak_probability = 0.0
 
@@ -25,6 +24,12 @@ package modules::
     theta_points = 9
     alpha_squares = 0,0.25,0.5,1
     sessions = 200
+
+These are all the keys a config may set; any other section or key is an
+error that names it.  Only ``experiment.scenario`` and ``experiment.seed``
+are required.  An unset ``out`` is ``runs/<scenario>``, and every other
+unset key takes the default of the :class:`ExperimentConfig` field of the
+same name.
 
 Machine-readable outputs are line-delimited JSON records carrying a
 ``schema`` version field; the human summary is derived from them and never
@@ -60,8 +65,6 @@ class ExperimentConfig:
     format: str = "both"
     n0: int = 64
     m: int = 16
-    n1: int = 128
-    epsilon: float = 0.0
     flip_probability: float = 0.0
     leak_probability: float = 0.0
     suspension_rounds: int = 0
@@ -74,8 +77,6 @@ class ExperimentConfig:
         values = dict(
             n0=self.n0,
             m=self.m,
-            n1=self.n1,
-            epsilon=self.epsilon,
             flip_probability=self.flip_probability,
             leak_probability=self.leak_probability,
             seed=self.seed,
@@ -90,32 +91,36 @@ class ExperimentConfig:
         return self.trials if self.trials is not None else default
 
 
-# Every section and key a config may set; anything else is an error.
-_KNOWN_FIELDS = {
-    "experiment": ("scenario", "seed", "trials", "out", "format"),
-    "protocol": ("n0", "m", "n1", "epsilon", "flip_probability", "leak_probability"),
-    "spacetime": ("suspension_rounds",),
-    "analysis": ("sessions", "k_values", "theta_points", "alpha_squares"),
-}
-
-
-def _get(parser, section, option, convert, default, errors):
-    if not parser.has_option(section, option):
-        return default
-    raw = parser.get(section, option)
-    try:
-        return convert(raw)
-    except (ValueError, TypeError):
-        errors.append(f"{section}.{option}: cannot parse {raw!r}")
-        return default
-
-
 def _int_list(raw: str) -> tuple[int, ...]:
     return tuple(int(part) for part in raw.replace(" ", "").split(",") if part)
 
 
 def _float_list(raw: str) -> tuple[float, ...]:
     return tuple(float(part) for part in raw.replace(" ", "").split(",") if part)
+
+
+# Every (section, key, converter) a config may set; anything else is an
+# error.  Each key is the name of an ExperimentConfig field.
+_FIELDS = (
+    ("experiment", "scenario", str),
+    ("experiment", "seed", int),
+    ("experiment", "trials", int),
+    ("experiment", "out", str),
+    ("experiment", "format", str),
+    ("protocol", "n0", int),
+    ("protocol", "m", int),
+    ("protocol", "flip_probability", float),
+    ("protocol", "leak_probability", float),
+    ("spacetime", "suspension_rounds", int),
+    ("analysis", "sessions", int),
+    ("analysis", "k_values", _int_list),
+    ("analysis", "theta_points", int),
+    ("analysis", "alpha_squares", _float_list),
+)
+_KNOWN_FIELDS = {
+    section: tuple(key for s, key, _ in _FIELDS if s == section)
+    for section in dict.fromkeys(section for section, _, _ in _FIELDS)
+}
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:
@@ -139,41 +144,26 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         for key in parser.options(section):
             if key not in _KNOWN_FIELDS[section]:
                 errors.append(f"{section}.{key}: unknown field; valid: {', '.join(_KNOWN_FIELDS[section])}")
-    if not parser.has_option("experiment", "scenario"):
+    values = {}
+    for section, key, convert in _FIELDS:
+        if parser.has_option(section, key):
+            raw = parser.get(section, key)
+            try:
+                values[key] = convert(raw)
+            except (ValueError, TypeError):
+                errors.append(f"{section}.{key}: cannot parse {raw!r}")
+    if "scenario" not in values:
         errors.append("experiment.scenario: required")
-        scenario = ""
-    else:
-        scenario = parser.get("experiment", "scenario").strip()
-        if scenario not in SCENARIOS:
-            errors.append(
-                f"experiment.scenario: unknown scenario {scenario!r}; valid: {', '.join(scenario_names())}"
-            )
+    elif values["scenario"] not in SCENARIOS:
+        errors.append(
+            f"experiment.scenario: unknown scenario {values['scenario']!r}; valid: {', '.join(scenario_names())}"
+        )
     if not parser.has_option("experiment", "seed"):
         errors.append("experiment.seed: required (no wall-clock default)")
-        seed = 0
-    else:
-        seed = _get(parser, "experiment", "seed", int, 0, errors)
-
-    config = ExperimentConfig(
-        scenario=scenario,
-        seed=seed,
-        trials=_get(parser, "experiment", "trials", int, None, errors),
-        out=_get(parser, "experiment", "out", str, f"runs/{scenario or 'experiment'}", errors),
-        format=_get(parser, "experiment", "format", str, "both", errors),
-        n0=_get(parser, "protocol", "n0", int, 64, errors),
-        m=_get(parser, "protocol", "m", int, 16, errors),
-        n1=_get(parser, "protocol", "n1", int, 128, errors),
-        epsilon=_get(parser, "protocol", "epsilon", float, 0.0, errors),
-        flip_probability=_get(parser, "protocol", "flip_probability", float, 0.0, errors),
-        leak_probability=_get(parser, "protocol", "leak_probability", float, 0.0, errors),
-        suspension_rounds=_get(parser, "spacetime", "suspension_rounds", int, 0, errors),
-        sessions=_get(parser, "analysis", "sessions", int, 200, errors),
-        k_values=_get(parser, "analysis", "k_values", _int_list, (1, 2, 3, 4, 5, 6, 7, 8), errors),
-        theta_points=_get(parser, "analysis", "theta_points", int, 9, errors),
-        alpha_squares=_get(
-            parser, "analysis", "alpha_squares", _float_list, (0.0, 0.25, 0.5, 1.0), errors
-        ),
-    )
+    scenario = values.setdefault("scenario", "")
+    values.setdefault("seed", 0)
+    values.setdefault("out", f"runs/{scenario or 'experiment'}")
+    config = ExperimentConfig(**values)
     if config.format not in ("summary", "machine", "both"):
         errors.append(f"experiment.format: {config.format!r} not one of summary|machine|both")
     if config.trials is not None and config.trials < 1:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from typing import Callable, Protocol, runtime_checkable
+from typing import Callable
 
 from .quantum import (
     Basis,
@@ -40,13 +40,11 @@ from .spacetime import (
 
 __all__ = [
     "ProtocolParams",
-    "EncodingRule",
     "DEFAULT_ENCODING",
     "Declaration",
     "IdealCommitmentOracle",
     "Verdict",
     "Stage",
-    "TestedCheck",
     "TestedOutcome",
     "RevealOutcome",
     "SessionTranscript",
@@ -58,7 +56,6 @@ __all__ = [
     "honest_declarations",
     "verify_reveal",
     "run_session",
-    "AliceStrategy",
 ]
 
 
@@ -71,16 +68,13 @@ class ProtocolParams:
     """Sizes and oracle knobs for one reduction run.
 
     ``n0 >> m`` is operationalized as ``n0 >= MIN_RATIO * m``; pass
-    ``strict=False`` to relax it for small test instances.  ``n1`` is the
-    security parameter handed to the commitment oracle (recorded, since the
-    ideal oracle needs none).  ``flip_probability`` and ``leak_probability``
-    degrade the oracle; at zero it is ideal.
+    ``strict=False`` to relax it for small test instances.
+    ``flip_probability`` and ``leak_probability`` degrade the oracle; at
+    zero it is ideal.
     """
 
     n0: int
     m: int
-    n1: int = 128
-    epsilon: float = 0.0
     flip_probability: float = 0.0
     leak_probability: float = 0.0
     seed: int | None = None
@@ -96,8 +90,6 @@ class ProtocolParams:
                 f"n0={self.n0} must be >= {MIN_RATIO}*m={MIN_RATIO * self.m}"
                 " (pass strict=False for degenerate test sizes)"
             )
-        if not 0.0 <= self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in [0, 1)")
         for name in ("flip_probability", "leak_probability"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -112,39 +104,20 @@ class ProtocolParams:
         return self.n0 - self.m
 
     @property
-    def epsilons(self) -> tuple[float, float, float]:
-        """The (hiding, fidelity-defect, leak) triple in force."""
-        return (self.epsilon, self.flip_probability, self.leak_probability)
+    def epsilons(self) -> tuple[float, float]:
+        """The (fidelity-defect, leak) pair in force."""
+        return (self.flip_probability, self.leak_probability)
 
 
-class EncodingRule:
-    """Bijection between committed bit pairs and the four spin states."""
-
-    def __init__(self, mapping: dict[tuple[int, int], SpinLabel]):
-        if sorted(mapping) != [(0, 0), (0, 1), (1, 0), (1, 1)]:
-            raise ValueError("encoding must cover exactly the four bit pairs")
-        if len(set(mapping.values())) != 4:
-            raise ValueError("encoding must be bijective")
-        self._to_label = dict(mapping)
-        self._to_pair = {label: pair for pair, label in mapping.items()}
-
-    def label(self, pair: tuple[int, int]) -> SpinLabel:
-        return self._to_label[(pair[0], pair[1])]
-
-    def pair(self, label: SpinLabel) -> tuple[int, int]:
-        return self._to_pair[label]
-
-
-# (0,0) -> up, (0,1) -> down, (1,0) -> left, (1,1) -> right: the first bit
-# selects the basis, the second the eigenstate within it.
-DEFAULT_ENCODING = EncodingRule(
-    {
-        (0, 0): SpinLabel.UP,
-        (0, 1): SpinLabel.DOWN,
-        (1, 0): SpinLabel.LEFT,
-        (1, 1): SpinLabel.RIGHT,
-    }
-)
+# Committed bit pair -> spin state sent: (0,0) -> up, (0,1) -> down,
+# (1,0) -> left, (1,1) -> right.  The first bit selects the basis, the
+# second the eigenstate within it.
+DEFAULT_ENCODING = {
+    (0, 0): SpinLabel.UP,
+    (0, 1): SpinLabel.DOWN,
+    (1, 0): SpinLabel.LEFT,
+    (1, 1): SpinLabel.RIGHT,
+}
 
 
 @dataclass(frozen=True)
@@ -183,7 +156,6 @@ class IdealCommitmentOracle:
                 raise ValueError(f"{name} must lie in [0, 1]")
         self.flip_probability = flip_probability
         self.leak_probability = leak_probability
-        self._committed: dict[int, int] = {}
         self._stored: dict[int, int] = {}
         self._opened: set[int] = set()
         self._leaked: dict[int, int] = {}
@@ -196,7 +168,6 @@ class IdealCommitmentOracle:
         stored = bit
         if self.flip_probability > 0.0 and randomness.random() < self.flip_probability:
             stored = 1 - bit
-        self._committed[index] = bit
         self._stored[index] = stored
         if self.leak_probability > 0.0 and randomness.random() < self.leak_probability:
             self._leaked[index] = stored
@@ -206,9 +177,6 @@ class IdealCommitmentOracle:
             raise KeyError(f"no commitment at index {index}")
         self._opened.add(index)
         return self._stored[index]
-
-    def stored_bits(self, count: int) -> tuple[int, ...]:
-        return tuple(self._stored[i] for i in range(count))
 
     @property
     def opened_indices(self) -> frozenset[int]:
@@ -239,18 +207,8 @@ class Stage(enum.Enum):
 
 
 @dataclass(frozen=True)
-class TestedCheck:
-    particle: int
-    revealed_pair: tuple[int, int]
-    expected: SpinLabel
-    outcome: SpinLabel
-    passed: bool
-
-
-@dataclass(frozen=True)
 class TestedOutcome:
     accepted: bool
-    checks: tuple[TestedCheck, ...]
     reject_index: int | None = None
 
 
@@ -261,7 +219,7 @@ class RevealOutcome:
     reason: str = ""
 
 
-def encode_spins(bits, rule: EncodingRule = DEFAULT_ENCODING) -> list[StateVector]:
+def encode_spins(bits) -> list[StateVector]:
     """Spin states for a committed bit string (pairs in transmission order)."""
     bits = tuple(int(b) for b in bits)
     if len(bits) % 2 != 0:
@@ -269,14 +227,14 @@ def encode_spins(bits, rule: EncodingRule = DEFAULT_ENCODING) -> list[StateVecto
     if any(b not in (0, 1) for b in bits):
         raise ValueError("bits must be 0/1")
     return [
-        spin_state(rule.label((bits[2 * i], bits[2 * i + 1])))
+        spin_state(DEFAULT_ENCODING[(bits[2 * i], bits[2 * i + 1])])
         for i in range(len(bits) // 2)
     ]
 
 
-def spin_labels(bits, rule: EncodingRule = DEFAULT_ENCODING) -> list[SpinLabel]:
+def spin_labels(bits) -> list[SpinLabel]:
     bits = tuple(int(b) for b in bits)
-    return [rule.label((bits[2 * i], bits[2 * i + 1])) for i in range(len(bits) // 2)]
+    return [DEFAULT_ENCODING[(bits[2 * i], bits[2 * i + 1])] for i in range(len(bits) // 2)]
 
 
 def draw_challenge(params: ProtocolParams, randomness: RandomStream) -> tuple[int, ...]:
@@ -290,7 +248,6 @@ def verify_tested(
     tested,
     revealed_pairs: dict[int, tuple[int, int]],
     stored_spins,
-    rule: EncodingRule,
     randomness: RandomStream,
 ) -> TestedOutcome:
     """Measure each challenged particle in the basis its opened pair names.
@@ -298,18 +255,13 @@ def verify_tested(
     Accepts iff every single-shot outcome is the exact eigenstate the pair
     encodes; rejects at the first failure (each particle is one copy).
     """
-    checks = []
     for particle in tested:
         if particle not in revealed_pairs:
             raise KeyError(f"missing oracle reveal for particle {particle}")
-        pair = revealed_pairs[particle]
-        expected = rule.label(pair)
-        outcome, _ = measure_label(stored_spins[particle], expected.basis, randomness)
-        passed = outcome is expected
-        checks.append(TestedCheck(particle, pair, expected, outcome, passed))
-        if not passed:
-            return TestedOutcome(False, tuple(checks), reject_index=particle)
-    return TestedOutcome(True, tuple(checks))
+        expected = DEFAULT_ENCODING[tuple(revealed_pairs[particle])]
+        if measure_label(stored_spins[particle], expected.basis, randomness) is not expected:
+            return TestedOutcome(False, reject_index=particle)
+    return TestedOutcome(True)
 
 
 def honest_declarations(bit: int, particles, labels) -> tuple[Declaration, ...]:
@@ -348,26 +300,9 @@ def verify_reveal(
             )
     for declaration, label in zip(declarations, claimed_labels):
         basis = declaration.basis_for(claimed_bit)
-        outcome, _ = measure_label(stored_spins[declaration.particle], basis, randomness)
-        if outcome is not label:
+        if measure_label(stored_spins[declaration.particle], basis, randomness) is not label:
             return RevealOutcome(False, reject_index=declaration.particle, reason="measurement mismatch")
     return RevealOutcome(True)
-
-
-@runtime_checkable
-class AliceStrategy(Protocol):
-    """What a committer implementation must provide to ``run_session``."""
-
-    name: str
-
-    def commit_bits(self, params: ProtocolParams, randomness: RandomStream) -> tuple[int, ...]:
-        ...
-
-    def plan_declarations(self, particles, labels, randomness: RandomStream):
-        ...
-
-    def reveal_claim(self, particles, labels, declarations, randomness: RandomStream):
-        ...
 
 
 @dataclass(frozen=True)
@@ -377,19 +312,15 @@ class SessionTranscript:
     params: ProtocolParams
     strategy: str
     committed_bits: tuple[int, ...]
-    certified_bits: tuple[int, ...]
     sent_labels: tuple[SpinLabel, ...]
     challenge: tuple[int, ...]
     untested: tuple[int, ...]
-    tested_checks: tuple[TestedCheck, ...]
     declarations: tuple[Declaration, ...]
     claimed_bit: int | None
     claimed_labels: tuple[SpinLabel, ...]
     verdict: Verdict
     failed_stage: Stage | None
     reject_index: int | None
-    t_c: float
-    t_r: float
     events: dict
     schedule: Schedule
     violations: tuple[Violation, ...]
@@ -408,8 +339,8 @@ class SessionTranscript:
                 "type": "params",
                 "n0": self.params.n0,
                 "m": self.params.m,
-                "n1": self.params.n1,
-                "epsilons": list(self.params.epsilons),
+                "flip_probability": self.params.flip_probability,
+                "leak_probability": self.params.leak_probability,
                 "strategy": self.strategy,
             }
         ]
@@ -655,10 +586,10 @@ def run_session(
             params,
             strategy,
             schedule,
+            oracle,
             verdict=Verdict.ABORT,
             failed_stage=stage,
             violations=tuple(violations),
-            oracle=oracle,
             **partial,
         )
 
@@ -686,14 +617,13 @@ def run_session(
         revealed = {i: (oracle.reveal(2 * i), oracle.reveal(2 * i + 1)) for i in tested}
     except KeyError:
         return abort(Stage.TESTED, committed_bits=bits, sent_labels=labels, challenge=tested, untested=untested)
-    tested_outcome = verify_tested(tested, revealed, stored, DEFAULT_ENCODING, randomness)
+    tested_outcome = verify_tested(tested, revealed, stored, randomness)
 
     base = dict(
         committed_bits=bits,
         sent_labels=labels,
         challenge=tested,
         untested=untested,
-        tested_checks=tested_outcome.checks,
         events=events,
     )
     if not tested_outcome.accepted:
@@ -701,10 +631,10 @@ def run_session(
             params,
             strategy,
             schedule,
+            oracle,
             verdict=Verdict.REJECT,
             failed_stage=Stage.TESTED,
             reject_index=tested_outcome.reject_index,
-            oracle=oracle,
             **base,
         )
 
@@ -723,13 +653,13 @@ def run_session(
         params,
         strategy,
         schedule,
+        oracle,
         verdict=Verdict.ACCEPT if reveal_outcome.accepted else Verdict.REJECT,
         failed_stage=None if reveal_outcome.accepted else Stage.REVEAL,
         reject_index=reveal_outcome.reject_index,
         declarations=declarations,
         claimed_bit=int(claimed_bit),
         claimed_labels=tuple(claimed_labels),
-        oracle=oracle,
         **base,
     )
 
@@ -738,6 +668,7 @@ def _transcript(
     params,
     strategy,
     schedule,
+    oracle,
     *,
     verdict,
     failed_stage=None,
@@ -746,34 +677,28 @@ def _transcript(
     sent_labels=(),
     challenge=(),
     untested=(),
-    tested_checks=(),
     declarations=(),
     claimed_bit=None,
     claimed_labels=(),
     events=None,
     violations=(),
-    oracle=None,
 ) -> SessionTranscript:
     return SessionTranscript(
         params=params,
         strategy=getattr(strategy, "name", type(strategy).__name__),
         committed_bits=tuple(committed_bits),
-        certified_bits=oracle.stored_bits(len(committed_bits)) if (oracle and committed_bits) else tuple(committed_bits),
         sent_labels=tuple(sent_labels),
         challenge=tuple(challenge),
         untested=tuple(untested),
-        tested_checks=tuple(tested_checks),
         declarations=tuple(declarations),
         claimed_bit=claimed_bit,
         claimed_labels=tuple(claimed_labels),
         verdict=verdict,
         failed_stage=failed_stage,
         reject_index=reject_index,
-        t_c=schedule.t_c,
-        t_r=schedule.t_r,
         events=dict(events or {}),
         schedule=schedule,
         violations=tuple(violations),
-        leaked_view=oracle.leaked_view if oracle else {},
-        opened_indices=oracle.opened_indices if oracle else frozenset(),
+        leaked_view=oracle.leaked_view,
+        opened_indices=oracle.opened_indices,
     )

@@ -20,8 +20,6 @@ from .rng import RandomStream
 
 __all__ = [
     "STATE_ATOL",
-    "ROUNDTRIP_ATOL",
-    "OPT_ATOL",
     "MAX_QUBITS",
     "Basis",
     "SpinLabel",
@@ -45,11 +43,9 @@ __all__ = [
     "apply_purifier_unitary",
 ]
 
-# Tolerances: state validity, decomposition round trips, and optimization
-# convergence.  Double precision leaves ample headroom at <= 12 qubits.
+# Tolerance of state validity.  Double precision leaves ample headroom at
+# <= 12 qubits.
 STATE_ATOL = 1e-9
-ROUNDTRIP_ATOL = 1e-10
-OPT_ATOL = 1e-6
 MAX_QUBITS = 12
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
@@ -252,24 +248,11 @@ def measure(
     return 1, _collapse(c1, 1.0 - p0, basis, qubit, 1)
 
 
-def _born_entry(state: StateVector, basis: Basis):
-    """Born probabilities and both post-states of a single-qubit measurement.
-
-    A zero-probability branch, which no draw selects, has post-state None.
-    """
-    c0, c1, p0, p1 = _born(state, basis, 0)
-    posts = tuple(
-        _collapse(branch, weight, basis, 0, outcome) if weight > 0.0 else None
-        for outcome, (branch, weight) in enumerate(((c0, p0), (c1, 1.0 - p0)))
-    )
-    return p0, p1, posts
-
-
 # Born table of the four signal states in both bases, keyed on the canonical
 # ``spin_state`` objects (``StateVector`` hashes by identity).  Built with the
-# same helpers as ``measure``, so a lookup gives the very floats it computes.
+# same helper as ``measure``, so a lookup gives the very floats it computes.
 _BORN_TABLE = {
-    (state, basis): _born_entry(state, basis)
+    (state, basis): measure_probabilities(state, basis)
     for state in _SPIN_STATES.values()
     for basis in Basis
 }
@@ -277,28 +260,21 @@ _BORN_TABLE = {
 
 def signal_probabilities(label: SpinLabel, basis: Basis) -> tuple[float, float]:
     """Born probabilities of outcomes (0, 1) for a signal state, from the table."""
-    p0, p1, _ = _BORN_TABLE[(_SPIN_STATES[label], basis)]
-    return p0, p1
+    return _BORN_TABLE[(_SPIN_STATES[label], basis)]
 
 
-def measure_label(
-    state: StateVector, basis: Basis, randomness: RandomStream
-) -> tuple[SpinLabel, StateVector]:
+def measure_label(state: StateVector, basis: Basis, randomness: RandomStream) -> SpinLabel:
     """Measure a single-qubit state; report the eigenstate it collapsed to.
 
-    The four canonical signal states are looked up in the Born table; like
-    ``measure``, that takes exactly one draw compared with the same ``p0``.
+    The four canonical signal states are looked up in the Born table.  Like
+    ``measure``, it takes exactly one draw compared with the same ``p0``.
     """
     entry = _BORN_TABLE.get((state, basis))
     if entry is None:
         if state.n_qubits != 1:
             raise ValueError("measure_label expects a single-qubit state")
-        outcome, post = measure(state, basis, 0, randomness)
-    else:
-        p0, _, posts = entry
-        outcome = _draw(p0, randomness)
-        post = posts[outcome]
-    return outcome_label(basis, outcome), post
+        entry = measure_probabilities(state, basis)
+    return outcome_label(basis, _draw(entry[0], randomness))
 
 
 def _as_density(obj) -> DensityMatrix:

@@ -83,6 +83,23 @@ def _session_points(transcript) -> list[EvaluationPoint]:
     return points
 
 
+def _claim_matches_sent(transcript) -> bool:
+    """Whether a reveal claim agrees with the spin states the verifier was sent.
+
+    The declarations cover the untested particles in order, the claimed
+    labels are the sent ones, and each declaration binds the claimed bit to
+    its particle's sent basis.  The strategy's own record of its bit is
+    never consulted.
+    """
+    sent = transcript.sent_labels
+    declarations = transcript.declarations
+    return (
+        tuple(d.particle for d in declarations) == transcript.untested
+        and transcript.claimed_labels == tuple(sent[d.particle] for d in declarations)
+        and all(d.basis_for(transcript.claimed_bit) is sent[d.particle].basis for d in declarations)
+    )
+
+
 def _run_honest_default(config) -> ExperimentResult:
     result = ExperimentResult("honest-default", EXIT_OK)
     params = config.params()
@@ -92,28 +109,31 @@ def _run_honest_default(config) -> ExperimentResult:
     scenario = default_scenario(config.suspension_rounds)
 
     accepted = 0
-    bit_matches = 0
+    claims_match = 0
     first = None
     for i in range(sessions):
-        strategy = Honest()
-        transcript = run_session(strategy, params, scenario=scenario, randomness=streams[i])
+        transcript = run_session(Honest(), params, scenario=scenario, randomness=streams[i])
         if transcript.accepted:
             accepted += 1
-            if transcript.claimed_bit == strategy.last_bit:
-                bit_matches += 1
+            claims_match += _claim_matches_sent(transcript)
         if first is None:
             first = transcript
     _expect(result, accepted == sessions, f"all {sessions} honest sessions accepted")
-    _expect(result, bit_matches == accepted, "revealed bit equals committed bit in every session")
+    _expect(
+        result,
+        claims_match == accepted,
+        "every accepted claim repeats the sent labels, in the bases declared for the claimed bit",
+    )
 
     b0 = first.schedule.site("B0")
     expected_tc = max(
         e.t + math.dist(e.x, b0.position_at(0.0)) for e in first.schedule.confirmations
     )
+    t_c = first.schedule.t_c
     _expect(
         result,
-        abs(first.t_c - expected_tc) < 1e-9,
-        f"t_c = {first.t_c} equals the maximal confirmation light delay {expected_tc}",
+        abs(t_c - expected_tc) < 1e-9,
+        f"t_c = {t_c} equals the maximal confirmation light delay {expected_tc}",
     )
     _expect(
         result,
@@ -124,7 +144,6 @@ def _run_honest_default(config) -> ExperimentResult:
 
     report = evaluate_relativistic(first, _session_points(first))
     honest = cheat_sum(params, strategy_class="honest")
-    _expect(result, honest.p_sum.value == 1.0, "honest strategy class has p0 + p1 = 1 exactly")
     _expect(
         result,
         all(p.within_bound for p in report.points),
@@ -336,7 +355,6 @@ def _degradation_record(report) -> dict:
         "leak_probability": report.leak_probability,
         "trials": report.trials,
         "honest_accept_rate": report.honest_accept_rate,
-        "reveal_bit_error_rate": report.reveal_bit_error_rate,
         "leaked_fraction": report.leaked_fraction,
     }
 

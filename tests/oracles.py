@@ -6,8 +6,9 @@ eigendecomposition, purifier alignment is maximized by brute parameter
 sweep instead of SVD, pass probabilities come from exhaustive
 enumeration of outcome strings instead of the closed form, the unitary
 sweep's grid is scanned one point at a time instead of in one numpy batch,
-and schedules are validated one message at a time instead of once per
-shared flight.
+schedules are validated one message at a time instead of once per
+shared flight, and honest reveals are judged against the sent states one
+particle at a time instead of by whole-tuple comparison.
 """
 
 from __future__ import annotations
@@ -192,3 +193,24 @@ def helstrom_advantage_sweep(rho0: np.ndarray, rho1: np.ndarray, steps: int = 20
             p1 = float(np.trace(projector @ rho1).real)
             best = max(best, 0.5 * abs(p0 - p1))
     return best
+
+
+def honest_claim_ok(transcript) -> bool:
+    """An honest reveal judged by the states sent, particle by particle.
+
+    Each untested particle, in order, has one declaration, its claimed label
+    is the label it was sent with, and its declaration binds the claimed bit
+    to that label's basis.  The strategy's own record of its bit is never
+    consulted.
+    """
+    sent = transcript.sent_labels
+    untested = transcript.untested
+    bit = transcript.claimed_bit
+    if bit is None or not (len(transcript.claimed_labels) == len(transcript.declarations) == len(untested)):
+        return False
+    for particle, label, declaration in zip(untested, transcript.claimed_labels, transcript.declarations):
+        if declaration.particle != particle or label is not sent[particle]:
+            return False
+        if declaration.basis_for(bit) is not sent[particle].basis:
+            return False
+    return True

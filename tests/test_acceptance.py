@@ -47,7 +47,7 @@ def report(line: str) -> None:
 
 
 def test_criterion_1_honest_completeness():
-    """10^4 honest sessions at n0=64, m=16: all accept, bit always matches."""
+    """10^4 honest sessions at n0=64, m=16: all accept, every claim matches the sent states."""
     budget = 120.0
     start = time.monotonic()
     params = ProtocolParams(n0=64, m=16)
@@ -55,9 +55,8 @@ def test_criterion_1_honest_completeness():
     sessions = 10_000
     failures = 0
     for _ in range(sessions):
-        strategy = Honest()
-        transcript = run_session(strategy, params, randomness=randomness)
-        if not transcript.accepted or transcript.claimed_bit != strategy.last_bit:
+        transcript = run_session(Honest(), params, randomness=randomness)
+        if not transcript.accepted or not oracles.honest_claim_ok(transcript):
             failures += 1
     elapsed = time.monotonic() - start
     ok = failures == 0 and elapsed < budget

@@ -44,16 +44,17 @@ class TestClassicalFlipPlan:
 
     def test_declarations_false_on_exactly_k(self, make_rng):
         rng = make_rng(2)
-        strategy = ClassicalFlip(k=3, target_bit=1)
+        strategy = ClassicalFlip(k=3)
         particles = (0, 1, 2, 3, 4)
         labels = (SpinLabel.UP, SpinLabel.LEFT, SpinLabel.DOWN, SpinLabel.RIGHT, SpinLabel.UP)
         declarations = strategy.plan_declarations(particles, labels, rng)
+        target = strategy.last_bit
         false_for_target = sum(
-            declaration.basis_for(1) is not label.basis
+            declaration.basis_for(target) is not label.basis
             for declaration, label in zip(declarations, labels)
         )
         false_for_other = sum(
-            declaration.basis_for(0) is not label.basis
+            declaration.basis_for(1 - target) is not label.basis
             for declaration, label in zip(declarations, labels)
         )
         assert false_for_target == 3
@@ -61,14 +62,14 @@ class TestClassicalFlipPlan:
 
     def test_claims_stay_inside_declared_basis(self, make_rng):
         rng = make_rng(3)
-        strategy = ClassicalFlip(k=2, target_bit=0)
+        strategy = ClassicalFlip(k=2)
         particles = (0, 1, 2)
         labels = (SpinLabel.UP, SpinLabel.RIGHT, SpinLabel.DOWN)
         declarations = strategy.plan_declarations(particles, labels, rng)
         bit, claims = strategy.reveal_claim(particles, labels, declarations, rng)
-        assert bit == 0
+        assert bit == strategy.last_bit
         for declaration, claim in zip(declarations, claims):
-            assert claim.basis is declaration.basis_for(0)
+            assert claim.basis is declaration.basis_for(bit)
 
 
 class TestEntangledCommit:
@@ -229,7 +230,6 @@ class TestWeakOracle:
         params = ProtocolParams(n0=16, m=4)
         report = weak_oracle_degradation(params, trials=40, randomness=make_rng(31))
         assert report.honest_accept_rate == 1.0
-        assert report.completeness_degradation == 0.0
         assert report.leaked_fraction == 0.0
 
     def test_flip_knob_degrades_completeness(self, make_rng):

@@ -160,11 +160,16 @@ class TestCheatSum:
         assert result.p_sum.value <= 1.0 + 2.0 ** (-params.m / 2 + 1)
 
     def test_flip_class_monte_carlo_confirmation(self, make_rng):
+        # The closed form's best hedge, k = 0 for one bit and k = m for the
+        # other, sampled by the reveal-stage Monte Carlo.
         params = ProtocolParams(n0=64, m=16)
-        result = cheat_sum(params, trials=100_000, randomness=make_rng(8))
-        exact = 1.0 + 2.0**-16
-        assert result.p_sum.ci[0] <= exact <= result.p_sum.ci[1]
-        assert result.p_sum.value <= 1.0 + 2.0**-7
+        rng = make_rng(8)
+        p0 = detection_probability_mc(Honest(), params, 100_000, rng)
+        p1 = detection_probability_mc(ClassicalFlip(params.m), params, 100_000, rng)
+        exact = cheat_sum(params).p_sum.value
+        assert exact == 1.0 + 2.0**-16
+        assert p0.ci[0] + p1.ci[0] <= exact <= p0.ci[1] + p1.ci[1]
+        assert p0.value + p1.value <= 1.0 + 2.0**-7
 
     def test_toy_protocol_conjugate_pair(self):
         zero = spin_state(SpinLabel.UP).density()

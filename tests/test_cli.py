@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from certbit.adversary import Honest
 from certbit.cli import ConfigError, list_scenarios, main, parse_config, run_experiment
-from certbit import scenarios
+from certbit import protocol, scenarios
 from certbit.scenarios import EXIT_CAUSAL_ABORT
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -66,13 +67,16 @@ class TestConfigParsing:
             parse_config(tmp_path / "nope.ini")
 
     def test_misspelled_key_rejected(self, tmp_path, capsys):
-        path = write_config(tmp_path, MINIMAL + "\n[protocol]\nflip_probabilty = 0.1\n")
-        with pytest.raises(ConfigError, match="protocol.flip_probabilty: unknown field"):
-            parse_config(path)
-        assert main(["validate", str(path)]) == 2
-        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
-        assert "protocol.flip_probabilty" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        # A misspelling, and the removed knobs epsilon and n1.
+        for key, value in (("flip_probabilty", "0.1"), ("epsilon", "0.0"), ("n1", "128")):
+            path = write_config(tmp_path, MINIMAL + f"\n[protocol]\n{key} = {value}\n", f"{key}.ini")
+            with pytest.raises(ConfigError, match=f"protocol.{key}: unknown field"):
+                parse_config(path)
+            assert main(["validate", str(path)]) == 2
+            assert f"protocol.{key}: unknown field" in capsys.readouterr().err
+            assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+            assert f"protocol.{key}: unknown field" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
 
     def test_unknown_section_rejected(self, tmp_path):
         path = write_config(tmp_path, MINIMAL + "\n[foo]\nbar = 1\n")
@@ -174,6 +178,20 @@ sessions = 25
         transcript = (tmp_path / "out" / "transcript.jsonl").read_text().splitlines()
         types = {json.loads(line)["type"] for line in transcript}
         assert types == {"params", "message", "stage", "verdict"}
+
+    def test_honest_default_catches_a_wrong_claimed_bit(self, tmp_path, capsys, monkeypatch):
+        # A verifier that accepts every reveal, and a committer that claims
+        # the other bit: the claim check must fail on its own.
+        monkeypatch.setattr(protocol, "verify_reveal", lambda *args: protocol.RevealOutcome(True))
+        monkeypatch.setattr(
+            Honest, "reveal_claim", lambda self, particles, labels, *rest: (1 - self.last_bit, tuple(labels))
+        )
+        path = write_config(tmp_path, SMALL_HONEST.format(rounds=0))
+        assert main(["run", str(path), "--out", str(tmp_path / "out"), "--format", "summary"]) == 1
+        failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+        assert failed == [
+            "FAIL: every accepted claim repeats the sent labels, in the bases declared for the claimed bit"
+        ]
 
 
 SMALL_HONEST = """
@@ -285,7 +303,7 @@ k_values = 1
 
 
 class TestShippedOutputs:
-    """The six shipped configs, unchanged, reproduce the tracked ``runs/`` bytes."""
+    """The six shipped configs, unchanged, reproduce the tracked ``runs/`` bytes, summaries too."""
 
     def test_six_configs_shipped(self):
         assert len(SHIPPED) == 6
@@ -296,13 +314,13 @@ class TestShippedOutputs:
         assert status == (EXIT_CAUSAL_ABORT if name == "causal-violation" else 0)
         golden = ROOT / "runs" / name
         compared = 0
-        for file_name in ("report.jsonl", "transcript.jsonl"):
+        for file_name in ("report.jsonl", "transcript.jsonl", "summary.txt"):
             reference = golden / file_name
             assert (tmp_path / file_name).exists() == reference.exists(), file_name
             if reference.exists():
                 assert (tmp_path / file_name).read_bytes() == reference.read_bytes(), file_name
                 compared += 1
-        assert compared >= 1
+        assert compared >= 2
 
 
 SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"

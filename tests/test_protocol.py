@@ -12,7 +12,6 @@ from certbit.adversary import ClassicalFlip, Honest
 from certbit.protocol import (
     DEFAULT_ENCODING,
     Declaration,
-    EncodingRule,
     IdealCommitmentOracle,
     ProtocolParams,
     ReductionScenario,
@@ -49,33 +48,20 @@ class TestProtocolParams:
         with pytest.raises(ValueError, match="flip_probability"):
             ProtocolParams(n0=64, m=16, flip_probability=1.5)
 
-    def test_epsilon_triple(self):
-        params = ProtocolParams(n0=64, m=16, epsilon=0.01, flip_probability=0.1, leak_probability=0.2)
-        assert params.epsilons == (0.01, 0.1, 0.2)
-
 
 class TestEncoding:
     def test_default_table(self):
         # The bit-pair to spin-state correspondence used on the wire.
-        assert DEFAULT_ENCODING.label((0, 0)) is SpinLabel.UP
-        assert DEFAULT_ENCODING.label((0, 1)) is SpinLabel.DOWN
-        assert DEFAULT_ENCODING.label((1, 0)) is SpinLabel.LEFT
-        assert DEFAULT_ENCODING.label((1, 1)) is SpinLabel.RIGHT
+        assert DEFAULT_ENCODING[(0, 0)] is SpinLabel.UP
+        assert DEFAULT_ENCODING[(0, 1)] is SpinLabel.DOWN
+        assert DEFAULT_ENCODING[(1, 0)] is SpinLabel.LEFT
+        assert DEFAULT_ENCODING[(1, 1)] is SpinLabel.RIGHT
 
     def test_bijective_inverse(self):
+        inverse = {label: pair for pair, label in DEFAULT_ENCODING.items()}
+        assert len(inverse) == 4
         for pair in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-            assert DEFAULT_ENCODING.pair(DEFAULT_ENCODING.label(pair)) == pair
-
-    def test_rejects_non_bijection(self):
-        with pytest.raises(ValueError, match="bijective"):
-            EncodingRule(
-                {
-                    (0, 0): SpinLabel.UP,
-                    (0, 1): SpinLabel.UP,
-                    (1, 0): SpinLabel.LEFT,
-                    (1, 1): SpinLabel.RIGHT,
-                }
-            )
+            assert inverse[DEFAULT_ENCODING[pair]] == pair
 
     def test_encode_spins(self):
         states = encode_spins((0, 0, 1, 1))
@@ -149,7 +135,7 @@ class TestVerifyTested:
         stored = {i: s for i, s in enumerate(encode_spins(bits))}
         revealed = {i: (bits[2 * i], bits[2 * i + 1]) for i in range(4)}
         for _ in range(25):
-            outcome = verify_tested(range(4), revealed, stored, DEFAULT_ENCODING, rng)
+            outcome = verify_tested(range(4), revealed, stored, rng)
             assert outcome.accepted
 
     def test_conjugate_swap_detected_half_the_time(self, rng):
@@ -159,23 +145,23 @@ class TestVerifyTested:
         passes = 0
         for _ in range(trials):
             stored = {0: spin_state(SpinLabel.RIGHT)}
-            if verify_tested([0], revealed, stored, DEFAULT_ENCODING, rng).accepted:
+            if verify_tested([0], revealed, stored, rng).accepted:
                 passes += 1
         assert abs(passes / trials - 0.5) < 0.005
 
     def test_empty_subset_vacuous_accept(self, rng):
-        outcome = verify_tested([], {}, {}, DEFAULT_ENCODING, rng)
-        assert outcome.accepted and outcome.checks == ()
+        outcome = verify_tested([], {}, {}, rng)
+        assert outcome.accepted and outcome.reject_index is None
 
     def test_missing_reveal_raises(self, rng):
         stored = {0: spin_state(SpinLabel.UP)}
         with pytest.raises(KeyError, match="missing oracle reveal"):
-            verify_tested([0], {}, stored, DEFAULT_ENCODING, rng)
+            verify_tested([0], {}, stored, rng)
 
     def test_rejection_names_first_failure(self, rng):
         stored = {0: spin_state(SpinLabel.UP), 1: spin_state(SpinLabel.UP)}
         revealed = {0: (0, 0), 1: (0, 1)}  # particle 1 is orthogonal to its claim
-        outcome = verify_tested([0, 1], revealed, stored, DEFAULT_ENCODING, rng)
+        outcome = verify_tested([0, 1], revealed, stored, rng)
         assert not outcome.accepted
         assert outcome.reject_index == 1
 
@@ -259,10 +245,9 @@ class TestRunSession:
     def test_honest_accepts_and_reveals_committed_bit(self, make_rng):
         params = ProtocolParams(n0=16, m=4)
         for seed in range(10):
-            strategy = Honest()
-            transcript = run_session(strategy, params, randomness=make_rng(seed))
+            transcript = run_session(Honest(), params, randomness=make_rng(seed))
             assert transcript.verdict is Verdict.ACCEPT
-            assert transcript.claimed_bit == strategy.last_bit
+            assert oracles.honest_claim_ok(transcript)
 
     def test_exhaustive_small_sizes(self, make_rng):
         # Honest completeness at every small size, many seeds.
@@ -279,7 +264,7 @@ class TestRunSession:
         assert len(transcript.challenge) == 12
         assert len(transcript.untested) == 4
         assert len(transcript.declarations) == 4
-        assert transcript.t_r > transcript.t_c
+        assert transcript.schedule.t_r > transcript.schedule.t_c
         assert validate_schedule(transcript.schedule) == []
 
     def test_suspended_commitments_never_opened(self, make_rng):
@@ -374,12 +359,12 @@ class TestRunSession:
         # Confirmations land on B1 (distance 2 from B0) at t = 1: t_c = 3.
         params = ProtocolParams(n0=16, m=4)
         transcript = run_session(Honest(), params, randomness=make_rng(9))
-        assert transcript.t_c == pytest.approx(3.0, abs=1e-12)
+        assert transcript.schedule.t_c == pytest.approx(3.0, abs=1e-12)
         b0 = transcript.schedule.site("B0")
         expected = max(
             c.t + math.dist(c.x, b0.position) for c in transcript.schedule.confirmations
         )
-        assert transcript.t_c == pytest.approx(expected, abs=1e-12)
+        assert transcript.schedule.t_c == pytest.approx(expected, abs=1e-12)
 
 
 def moving_scenario(**fields) -> ReductionScenario:

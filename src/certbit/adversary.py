@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .protocol import Declaration, ProtocolParams, honest_declarations
+from .protocol import Declaration, ProtocolParams, honest_declarations, run_sessions
 from .quantum import (
     DensityMatrix,
     StateVector,
@@ -62,6 +62,10 @@ class Honest:
 
     def reveal_claim(self, particles, labels, declarations, randomness: RandomStream):
         return self.last_bit, tuple(labels)
+
+    def reveal_signals(self, sent: np.ndarray, randomness: RandomStream) -> np.ndarray:
+        """Array form of the declarations and claim: every sent signal is claimed as sent."""
+        return sent
 
 
 class ClassicalFlip:
@@ -119,6 +123,21 @@ class ClassicalFlip:
             else:
                 claims.append(label)
         return self.last_bit, tuple(claims)
+
+    def reveal_signals(self, sent: np.ndarray, randomness: RandomStream) -> np.ndarray:
+        """Array form of the declarations and claim, one row of signal codes per session.
+
+        On k uniformly chosen particles per row the claim names a uniformly
+        guessed eigenstate of the basis conjugate to the sent one; the rest
+        are claimed as sent.
+        """
+        if self.k > sent.shape[1]:
+            raise ValueError(f"k={self.k} exceeds the {sent.shape[1]} untested particles")
+        chosen = np.argsort(randomness.random(sent.shape), axis=1)[:, : self.k]
+        false = np.zeros(sent.shape, dtype=bool)
+        np.put_along_axis(false, chosen, True, axis=1)
+        guessed = 2 * (1 - sent // 2) + randomness.integers(0, 2, size=sent.shape)
+        return np.where(false, guessed, sent)
 
 
 def entangled_commit(alpha: complex, beta: complex) -> StateVector:
@@ -333,8 +352,17 @@ class WeakOracleReport:
     flip_probability: float
     leak_probability: float
     trials: int
-    honest_accept_rate: float
-    leaked_fraction: float
+    accepted: int
+    leaked: int
+    commitments: int
+
+    @property
+    def honest_accept_rate(self) -> float:
+        return self.accepted / self.trials
+
+    @property
+    def leaked_fraction(self) -> float:
+        return self.leaked / self.commitments
 
 
 def weak_oracle_degradation(
@@ -349,18 +377,12 @@ def weak_oracle_degradation(
     inputs) destroys completeness, and how much of the receiver's view the
     leak knob exposes.  With both knobs at zero the degradation is zero.
     """
-    from .protocol import run_session  # local import to keep module load light
-
-    accepted = 0
-    leaked_total = 0
-    for _ in range(trials):
-        transcript = run_session(Honest(), params, scenario=scenario, randomness=randomness)
-        accepted += transcript.accepted
-        leaked_total += len(transcript.leaked_view)
+    batch = run_sessions(Honest(), params, trials, randomness, scenario=scenario)
     return WeakOracleReport(
         flip_probability=params.flip_probability,
         leak_probability=params.leak_probability,
         trials=trials,
-        honest_accept_rate=accepted / trials,
-        leaked_fraction=leaked_total / (trials * params.n_commitments),
+        accepted=int(np.count_nonzero(batch.accepted)),
+        leaked=int(batch.leaked.sum()),
+        commitments=trials * params.n_commitments,
     )

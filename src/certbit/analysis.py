@@ -42,6 +42,7 @@ __all__ = [
     "wilson_interval",
     "detection_probability_exact",
     "detection_probability_mc",
+    "honest_accept_probability_exact",
     "BobInformation",
     "bob_information",
     "CheatSum",
@@ -106,7 +107,11 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.99) -> tu
     denominator = 1.0 + z2n
     center = (phat + z2n / 2.0) / denominator
     half = z * math.sqrt(phat * (1.0 - phat) / trials + z2n / (4.0 * trials)) / denominator
-    return (max(0.0, center - half), min(1.0, center + half))
+    # At 0 or ``trials`` successes the interval ends exactly at 0 or 1;
+    # rounding would otherwise leave it a few ulps short.
+    low = 0.0 if successes == 0 else max(0.0, center - half)
+    high = 1.0 if successes == trials else min(1.0, center + half)
+    return (low, high)
 
 
 def detection_probability_exact(k: int) -> float:
@@ -119,6 +124,19 @@ def detection_probability_exact(k: int) -> float:
     if k < 0:
         raise ValueError("k must be >= 0")
     return 2.0 ** (-k)
+
+
+def honest_accept_probability_exact(params: ProtocolParams) -> float:
+    """Honest acceptance against an oracle with flip probability f: ((1-f)^2 + f/2)^(n0-m).
+
+    A tested particle whose basis bit was flipped is measured in the
+    conjugate basis and matches with probability 1/2; one whose value bit
+    alone was flipped is expected in the orthogonal state and never
+    matches; an unflipped one always matches.  The honest reveal measures
+    untested particles in their sent bases, which the oracle never touches.
+    """
+    f = params.flip_probability
+    return ((1.0 - f) ** 2 + f / 2.0) ** params.n_tested
 
 
 def _match_probability_table() -> dict[tuple[SpinLabel, int], float]:

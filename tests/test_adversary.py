@@ -15,6 +15,7 @@ from certbit.adversary import (
     sweep_open_probability,
     weak_oracle_degradation,
 )
+from certbit import protocol
 from certbit.protocol import ProtocolParams, run_session
 from certbit.quantum import (
     Basis,
@@ -241,3 +242,11 @@ class TestWeakOracle:
         params = ProtocolParams(n0=16, m=4, leak_probability=1.0)
         report = weak_oracle_degradation(params, trials=20, randomness=make_rng(33))
         assert report.leaked_fraction == 1.0
+
+    def test_runs_no_scalar_session(self, monkeypatch, make_rng):
+        calls = []
+        monkeypatch.setattr(protocol, "run_session", lambda *args, **kwargs: calls.append(args))
+        params = ProtocolParams(n0=64, m=16, flip_probability=0.1, leak_probability=0.05)
+        report = weak_oracle_degradation(params, trials=300, randomness=make_rng(34))
+        assert calls == []
+        assert (report.trials, report.commitments) == (300, 300 * 128)

@@ -57,6 +57,12 @@ class TestWilsonInterval:
         low, high = wilson_interval(37, 400)
         assert low <= 37 / 400 <= high
 
+    @pytest.mark.parametrize("trials", [7, 1000, 10_000])
+    def test_boundary_counts_reach_zero_and_one_exactly(self, trials):
+        # The formula alone leaves these ends a few ulps inside [0, 1] at these sizes.
+        assert wilson_interval(0, trials)[0] == 0.0
+        assert wilson_interval(trials, trials)[1] == 1.0
+
 
 class TestDetectionProbability:
     def test_exact_anchors(self):

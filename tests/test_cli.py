@@ -11,7 +11,7 @@ import pytest
 from certbit.adversary import Honest
 from certbit.cli import ConfigError, list_scenarios, main, parse_config, run_experiment
 from certbit import protocol, scenarios
-from certbit.scenarios import EXIT_CAUSAL_ABORT
+from certbit.scenarios import EXIT_CAUSAL_ABORT, EXIT_EXPECTATION_FAILED
 
 ROOT = Path(__file__).resolve().parents[1]
 SHIPPED = sorted(path.stem for path in (ROOT / "configs").glob("*.ini"))
@@ -266,6 +266,13 @@ suspension_rounds = 3
 """
         assert run_experiment(parse_config(write_config(tmp_path, body)), out_dir=tmp_path / "out") == 0
         assert [s.suspension_rounds for s in seen] == [3, 3]
+
+    def test_oracle_degradation_fails_on_a_wrong_closed_form(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(scenarios, "honest_accept_probability_exact", lambda params: 0.5)
+        config = parse_config(ROOT / "configs" / "oracle-degradation.ini")
+        assert run_experiment(config, out_dir=tmp_path / "out") == EXIT_EXPECTATION_FAILED
+        summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+        assert sum(line.startswith("FAIL: flip=") for line in summary) == 2
 
 
 class TestMain:

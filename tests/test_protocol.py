@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import Counter
 from types import MappingProxyType
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from certbit import protocol
 from certbit.adversary import ClassicalFlip, Honest
+from certbit.analysis import honest_accept_probability_exact
 from certbit.protocol import (
     DEFAULT_ENCODING,
     Declaration,
@@ -22,11 +24,13 @@ from certbit.protocol import (
     encode_spins,
     honest_declarations,
     run_session,
+    run_sessions,
     spin_labels,
     verify_reveal,
     verify_tested,
 )
 from certbit.quantum import Basis, SpinLabel, spin_state
+from certbit.rng import RandomStream
 from certbit.spacetime import Event, Message, Site, earliest_commitment_time, validate_schedule
 import oracles
 
@@ -241,6 +245,22 @@ class TestVerifyReveal:
         assert abs(passes / trials - expected) < 4 * sigma
 
 
+def instant_spin0(messages):
+    """Make spin[0] arrive at the instant it is sent: a superluminal message."""
+    out = []
+    for message in messages:
+        if message.payload == "spin[0]":
+            message = Message(
+                message.sender,
+                message.receiver,
+                message.emit,
+                Event(message.emit.t, message.receive.x),
+                message.payload,
+            )
+        out.append(message)
+    return out
+
+
 class TestRunSession:
     def test_honest_accepts_and_reveals_committed_bit(self, make_rng):
         params = ProtocolParams(n0=16, m=4)
@@ -291,21 +311,7 @@ class TestRunSession:
             run_session(ClassicalFlip(k=3), params, randomness=make_rng(5))
 
     def test_superluminal_schedule_aborts(self, make_rng):
-        def tamper(messages):
-            out = []
-            for message in messages:
-                if message.payload == "spin[0]":
-                    message = Message(
-                        message.sender,
-                        message.receiver,
-                        message.emit,
-                        Event(message.emit.t, message.receive.x),
-                        message.payload,
-                    )
-                out.append(message)
-            return out
-
-        scenario = ReductionScenario(tamper=tamper)
+        scenario = ReductionScenario(tamper=instant_spin0)
         params = ProtocolParams(n0=16, m=4)
         transcript = run_session(Honest(), params, scenario=scenario, randomness=make_rng(6))
         assert transcript.verdict is Verdict.ABORT
@@ -546,3 +552,105 @@ class TestScheduleMemo:
             assert run_session(Honest(), params, scenario=scenario, randomness=make_rng(index)).accepted
             assert protocol._session_plan.cache_info().currsize <= protocol.SCHEDULE_CACHE_SIZE
         assert protocol._session_plan.cache_info().currsize == protocol.SCHEDULE_CACHE_SIZE
+
+
+class TestRunSessions:
+    """The batched engine against the scalar path and the closed forms, at n0 = 64, m = 16."""
+
+    def test_honest_accept_rate_matches_scalar_and_closed_form(self, make_rng):
+        params = ProtocolParams(n0=64, m=16, flip_probability=0.05)
+        sessions = 2000
+        exact = honest_accept_probability_exact(params)
+        batched = run_sessions(Honest(), params, sessions, make_rng(40)).accepted.mean()
+        rng = make_rng(41)
+        scalar = sum(run_session(Honest(), params, randomness=rng).accepted for _ in range(sessions)) / sessions
+        sigma = math.sqrt(exact * (1.0 - exact) / sessions)
+        assert abs(batched - exact) <= 4 * sigma
+        assert abs(scalar - exact) <= 4 * sigma
+        assert abs(batched - scalar) <= 4 * math.sqrt(2.0) * sigma
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_classical_flip_pass_rate(self, k, make_rng):
+        sessions = 10_000
+        batch = run_sessions(ClassicalFlip(k), ProtocolParams(n0=64, m=16), sessions, make_rng(50 + k))
+        exact = 2.0**-k
+        assert abs(batch.accepted.mean() - exact) <= 4 * math.sqrt(exact * (1.0 - exact) / sessions)
+        assert set(batch.failed_stage[~batch.accepted]) == {Stage.REVEAL}
+
+    def test_flip_k_exceeding_m_rejected(self, make_rng):
+        with pytest.raises(ValueError, match="exceeds"):
+            run_sessions(ClassicalFlip(k=3), ProtocolParams(n0=8, m=2, strict=False), 10, make_rng(5))
+
+    def test_tampered_schedule_aborts_every_session(self, make_rng):
+        scenario = ReductionScenario(tamper=instant_spin0)
+        batch = run_sessions(Honest(), ProtocolParams(n0=64, m=16), 50, make_rng(60), scenario=scenario)
+        assert all(verdict is Verdict.ABORT for verdict in batch.verdict)
+        assert all(stage is Stage.SCHEDULE for stage in batch.failed_stage)
+
+    def test_honest_rejections_are_at_tested_verify(self, make_rng):
+        params = ProtocolParams(n0=64, m=16, flip_probability=0.05)
+        batch = run_sessions(Honest(), params, 500, make_rng(61))
+        rejected = ~batch.accepted
+        assert rejected.any()
+        assert all(verdict is Verdict.REJECT for verdict in batch.verdict[rejected])
+        assert set(batch.failed_stage[rejected]) == {Stage.TESTED}
+        for index, challenge in zip(batch.reject_index[rejected], batch.challenge[rejected]):
+            assert index in challenge
+        assert (batch.reject_index[batch.accepted] == -1).all()
+
+    def test_full_leak_exposes_every_commitment(self, make_rng):
+        params = ProtocolParams(n0=64, m=16, leak_probability=1.0)
+        batch = run_sessions(Honest(), params, 20, make_rng(62))
+        assert (batch.leaked == params.n_commitments).all()
+        assert batch.accepted.all()
+
+    def test_challenges_are_sorted_subsets(self, make_rng):
+        batch = run_sessions(Honest(), ProtocolParams(n0=64, m=16), 200, make_rng(63))
+        assert batch.challenge.shape == (200, 48)
+        assert (np.diff(batch.challenge, axis=1) > 0).all()
+        assert batch.challenge.min() >= 0 and batch.challenge.max() < 64
+
+    def test_no_tested_particles_when_n0_equals_m(self, make_rng):
+        # n0 = m: nothing is tested, and only the reveal can reject.
+        batch = run_sessions(ClassicalFlip(1), ProtocolParams(n0=2, m=2, strict=False), 400, make_rng(64))
+        assert batch.challenge.shape == (400, 0)
+        assert set(batch.failed_stage[~batch.accepted]) == {Stage.REVEAL}
+
+
+# The sampling methods whose calls perfbench counts as rng.calls.
+RNG_METHODS = ("random", "integers", "bit", "bits", "permutation", "choice", "multinomial")
+
+
+@pytest.fixture
+def rng_calls(monkeypatch):
+    """Count RandomStream sampling calls by method."""
+    counts = Counter()
+    for name in RNG_METHODS:
+        original = getattr(RandomStream, name)
+
+        def counted(self, *args, _original=original, _name=name, **kwargs):
+            counts[_name] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(RandomStream, name, counted)
+    return counts
+
+
+class TestRunSessionsCost:
+    @pytest.mark.parametrize(
+        "strategy, knobs",
+        [
+            (Honest(), {}),
+            (Honest(), {"flip_probability": 0.1, "leak_probability": 0.1}),
+            (ClassicalFlip(3), {"flip_probability": 0.1}),
+        ],
+    )
+    def test_rng_calls_do_not_grow_with_n(self, strategy, knobs, rng_calls):
+        params = ProtocolParams(n0=64, m=16, **knobs)
+        counts = []
+        for n in (10, 1000):
+            rng_calls.clear()
+            run_sessions(strategy, params, n, RandomStream(n))
+            counts.append(dict(rng_calls))
+        assert counts[0] == counts[1]
+        assert 0 < sum(counts[0].values()) <= 8

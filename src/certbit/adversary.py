@@ -63,10 +63,6 @@ class Honest:
     def reveal_claim(self, particles, labels, declarations, randomness: RandomStream):
         return self.last_bit, tuple(labels)
 
-    def reveal_signals(self, sent: np.ndarray, randomness: RandomStream) -> np.ndarray:
-        """Array form of the declarations and claim: every sent signal is claimed as sent."""
-        return sent
-
 
 class ClassicalFlip:
     """Hedged declarations: exactly k of them are false for the target bit.
@@ -123,21 +119,6 @@ class ClassicalFlip:
             else:
                 claims.append(label)
         return self.last_bit, tuple(claims)
-
-    def reveal_signals(self, sent: np.ndarray, randomness: RandomStream) -> np.ndarray:
-        """Array form of the declarations and claim, one row of signal codes per session.
-
-        On k uniformly chosen particles per row the claim names a uniformly
-        guessed eigenstate of the basis conjugate to the sent one; the rest
-        are claimed as sent.
-        """
-        if self.k > sent.shape[1]:
-            raise ValueError(f"k={self.k} exceeds the {sent.shape[1]} untested particles")
-        chosen = np.argsort(randomness.random(sent.shape), axis=1)[:, : self.k]
-        false = np.zeros(sent.shape, dtype=bool)
-        np.put_along_axis(false, chosen, True, axis=1)
-        guessed = 2 * (1 - sent // 2) + randomness.integers(0, 2, size=sent.shape)
-        return np.where(false, guessed, sent)
 
 
 def entangled_commit(alpha: complex, beta: complex) -> StateVector:
@@ -377,12 +358,12 @@ def weak_oracle_degradation(
     inputs) destroys completeness, and how much of the receiver's view the
     leak knob exposes.  With both knobs at zero the degradation is zero.
     """
-    batch = run_sessions(Honest(), params, trials, randomness, scenario=scenario)
+    accepted, leaked = run_sessions(params, trials, randomness, scenario=scenario)
     return WeakOracleReport(
         flip_probability=params.flip_probability,
         leak_probability=params.leak_probability,
         trials=trials,
-        accepted=int(np.count_nonzero(batch.accepted)),
-        leaked=int(batch.leaked.sum()),
+        accepted=int(np.count_nonzero(accepted)),
+        leaked=int(leaked.sum()),
         commitments=trials * params.n_commitments,
     )

@@ -52,7 +52,6 @@ __all__ = [
     "TestedOutcome",
     "RevealOutcome",
     "SessionTranscript",
-    "SessionBatch",
     "ReductionScenario",
     "default_scenario",
     "encode_spins",
@@ -126,7 +125,7 @@ DEFAULT_ENCODING = {
 }
 
 # ``run_sessions`` names each signal state by the code 2*b0 + b1 of the pair
-# (b0, b1) that sends it, so ``code // 2`` is its basis bit.
+# (b0, b1) that sends it.
 _SIGNALS = tuple(DEFAULT_ENCODING[divmod(code, 2)] for code in range(4))
 # _P0[s, c]: Born probability of outcome 0 for signal s measured in the basis of signal c.
 _P0 = np.array([[signal_probabilities(s, c.basis)[0] for c in _SIGNALS] for s in _SIGNALS])
@@ -707,72 +706,33 @@ def _transcript(
     )
 
 
-@dataclass(frozen=True)
-class SessionBatch:
-    """Outcomes of the sessions of one :func:`run_sessions` call, one row each.
-
-    ``verdict`` and ``failed_stage`` hold :class:`Verdict` and
-    :class:`Stage` members (``failed_stage`` is ``None`` where a session
-    was accepted).  ``reject_index`` is the rejected particle, -1 where none
-    was.  ``leaked`` counts the commitments the oracle leaked.
-    ``challenge`` holds each session's sorted tested particles; it has no
-    columns when the schedule aborted every session.
-    """
-
-    verdict: np.ndarray
-    failed_stage: np.ndarray
-    reject_index: np.ndarray
-    leaked: np.ndarray
-    challenge: np.ndarray
-
-    @property
-    def accepted(self) -> np.ndarray:
-        return self.verdict == Verdict.ACCEPT
-
-
-def _measure_matches(signals: np.ndarray, expected: np.ndarray, randomness: RandomStream) -> np.ndarray:
-    """Measure each signal in the basis of its expected signal; True where it collapsed onto it.
-
-    One uniform draw per measurement gives outcome 0 iff it falls below the
-    Born probability of outcome 0, as ``measure_label`` does.
-    """
-    outcome = randomness.random(signals.shape) >= _P0[signals, expected]
-    return outcome == _OUTCOME[expected]
-
-
-def _first_failure(ok: np.ndarray, particles: np.ndarray) -> np.ndarray:
-    """Each row's first failing particle in ascending order, -1 where all passed."""
-    if ok.shape[1] == 0:
-        return np.full(len(ok), -1)
-    first = particles[np.arange(len(ok)), np.argmin(ok, axis=1)]
-    return np.where(ok.all(axis=1), -1, first)
+# Sessions per block of ``run_sessions``: its arrays hold at most this many
+# rows, so its peak memory does not grow with ``n``.
+SESSION_CHUNK = 4096
 
 
 def run_sessions(
-    strategy,
     params: ProtocolParams,
     n: int,
     randomness: RandomStream,
     scenario: ReductionScenario | None = None,
-) -> SessionBatch:
-    """Run ``n`` full sessions as numpy arrays; the Monte Carlo path.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run ``n`` honest sessions as numpy arrays; the Monte Carlo path.
 
-    The rules are those of :func:`run_session`: the oracle flips and leaks
-    each of the 2*n0 committed bits independently, the challenge is a
-    uniform (n0 - m)-subset, each tested particle is measured in the basis
-    of its certified pair and must collapse onto that pair's state, and
-    each untested particle is measured in the basis of the label the
-    reveal claims for it.  A session is rejected at its first failing
-    particle in ascending order.  Every session aborts at ``schedule`` when
-    the scenario's schedule has causal violations.
+    Returns each session's acceptance and the number of commitments the
+    oracle leaked in it.  The rules are those of :func:`run_session` with
+    an honest committer: the oracle flips and leaks each of the 2*n0
+    committed bits independently, the challenge is a uniform (n0 - m)-subset,
+    and each tested particle is measured in the basis of its certified pair
+    and must collapse onto that pair's state.  The honest reveal measures
+    each untested particle in its sent basis, so it always matches and is
+    not simulated.  Every session aborts when the scenario's schedule has
+    causal violations.
 
-    The strategy's ``reveal_signals`` rule gives the claimed signal codes
-    (code 2*b0 + b1 for the state the pair (b0, b1) sends) for the
-    untested particles of every session at once.
     The sessions follow the scalar path's distributions but not its random
-    numbers: each kind of draw is one array draw for the whole batch, so
-    the number of ``RandomStream`` calls does not depend on ``n``.  Memory
-    grows as ``n * n0``.
+    numbers: each kind of draw is one array draw per block of
+    ``SESSION_CHUNK`` sessions, so the number of ``RandomStream`` calls
+    grows with the number of blocks, not with ``n``.
     """
     if n < 1:
         raise ValueError("run_sessions needs n >= 1")
@@ -780,14 +740,16 @@ def run_sessions(
         scenario = default_scenario()
     _, violations, _ = _session_plan(scenario, params.n0)
     if violations:
-        return SessionBatch(
-            verdict=np.full(n, Verdict.ABORT, dtype=object),
-            failed_stage=np.full(n, Stage.SCHEDULE, dtype=object),
-            reject_index=np.full(n, -1),
-            leaked=np.zeros(n, dtype=np.int64),
-            challenge=np.zeros((n, 0), dtype=np.int64),
-        )
+        return np.zeros(n, dtype=bool), np.zeros(n, dtype=np.int64)
+    blocks = [
+        _honest_block(params, min(SESSION_CHUNK, n - start), randomness) for start in range(0, n, SESSION_CHUNK)
+    ]
+    accepted, leaked = zip(*blocks)
+    return np.concatenate(accepted), np.concatenate(leaked)
 
+
+def _honest_block(params: ProtocolParams, n: int, randomness: RandomStream) -> tuple[np.ndarray, np.ndarray]:
+    """Acceptance and leak count of ``n`` honest sessions, one array draw per kind of randomness."""
     bits = randomness.integers(0, 2, size=(n, params.n_commitments))
     certified = bits
     if params.flip_probability > 0.0:
@@ -795,28 +757,11 @@ def run_sessions(
     leaked = np.zeros(n, dtype=np.int64)
     if params.leak_probability > 0.0:
         leaked = np.count_nonzero(randomness.random(bits.shape) < params.leak_probability, axis=1)
-    sent = 2 * bits[:, 0::2] + bits[:, 1::2]
-    opened = 2 * certified[:, 0::2] + certified[:, 1::2]
 
-    order = np.argsort(randomness.random((n, params.n0)), axis=1)
-    challenge = np.sort(order[:, : params.n_tested], axis=1)
-    untested = np.sort(order[:, params.n_tested :], axis=1)
+    challenge = np.argsort(randomness.random((n, params.n0)), axis=1)[:, : params.n_tested]
     rows = np.arange(n)[:, None]
-    tested_ok = _measure_matches(sent[rows, challenge], opened[rows, challenge], randomness)
-    claimed = strategy.reveal_signals(sent[rows, untested], randomness)
-    reveal_ok = _measure_matches(sent[rows, untested], claimed, randomness)
-
-    tested_reject = _first_failure(tested_ok, challenge)
-    reveal_reject = np.where(tested_reject >= 0, -1, _first_failure(reveal_ok, untested))
-    verdict = np.full(n, Verdict.ACCEPT, dtype=object)
-    failed_stage = np.full(n, None, dtype=object)
-    for reject, stage in ((tested_reject, Stage.TESTED), (reveal_reject, Stage.REVEAL)):
-        verdict[reject >= 0] = Verdict.REJECT
-        failed_stage[reject >= 0] = stage
-    return SessionBatch(
-        verdict=verdict,
-        failed_stage=failed_stage,
-        reject_index=np.maximum(tested_reject, reveal_reject),  # at most one is not -1
-        leaked=leaked,
-        challenge=challenge,
-    )
+    sent = (2 * bits[:, 0::2] + bits[:, 1::2])[rows, challenge]
+    opened = (2 * certified[:, 0::2] + certified[:, 1::2])[rows, challenge]
+    # Outcome 0 iff the uniform falls below its Born probability, as ``measure_label`` draws it.
+    outcome = randomness.random(sent.shape) >= _P0[sent, opened]
+    return (outcome == _OUTCOME[opened]).all(axis=1), leaked

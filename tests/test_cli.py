@@ -272,7 +272,9 @@ suspension_rounds = 3
         config = parse_config(ROOT / "configs" / "oracle-degradation.ini")
         assert run_experiment(config, out_dir=tmp_path / "out") == EXIT_EXPECTATION_FAILED
         summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()
-        assert sum(line.startswith("FAIL: flip=") for line in summary) == 2
+        failed = [line for line in summary if line.startswith("FAIL: ")]
+        assert len(failed) == 1
+        assert failed[0].startswith("FAIL: flip=0.1: exact honest accept rate 0.5 inside")
 
 
 class TestMain:

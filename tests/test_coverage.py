@@ -8,7 +8,7 @@ that covers as it claims essentially never fails the audit.
 
 import pytest
 
-from certbit.adversary import ClassicalFlip, Honest
+from certbit.adversary import ClassicalFlip
 from certbit.analysis import (
     detection_probability_exact,
     detection_probability_mc,
@@ -27,7 +27,8 @@ def completeness(flip):
     params = ProtocolParams(n0=64, m=16, flip_probability=flip)
 
     def audit(randomness):
-        accepted = int(run_sessions(Honest(), params, SESSIONS, randomness).accepted.sum())
+        accepted, _ = run_sessions(params, SESSIONS, randomness)
+        accepted = int(accepted.sum())
         return wilson_interval(accepted, SESSIONS), honest_accept_probability_exact(params)
 
     return audit
@@ -37,7 +38,8 @@ def leaked_fraction(leak):
     params = ProtocolParams(n0=64, m=16, leak_probability=leak)
 
     def audit(randomness):
-        leaked = int(run_sessions(Honest(), params, SESSIONS, randomness).leaked.sum())
+        _, leaked = run_sessions(params, SESSIONS, randomness)
+        leaked = int(leaked.sum())
         return wilson_interval(leaked, SESSIONS * params.n_commitments), leak
 
     return audit

@@ -3,7 +3,7 @@
 import json
 import math
 from collections import Counter
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
 import pytest
@@ -555,13 +555,14 @@ class TestScheduleMemo:
 
 
 class TestRunSessions:
-    """The batched engine against the scalar path and the closed forms, at n0 = 64, m = 16."""
+    """The batched engine against the scalar path and the closed form, at n0 = 64, m = 16."""
 
     def test_honest_accept_rate_matches_scalar_and_closed_form(self, make_rng):
         params = ProtocolParams(n0=64, m=16, flip_probability=0.05)
         sessions = 2000
         exact = honest_accept_probability_exact(params)
-        batched = run_sessions(Honest(), params, sessions, make_rng(40)).accepted.mean()
+        accepted, _ = run_sessions(params, sessions, make_rng(40))
+        batched = accepted.mean()
         rng = make_rng(41)
         scalar = sum(run_session(Honest(), params, randomness=rng).accepted for _ in range(sessions)) / sessions
         sigma = math.sqrt(exact * (1.0 - exact) / sessions)
@@ -569,52 +570,25 @@ class TestRunSessions:
         assert abs(scalar - exact) <= 4 * sigma
         assert abs(batched - scalar) <= 4 * math.sqrt(2.0) * sigma
 
-    @pytest.mark.parametrize("k", [1, 3])
-    def test_classical_flip_pass_rate(self, k, make_rng):
-        sessions = 10_000
-        batch = run_sessions(ClassicalFlip(k), ProtocolParams(n0=64, m=16), sessions, make_rng(50 + k))
-        exact = 2.0**-k
-        assert abs(batch.accepted.mean() - exact) <= 4 * math.sqrt(exact * (1.0 - exact) / sessions)
-        assert set(batch.failed_stage[~batch.accepted]) == {Stage.REVEAL}
-
-    def test_flip_k_exceeding_m_rejected(self, make_rng):
-        with pytest.raises(ValueError, match="exceeds"):
-            run_sessions(ClassicalFlip(k=3), ProtocolParams(n0=8, m=2, strict=False), 10, make_rng(5))
-
-    def test_tampered_schedule_aborts_every_session(self, make_rng):
-        scenario = ReductionScenario(tamper=instant_spin0)
-        batch = run_sessions(Honest(), ProtocolParams(n0=64, m=16), 50, make_rng(60), scenario=scenario)
-        assert all(verdict is Verdict.ABORT for verdict in batch.verdict)
-        assert all(stage is Stage.SCHEDULE for stage in batch.failed_stage)
-
-    def test_honest_rejections_are_at_tested_verify(self, make_rng):
-        params = ProtocolParams(n0=64, m=16, flip_probability=0.05)
-        batch = run_sessions(Honest(), params, 500, make_rng(61))
-        rejected = ~batch.accepted
-        assert rejected.any()
-        assert all(verdict is Verdict.REJECT for verdict in batch.verdict[rejected])
-        assert set(batch.failed_stage[rejected]) == {Stage.TESTED}
-        for index, challenge in zip(batch.reject_index[rejected], batch.challenge[rejected]):
-            assert index in challenge
-        assert (batch.reject_index[batch.accepted] == -1).all()
+    def test_tampered_schedule_aborts_before_commit(self, make_rng, rng_calls):
+        # Full leak: any session that reached the commit phase would leak.
+        params = ProtocolParams(n0=64, m=16, leak_probability=1.0)
+        accepted, leaked = run_sessions(params, 50, make_rng(60), scenario=ReductionScenario(tamper=instant_spin0))
+        assert not accepted.any()
+        assert (leaked == 0).all()
+        assert not rng_calls.counts
 
     def test_full_leak_exposes_every_commitment(self, make_rng):
         params = ProtocolParams(n0=64, m=16, leak_probability=1.0)
-        batch = run_sessions(Honest(), params, 20, make_rng(62))
-        assert (batch.leaked == params.n_commitments).all()
-        assert batch.accepted.all()
-
-    def test_challenges_are_sorted_subsets(self, make_rng):
-        batch = run_sessions(Honest(), ProtocolParams(n0=64, m=16), 200, make_rng(63))
-        assert batch.challenge.shape == (200, 48)
-        assert (np.diff(batch.challenge, axis=1) > 0).all()
-        assert batch.challenge.min() >= 0 and batch.challenge.max() < 64
+        accepted, leaked = run_sessions(params, 20, make_rng(62))
+        assert (leaked == params.n_commitments).all()
+        assert accepted.all()
 
     def test_no_tested_particles_when_n0_equals_m(self, make_rng):
-        # n0 = m: nothing is tested, and only the reveal can reject.
-        batch = run_sessions(ClassicalFlip(1), ProtocolParams(n0=2, m=2, strict=False), 400, make_rng(64))
-        assert batch.challenge.shape == (400, 0)
-        assert set(batch.failed_stage[~batch.accepted]) == {Stage.REVEAL}
+        # n0 = m: nothing is tested, so no flip can reject an honest session.
+        params = ProtocolParams(n0=2, m=2, strict=False, flip_probability=0.5)
+        accepted, _ = run_sessions(params, 400, make_rng(64))
+        assert accepted.all()
 
 
 # The sampling methods whose calls perfbench counts as rng.calls.
@@ -623,34 +597,37 @@ RNG_METHODS = ("random", "integers", "bit", "bits", "permutation", "choice", "mu
 
 @pytest.fixture
 def rng_calls(monkeypatch):
-    """Count RandomStream sampling calls by method."""
-    counts = Counter()
+    """Count RandomStream sampling calls by method, and record the leading size of each draw."""
+    calls = SimpleNamespace(counts=Counter(), rows=[])
     for name in RNG_METHODS:
         original = getattr(RandomStream, name)
 
         def counted(self, *args, _original=original, _name=name, **kwargs):
-            counts[_name] += 1
-            return _original(self, *args, **kwargs)
+            drawn = _original(self, *args, **kwargs)
+            calls.counts[_name] += 1
+            calls.rows.append(np.shape(drawn)[0] if np.ndim(drawn) else 1)
+            return drawn
 
         monkeypatch.setattr(RandomStream, name, counted)
-    return counts
+    return calls
 
 
 class TestRunSessionsCost:
-    @pytest.mark.parametrize(
-        "strategy, knobs",
-        [
-            (Honest(), {}),
-            (Honest(), {"flip_probability": 0.1, "leak_probability": 0.1}),
-            (ClassicalFlip(3), {"flip_probability": 0.1}),
-        ],
-    )
-    def test_rng_calls_do_not_grow_with_n(self, strategy, knobs, rng_calls):
+    @pytest.mark.parametrize("knobs", [{}, {"flip_probability": 0.1, "leak_probability": 0.1}])
+    def test_rng_calls_do_not_grow_with_n(self, knobs, rng_calls):
         params = ProtocolParams(n0=64, m=16, **knobs)
         counts = []
         for n in (10, 1000):
-            rng_calls.clear()
-            run_sessions(strategy, params, n, RandomStream(n))
-            counts.append(dict(rng_calls))
+            rng_calls.counts.clear()
+            run_sessions(params, n, RandomStream(n))
+            counts.append(dict(rng_calls.counts))
         assert counts[0] == counts[1]
-        assert 0 < sum(counts[0].values()) <= 8
+        assert 0 < sum(counts[0].values()) <= 5
+
+    def test_large_n_runs_in_bounded_blocks(self, rng_calls):
+        params = ProtocolParams(n0=4, m=1, strict=False, flip_probability=0.1, leak_probability=0.1)
+        n = 2 * protocol.SESSION_CHUNK + 3
+        accepted, leaked = run_sessions(params, n, RandomStream(7))
+        assert accepted.shape == leaked.shape == (n,)
+        assert max(rng_calls.rows) == protocol.SESSION_CHUNK
+        assert sum(rng_calls.counts.values()) == 3 * 5  # three blocks, five draws each

@@ -29,7 +29,6 @@ from .adversary import (
 from .protocol import (
     ProtocolParams,
     SessionTranscript,
-    Verdict,
     honest_declarations,
     spin_labels,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "cheat_sum",
     "TradeoffRow",
     "nogo_tradeoff_sweep",
-    "EvaluationPoint",
     "PointEvaluation",
     "SecurityReport",
     "evaluate_relativistic",
@@ -62,9 +60,6 @@ STRATEGY_CLASS_NOTE = (
     "not the full supremum over all committer behaviour"
 )
 ORACLE_INTERFACE_NOTE = "the commitment oracle accepts classical bits only"
-CONTINUUM_NOTE = (
-    "relativistic condition checked at message events and the reveal event only"
-)
 
 
 @dataclass(frozen=True)
@@ -500,16 +495,11 @@ def nogo_tradeoff_sweep(thetas=None) -> tuple[TradeoffRow, ...]:
 
 
 @dataclass(frozen=True)
-class EvaluationPoint:
-    """A spacetime point at which the cheat sum is evaluated."""
-
-    event: Event
-    label: str = ""
-
-
-@dataclass(frozen=True)
 class PointEvaluation:
-    point: EvaluationPoint
+    """p(Q) at the witness event of one regime of points after commitment."""
+
+    label: str
+    event: Event
     p0: Quantity
     p1: Quantity
     p_sum: Quantity
@@ -543,9 +533,9 @@ class SecurityReport:
                 {
                     "schema": 1,
                     "type": "point",
-                    "label": evaluation.point.label,
-                    "t": evaluation.point.event.t,
-                    "x": list(evaluation.point.event.x),
+                    "label": evaluation.label,
+                    "t": evaluation.event.t,
+                    "x": list(evaluation.event.x),
                     "p0": evaluation.p0.to_record(),
                     "p1": evaluation.p1.to_record(),
                     "p_sum": evaluation.p_sum.to_record(),
@@ -600,56 +590,60 @@ def _false_declaration_count(transcript: SessionTranscript, bit: int) -> int:
     return count
 
 
-def evaluate_relativistic(
-    transcript: SessionTranscript,
-    points,
-    tolerance: float = 1e-9,
-) -> SecurityReport:
-    """Evaluate p(Q) = p0(Q) + p1(Q) at spacetime points after commitment.
+def evaluate_relativistic(transcript: SessionTranscript) -> SecurityReport:
+    """Evaluate p(Q) = p0(Q) + p1(Q) at every spacetime point Q after commitment.
 
     Whatever lies in the past light cone of Q is fixed by the transcript;
     outside it the committer plays the best member of the implemented
-    strategy class.  Points not causally after the commitment point are
-    rejected.  The p(Q) <= 1 bound is checked up to the residual
-    2^(-m/2 + 1) binding slack of the sampling test.
+    strategy class.  So p(Q) depends only on which of the declarations and
+    the reveal, both sent along the committer's worldline in that order,
+    lie in PC(Q): the points causally after the commitment point C fall
+    into three nested regimes, {commit}, {commit, declarations} and
+    {commit, declarations, reveal}.  Each is evaluated at its witness, the
+    earliest event at C's position whose past cone holds C and the regime's
+    last stage event E: (max(t_C, t_E + |x_E - x_C|), x_C).  The p(Q) <= 1
+    bound is checked up to the residual 2^(-m/2 + 1) binding slack of the
+    sampling test.
+
+    Raises ValueError for a session that never sent declarations, and for a
+    witness that does not see the stages of its own regime, which happens
+    only when the reveal is not after the declarations.
     """
+    if not transcript.declarations:
+        raise ValueError(
+            f"session ended with {transcript.verdict.value} at {transcript.failed_stage.value};"
+            " it sent no declarations"
+        )
     params = transcript.params
     schedule = transcript.schedule
-    commitment_point = schedule.commitment_point
+    commitment = schedule.commitment_point
     bound = 1.0 + 2.0 ** (-params.m / 2.0 + 1.0)
-    decl_emit = transcript.events.get("declarations_emitted")
-    reveal_emit = transcript.events.get("reveal_emitted")
+    stage_events = {
+        "commit": commitment,
+        "declarations": transcript.events["declarations_emitted"],
+        "reveal": transcript.events["reveal_emitted"],
+    }
     committer_actions = [
         message.emit for message in schedule.messages if message.sender in schedule.committer_ids
     ]
 
     evaluations = []
-    for point in points:
-        if isinstance(point, Event):
-            point = EvaluationPoint(point)
-        q = point.event
-        if not in_past_cone(commitment_point, q):
-            raise ValueError(
-                f"evaluation point {point.label or q} is not causally after the commitment point"
-            )
-        fixed = ["commit"]
-        flags = []
-        if decl_emit is not None and in_past_cone(decl_emit, q, tolerance):
-            fixed.append("declarations")
-        if reveal_emit is not None and in_past_cone(reveal_emit, q, tolerance):
-            fixed.append("reveal")
-        if all(in_past_cone(e, q, tolerance) for e in committer_actions):
-            flags.append("causally-vacuous: no committer action remains outside PC(Q)")
+    for regime, (label, event) in enumerate(stage_events.items(), start=1):
+        q = Event(max(commitment.t, event.t + math.dist(event.x, commitment.x)), commitment.x)
+        fixed = tuple(name for name, e in stage_events.items() if in_past_cone(e, q))
+        if fixed != tuple(stage_events)[:regime]:
+            raise ValueError(f"the {label} witness at t={q.t} sees {fixed}")
+        flags = ()
+        if all(in_past_cone(e, q) for e in committer_actions):
+            flags = ("causally-vacuous: no committer action remains outside PC(Q)",)
 
-        if "reveal" in fixed:
-            claimed = transcript.claimed_bit
-            accepted = transcript.verdict is Verdict.ACCEPT
+        if label == "reveal":
             p_values = [0.0, 0.0]
-            if claimed is not None and accepted:
-                p_values[claimed] = 1.0
+            if transcript.accepted:
+                p_values[transcript.claimed_bit] = 1.0
             p0 = Quantity(p_values[0], "exact", note="reveal in PC(Q); determined by transcript")
             p1 = Quantity(p_values[1], "exact", note="reveal in PC(Q); determined by transcript")
-        elif "declarations" in fixed:
+        elif label == "declarations":
             k0 = _false_declaration_count(transcript, 0)
             k1 = _false_declaration_count(transcript, 1)
             p0 = Quantity(detection_probability_exact(k0), "exact", note=f"{k0} false declarations for 0")
@@ -660,17 +654,18 @@ def evaluate_relativistic(
         p_sum_value = p0.value + p1.value
         evaluations.append(
             PointEvaluation(
-                point=point,
+                label=label,
+                event=q,
                 p0=p0,
                 p1=p1,
                 p_sum=Quantity(p_sum_value, "exact"),
-                within_bound=p_sum_value <= bound + tolerance,
-                fixed_stages=tuple(fixed),
-                flags=tuple(flags),
+                within_bound=p_sum_value <= bound,
+                fixed_stages=fixed,
+                flags=flags,
             )
         )
     return SecurityReport(
         epsilons=params.epsilons,
         points=tuple(evaluations),
-        notes=(STRATEGY_CLASS_NOTE, CONTINUUM_NOTE, ORACLE_INTERFACE_NOTE),
+        notes=(STRATEGY_CLASS_NOTE, ORACLE_INTERFACE_NOTE),
     )

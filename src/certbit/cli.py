@@ -79,7 +79,6 @@ class ExperimentConfig:
             m=self.m,
             flip_probability=self.flip_probability,
             leak_probability=self.leak_probability,
-            seed=self.seed,
         )
         values.update(overrides)
         try:

@@ -82,7 +82,6 @@ class ProtocolParams:
     m: int
     flip_probability: float = 0.0
     leak_probability: float = 0.0
-    seed: int | None = None
     strict: bool = True
 
     def __post_init__(self):
@@ -578,14 +577,12 @@ def run_session(
     ``(scenario, params.n0)``; they are memoized per key (at most
     ``SCHEDULE_CACHE_SIZE`` keys), so transcripts of one key share one
     read-only ``Schedule``.  Only the strategy, oracle and measurements
-    draw randomness.
+    draw randomness, all from ``randomness``, which is required.
     """
     if scenario is None:
         scenario = default_scenario()
     if randomness is None:
-        if params.seed is None:
-            raise ValueError("either pass a RandomStream or set params.seed")
-        randomness = RandomStream(params.seed)
+        raise ValueError("run_session needs a seeded RandomStream")
     oracle = IdealCommitmentOracle(params.flip_probability, params.leak_probability)
 
     schedule, violations, events = _session_plan(scenario, params.n0)

@@ -7,8 +7,10 @@ sweep instead of SVD, pass probabilities come from exhaustive
 enumeration of outcome strings instead of the closed form, the unitary
 sweep's grid is scanned one point at a time instead of in one numpy batch,
 schedules are validated one message at a time instead of once per
-shared flight, and honest reveals are judged against the sent states one
-particle at a time instead of by whole-tuple comparison.
+shared flight, honest reveals are judged against the sent states one
+particle at a time instead of by whole-tuple comparison, and the regimes
+of points after commitment are found by sampling points instead of from
+closed-form witnesses.
 """
 
 from __future__ import annotations
@@ -214,3 +216,38 @@ def honest_claim_ok(transcript) -> bool:
         if declaration.basis_for(bit) is not sent[particle].basis:
             return False
     return True
+
+
+def stages_seen(stage_events: dict, q, atol: float = 1e-9) -> tuple[str, ...]:
+    """Names of the stage events in the closed past light cone of ``q``, by ``math.dist``."""
+    return tuple(
+        name for name, e in stage_events.items() if (q.t - e.t) - math.dist(q.x, e.x) >= -atol
+    )
+
+
+def sampled_regimes(
+    stage_events: dict, horizon: float, samples: int = 20_000, seed: int = 0, atol: float = 1e-9
+) -> set[tuple[str, ...]]:
+    """Every set of stage events seen by points sampled in the future cone of ``stage_events["commit"]``.
+
+    Times are uniform up to ``horizon`` after the commitment point; at each
+    time the position is uniform in the ball the commitment point's light
+    cone has reached.
+    """
+    gen = np.random.default_rng(seed)
+    commitment = stage_events["commit"]
+    elapsed = gen.uniform(0.0, horizon, samples)
+    direction = gen.normal(size=(samples, 3))
+    direction /= np.linalg.norm(direction, axis=1)[:, None]
+    radius = elapsed * gen.uniform(0.0, 1.0, samples) ** (1.0 / 3.0)
+    t = commitment.t + elapsed
+    x = np.asarray(commitment.x) + direction * radius[:, None]
+    names = list(stage_events)
+    seen = np.stack(
+        [
+            (t - e.t) - np.linalg.norm(x - np.asarray(e.x), axis=1) >= -atol
+            for e in stage_events.values()
+        ],
+        axis=1,
+    )
+    return {tuple(name for name, s in zip(names, row) if s) for row in np.unique(seen, axis=0)}

@@ -9,7 +9,6 @@ from scipy import stats
 
 from certbit.adversary import ClassicalFlip, Honest, ToyBCProtocol, purification_attack
 from certbit.analysis import (
-    EvaluationPoint,
     Quantity,
     SecurityReport,
     bob_information,
@@ -20,12 +19,20 @@ from certbit.analysis import (
     nogo_tradeoff_sweep,
     wilson_interval,
 )
-from certbit.protocol import ProtocolParams, ReductionScenario, default_scenario, run_session
+from certbit.protocol import (
+    ProtocolParams,
+    ReductionScenario,
+    Stage,
+    Verdict,
+    default_scenario,
+    run_session,
+)
 from certbit.quantum import SpinLabel, spin_state
 from certbit.rng import RandomStream
-from certbit.spacetime import Event, Site
+from certbit.spacetime import Event, Message, Site
 
 import oracles
+from test_protocol import random_moving_scenario, tamper_spin0
 
 
 class TestQuantity:
@@ -223,56 +230,68 @@ class TestNogoTradeoffSweep:
         assert rows[0].epsilon_bob.value == pytest.approx(swept, abs=1e-4)
 
 
+def _reveal_with_declarations(messages):
+    """Send the reveal on the declarations' own flight: not after them."""
+    declarations = next(message for message in messages if message.payload == "declarations")
+    return [
+        Message(m.sender, m.receiver, declarations.emit, declarations.receive, m.payload)
+        if m.payload == "reveal"
+        else m
+        for m in messages
+    ]
+
+
 class TestEvaluateRelativistic:
-    def _transcript(self, seed=9, n0=16, m=4):
+    def _transcript(self, seed=9, n0=16, m=4, scenario=None):
         params = ProtocolParams(n0=n0, m=m)
-        return run_session(Honest(), params, randomness=RandomStream(seed))
+        return run_session(Honest(), params, scenario=scenario, randomness=RandomStream(seed))
+
+    def _regime(self, transcript, label):
+        (evaluation,) = [e for e in evaluate_relativistic(transcript).points if e.label == label]
+        return evaluation
 
     def test_reveal_point_of_honest_session(self):
-        transcript = self._transcript()
-        reveal = transcript.events["reveal_received"]
-        report = evaluate_relativistic(transcript, [EvaluationPoint(reveal, "reveal")])
-        (evaluation,) = report.points
+        evaluation = self._regime(self._transcript(), "reveal")
         assert evaluation.p_sum.value == 1.0
         assert evaluation.within_bound
 
     def test_point_just_after_commitment(self):
         transcript = self._transcript()
-        commitment = transcript.schedule.commitment_point
-        just_after = Event(commitment.t + 0.1, commitment.x)
-        report = evaluate_relativistic(transcript, [just_after])
-        (evaluation,) = report.points
+        evaluation = self._regime(transcript, "commit")
+        assert evaluation.event == transcript.schedule.commitment_point
         bound = 1.0 + 2.0 ** (-transcript.params.m / 2 + 1)
         assert evaluation.p_sum.value <= bound
         assert evaluation.p_sum.value == 1.0 + 2.0**-transcript.params.m
-        assert "declarations" not in evaluation.fixed_stages
+        assert evaluation.fixed_stages == ("commit",)
 
     def test_declarations_fixed_reduces_class(self):
         transcript = self._transcript()
-        declaration_event = transcript.events["declarations_received"]
-        report = evaluate_relativistic(transcript, [declaration_event])
-        (evaluation,) = report.points
-        assert "declarations" in evaluation.fixed_stages
+        evaluation = self._regime(transcript, "declarations")
+        assert evaluation.fixed_stages == ("commit", "declarations")
         honest_bit = transcript.claimed_bit
         assert [evaluation.p0, evaluation.p1][honest_bit].value == 1.0
         assert [evaluation.p0, evaluation.p1][1 - honest_bit].value == 2.0**-transcript.params.m
 
     def test_far_future_point_is_causally_vacuous(self):
+        # Every point late enough lies in the reveal regime, whose witness
+        # sees every committer action; the earlier witnesses do not.
         transcript = self._transcript()
-        report = evaluate_relativistic(transcript, [Event(1e6, (0, 0, 0))])
-        (evaluation,) = report.points
+        points = evaluate_relativistic(transcript).points
+        assert [bool(evaluation.flags) for evaluation in points] == [False, False, True]
+        (evaluation,) = [e for e in points if e.flags]
         assert any("vacuous" in flag for flag in evaluation.flags)
-        assert "reveal" in evaluation.fixed_stages
+        assert evaluation.fixed_stages == ("commit", "declarations", "reveal")
         claimed = transcript.claimed_bit
         assert [evaluation.p0, evaluation.p1][claimed].value == 1.0
 
-    def test_point_before_commitment_rejected(self):
-        transcript = self._transcript()
-        with pytest.raises(ValueError, match="commitment point"):
-            evaluate_relativistic(transcript, [Event(0.0, (0, 0, 0))])
+    def test_witnesses_on_the_default_line(self):
+        # t_c = 3 at B0; declarations leave A1 (x = 1) at t = 6, the reveal at t = 10.
+        points = evaluate_relativistic(self._transcript()).points
+        assert [e.label for e in points] == ["commit", "declarations", "reveal"]
+        assert [e.event for e in points] == [Event(t, (0, 0, 0)) for t in (3.0, 7.0, 11.0)]
 
     def test_committer_sites_come_from_the_scenario(self):
-        # The same geometry with committer sites not named A*: every point
+        # The same geometry with committer sites not named A*: every witness
         # must get the flags it gets under the default names.
         renamed = ReductionScenario(
             name="renamed",
@@ -285,25 +304,54 @@ class TestEvaluateRelativistic:
             alice_id="C1",
             oracle_pairs=(("C1", "V1"), ("C2", "V1")),
         )
-        names = ("challenge_received", "declarations_received", "reveal_received")
         flags = []
         for scenario in (default_scenario(), renamed):
-            transcript = run_session(
-                Honest(), ProtocolParams(n0=16, m=4), scenario=scenario, randomness=RandomStream(9)
-            )
-            points = [transcript.events[name] for name in names] + [Event(1e6, (0, 0, 0))]
-            report = evaluate_relativistic(transcript, points)
+            report = evaluate_relativistic(self._transcript(scenario=scenario))
             flags.append([evaluation.flags for evaluation in report.points])
         assert flags[1] == flags[0]
         assert flags[0][0] == ()
         assert flags[0][-1] != ()
 
-    def test_spacelike_point_rejected(self):
-        transcript = self._transcript()
+    def test_tested_rejected_session_rejected(self):
+        # A flipped oracle fails this session's tested openings: it sends no
+        # declarations, so no regime past commitment is determined.
+        transcript = run_session(
+            Honest(), ProtocolParams(n0=64, m=16, flip_probability=0.3), randomness=RandomStream(0)
+        )
+        assert transcript.failed_stage is Stage.TESTED
+        with pytest.raises(ValueError, match="sent no declarations"):
+            evaluate_relativistic(transcript)
+
+    def test_schedule_aborted_session_rejected(self):
+        scenario = ReductionScenario(name="superluminal", tamper=tamper_spin0)
+        transcript = self._transcript(scenario=scenario)
+        assert transcript.verdict is Verdict.ABORT
+        with pytest.raises(ValueError, match="sent no declarations"):
+            evaluate_relativistic(transcript)
+
+    def test_reveal_not_after_declarations_rejected(self):
+        scenario = ReductionScenario(name="reveal-with-declarations", tamper=_reveal_with_declarations)
+        transcript = self._transcript(scenario=scenario)
+        assert transcript.accepted
+        with pytest.raises(ValueError, match="declarations witness"):
+            evaluate_relativistic(transcript)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_witnesses_cover_every_sampled_point(self, seed):
+        transcript = self._transcript(n0=8, m=2, scenario=random_moving_scenario(seed))
         commitment = transcript.schedule.commitment_point
-        sideways = Event(commitment.t, (100.0, 0, 0))
-        with pytest.raises(ValueError, match="commitment point"):
-            evaluate_relativistic(transcript, [sideways])
+        stage_events = {
+            "commit": commitment,
+            "declarations": transcript.events["declarations_emitted"],
+            "reveal": transcript.events["reveal_emitted"],
+        }
+        points = evaluate_relativistic(transcript).points
+        for evaluation in points:
+            # "commit" seen: the witness lies in the future cone of the commitment point.
+            assert oracles.stages_seen(stage_events, evaluation.event) == evaluation.fixed_stages
+        horizon = 4.0 * (stage_events["reveal"].t - commitment.t)
+        sampled = oracles.sampled_regimes(stage_events, horizon, seed=seed)
+        assert sampled == {evaluation.fixed_stages for evaluation in points}
 
 
 class TestReportSerialization:
@@ -311,9 +359,7 @@ class TestReportSerialization:
         def build(seed):
             params = ProtocolParams(n0=16, m=4)
             transcript = run_session(Honest(), params, randomness=RandomStream(seed))
-            report = evaluate_relativistic(
-                transcript, [transcript.events["reveal_received"]]
-            )
+            report = evaluate_relativistic(transcript)
             info = bob_information(params, trials=5_000, randomness=RandomStream(seed + 1), mode="monte-carlo")
             full = SecurityReport(
                 epsilons=report.epsilons, points=report.points, bob=info, notes=report.notes

@@ -10,7 +10,7 @@ import pytest
 
 from certbit.adversary import Honest
 from certbit.cli import ConfigError, list_scenarios, main, parse_config, run_experiment
-from certbit import protocol, scenarios
+from certbit import analysis, protocol, scenarios
 from certbit.scenarios import EXIT_CAUSAL_ABORT, EXIT_EXPECTATION_FAILED
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -192,6 +192,25 @@ sessions = 25
         assert failed == [
             "FAIL: every accepted claim repeats the sent labels, in the bases declared for the claimed bit"
         ]
+
+    def test_honest_default_fails_on_a_broken_bound(self, tmp_path, monkeypatch):
+        # Declarations false for neither bit would give p = 2 in the
+        # declarations regime; real ones are false for exactly one bit each.
+        monkeypatch.setattr(analysis, "_false_declaration_count", lambda transcript, bit: 0)
+        config = parse_config(ROOT / "configs" / "honest-default.ini")
+        assert run_experiment(config, out_dir=tmp_path / "out") == EXIT_EXPECTATION_FAILED
+        summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+        failed = [line for line in summary if line.startswith("FAIL: ")]
+        assert failed == ["FAIL: p(Q) within the binding bound at every point after commitment"]
+
+    def test_honest_default_fails_on_a_session_without_declarations(self, tmp_path, capsys):
+        # An oracle that flips every bit fails the first session's tested openings, so it
+        # sends no declarations and p(Q) cannot be evaluated.
+        body = SMALL_HONEST.format(rounds=0).replace("m = 4\n", "m = 4\nflip_probability = 1.0\n")
+        path = write_config(tmp_path, body)
+        assert main(["run", str(path), "--out", str(tmp_path / "out"), "--format", "summary"]) == 1
+        failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+        assert "FAIL: p(Q) within the binding bound at every point after commitment" in failed
 
 
 SMALL_HONEST = """

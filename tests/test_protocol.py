@@ -350,12 +350,6 @@ class TestRunSession:
         with pytest.raises(ValueError, match="expected 32"):
             run_session(ShortChanger(), params, randomness=make_rng(10))
 
-    def test_params_seed_fallback(self):
-        params = ProtocolParams(n0=16, m=4, seed=123)
-        first = run_session(Honest(), params)
-        second = run_session(Honest(), params)
-        assert first.committed_bits == second.committed_bits
-
     def test_missing_randomness_and_seed_rejected(self):
         params = ProtocolParams(n0=16, m=4)
         with pytest.raises(ValueError, match="seed"):

@@ -32,7 +32,7 @@ from .protocol import (
     honest_declarations,
     spin_labels,
 )
-from .quantum import SpinLabel, StateVector, fidelity, signal_probabilities, spin_state
+from .quantum import Basis, SpinLabel, StateVector, fidelity, signal_probabilities, spin_state
 from .rng import RandomStream
 from .spacetime import Event, in_past_cone
 
@@ -54,6 +54,11 @@ __all__ = [
 ]
 
 _Z99 = NormalDist().inv_cdf(0.995)
+
+# P(outcome == claim) for a signal state measured in the conjugate basis.  Z
+# and X are mutually unbiased, so all eight (state, claimed outcome) entries
+# equal this one; a false declaration's pass needs no state or claim drawn.
+_CONJUGATE_MATCH = signal_probabilities(SpinLabel.UP, Basis.X)[0]
 
 STRATEGY_CLASS_NOTE = (
     "cheat probabilities are maxima over the implemented strategy class, "
@@ -90,13 +95,13 @@ class Quantity:
         return record
 
 
-def wilson_interval(successes: int, trials: int, confidence: float = 0.99) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """99% Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 0 <= successes <= trials:
         raise ValueError("successes must lie in [0, trials]")
-    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
+    z = _Z99
     phat = successes / trials
     z2n = z * z / trials
     denominator = 1.0 + z2n
@@ -134,25 +139,16 @@ def honest_accept_probability_exact(params: ProtocolParams) -> float:
     return ((1.0 - f) ** 2 + f / 2.0) ** params.n_tested
 
 
-def _match_probability_table() -> dict[tuple[SpinLabel, int], float]:
-    """P(outcome == claimed) for a conjugate-basis measurement, per the core."""
-    table = {}
-    for label in SpinLabel:
-        probs = signal_probabilities(label, label.basis.conjugate())
-        for claim_index in (0, 1):
-            table[(label, claim_index)] = probs[claim_index]
-    return table
-
-
 def detection_probability_mc(
     strategy, params: ProtocolParams, trials: int, randomness: RandomStream
 ) -> Quantity:
     """Empirical reveal pass rate for a strategy, with 99% Wilson interval.
 
-    Simulates the reveal verification stage, the only stochastic stage for
-    the honest/flip family (everything earlier passes deterministically).
-    If every per-particle Born probability is 0 or 1 the run is
-    deterministic and the interval degenerates to a point.
+    Samples the reveal check, the only stochastic stage for the honest/flip
+    family: a falsely declared particle is measured in the basis conjugate
+    to its state and matches the claim with probability ``_CONJUGATE_MATCH``,
+    so a trial draws one uniform per false declaration.  An honest reveal
+    always passes, and its interval degenerates to a point.
     """
     if trials < 1000:
         raise ValueError("need at least 10^3 trials")
@@ -169,22 +165,9 @@ def detection_probability_mc(
         # Honest reveals measure exact eigenstates: every trial passes.
         return Quantity(1.0, "monte-carlo", trials=trials, ci=(1.0, 1.0), note="deterministic")
 
-    table = _match_probability_table()
-    labels = list(SpinLabel)
-    label_idx = randomness.integers(0, len(labels), size=(trials, k))
-    claim_idx = randomness.integers(0, 2, size=(trials, k))
-    prob_lookup = np.array([[table[(label, c)] for c in (0, 1)] for label in labels])
-    p_match = prob_lookup[label_idx, claim_idx]
     draws = randomness.random((trials, k))
-    successes = int(np.sum(np.all(draws < p_match, axis=1)))
-    estimate = successes / trials
-    if np.all((p_match == 0.0) | (p_match == 1.0)):
-        ci = (estimate, estimate)
-        note = "deterministic"
-    else:
-        ci = wilson_interval(successes, trials)
-        note = ""
-    return Quantity(estimate, "monte-carlo", trials=trials, ci=ci, note=note)
+    successes = int(np.count_nonzero(np.all(draws < _CONJUGATE_MATCH, axis=1)))
+    return Quantity(successes / trials, "monte-carlo", trials=trials, ci=wilson_interval(successes, trials))
 
 
 @dataclass(frozen=True)
@@ -607,7 +590,8 @@ def evaluate_relativistic(transcript: SessionTranscript) -> SecurityReport:
 
     Raises ValueError for a session that never sent declarations, and for a
     witness that does not see the stages of its own regime, which happens
-    only when the reveal is not after the declarations.
+    only when the reveal is not after the declarations (``run_session``
+    aborts such a schedule, so only an altered transcript gets here).
     """
     if not transcript.declarations:
         raise ValueError(

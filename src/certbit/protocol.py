@@ -391,6 +391,10 @@ class SessionTranscript:
         return records
 
 
+# Time from the commitment time t_c to the emission of the spin particles.
+SPIN_DELAY = 1.0
+
+
 @dataclass(frozen=True)
 class ReductionScenario:
     """Site geometry and transmission timing for one reduction run.
@@ -415,7 +419,6 @@ class ReductionScenario:
     b0_id: str = "B0"
     alice_id: str = "A1"
     oracle_pairs: tuple[tuple[str, str], ...] = (("A1", "B1"), ("A2", "B1"))
-    spin_delay: float = 1.0
     suspension_rounds: int = 0
     tamper: Callable | None = None
 
@@ -454,7 +457,7 @@ class ReductionScenario:
         commitment_point = b0.event_at(t_c)
 
         # Spin particles, emitted strictly after t_c, all on the same flight.
-        spins_emit_t = t_c + self.spin_delay
+        spins_emit_t = t_c + SPIN_DELAY
         spin_emit, spin_recv = self._flight(alice, b0, spins_emit_t)
         for i in range(params.n0):
             messages.append(Message(self.alice_id, self.b0_id, spin_emit, spin_recv, f"spin[{i}]"))
@@ -538,6 +541,10 @@ def _session_plan(
     by_payload: dict[str, Message] = {}
     for message in schedule.messages:
         by_payload.setdefault(message.payload, message)
+    # The reveal must leave strictly after the declarations it opens.
+    declarations, reveal = by_payload.get("declarations"), by_payload.get("reveal")
+    if declarations and reveal and reveal.emit.t <= declarations.emit.t:
+        violations.append(Violation("ordering", "reveal", "reveal emitted at or before the declarations"))
 
     def received(payload: str) -> Event | None:
         message = by_payload.get(payload)

@@ -1,5 +1,6 @@
 """Security quantities: detection curves, hiding, cheat sums, sweeps."""
 
+import dataclasses
 import json
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from certbit import analysis
 from certbit.adversary import ClassicalFlip, Honest, ToyBCProtocol, purification_attack
 from certbit.analysis import (
     Quantity,
@@ -27,9 +29,9 @@ from certbit.protocol import (
     default_scenario,
     run_session,
 )
-from certbit.quantum import SpinLabel, spin_state
+from certbit.quantum import SpinLabel, signal_probabilities, spin_state
 from certbit.rng import RandomStream
-from certbit.spacetime import Event, Message, Site
+from certbit.spacetime import Event, Message, Site, Violation
 
 import oracles
 from test_protocol import random_moving_scenario, tamper_spin0
@@ -53,7 +55,7 @@ class TestQuantity:
 class TestWilsonInterval:
     @pytest.mark.parametrize("successes,trials", [(50, 100), (1, 1000), (999, 1000), (0, 50), (50, 50)])
     def test_against_scipy(self, successes, trials):
-        low, high = wilson_interval(successes, trials, confidence=0.99)
+        low, high = wilson_interval(successes, trials)
         reference = stats.binomtest(successes, trials).proportion_ci(
             confidence_level=0.99, method="wilson"
         )
@@ -119,6 +121,20 @@ class TestDetectionProbability:
         params = ProtocolParams(n0=64, m=16)
         with pytest.raises(ValueError, match="10\\^3"):
             detection_probability_mc(Honest(), params, 10, make_rng(5))
+
+    def test_one_match_probability_stands_for_every_conjugate_measurement(self):
+        # The Monte Carlo draws no signal state and no claim: every signal state,
+        # measured in the conjugate basis, gives each outcome with this probability.
+        entries = [
+            p for label in SpinLabel for p in signal_probabilities(label, label.basis.conjugate())
+        ]
+        assert entries == [analysis._CONJUGATE_MATCH] * 8
+
+    @pytest.mark.parametrize("k", [1, 5, 16])
+    def test_one_draw_per_call(self, k, rng_calls):
+        detection_probability_mc(ClassicalFlip(k), ProtocolParams(n0=64, m=16), 2000, RandomStream(k))
+        assert dict(rng_calls.counts) == {"random": 1}
+        assert rng_calls.rows == [2000]
 
 
 class TestBobInformation:
@@ -330,11 +346,28 @@ class TestEvaluateRelativistic:
             evaluate_relativistic(transcript)
 
     def test_reveal_not_after_declarations_rejected(self):
+        # The reveal on the declarations' own flight aborts the session at
+        # schedule validation, so it sends no declarations to evaluate.
         scenario = ReductionScenario(name="reveal-with-declarations", tamper=_reveal_with_declarations)
         transcript = self._transcript(scenario=scenario)
-        assert transcript.accepted
-        with pytest.raises(ValueError, match="declarations witness"):
+        assert transcript.verdict is Verdict.ABORT
+        assert transcript.failed_stage is Stage.SCHEDULE
+        assert transcript.violations == (
+            Violation("ordering", "reveal", "reveal emitted at or before the declarations"),
+        )
+        with pytest.raises(ValueError, match="sent no declarations"):
             evaluate_relativistic(transcript)
+
+    def test_witness_that_sees_a_later_stage_rejected(self):
+        # A transcript whose reveal event is its declarations event: the
+        # declarations witness sees the reveal too.
+        transcript = self._transcript()
+        events = transcript.events
+        tampered = dataclasses.replace(
+            transcript, events={**events, "reveal_emitted": events["declarations_emitted"]}
+        )
+        with pytest.raises(ValueError, match="declarations witness"):
+            evaluate_relativistic(tampered)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_witnesses_cover_every_sampled_point(self, seed):

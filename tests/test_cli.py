@@ -296,6 +296,15 @@ suspension_rounds = 3
         assert failed[0].startswith("FAIL: flip=0.1: exact honest accept rate 0.5 inside")
 
 
+    def test_flip_sweep_fails_on_a_wrong_closed_form(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(scenarios, "detection_probability_exact", lambda k: 2.0 ** -(k + 1))
+        config = parse_config(ROOT / "configs" / "flip-sweep.ini")
+        assert run_experiment(config, out_dir=tmp_path / "out") == EXIT_EXPECTATION_FAILED
+        summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+        failed = [line for line in summary if line.startswith("FAIL: ")]
+        assert [line.split(":")[1].strip() for line in failed] == [f"k={k}" for k in config.k_values]
+
+
 class TestMain:
     def test_list_command(self, capsys):
         assert main(["list"]) == 0

@@ -2,8 +2,7 @@
 
 import json
 import math
-from collections import Counter
-from types import MappingProxyType, SimpleNamespace
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -583,27 +582,6 @@ class TestRunSessions:
         params = ProtocolParams(n0=2, m=2, strict=False, flip_probability=0.5)
         accepted, _ = run_sessions(params, 400, make_rng(64))
         assert accepted.all()
-
-
-# The sampling methods whose calls perfbench counts as rng.calls.
-RNG_METHODS = ("random", "integers", "bit", "bits", "permutation", "choice", "multinomial")
-
-
-@pytest.fixture
-def rng_calls(monkeypatch):
-    """Count RandomStream sampling calls by method, and record the leading size of each draw."""
-    calls = SimpleNamespace(counts=Counter(), rows=[])
-    for name in RNG_METHODS:
-        original = getattr(RandomStream, name)
-
-        def counted(self, *args, _original=original, _name=name, **kwargs):
-            drawn = _original(self, *args, **kwargs)
-            calls.counts[_name] += 1
-            calls.rows.append(np.shape(drawn)[0] if np.ndim(drawn) else 1)
-            return drawn
-
-        monkeypatch.setattr(RandomStream, name, counted)
-    return calls
 
 
 class TestRunSessionsCost:

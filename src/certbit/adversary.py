@@ -50,18 +50,15 @@ class Honest:
 
     name = "honest"
 
-    def __init__(self):
-        self.last_bit: int | None = None
-
     def commit_bits(self, params: ProtocolParams, randomness: RandomStream) -> tuple[int, ...]:
         return randomness.bits(params.n_commitments)
 
     def plan_declarations(self, particles, labels, randomness: RandomStream):
-        self.last_bit = randomness.bit()
-        return honest_declarations(self.last_bit, particles, labels)
+        bit = randomness.bit()
+        return bit, honest_declarations(bit, particles, labels)
 
-    def reveal_claim(self, particles, labels, declarations, randomness: RandomStream):
-        return self.last_bit, tuple(labels)
+    def reveal_claim(self, bit, labels, declarations, randomness: RandomStream):
+        return bit, tuple(labels)
 
 
 class ClassicalFlip:
@@ -83,8 +80,6 @@ class ClassicalFlip:
         if k < 0:
             raise ValueError("k must be >= 0")
         self.k = k
-        self.last_bit: int | None = None
-        self.false_particles: tuple[int, ...] = ()
 
     def commit_bits(self, params: ProtocolParams, randomness: RandomStream) -> tuple[int, ...]:
         if self.k > params.m:
@@ -94,31 +89,20 @@ class ClassicalFlip:
     def plan_declarations(self, particles, labels, randomness: RandomStream):
         if self.k > len(particles):
             raise ValueError(f"k={self.k} exceeds the {len(particles)} untested particles")
-        self.last_bit = randomness.bit()
-        flipped = randomness.choice(len(particles), size=self.k, replace=False)
-        flip_positions = set(int(i) for i in np.atleast_1d(flipped))
-        self.false_particles = tuple(
-            particles[pos] for pos in sorted(flip_positions)
-        )
-        declarations = []
-        for pos, (particle, label) in enumerate(zip(particles, labels)):
-            basis = label.basis
-            if pos in flip_positions:
-                basis = basis.conjugate()  # false for the target bit
-            basis_for_zero = basis if self.last_bit == 0 else basis.conjugate()
-            declarations.append(Declaration(particle, basis_for_zero))
-        return tuple(declarations)
+        bit = randomness.bit()
+        declarations = list(honest_declarations(bit, particles, labels))
+        for pos in randomness.choice(len(particles), size=self.k, replace=False):
+            truthful = declarations[pos]
+            declarations[pos] = Declaration(truthful.particle, truthful.basis_for_one)  # false for the target bit
+        return bit, tuple(declarations)
 
-    def reveal_claim(self, particles, labels, declarations, randomness: RandomStream):
+    def reveal_claim(self, bit, labels, declarations, randomness: RandomStream):
         claims = []
-        false_set = set(self.false_particles)
         for declaration, label in zip(declarations, labels):
-            basis = declaration.basis_for(self.last_bit)
-            if declaration.particle in false_set:
-                claims.append(basis_eigenstates(basis)[randomness.bit()])
-            else:
-                claims.append(label)
-        return self.last_bit, tuple(claims)
+            basis = declaration.basis_for(bit)
+            # A declaration false for the claimed bit leaves a uniform guess in its basis.
+            claims.append(label if basis is label.basis else basis_eigenstates(basis)[randomness.bit()])
+        return bit, tuple(claims)
 
 
 def entangled_commit(alpha: complex, beta: complex) -> StateVector:

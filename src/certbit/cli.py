@@ -162,17 +162,37 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     scenario = values.setdefault("scenario", "")
     values.setdefault("seed", 0)
     values.setdefault("out", f"runs/{scenario or 'experiment'}")
-    config = ExperimentConfig(**values)
+    return _checked(ExperimentConfig(**values), errors)
+
+
+def _checked(config: ExperimentConfig, errors: list[str]) -> ExperimentConfig:
+    """Return ``config`` if its values are in range; else raise with ``errors`` and every bad value."""
+    if config.seed < 0:
+        errors.append("experiment.seed: must be >= 0")
     if config.format not in ("summary", "machine", "both"):
         errors.append(f"experiment.format: {config.format!r} not one of summary|machine|both")
     if config.trials is not None and config.trials < 1:
         errors.append("experiment.trials: must be >= 1")
     if config.suspension_rounds < 0:
         errors.append("spacetime.suspension_rounds: must be >= 0")
+    if config.sessions < 1:
+        errors.append("analysis.sessions: must be >= 1")
+    if config.theta_points < 2:
+        errors.append("analysis.theta_points: must be >= 2, to reach both endpoints")
+    if any(k < 0 for k in config.k_values):
+        errors.append("analysis.k_values: every k must be >= 0")
+    # flip-sweep, which reads k_values, declares k of the m untested particles falsely.
+    if config.scenario == "flip-sweep" and any(k > config.m for k in config.k_values):
+        errors.append(f"analysis.k_values: every k must be <= m = {config.m}")
+    if not all(0.0 <= a <= 1.0 for a in config.alpha_squares):
+        errors.append("analysis.alpha_squares: every value must lie in [0, 1]")
+    # Validate protocol sizes eagerly so bad configs fail before running.
+    try:
+        config.params()
+    except ConfigError as error:
+        errors.append(str(error))
     if errors:
         raise ConfigError("; ".join(errors))
-    # Validate protocol sizes eagerly so bad configs fail before running.
-    config.params()
     return config
 
 
@@ -251,6 +271,11 @@ def main(argv=None) -> int:
 
     try:
         config = parse_config(args.config)
+        if args.command == "run":
+            overrides = {
+                key: value for key in ("seed", "trials", "format") if (value := getattr(args, key)) is not None
+            }
+            config = _checked(dataclasses.replace(config, **overrides), [])
     except ConfigError as error:
         print(f"invalid config: {error}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -258,13 +283,6 @@ def main(argv=None) -> int:
     if args.command == "validate":
         print(f"config ok: scenario {config.scenario}, seed {config.seed}")
         return 0
-
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.trials is not None:
-        config.trials = args.trials
-    if args.format is not None:
-        config.format = args.format
     return run_experiment(config, out_dir=args.out)
 
 

@@ -25,11 +25,9 @@ import numpy as np
 from .quantum import (
     Basis,
     SpinLabel,
-    StateVector,
     basis_eigenstates,
     measure_label,
     signal_probabilities,
-    spin_state,
 )
 from .rng import RandomStream
 from .spacetime import (
@@ -54,7 +52,6 @@ __all__ = [
     "SessionTranscript",
     "ReductionScenario",
     "default_scenario",
-    "encode_spins",
     "draw_challenge",
     "verify_tested",
     "honest_declarations",
@@ -227,19 +224,6 @@ class RevealOutcome:
     reason: str = ""
 
 
-def encode_spins(bits) -> list[StateVector]:
-    """Spin states for a committed bit string (pairs in transmission order)."""
-    bits = tuple(int(b) for b in bits)
-    if len(bits) % 2 != 0:
-        raise ValueError("bit string must pair up")
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError("bits must be 0/1")
-    return [
-        spin_state(DEFAULT_ENCODING[(bits[2 * i], bits[2 * i + 1])])
-        for i in range(len(bits) // 2)
-    ]
-
-
 def spin_labels(bits) -> list[SpinLabel]:
     bits = tuple(int(b) for b in bits)
     return [DEFAULT_ENCODING[(bits[2 * i], bits[2 * i + 1])] for i in range(len(bits) // 2)]
@@ -255,19 +239,20 @@ def draw_challenge(params: ProtocolParams, randomness: RandomStream) -> tuple[in
 def verify_tested(
     tested,
     revealed_pairs: dict[int, tuple[int, int]],
-    stored_spins,
+    sent_labels,
     randomness: RandomStream,
 ) -> TestedOutcome:
     """Measure each challenged particle in the basis its opened pair names.
 
-    Accepts iff every single-shot outcome is the exact eigenstate the pair
-    encodes; rejects at the first failure (each particle is one copy).
+    Particle ``i`` is in the signal state ``sent_labels[i]``.  Accepts iff
+    every single-shot outcome is the exact eigenstate the pair encodes;
+    rejects at the first failure (each particle is one copy).
     """
     for particle in tested:
         if particle not in revealed_pairs:
             raise KeyError(f"missing oracle reveal for particle {particle}")
         expected = DEFAULT_ENCODING[tuple(revealed_pairs[particle])]
-        if measure_label(stored_spins[particle], expected.basis, randomness) is not expected:
+        if measure_label(sent_labels[particle], expected.basis, randomness) is not expected:
             return TestedOutcome(False, reject_index=particle)
     return TestedOutcome(True)
 
@@ -286,15 +271,16 @@ def verify_reveal(
     claimed_bit: int,
     claimed_labels,
     declarations,
-    stored_spins,
+    sent_labels,
     randomness: RandomStream,
 ) -> RevealOutcome:
     """Check a reveal claim against the declarations by measurement.
 
-    Each untested particle is measured in the basis the declarations assign
-    to the claimed bit; the claim passes only if every outcome matches the
-    claimed eigenstate.  A malformed claim (wrong length, or a label outside
-    its declared basis) is rejected without measurement.
+    Each untested particle, in its signal state ``sent_labels[particle]``,
+    is measured in the basis the declarations assign to the claimed bit;
+    the claim passes only if every outcome matches the claimed eigenstate.
+    A malformed claim (wrong length, or a label outside its declared basis)
+    is rejected without measurement.
     """
     claimed_labels = list(claimed_labels)
     if len(claimed_labels) != len(declarations):
@@ -308,7 +294,7 @@ def verify_reveal(
             )
     for declaration, label in zip(declarations, claimed_labels):
         basis = declaration.basis_for(claimed_bit)
-        if measure_label(stored_spins[declaration.particle], basis, randomness) is not label:
+        if measure_label(sent_labels[declaration.particle], basis, randomness) is not label:
             return RevealOutcome(False, reject_index=declaration.particle, reason="measurement mismatch")
     return RevealOutcome(True)
 
@@ -332,7 +318,6 @@ class SessionTranscript:
     events: dict
     schedule: Schedule
     violations: tuple[Violation, ...]
-    leaked_view: dict
     opened_indices: frozenset
 
     @property
@@ -614,16 +599,15 @@ def run_session(
     for index, bit in enumerate(bits):
         oracle.commit(index, bit, randomness)
 
-    # Spin transmission (states held by B0 for later measurement).
+    # Spin transmission: B0 holds each particle, in the state its pair encodes.
     labels = tuple(spin_labels(bits))
-    stored = {i: spin_state(label) for i, label in enumerate(labels)}
 
     # Challenge and tested verification.
     tested = draw_challenge(params, randomness)
     tested_set = set(tested)
     untested = tuple(i for i in range(params.n0) if i not in tested_set)
     revealed = {i: (oracle.reveal(2 * i), oracle.reveal(2 * i + 1)) for i in tested}
-    tested_outcome = verify_tested(tested, revealed, stored, randomness)
+    tested_outcome = verify_tested(tested, revealed, labels, randomness)
 
     base = dict(
         committed_bits=bits,
@@ -646,15 +630,14 @@ def run_session(
 
     # Declarations over the untested particles.
     untested_labels = tuple(labels[i] for i in untested)
-    declarations = tuple(strategy.plan_declarations(untested, untested_labels, randomness))
+    bit, declarations = strategy.plan_declarations(untested, untested_labels, randomness)
+    declarations = tuple(declarations)
     if len(declarations) != len(untested):
         raise ValueError("strategy must declare every untested particle exactly once")
 
     # Reveal and verdict.  The suspended commitments are never opened.
-    claimed_bit, claimed_labels = strategy.reveal_claim(
-        untested, untested_labels, declarations, randomness
-    )
-    reveal_outcome = verify_reveal(claimed_bit, claimed_labels, declarations, stored, randomness)
+    claimed_bit, claimed_labels = strategy.reveal_claim(bit, untested_labels, declarations, randomness)
+    reveal_outcome = verify_reveal(claimed_bit, claimed_labels, declarations, labels, randomness)
     return _transcript(
         params,
         strategy,
@@ -705,7 +688,6 @@ def _transcript(
         events=dict(events or {}),
         schedule=schedule,
         violations=tuple(violations),
-        leaked_view=oracle.leaked_view,
         opened_indices=oracle.opened_indices,
     )
 

@@ -248,33 +248,26 @@ def measure(
     return 1, _collapse(c1, 1.0 - p0, basis, qubit, 1)
 
 
-# Born table of the four signal states in both bases, keyed on the canonical
-# ``spin_state`` objects (``StateVector`` hashes by identity).  Built with the
+# Born probabilities of the four signal states in both bases.  Built with the
 # same helper as ``measure``, so a lookup gives the very floats it computes.
-_BORN_TABLE = {
-    (state, basis): measure_probabilities(state, basis)
-    for state in _SPIN_STATES.values()
+_SIGNAL_TABLE = {
+    (label, basis): measure_probabilities(state, basis)
+    for label, state in _SPIN_STATES.items()
     for basis in Basis
 }
 
 
 def signal_probabilities(label: SpinLabel, basis: Basis) -> tuple[float, float]:
     """Born probabilities of outcomes (0, 1) for a signal state, from the table."""
-    return _BORN_TABLE[(_SPIN_STATES[label], basis)]
+    return _SIGNAL_TABLE[(label, basis)]
 
 
-def measure_label(state: StateVector, basis: Basis, randomness: RandomStream) -> SpinLabel:
-    """Measure a single-qubit state; report the eigenstate it collapsed to.
+def measure_label(label: SpinLabel, basis: Basis, randomness: RandomStream) -> SpinLabel:
+    """Measure a signal state in ``basis``; report the eigenstate it collapsed to.
 
-    The four canonical signal states are looked up in the Born table.  Like
-    ``measure``, it takes exactly one draw compared with the same ``p0``.
+    Like ``measure``, it takes exactly one draw compared with the same ``p0``.
     """
-    entry = _BORN_TABLE.get((state, basis))
-    if entry is None:
-        if state.n_qubits != 1:
-            raise ValueError("measure_label expects a single-qubit state")
-        entry = measure_probabilities(state, basis)
-    return outcome_label(basis, _draw(entry[0], randomness))
+    return outcome_label(basis, _draw(signal_probabilities(label, basis)[0], randomness))
 
 
 def _as_density(obj) -> DensityMatrix:

@@ -77,8 +77,8 @@ def _claim_matches_sent(transcript) -> bool:
 
     The declarations cover the untested particles in order, the claimed
     labels are the sent ones, and each declaration binds the claimed bit to
-    its particle's sent basis.  The strategy's own record of its bit is
-    never consulted.
+    its particle's sent basis.  It reads the transcript alone, never the
+    strategy.
     """
     sent = transcript.sent_labels
     declarations = transcript.declarations

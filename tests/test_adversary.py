@@ -1,5 +1,6 @@
 """Attacks: declaration flipping, entangled commits, purifier steering."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from certbit.adversary import (
     ClassicalFlip,
+    Honest,
     ToyBCProtocol,
     entangled_commit,
     entangled_reveal_probability,
@@ -17,6 +19,7 @@ from certbit.adversary import (
 )
 from certbit import protocol
 from certbit.protocol import ProtocolParams, run_session
+from certbit.rng import RandomStream
 from certbit.quantum import (
     Basis,
     DensityMatrix,
@@ -48,8 +51,7 @@ class TestClassicalFlipPlan:
         strategy = ClassicalFlip(k=3)
         particles = (0, 1, 2, 3, 4)
         labels = (SpinLabel.UP, SpinLabel.LEFT, SpinLabel.DOWN, SpinLabel.RIGHT, SpinLabel.UP)
-        declarations = strategy.plan_declarations(particles, labels, rng)
-        target = strategy.last_bit
+        target, declarations = strategy.plan_declarations(particles, labels, rng)
         false_for_target = sum(
             declaration.basis_for(target) is not label.basis
             for declaration, label in zip(declarations, labels)
@@ -66,11 +68,43 @@ class TestClassicalFlipPlan:
         strategy = ClassicalFlip(k=2)
         particles = (0, 1, 2)
         labels = (SpinLabel.UP, SpinLabel.RIGHT, SpinLabel.DOWN)
-        declarations = strategy.plan_declarations(particles, labels, rng)
-        bit, claims = strategy.reveal_claim(particles, labels, declarations, rng)
-        assert bit == strategy.last_bit
+        target, declarations = strategy.plan_declarations(particles, labels, rng)
+        bit, claims = strategy.reveal_claim(target, labels, declarations, rng)
+        assert bit == target
         for declaration, claim in zip(declarations, claims):
             assert claim.basis is declaration.basis_for(bit)
+
+    # sha256 of the fingerprints below over 300 seeded sessions for each k,
+    # computed with the earlier, stateful strategies: a change to the flip
+    # strategy's draws, their order or their use fails here.
+    FLIP_DIGEST = "4b87829a8e5eb3f8dcf21d57060441403b4aa8c1ab91fc4cb6f2159a5aae9b17"
+
+    def test_flip_sessions_reproduce_pinned_digest(self):
+        digest = hashlib.sha256()
+        params = ProtocolParams(32, 8)
+        for k in (0, 1, 3, 8):
+            for seed in range(300):
+                t = run_session(ClassicalFlip(k), params, randomness=RandomStream(seed))
+                fingerprint = "|".join([
+                    t.verdict.value,
+                    t.failed_stage.value if t.failed_stage else "-",
+                    str(t.reject_index),
+                    str(t.claimed_bit),
+                    ",".join(label.value for label in t.claimed_labels),
+                    ",".join(f"{d.particle}{d.basis_for_zero.value}" for d in t.declarations),
+                ])
+                digest.update((fingerprint + "\n").encode())
+        assert digest.hexdigest() == self.FLIP_DIGEST
+
+
+class TestStrategiesKeepNoState:
+    def test_no_attributes_change_in_a_session(self, make_rng):
+        params = ProtocolParams(n0=32, m=8)
+        honest, flip = Honest(), ClassicalFlip(3)
+        for strategy in (honest, flip):
+            run_session(strategy, params, randomness=make_rng(4))
+        assert vars(honest) == {}
+        assert vars(flip) == {"k": 3}
 
 
 class TestEntangledCommit:

@@ -93,6 +93,42 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="spacetime.suspension_rounds"):
             parse_config(write_config(tmp_path, body))
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("sessions", "0"),
+            ("theta_points", "0"),
+            ("theta_points", "1"),
+            ("k_values", "1,17"),
+            ("k_values", "-1"),
+            ("alpha_squares", "0,1.5"),
+            ("alpha_squares", "-0.25"),
+        ],
+    )
+    def test_out_of_range_analysis_value_rejected(self, tmp_path, capsys, key, value):
+        body = MINIMAL.replace("causal-violation", "flip-sweep") + "\n[protocol]\nm = 16\n"
+        path = write_config(tmp_path, body + f"\n[analysis]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f"analysis.{key}: "):
+            parse_config(path)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"analysis.{key}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--trials", "0"], "experiment.trials: must be >= 1"), (["--seed", "-1"], "experiment.seed: must be >= 0")],
+    )
+    def test_overrides_checked_like_config_values(self, tmp_path, capsys, flags, message):
+        for name in ("flip-sweep", "honest-default"):
+            out = tmp_path / name
+            assert main(["run", str(ROOT / "configs" / f"{name}.ini"), "--out", str(out), *flags]) == 2
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+        values = {"seed": "7", flags[0].lstrip("-"): flags[1]}
+        body = "[experiment]\nscenario = flip-sweep\n" + "".join(f"{k} = {v}\n" for k, v in values.items())
+        with pytest.raises(ConfigError, match=message):
+            parse_config(write_config(tmp_path, body))
+
 
 class TestScenarioRegistry:
     def test_six_scenarios_shipped(self):
@@ -184,7 +220,7 @@ sessions = 25
         # the other bit: the claim check must fail on its own.
         monkeypatch.setattr(protocol, "verify_reveal", lambda *args: protocol.RevealOutcome(True))
         monkeypatch.setattr(
-            Honest, "reveal_claim", lambda self, particles, labels, *rest: (1 - self.last_bit, tuple(labels))
+            Honest, "reveal_claim", lambda self, bit, labels, *rest: (1 - bit, tuple(labels))
         )
         path = write_config(tmp_path, SMALL_HONEST.format(rounds=0))
         assert main(["run", str(path), "--out", str(tmp_path / "out"), "--format", "summary"]) == 1

@@ -20,7 +20,6 @@ from certbit.protocol import (
     Verdict,
     default_scenario,
     draw_challenge,
-    encode_spins,
     honest_declarations,
     run_session,
     run_sessions,
@@ -28,7 +27,7 @@ from certbit.protocol import (
     verify_reveal,
     verify_tested,
 )
-from certbit.quantum import Basis, SpinLabel, spin_state
+from certbit.quantum import Basis, SpinLabel
 from certbit.rng import RandomStream
 from certbit.spacetime import Event, Message, Site, earliest_commitment_time, validate_schedule
 import oracles
@@ -66,15 +65,8 @@ class TestEncoding:
         for pair in [(0, 0), (0, 1), (1, 0), (1, 1)]:
             assert inverse[DEFAULT_ENCODING[pair]] == pair
 
-    def test_encode_spins(self):
-        states = encode_spins((0, 0, 1, 1))
-        assert states[0].allclose(spin_state(SpinLabel.UP))
-        assert states[1].allclose(spin_state(SpinLabel.RIGHT))
+    def test_spin_labels(self):
         assert spin_labels((0, 1, 1, 0)) == [SpinLabel.DOWN, SpinLabel.LEFT]
-
-    def test_odd_length_rejected(self):
-        with pytest.raises(ValueError, match="pair"):
-            encode_spins((0, 1, 1))
 
 
 class TestOracle:
@@ -135,10 +127,10 @@ class TestChallenge:
 class TestVerifyTested:
     def test_honest_accepts_with_certainty(self, rng):
         bits = (0, 0, 0, 1, 1, 0, 1, 1)
-        stored = {i: s for i, s in enumerate(encode_spins(bits))}
+        labels = spin_labels(bits)
         revealed = {i: (bits[2 * i], bits[2 * i + 1]) for i in range(4)}
         for _ in range(25):
-            outcome = verify_tested(range(4), revealed, stored, rng)
+            outcome = verify_tested(range(4), revealed, labels, rng)
             assert outcome.accepted
 
     def test_conjugate_swap_detected_half_the_time(self, rng):
@@ -147,24 +139,21 @@ class TestVerifyTested:
         revealed = {0: (0, 0)}  # claims UP
         passes = 0
         for _ in range(trials):
-            stored = {0: spin_state(SpinLabel.RIGHT)}
-            if verify_tested([0], revealed, stored, rng).accepted:
+            if verify_tested([0], revealed, [SpinLabel.RIGHT], rng).accepted:
                 passes += 1
         assert abs(passes / trials - 0.5) < 0.005
 
     def test_empty_subset_vacuous_accept(self, rng):
-        outcome = verify_tested([], {}, {}, rng)
+        outcome = verify_tested([], {}, [], rng)
         assert outcome.accepted and outcome.reject_index is None
 
     def test_missing_reveal_raises(self, rng):
-        stored = {0: spin_state(SpinLabel.UP)}
         with pytest.raises(KeyError, match="missing oracle reveal"):
-            verify_tested([0], {}, stored, rng)
+            verify_tested([0], {}, [SpinLabel.UP], rng)
 
     def test_rejection_names_first_failure(self, rng):
-        stored = {0: spin_state(SpinLabel.UP), 1: spin_state(SpinLabel.UP)}
         revealed = {0: (0, 0), 1: (0, 1)}  # particle 1 is orthogonal to its claim
-        outcome = verify_tested([0, 1], revealed, stored, rng)
+        outcome = verify_tested([0, 1], revealed, [SpinLabel.UP, SpinLabel.UP], rng)
         assert not outcome.accepted
         assert outcome.reject_index == 1
 
@@ -189,30 +178,27 @@ class TestDeclarations:
 
 
 class TestVerifyReveal:
-    def _setup(self, bit, labels):
-        particles = tuple(range(len(labels)))
-        declarations = honest_declarations(bit, particles, labels)
-        stored = {i: spin_state(label) for i, label in enumerate(labels)}
-        return declarations, stored
+    def _declarations(self, bit, labels):
+        return honest_declarations(bit, tuple(range(len(labels))), labels)
 
     def test_honest_reveal_accepts(self, rng):
         labels = [SpinLabel.UP, SpinLabel.LEFT, SpinLabel.RIGHT, SpinLabel.DOWN]
-        declarations, stored = self._setup(1, labels)
+        declarations = self._declarations(1, labels)
         for _ in range(25):
-            outcome = verify_reveal(1, labels, declarations, stored, rng)
+            outcome = verify_reveal(1, labels, declarations, labels, rng)
             assert outcome.accepted
 
     def test_wrong_length_rejected_without_measurement(self, rng):
         labels = [SpinLabel.UP, SpinLabel.DOWN]
-        declarations, stored = self._setup(0, labels)
-        outcome = verify_reveal(0, labels[:1], declarations, stored, rng)
+        declarations = self._declarations(0, labels)
+        outcome = verify_reveal(0, labels[:1], declarations, labels, rng)
         assert not outcome.accepted
         assert outcome.reason == "claim length mismatch"
 
     def test_label_outside_declared_basis_rejected(self, rng):
         labels = [SpinLabel.UP]
-        declarations, stored = self._setup(0, labels)
-        outcome = verify_reveal(0, [SpinLabel.LEFT], declarations, stored, rng)
+        declarations = self._declarations(0, labels)
+        outcome = verify_reveal(0, [SpinLabel.LEFT], declarations, labels, rng)
         assert not outcome.accepted
         assert outcome.reason == "claimed label outside declared basis"
 
@@ -223,7 +209,6 @@ class TestVerifyReveal:
         rng = make_rng(800 + k)
         labels = [SpinLabel.UP] * 4
         particles = tuple(range(4))
-        stored = {i: spin_state(SpinLabel.UP) for i in particles}
         declarations = []
         for i in particles:
             basis = Basis.Z if i >= k else Basis.X  # first k are false for bit 0
@@ -237,7 +222,7 @@ class TestVerifyReveal:
                     claims.append((SpinLabel.RIGHT, SpinLabel.LEFT)[rng.bit()])
                 else:
                     claims.append(SpinLabel.UP)
-            if verify_reveal(0, claims, tuple(declarations), stored, rng).accepted:
+            if verify_reveal(0, claims, tuple(declarations), labels, rng).accepted:
                 passes += 1
         expected = 2.0**-k
         sigma = math.sqrt(expected * (1 - expected) / trials)

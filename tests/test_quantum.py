@@ -160,7 +160,7 @@ class TestMeasurement:
 
     def test_measure_label_roundtrip(self, rng):
         for label in SpinLabel:
-            seen = measure_label(spin_state(label), label.basis, rng)
+            seen = measure_label(label, label.basis, rng)
             assert seen is label
 
     def test_outcome_label_table(self):
@@ -175,7 +175,7 @@ class TestMeasurement:
 
 
 class TestBornTable:
-    """The signal-state fast path of ``measure_label`` against generic ``measure``."""
+    """``measure_label`` on a signal label against generic ``measure`` on its state."""
 
     @pytest.mark.parametrize("basis", list(Basis))
     @pytest.mark.parametrize("label", list(SpinLabel))
@@ -184,7 +184,7 @@ class TestBornTable:
         outcomes = set()
         for seed in range(24):
             fast_stream, generic_stream = RandomStream(seed), RandomStream(seed)
-            seen = measure_label(state, basis, fast_stream)
+            seen = measure_label(label, basis, fast_stream)
             outcome, _ = measure(state, basis, 0, generic_stream)
             assert seen is outcome_label(basis, outcome)
             # Both consumed the same number of draws: the streams stay in step.
@@ -196,18 +196,6 @@ class TestBornTable:
     @pytest.mark.parametrize("label", list(SpinLabel))
     def test_probabilities_are_the_generic_floats(self, label, basis):
         assert signal_probabilities(label, basis) == measure_probabilities(spin_state(label), basis, 0)
-
-    def test_equal_copy_agrees(self):
-        # Not one of the canonical objects, so measured by the generic path.
-        copy = StateVector(spin_state(SpinLabel.RIGHT).amplitudes.copy())
-        for seed in range(8):
-            fast = measure_label(spin_state(SpinLabel.RIGHT), Basis.Z, RandomStream(seed))
-            generic = measure_label(copy, Basis.Z, RandomStream(seed))
-            assert fast is generic
-
-    def test_multi_qubit_state_rejected(self, rng):
-        with pytest.raises(ValueError, match="single-qubit"):
-            measure_label(tensor(spin_state(SpinLabel.UP), spin_state(SpinLabel.UP)), Basis.Z, rng)
 
 
 class TestPartialTrace:

@@ -55,6 +55,10 @@ __all__ = [
 
 _Z99 = NormalDist().inv_cdf(0.995)
 
+# Fewest trials ``detection_probability_mc`` accepts; the config check of
+# flip-sweep, its one shipped caller, reads it too.
+MIN_DETECTION_TRIALS = 10**3
+
 # P(outcome == claim) for a signal state measured in the conjugate basis.  Z
 # and X are mutually unbiased, so all eight (state, claimed outcome) entries
 # equal this one; a false declaration's pass needs no state or claim drawn.
@@ -150,7 +154,7 @@ def detection_probability_mc(
     so a trial draws one uniform per false declaration.  An honest reveal
     always passes, and its interval degenerates to a point.
     """
-    if trials < 1000:
+    if trials < MIN_DETECTION_TRIALS:
         raise ValueError("need at least 10^3 trials")
     if isinstance(strategy, Honest):
         k = 0
@@ -363,19 +367,14 @@ class CheatSum:
     notes: tuple[str, ...] = ()
 
 
-def _cheat_sum_toy(protocol: ToyBCProtocol) -> CheatSum:
-    attack = purification_attack(protocol)
-    note = "closed-form purifier steering"
-    return CheatSum(
-        p0=Quantity(attack.p0, "exact", note=note),
-        p1=Quantity(attack.p1, "exact", note=note),
-        p_sum=Quantity(attack.p_sum, "exact", note=f"sqrt(F) = {math.sqrt(attack.fidelity)!r}"),
-        strategy_class="purifier steering",
-        notes=(STRATEGY_CLASS_NOTE,),
-    )
+def cheat_sum(params: ProtocolParams, *, strategy_class: str = "classical-flip") -> CheatSum:
+    """Maximal p0 + p1 of the reduction protocol over the implemented strategy class.
 
-
-def _cheat_sum_reduction(params: ProtocolParams, strategy_class: str) -> CheatSum:
+    In closed form, for the honest committer or the declaration-hedging
+    family.  A finite commitment abstraction's p0 + p1 comes from
+    :func:`~certbit.adversary.purification_attack`, and
+    :func:`nogo_tradeoff_sweep` reports it.
+    """
     m = params.m
     if strategy_class == "honest":
         return CheatSum(
@@ -399,20 +398,6 @@ def _cheat_sum_reduction(params: ProtocolParams, strategy_class: str) -> CheatSu
     )
 
 
-def cheat_sum(target, *, strategy_class: str = "classical-flip") -> CheatSum:
-    """Maximal p0 + p1 over the implemented strategy class.
-
-    ``target`` is either a :class:`ToyBCProtocol` (closed-form
-    purifier-steering attack) or :class:`ProtocolParams` for the
-    reduction protocol (declaration-hedging family, in closed form).
-    """
-    if isinstance(target, ToyBCProtocol):
-        return _cheat_sum_toy(target)
-    if isinstance(target, ProtocolParams):
-        return _cheat_sum_reduction(target, strategy_class)
-    raise TypeError(f"cannot analyse {type(target).__name__}")
-
-
 @dataclass(frozen=True)
 class TradeoffRow:
     theta: float
@@ -423,20 +408,12 @@ class TradeoffRow:
     p1: float
 
 
-def _helstrom_advantage(rho0, rho1) -> float:
-    """Best single-shot distinguishing advantage over guessing: tv/2."""
-    difference = rho0.entries - rho1.entries
-    eigenvalues = np.linalg.eigvalsh(difference)
-    tv = 0.5 * float(np.sum(np.abs(eigenvalues)))
-    return 0.5 * tv
-
-
 def _snap_state(amplitudes: np.ndarray) -> StateVector:
     amps = np.where(np.abs(amplitudes) < 1e-12, 0.0, amplitudes)
     return StateVector(amps / np.linalg.norm(amps))
 
 
-def nogo_tradeoff_sweep(thetas=None) -> tuple[TradeoffRow, ...]:
+def nogo_tradeoff_sweep(thetas) -> tuple[TradeoffRow, ...]:
     """Hiding/binding tradeoff for commit states |0> and cos(t)|0> + sin(t)|1>.
 
     Exactly the tension that rules out a finite certified commitment: the
@@ -444,8 +421,6 @@ def nogo_tradeoff_sweep(thetas=None) -> tuple[TradeoffRow, ...]:
     purification attack achieves p0 + p1 = 1 + sqrt(F), so perfect hiding
     (advantage -> 0) forces completely broken binding (p_sum -> 2).
     """
-    if thetas is None:
-        thetas = np.linspace(0.0, np.pi / 2.0, 9)
     rows = []
     zero = spin_state(SpinLabel.UP)
     for theta in thetas:
@@ -453,18 +428,13 @@ def nogo_tradeoff_sweep(thetas=None) -> tuple[TradeoffRow, ...]:
         rho0, rho1 = zero.density(), other.density()
         f = fidelity(rho0, rho1)
         advantage = 0.5 * math.sqrt(max(0.0, 1.0 - f))
-        numeric_advantage = _helstrom_advantage(rho0, rho1)
         attack = purification_attack(ToyBCProtocol((rho0, rho1)))
         p_sum_closed = 1.0 + math.sqrt(f)
         rows.append(
             TradeoffRow(
                 theta=float(theta),
                 fidelity=f,
-                epsilon_bob=Quantity(
-                    advantage,
-                    "exact",
-                    note=f"helstrom cross-check {numeric_advantage!r}",
-                ),
+                epsilon_bob=Quantity(advantage, "exact"),
                 p_sum=Quantity(
                     p_sum_closed,
                     "exact",
@@ -633,7 +603,7 @@ def evaluate_relativistic(transcript: SessionTranscript) -> SecurityReport:
             p0 = Quantity(detection_probability_exact(k0), "exact", note=f"{k0} false declarations for 0")
             p1 = Quantity(detection_probability_exact(k1), "exact", note=f"{k1} false declarations for 1")
         else:
-            reduction = _cheat_sum_reduction(params, "classical-flip")
+            reduction = cheat_sum(params)
             p0, p1 = reduction.p0, reduction.p1
         p_sum_value = p0.value + p1.value
         evaluations.append(

@@ -46,6 +46,7 @@ import json
 import sys
 from pathlib import Path
 
+from .analysis import MIN_DETECTION_TRIALS
 from .protocol import ProtocolParams
 from .scenarios import EXIT_CONFIG_ERROR, EXIT_EXPECTATION_FAILED, SCENARIOS, scenario_names
 
@@ -173,17 +174,23 @@ def _checked(config: ExperimentConfig, errors: list[str]) -> ExperimentConfig:
         errors.append(f"experiment.format: {config.format!r} not one of summary|machine|both")
     if config.trials is not None and config.trials < 1:
         errors.append("experiment.trials: must be >= 1")
+    elif config.scenario == "flip-sweep" and config.trials is not None and config.trials < MIN_DETECTION_TRIALS:
+        errors.append(f"experiment.trials: must be >= {MIN_DETECTION_TRIALS} for flip-sweep")
     if config.suspension_rounds < 0:
         errors.append("spacetime.suspension_rounds: must be >= 0")
     if config.sessions < 1:
         errors.append("analysis.sessions: must be >= 1")
     if config.theta_points < 2:
         errors.append("analysis.theta_points: must be >= 2, to reach both endpoints")
+    if not config.k_values:
+        errors.append("analysis.k_values: must list at least one k")
     if any(k < 0 for k in config.k_values):
         errors.append("analysis.k_values: every k must be >= 0")
     # flip-sweep, which reads k_values, declares k of the m untested particles falsely.
     if config.scenario == "flip-sweep" and any(k > config.m for k in config.k_values):
         errors.append(f"analysis.k_values: every k must be <= m = {config.m}")
+    if not config.alpha_squares:
+        errors.append("analysis.alpha_squares: must list at least one value")
     if not all(0.0 <= a <= 1.0 for a in config.alpha_squares):
         errors.append("analysis.alpha_squares: every value must lie in [0, 1]")
     # Validate protocol sizes eagerly so bad configs fail before running.

@@ -9,7 +9,7 @@ import pytest
 from scipy import stats
 
 from certbit import analysis
-from certbit.adversary import ClassicalFlip, Honest, ToyBCProtocol, purification_attack
+from certbit.adversary import ClassicalFlip, Honest
 from certbit.analysis import (
     Quantity,
     SecurityReport,
@@ -29,7 +29,7 @@ from certbit.protocol import (
     default_scenario,
     run_session,
 )
-from certbit.quantum import SpinLabel, signal_probabilities, spin_state
+from certbit.quantum import SpinLabel, signal_probabilities
 from certbit.rng import RandomStream
 from certbit.spacetime import Event, Message, Site, Violation
 
@@ -199,20 +199,6 @@ class TestCheatSum:
         assert exact == 1.0 + 2.0**-16
         assert p0.ci[0] + p1.ci[0] <= exact <= p0.ci[1] + p1.ci[1]
         assert p0.value + p1.value <= 1.0 + 2.0**-7
-
-    def test_toy_protocol_conjugate_pair(self):
-        zero = spin_state(SpinLabel.UP).density()
-        plus = spin_state(SpinLabel.RIGHT).density()
-        toy = ToyBCProtocol((zero, plus))
-        result = cheat_sum(toy)
-        assert result.p_sum.value == pytest.approx(1.0 + 2**-0.5, abs=1e-6)
-        attack = purification_attack(toy)
-        assert result.p0.value == attack.p0
-        assert result.p1.value == attack.p1
-
-    def test_unsupported_target(self):
-        with pytest.raises(TypeError):
-            cheat_sum(42)
 
 
 class TestNogoTradeoffSweep:

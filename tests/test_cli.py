@@ -10,7 +10,7 @@ import pytest
 
 from certbit.adversary import Honest
 from certbit.cli import ConfigError, list_scenarios, main, parse_config, run_experiment
-from certbit import analysis, protocol, scenarios
+from certbit import adversary, analysis, protocol, scenarios
 from certbit.scenarios import EXIT_CAUSAL_ABORT, EXIT_EXPECTATION_FAILED
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -103,6 +103,8 @@ class TestConfigParsing:
             ("k_values", "-1"),
             ("alpha_squares", "0,1.5"),
             ("alpha_squares", "-0.25"),
+            ("k_values", ""),
+            ("alpha_squares", ""),
         ],
     )
     def test_out_of_range_analysis_value_rejected(self, tmp_path, capsys, key, value):
@@ -115,11 +117,15 @@ class TestConfigParsing:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "flags, message",
-        [(["--trials", "0"], "experiment.trials: must be >= 1"), (["--seed", "-1"], "experiment.seed: must be >= 0")],
+        "flags, message, names",
+        [
+            (["--trials", "0"], "experiment.trials: must be >= 1", ("flip-sweep", "honest-default")),
+            (["--seed", "-1"], "experiment.seed: must be >= 0", ("flip-sweep", "honest-default")),
+            (["--trials", "999"], "experiment.trials: must be >= 1000 for flip-sweep", ("flip-sweep",)),
+        ],
     )
-    def test_overrides_checked_like_config_values(self, tmp_path, capsys, flags, message):
-        for name in ("flip-sweep", "honest-default"):
+    def test_overrides_checked_like_config_values(self, tmp_path, capsys, flags, message, names):
+        for name in names:
             out = tmp_path / name
             assert main(["run", str(ROOT / "configs" / f"{name}.ini"), "--out", str(out), *flags]) == 2
             assert message in capsys.readouterr().err
@@ -226,7 +232,8 @@ sessions = 25
         assert main(["run", str(path), "--out", str(tmp_path / "out"), "--format", "summary"]) == 1
         failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
         assert failed == [
-            "FAIL: every accepted claim repeats the sent labels, in the bases declared for the claimed bit"
+            "FAIL: the transcript session is accepted, and its claim repeats the sent labels,"
+            " in the bases declared for the claimed bit"
         ]
 
     def test_honest_default_fails_on_a_broken_bound(self, tmp_path, monkeypatch):
@@ -247,6 +254,34 @@ sessions = 25
         assert main(["run", str(path), "--out", str(tmp_path / "out"), "--format", "summary"]) == 1
         failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
         assert "FAIL: p(Q) within the binding bound at every point after commitment" in failed
+        # The batched sessions meet the same oracle, so completeness fails too.
+        assert "FAIL: all 3 honest sessions accepted" in failed
+
+    def test_honest_default_runs_one_transcript_and_one_batch(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(name):
+            original = getattr(scenarios, name)
+            return lambda *args, **kwargs: calls.append(name) or original(*args, **kwargs)
+
+        for name in ("run_session", "run_sessions"):
+            monkeypatch.setattr(scenarios, name, counted(name))
+        config = parse_config(ROOT / "configs" / "honest-default.ini")
+        assert run_experiment(config, out_dir=tmp_path / "out") == 0
+        assert sorted(calls) == ["run_session", "run_sessions"]
+
+    def test_entangle_demo_fails_on_a_wrong_reveal_probability(self, tmp_path, monkeypatch):
+        # The sampler and any module that imported the closed form get 1 - alpha^2.
+        def wrong(alpha, beta):
+            return 1.0 - abs(alpha) ** 2
+
+        monkeypatch.setattr(adversary, "entangled_reveal_probability", wrong)
+        monkeypatch.setattr(scenarios, "entangled_reveal_probability", wrong, raising=False)
+        config = parse_config(ROOT / "configs" / "entangle-demo.ini")
+        assert run_experiment(config, out_dir=tmp_path / "out") == EXIT_EXPECTATION_FAILED
+        summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+        failed = [line for line in summary if line.startswith("FAIL: ")]
+        assert [line.split(":")[1].strip() for line in failed] == ["alpha^2=0.0", "alpha^2=0.25", "alpha^2=1.0"]
 
 
 SMALL_HONEST = """

@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
@@ -53,7 +52,9 @@ __all__ = [
     "evaluate_relativistic",
 ]
 
-_Z99 = NormalDist().inv_cdf(0.995)
+# The 99.5% standard normal quantile, NormalDist().inv_cdf(0.995); a literal keeps
+# ``statistics`` (and the fractions and decimal it imports) out of ``import certbit``.
+_Z99 = 2.5758293035489
 
 # Fewest trials ``detection_probability_mc`` accepts; the config check of
 # flip-sweep, its one shipped caller, reads it too.
@@ -183,49 +184,43 @@ class BobInformation:
     notes: tuple[str, ...] = ()
 
 
-def _enumerate_views(params: ProtocolParams):
-    """Exact distribution of the verifier's pre-reveal view, per bit value.
-
-    Enumerates all committed bit strings and challenge subsets for an
-    honest committer against the ideal oracle.  The view is everything the
-    verifier holds before reveal: challenge subset, opened tested pairs,
-    tested measurement outcomes, and the declarations.
-    """
-    n0, m = params.n0, params.m
-    n_bits = params.n_commitments
-    subsets = list(itertools.combinations(range(n0), params.n_tested))
-    bit_weight = 0.5**n_bits
-    subset_weight = 1.0 / len(subsets)
-    weight = bit_weight * subset_weight
-    distributions = ({}, {})
-    for bits_value in range(2**n_bits):
-        bits = tuple((bits_value >> i) & 1 for i in range(n_bits))
-        labels = spin_labels(bits)
-        for subset in subsets:
-            tested_view = tuple(
-                (i, bits[2 * i], bits[2 * i + 1], labels[i].value) for i in subset
-            )
-            untested = tuple(i for i in range(n0) if i not in subset)
-            for a in (0, 1):
-                declarations = honest_declarations(a, untested, [labels[i] for i in untested])
-                decl_view = tuple((d.particle, d.basis_for_zero.value) for d in declarations)
-                view = (subset, tested_view, decl_view)
-                distributions[a][view] = distributions[a].get(view, 0.0) + weight
-    return distributions
-
-
 def _exact_view_statistics(params: ProtocolParams) -> tuple[float, float]:
-    dist0, dist1 = _enumerate_views(params)
-    support = set(dist0) | set(dist1)
-    tv = 0.5 * sum(abs(dist0.get(v, 0.0) - dist1.get(v, 0.0)) for v in support)
+    """Exact TV distance and mutual information of the verifier's pre-reveal view.
+
+    Counts the views of an honest committer against the ideal oracle over
+    every committed string and challenge subset, all equally likely.  A
+    view is the subset, the opened tested pairs (which fix the tested
+    outcomes) and the declared basis of each untested particle, encoded as
+    one integer: (subset, tested pair codes 2*b0 + b1, declared bases) in
+    mixed radix.  Both numbers are exactly 0 when the counts for the two
+    bit values agree.
+    """
+    n0, n_tested, m = params.n0, params.n_tested, params.m
+    subsets = list(itertools.combinations(range(n0), n_tested))
+    tested = np.array(subsets, dtype=np.intp)  # (subsets, n_tested) particle indices
+    untested = np.array([[i for i in range(n0) if i not in subset] for subset in subsets], dtype=np.intp)
+    strings = np.arange(4**n0)
+    codes = (strings[:, None] >> (2 * np.arange(n0))) & 3  # (strings, particles) pair codes
+    opened = (codes[:, tested] << (2 * np.arange(n_tested))).sum(axis=2)
+    prefix = (np.arange(len(subsets)) * 4**n_tested + opened) << m
+    # declares_x[a, code]: the rule declares X for bit 0 on a particle sent by pair ``code``.
+    signals = spin_labels((0, 0, 0, 1, 1, 0, 1, 1))  # pair codes 0..3
+    declares_x = np.array(
+        [[d.basis_for_zero is Basis.X for d in honest_declarations(a, range(4), signals)] for a in (0, 1)],
+        dtype=np.intp,
+    )
+    counts = []
+    for a in (0, 1):
+        declared = (declares_x[a, codes[:, untested]] << np.arange(m)).sum(axis=2)
+        counts.append(np.bincount((prefix + declared).ravel(), minlength=len(subsets) * 4**n_tested << m))
+    count0, count1 = counts
+    weight = 0.5 ** (2 * n0) / len(subsets)
+    tv = 0.5 * weight * float(np.abs(count0 - count1).sum())
+    total = count0 + count1
     mi = 0.0
-    for view in support:
-        p0 = dist0.get(view, 0.0)
-        p1 = dist1.get(view, 0.0)
-        mix = 0.5 * (p0 + p1)
-        for p in (p0, p1):
-            if p > 0.0:
-                mi += 0.5 * p * math.log2(p / mix)
+    for count in counts:
+        seen = count > 0
+        mi += 0.5 * weight * float(np.sum(count[seen] * np.log2(2.0 * count[seen] / total[seen])))
     return tv, mi
 
 
@@ -327,10 +322,12 @@ def bob_information(
     """Distinguishability of the verifier's pre-reveal views for bit 0 vs 1.
 
     With the ideal oracle and an exactly enumerable size (n0 <= 6) the total
-    variation distance and mutual information are computed exactly and both
-    vanish: the declarations are statistically independent of the protocol
-    bit because the committed pairs are uniform.  Larger sizes or a leaky
-    oracle fall back to seeded Monte Carlo estimation, flagged as such.
+    variation distance and mutual information are computed exactly, from
+    integer counts of every integer-coded view, and both vanish: the
+    declarations are statistically independent of the protocol bit because
+    the committed pairs are uniform.  The tests check these counts against a
+    dict enumeration of the views in ``tests/oracles.py``.  Larger sizes or a
+    leaky oracle fall back to seeded Monte Carlo estimation, flagged as such.
     """
     if mode not in ("auto", "exact", "monte-carlo"):
         raise ValueError(f"unknown mode {mode!r}")

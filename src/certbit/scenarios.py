@@ -190,7 +190,8 @@ def _run_entangle_demo(config) -> ExperimentResult:
             f"alpha^2={alpha_sq}: commit qubit is the improper mixture diag({alpha_sq}, {1 - alpha_sq})",
         )
         reveals = sample_entangled_reveals(alpha, beta, trials, randomness)
-        frequency = float(np.mean(reveals == 0))
+        zeros = int(np.count_nonzero(reveals == 0))
+        frequency = zeros / trials
         sigma = math.sqrt(alpha_sq * (1.0 - alpha_sq) / trials)
         _expect(
             result,
@@ -203,7 +204,9 @@ def _run_entangle_demo(config) -> ExperimentResult:
                 "type": "entangle",
                 "alpha_squared": alpha_sq,
                 "exact_probability": alpha_sq,
-                "frequency": frequency,
+                "frequency": Quantity(
+                    frequency, "monte-carlo", trials=trials, ci=wilson_interval(zeros, trials)
+                ).to_record(),
                 "trials": trials,
             }
         )

@@ -10,7 +10,9 @@ schedules are validated one message at a time instead of once per
 shared flight, honest reveals are judged against the sent states one
 particle at a time instead of by whole-tuple comparison, and the regimes
 of points after commitment are found by sampling points instead of from
-closed-form witnesses.
+closed-form witnesses, and the exact hiding statistics sum a dict of
+every pre-reveal view, built as tuples, instead of counting integer view
+codes.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ import math
 
 import numpy as np
 from scipy import linalg, optimize
+
+from certbit.protocol import DEFAULT_ENCODING
 
 
 def random_state(rng: np.random.Generator, n_qubits: int) -> np.ndarray:
@@ -251,3 +255,45 @@ def sampled_regimes(
         axis=1,
     )
     return {tuple(name for name, s in zip(names, row) if s) for row in np.unique(seen, axis=0)}
+
+
+def enumerate_views(n0: int, m: int, declare):
+    """Exact distribution of the verifier's pre-reveal view, per protocol bit.
+
+    Enumerates all committed bit strings and challenge subsets for a
+    committer who declares by ``declare(bit, particles, labels)`` (the
+    signature of ``protocol.honest_declarations``) against the ideal oracle.
+    The view is everything the verifier holds before reveal: challenge
+    subset, opened tested pairs, tested measurement outcomes, and the
+    declarations.
+    """
+    subsets = list(itertools.combinations(range(n0), n0 - m))
+    weight = 0.5 ** (2 * n0) / len(subsets)
+    distributions = ({}, {})
+    for bits in itertools.product((0, 1), repeat=2 * n0):
+        labels = [DEFAULT_ENCODING[bits[2 * i], bits[2 * i + 1]] for i in range(n0)]
+        for subset in subsets:
+            tested_view = tuple((i, bits[2 * i], bits[2 * i + 1], labels[i].value) for i in subset)
+            untested = tuple(i for i in range(n0) if i not in subset)
+            for a in (0, 1):
+                declarations = declare(a, untested, [labels[i] for i in untested])
+                decl_view = tuple((d.particle, d.basis_for_zero.value) for d in declarations)
+                view = (subset, tested_view, decl_view)
+                distributions[a][view] = distributions[a].get(view, 0.0) + weight
+    return distributions
+
+
+def enumerated_view_statistics(n0: int, m: int, declare) -> tuple[float, float]:
+    """TV distance and mutual information (bits) between the two view distributions, by dict sums."""
+    dist0, dist1 = enumerate_views(n0, m, declare)
+    support = set(dist0) | set(dist1)
+    tv = 0.5 * sum(abs(dist0.get(v, 0.0) - dist1.get(v, 0.0)) for v in support)
+    mi = 0.0
+    for view in support:
+        p0 = dist0.get(view, 0.0)
+        p1 = dist1.get(view, 0.0)
+        mix = 0.5 * (p0 + p1)
+        for p in (p0, p1):
+            if p > 0.0:
+                mi += 0.5 * p * math.log2(p / mix)
+    return tv, mi

@@ -95,13 +95,21 @@ def test_criterion_2_cheat_detection_curve():
 
 def test_criterion_3_hiding_exact():
     """Exact enumeration at n0 <= 6: view distributions identical for both bits."""
+    budget = 5.0
+    start = time.monotonic()
     for n0, m in [(4, 1), (5, 1), (6, 1), (6, 2)]:
         params = ProtocolParams(n0=n0, m=m, strict=False)
         info = bob_information(params)
         assert info.tv_distance.provenance == "exact"
         assert info.tv_distance.value == 0.0, (n0, m)
         assert info.mutual_information_bits.value == 0.0, (n0, m)
-    report("PASS criterion 3: hiding is exact (tv = 0, mi = 0 at all enumerable sizes)")
+    elapsed = time.monotonic() - start
+    ok = elapsed < budget
+    report(
+        f"{'PASS' if ok else 'FAIL'} criterion 3: hiding is exact "
+        f"(tv = 0, mi = 0 at all enumerable sizes, {elapsed:.2f}s < {budget:.0f}s)"
+    )
+    assert elapsed < budget
 
 
 def test_criterion_4_entangled_commit_statistics():

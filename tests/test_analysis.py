@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -22,14 +23,16 @@ from certbit.analysis import (
     wilson_interval,
 )
 from certbit.protocol import (
+    Declaration,
     ProtocolParams,
     ReductionScenario,
     Stage,
     Verdict,
     default_scenario,
+    honest_declarations,
     run_session,
 )
-from certbit.quantum import SpinLabel, signal_probabilities
+from certbit.quantum import Basis, SpinLabel, signal_probabilities
 from certbit.rng import RandomStream
 from certbit.spacetime import Event, Message, Site, Violation
 
@@ -65,6 +68,9 @@ class TestWilsonInterval:
     def test_contains_point_estimate(self):
         low, high = wilson_interval(37, 400)
         assert low <= 37 / 400 <= high
+
+    def test_quantile_literal_is_the_normal_quantile(self):
+        assert analysis._Z99 == NormalDist().inv_cdf(0.995)
 
     @pytest.mark.parametrize("trials", [7, 1000, 10_000])
     def test_boundary_counts_reach_zero_and_one_exactly(self, trials):
@@ -137,6 +143,26 @@ class TestDetectionProbability:
         assert rng_calls.rows == [2000]
 
 
+def _full_leak(bit, particles, labels):
+    """Declare Z for bit 0 when the bit is 0 and X when it is 1, whatever was sent."""
+    return tuple(Declaration(p, Basis.Z if bit == 0 else Basis.X) for p in particles)
+
+
+def _partial_leak(bit, particles, labels):
+    """Z-basis particles declare their own basis; X-basis particles declare as ``_full_leak``.
+
+    Bit 0 always shows all Z; bit 1 shows each particle's uniform basis, so
+    only the all-Z view is shared: TV = 1 - 2^-m.
+    """
+    return tuple(
+        Declaration(p, Basis.Z if label.basis is Basis.Z or bit == 0 else Basis.X)
+        for p, label in zip(particles, labels)
+    )
+
+
+DECLARATION_RULES = {"honest": honest_declarations, "full-leak": _full_leak, "partial-leak": _partial_leak}
+
+
 class TestBobInformation:
     @pytest.mark.parametrize("n0,m", [(2, 1), (3, 1), (4, 1), (4, 2), (5, 2), (6, 1), (6, 2)])
     def test_exact_enumeration_vanishes(self, n0, m):
@@ -146,6 +172,25 @@ class TestBobInformation:
         assert info.tv_distance.provenance == "exact"
         assert info.tv_distance.value == 0.0
         assert info.mutual_information_bits.value == 0.0
+
+    @pytest.mark.parametrize("rule", ["honest", "full-leak", "partial-leak"])
+    @pytest.mark.parametrize("n0,m", [(2, 1), (2, 2), (3, 1), (4, 1), (4, 2), (5, 2)])
+    def test_exact_statistics_match_the_dict_enumeration(self, n0, m, rule, monkeypatch):
+        # The counted views against the dict oracle, under the honest rule and
+        # two rules that leak the bit; (2, 2) tests no particle at all.
+        declare = DECLARATION_RULES[rule]
+        monkeypatch.setattr(analysis, "honest_declarations", declare)
+        info = bob_information(ProtocolParams(n0=n0, m=m, strict=False), mode="exact")
+        tv, mi = info.tv_distance.value, info.mutual_information_bits.value
+        oracle_tv, oracle_mi = oracles.enumerated_view_statistics(n0, m, declare)
+        assert tv == pytest.approx(oracle_tv, abs=1e-12)
+        assert mi == pytest.approx(oracle_mi, abs=1e-12)
+        if rule == "honest":
+            assert (tv, mi, oracle_tv, oracle_mi) == (0.0, 0.0, 0.0, 0.0)
+        elif rule == "full-leak":
+            assert (tv, mi) == (pytest.approx(1.0, abs=1e-12), pytest.approx(1.0, abs=1e-12))
+        else:
+            assert tv == pytest.approx(1.0 - 2.0**-m, abs=1e-12)
 
     def test_exact_mode_rejects_large_sizes(self):
         with pytest.raises(ValueError, match="capped"):

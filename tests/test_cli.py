@@ -283,6 +283,19 @@ sessions = 25
         failed = [line for line in summary if line.startswith("FAIL: ")]
         assert [line.split(":")[1].strip() for line in failed] == ["alpha^2=0.0", "alpha^2=0.25", "alpha^2=1.0"]
 
+    def test_entangle_frequency_carries_its_interval(self):
+        # Each sampled frequency is a monte-carlo quantity whose 99% Wilson interval covers alpha^2.
+        records = [json.loads(line) for line in (ROOT / "runs" / "entangle-demo" / "report.jsonl").open()]
+        entangle = [record for record in records if record["type"] == "entangle"]
+        assert [record["alpha_squared"] for record in entangle] == [0.0, 0.25, 0.5, 1.0]
+        for record in entangle:
+            frequency = record["frequency"]
+            assert frequency["provenance"] == "monte-carlo"
+            assert frequency["trials"] == record["trials"]
+            low, high = frequency["ci"]
+            assert low <= frequency["value"] <= high
+            assert low <= record["exact_probability"] <= high
+
 
 SMALL_HONEST = """
 [experiment]
@@ -463,3 +476,14 @@ def test_import_leaves_scipy_unloaded(tmp_path):
     )
     assert sorted(path.name for path in tmp_path.iterdir()) == SHIPPED
     assert result.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_import_leaves_statistics_unloaded():
+    # ``statistics`` pulls in fractions and decimal; the 99% Wilson quantile is a literal instead.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    probe = "import sys, certbit; print('statistics' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    assert result.stdout.strip() == "False"

@@ -152,8 +152,9 @@ def detection_probability_mc(
     Samples the reveal check, the only stochastic stage for the honest/flip
     family: a falsely declared particle is measured in the basis conjugate
     to its state and matches the claim with probability ``_CONJUGATE_MATCH``,
-    so a trial draws one uniform per false declaration.  An honest reveal
-    always passes, and its interval degenerates to a point.
+    so a trial draws one uniform per false declaration.  With no false
+    declaration (Honest, or ClassicalFlip(0)) the reveal always passes, and
+    the exact 1.0 is returned without sampling.
     """
     if trials < MIN_DETECTION_TRIALS:
         raise ValueError("need at least 10^3 trials")
@@ -167,8 +168,8 @@ def detection_probability_mc(
         raise TypeError("detection_probability_mc supports Honest and ClassicalFlip")
 
     if k == 0:
-        # Honest reveals measure exact eigenstates: every trial passes.
-        return Quantity(1.0, "monte-carlo", trials=trials, ci=(1.0, 1.0), note="deterministic")
+        # Honest reveals measure exact eigenstates: every trial would pass.
+        return Quantity(1.0, "exact")
 
     draws = randomness.random((trials, k))
     successes = int(np.count_nonzero(np.all(draws < _CONJUGATE_MATCH, axis=1)))

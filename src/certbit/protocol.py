@@ -26,7 +26,6 @@ from .quantum import (
     Basis,
     SpinLabel,
     basis_eigenstates,
-    measure_label,
     signal_probabilities,
 )
 from .rng import RandomStream
@@ -120,13 +119,29 @@ DEFAULT_ENCODING = {
     (1, 1): SpinLabel.RIGHT,
 }
 
-# ``run_sessions`` names each signal state by the code 2*b0 + b1 of the pair
+# The sessions name each signal state by the code 2*b0 + b1 of the pair
 # (b0, b1) that sends it.
 _SIGNALS = tuple(DEFAULT_ENCODING[divmod(code, 2)] for code in range(4))
 # _P0[s, c]: Born probability of outcome 0 for signal s measured in the basis of signal c.
 _P0 = np.array([[signal_probabilities(s, c.basis)[0] for c in _SIGNALS] for s in _SIGNALS])
 # _OUTCOME[c]: the outcome that collapses onto signal c in its own basis.
 _OUTCOME = np.array([basis_eigenstates(c.basis).index(c) for c in _SIGNALS])
+
+
+def _collapses(sent, target, uniforms) -> np.ndarray:
+    """Whether each signal ``sent``, measured in the basis of signal ``target``, collapses onto ``target``.
+
+    Signals are pair codes, with one uniform per measurement.  Outcome 0
+    comes iff the uniform is below its Born probability, as in
+    ``quantum.measure_label``, so one uniform gives both the same outcome.
+    """
+    return (uniforms >= _P0[sent, target]) == _OUTCOME[target]
+
+
+def _first_failure(particles: np.ndarray, passed: np.ndarray) -> int | None:
+    """The first particle whose check failed, or None if all passed."""
+    checks = passed.tolist()
+    return int(particles[checks.index(False)]) if False in checks else None
 
 
 @dataclass(frozen=True)
@@ -151,12 +166,18 @@ class Declaration:
 class IdealCommitmentOracle:
     """Trusted functionality certifying that reveals return the committed bit.
 
-    With both knobs at zero: ``reveal(i)`` returns exactly the bit passed to
-    ``commit(i, bit)`` and the receiver learns nothing earlier.  With
+    ``commit(bits, randomness)`` commits a whole batch once; bit ``i`` sits
+    at index ``i``.  With both knobs at zero, ``reveal(i)`` returns exactly
+    ``bits[i]`` and the receiver learns nothing earlier.  With
     ``flip_probability`` > 0 the certified value differs from the committed
     input with that probability (a fidelity defect, drawn once at commit
     time); with ``leak_probability`` > 0 the certified value becomes part of
     the receiver's view at commit time.  Inputs are classical bits only.
+
+    ``commit`` makes one array draw: shape ``(n, 2)`` with both knobs above
+    zero (column 0 decides each flip, column 1 each leak, so row by row the
+    order of one flip and then one leak uniform per bit), shape ``(n,)``
+    with one knob above zero, and no draw with both at zero.
     """
 
     def __init__(self, flip_probability: float = 0.0, leak_probability: float = 0.0):
@@ -165,27 +186,42 @@ class IdealCommitmentOracle:
                 raise ValueError(f"{name} must lie in [0, 1]")
         self.flip_probability = flip_probability
         self.leak_probability = leak_probability
-        self._stored: dict[int, int] = {}
+        self._stored = np.zeros(0, dtype=np.int64)
+        self._committed = False
         self._opened: set[int] = set()
-        self._leaked: dict[int, int] = {}
+        self._leaked = np.zeros(0, dtype=np.int64)
 
-    def commit(self, index: int, bit: int, randomness: RandomStream) -> None:
-        if bit not in (0, 1):
+    def commit(self, bits, randomness: RandomStream) -> None:
+        if self._committed:
+            raise ValueError("bits already committed")
+        bits = np.asarray(bits)
+        if not ((bits == 0) | (bits == 1)).all():
             raise ValueError("oracle accepts classical bits only")
-        if index in self._stored:
-            raise ValueError(f"index {index} already committed")
-        stored = bit
-        if self.flip_probability > 0.0 and randomness.random() < self.flip_probability:
-            stored = 1 - bit
-        self._stored[index] = stored
-        if self.leak_probability > 0.0 and randomness.random() < self.leak_probability:
-            self._leaked[index] = stored
+        n = len(bits)
+        flip = leak = np.zeros(n, dtype=bool)
+        if self.flip_probability > 0.0 and self.leak_probability > 0.0:
+            uniforms = randomness.random((n, 2))
+            flip = uniforms[:, 0] < self.flip_probability
+            leak = uniforms[:, 1] < self.leak_probability
+        elif self.flip_probability > 0.0:
+            flip = randomness.random(n) < self.flip_probability
+        elif self.leak_probability > 0.0:
+            leak = randomness.random(n) < self.leak_probability
+        self._stored = bits.astype(np.int64) ^ flip
+        self._leaked = np.flatnonzero(leak)
+        self._committed = True
 
-    def reveal(self, index: int) -> int:
-        if index not in self._stored:
+    def reveal(self, index):
+        """The certified bit at ``index``, or the array of them at an integer index array.
+
+        Every index read counts as opened.
+        """
+        indices = np.asarray(index)
+        if not ((indices >= 0) & (indices < len(self._stored))).all():
             raise KeyError(f"no commitment at index {index}")
-        self._opened.add(index)
-        return self._stored[index]
+        self._opened.update(indices.ravel().tolist())
+        certified = self._stored[indices]
+        return int(certified) if indices.ndim == 0 else certified
 
     @property
     def opened_indices(self) -> frozenset[int]:
@@ -194,7 +230,7 @@ class IdealCommitmentOracle:
     @property
     def leaked_view(self) -> dict[int, int]:
         """What the receiver saw before any reveal."""
-        return dict(self._leaked)
+        return dict(zip(self._leaked.tolist(), self._stored[self._leaked].tolist()))
 
 
 class Verdict(enum.Enum):
@@ -231,30 +267,32 @@ def spin_labels(bits) -> list[SpinLabel]:
 
 def draw_challenge(params: ProtocolParams, randomness: RandomStream) -> tuple[int, ...]:
     """Uniformly random subset of n0 - m particle indices, sorted."""
-    size = params.n_tested
-    picked = randomness.permutation(params.n0)[:size]
-    return tuple(sorted(int(i) for i in picked))
+    picked = randomness.permutation(params.n0)[: params.n_tested]
+    return tuple(np.sort(picked).tolist())
 
 
-def verify_tested(
-    tested,
-    revealed_pairs: dict[int, tuple[int, int]],
-    sent_labels,
-    randomness: RandomStream,
-) -> TestedOutcome:
+def verify_tested(tested, opened, sent, randomness: RandomStream) -> TestedOutcome:
     """Measure each challenged particle in the basis its opened pair names.
 
-    Particle ``i`` is in the signal state ``sent_labels[i]``.  Accepts iff
-    every single-shot outcome is the exact eigenstate the pair encodes;
-    rejects at the first failure (each particle is one copy).
+    ``opened[j]`` is the pair code 2*b0 + b1 the oracle certified for
+    particle ``tested[j]``, and particle ``i`` is in the signal state of
+    pair code ``sent[i]``.  Accepts iff every single-shot outcome is the
+    exact eigenstate the opened pair encodes (each particle is one copy);
+    a rejection names the first tested particle that failed.
+
+    Draws once: ``randomness.random(len(tested))``, uniform ``j`` for
+    particle ``tested[j]``.  The whole array is drawn even when a particle
+    fails, so a fresh stream gives the outcome a draw per particle up to the
+    first failure would, and a shared stream is further along after a
+    rejection.
     """
-    for particle in tested:
-        if particle not in revealed_pairs:
-            raise KeyError(f"missing oracle reveal for particle {particle}")
-        expected = DEFAULT_ENCODING[tuple(revealed_pairs[particle])]
-        if measure_label(sent_labels[particle], expected.basis, randomness) is not expected:
-            return TestedOutcome(False, reject_index=particle)
-    return TestedOutcome(True)
+    tested = np.asarray(tested, dtype=np.int64)
+    opened = np.asarray(opened, dtype=np.int64)
+    if opened.shape != tested.shape:
+        raise ValueError(f"{opened.size} oracle reveals for {tested.size} tested particles")
+    sent = np.asarray(sent, dtype=np.int64)
+    reject = _first_failure(tested, _collapses(sent[tested], opened, randomness.random(tested.size)))
+    return TestedOutcome(reject is None, reject_index=reject)
 
 
 def honest_declarations(bit: int, particles, labels) -> tuple[Declaration, ...]:
@@ -271,16 +309,20 @@ def verify_reveal(
     claimed_bit: int,
     claimed_labels,
     declarations,
-    sent_labels,
+    sent,
     randomness: RandomStream,
 ) -> RevealOutcome:
     """Check a reveal claim against the declarations by measurement.
 
-    Each untested particle, in its signal state ``sent_labels[particle]``,
-    is measured in the basis the declarations assign to the claimed bit;
-    the claim passes only if every outcome matches the claimed eigenstate.
-    A malformed claim (wrong length, or a label outside its declared basis)
-    is rejected without measurement.
+    Each declared particle, in the signal state of pair code
+    ``sent[particle]``, is measured in the basis the declarations assign to
+    the claimed bit; the claim passes only if every outcome matches the
+    claimed eigenstate.  A malformed claim (wrong length, or a label outside
+    its declared basis) is rejected without measurement and without a draw.
+
+    Otherwise it draws once: ``randomness.random(len(declarations))``, one
+    uniform per declaration in order, all of them even when a particle
+    fails, as ``verify_tested`` does.
     """
     claimed_labels = list(claimed_labels)
     if len(claimed_labels) != len(declarations):
@@ -292,11 +334,11 @@ def verify_reveal(
                 reject_index=declaration.particle,
                 reason="claimed label outside declared basis",
             )
-    for declaration, label in zip(declarations, claimed_labels):
-        basis = declaration.basis_for(claimed_bit)
-        if measure_label(sent_labels[declaration.particle], basis, randomness) is not label:
-            return RevealOutcome(False, reject_index=declaration.particle, reason="measurement mismatch")
-    return RevealOutcome(True)
+    particles = np.array([d.particle for d in declarations], dtype=np.int64)
+    claimed = np.array([_SIGNALS.index(label) for label in claimed_labels], dtype=np.int64)
+    sent = np.asarray(sent, dtype=np.int64)
+    reject = _first_failure(particles, _collapses(sent[particles], claimed, randomness.random(particles.size)))
+    return RevealOutcome(reject is None, reject_index=reject, reason="" if reject is None else "measurement mismatch")
 
 
 @dataclass(frozen=True)
@@ -563,13 +605,25 @@ def run_session(
     Stages: commit, spins, challenge, tested verification, declarations,
     suspension, reveal, verdict.  Any stage failure yields a transcript
     whose verdict is reject/abort with the stage recorded.  The suspended
-    (untested) commitments are never opened.
+    (untested) commitments are never opened.  Each stage works on numpy
+    arrays of pair codes 2*b0 + b1; spin labels and tuples are built for
+    the strategy and the transcript.
 
     The schedule, its validation and the stage events depend only on
     ``(scenario, params.n0)``; they are memoized per key (at most
     ``SCHEDULE_CACHE_SIZE`` keys), so transcripts of one key share one
     read-only ``Schedule``.  Only the strategy, oracle and measurements
     draw randomness, all from ``randomness``, which is required.
+
+    Draws, in order: the strategy's committed bits, the oracle's one array
+    (see ``IdealCommitmentOracle``), the challenge permutation, one array of
+    ``n0 - m`` tested uniforms, the strategy's declaration and claim draws,
+    and one array of ``m`` reveal uniforms.  These are the values, in the
+    order, that one draw per bit and per measured particle would take, so a
+    transcript started from a fresh stream is the one such draws give.  A
+    stage that rejects has still drawn its whole array, so a stream shared
+    across sessions is further along after a rejection.  A schedule abort
+    draws nothing.
     """
     if scenario is None:
         scenario = default_scenario()
@@ -590,27 +644,27 @@ def run_session(
             violations=violations,
         )
 
-    # Commit phase: the oracle stores all 2*N0 bits.
-    bits = tuple(int(b) for b in strategy.commit_bits(params, randomness))
-    if len(bits) != params.n_commitments:
-        raise ValueError(
-            f"strategy committed {len(bits)} bits, expected {params.n_commitments}"
-        )
-    for index, bit in enumerate(bits):
-        oracle.commit(index, bit, randomness)
+    # Commit phase: the oracle certifies all 2*N0 bits in one batch.
+    bits = np.asarray(strategy.commit_bits(params, randomness), dtype=np.int64)
+    if bits.shape != (params.n_commitments,):
+        raise ValueError(f"strategy committed {bits.size} bits, expected {params.n_commitments}")
+    oracle.commit(bits, randomness)
 
-    # Spin transmission: B0 holds each particle, in the state its pair encodes.
-    labels = tuple(spin_labels(bits))
+    # Spin transmission: B0 holds particle i in the state of pair code sent[i].
+    sent = 2 * bits[0::2] + bits[1::2]
+    labels = tuple([_SIGNALS[code] for code in sent.tolist()])
 
-    # Challenge and tested verification.
+    # Challenge and tested verification on the certified pairs of the tested particles.
     tested = draw_challenge(params, randomness)
-    tested_set = set(tested)
-    untested = tuple(i for i in range(params.n0) if i not in tested_set)
-    revealed = {i: (oracle.reveal(2 * i), oracle.reveal(2 * i + 1)) for i in tested}
-    tested_outcome = verify_tested(tested, revealed, labels, randomness)
+    tested_at = np.array(tested, dtype=np.int64)
+    untested_mask = np.ones(params.n0, dtype=bool)
+    untested_mask[tested_at] = False
+    untested = tuple(np.flatnonzero(untested_mask).tolist())
+    certified = oracle.reveal(2 * tested_at[:, None] + (0, 1))
+    tested_outcome = verify_tested(tested_at, 2 * certified[:, 0] + certified[:, 1], sent, randomness)
 
     base = dict(
-        committed_bits=bits,
+        committed_bits=tuple(bits.tolist()),
         sent_labels=labels,
         challenge=tested,
         untested=untested,
@@ -637,7 +691,7 @@ def run_session(
 
     # Reveal and verdict.  The suspended commitments are never opened.
     claimed_bit, claimed_labels = strategy.reveal_claim(bit, untested_labels, declarations, randomness)
-    reveal_outcome = verify_reveal(claimed_bit, claimed_labels, declarations, labels, randomness)
+    reveal_outcome = verify_reveal(claimed_bit, claimed_labels, declarations, sent, randomness)
     return _transcript(
         params,
         strategy,
@@ -748,6 +802,4 @@ def _honest_block(params: ProtocolParams, n: int, randomness: RandomStream) -> t
     rows = np.arange(n)[:, None]
     sent = (2 * bits[:, 0::2] + bits[:, 1::2])[rows, challenge]
     opened = (2 * certified[:, 0::2] + certified[:, 1::2])[rows, challenge]
-    # Outcome 0 iff the uniform falls below its Born probability, as ``measure_label`` draws it.
-    outcome = randomness.random(sent.shape) >= _P0[sent, opened]
-    return (outcome == _OUTCOME[opened]).all(axis=1), leaked
+    return _collapses(sent, opened, randomness.random(sent.shape)).all(axis=1), leaked

@@ -71,7 +71,11 @@ class SpinLabel(enum.Enum):
 
     @property
     def basis(self) -> Basis:
-        return Basis.Z if self in (SpinLabel.UP, SpinLabel.DOWN) else Basis.X
+        return _LABEL_BASES[self._value_]
+
+
+# Keyed by value: a string key hashes in C, an enum member in Python.
+_LABEL_BASES = {"up": Basis.Z, "down": Basis.Z, "left": Basis.X, "right": Basis.X}
 
 
 def _is_power_of_two(n: int) -> bool:

@@ -44,7 +44,8 @@ class RandomStream:
         return int(self._generator.integers(0, 2))
 
     def bits(self, n: int) -> tuple[int, ...]:
-        return tuple(int(b) for b in self._generator.integers(0, 2, size=n))
+        """``n`` fair bits as Python ints, from one array draw of ``integers(0, 2, size=n)``."""
+        return tuple(self._generator.integers(0, 2, size=n).tolist())
 
     def permutation(self, n: int) -> np.ndarray:
         return self._generator.permutation(n)

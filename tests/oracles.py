@@ -10,9 +10,11 @@ schedules are validated one message at a time instead of once per
 shared flight, honest reveals are judged against the sent states one
 particle at a time instead of by whole-tuple comparison, and the regimes
 of points after commitment are found by sampling points instead of from
-closed-form witnesses, and the exact hiding statistics sum a dict of
+closed-form witnesses, the exact hiding statistics sum a dict of
 every pre-reveal view, built as tuples, instead of counting integer view
-codes.
+codes, and a reference session commits, reveals and measures one bit or
+particle at a time through a dict oracle and ``quantum.measure_label``
+instead of in arrays of pair codes.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ import math
 import numpy as np
 from scipy import linalg, optimize
 
-from certbit.protocol import DEFAULT_ENCODING
+from certbit import protocol
+from certbit.protocol import DEFAULT_ENCODING, SessionTranscript, Stage, Verdict
+from certbit.quantum import measure_label
 
 
 def random_state(rng: np.random.Generator, n_qubits: int) -> np.ndarray:
@@ -297,3 +301,101 @@ def enumerated_view_statistics(n0: int, m: int, declare) -> tuple[float, float]:
             if p > 0.0:
                 mi += 0.5 * p * math.log2(p / mix)
     return tv, mi
+
+
+class DictCommitmentOracle:
+    """The commitment oracle one index at a time, in dicts.
+
+    ``commit`` draws the flip uniform and then the leak uniform of each bit
+    as it is committed, one scalar draw each, skipping a knob at zero.
+    """
+
+    def __init__(self, flip_probability: float, leak_probability: float):
+        self.flip_probability = flip_probability
+        self.leak_probability = leak_probability
+        self.stored: dict[int, int] = {}
+        self.leaked: dict[int, int] = {}
+        self.opened: set[int] = set()
+
+    def commit(self, index: int, bit: int, randomness) -> None:
+        if bit not in (0, 1) or index in self.stored:
+            raise ValueError(f"bad commitment of {bit!r} at index {index}")
+        stored = bit
+        if self.flip_probability > 0.0 and randomness.random() < self.flip_probability:
+            stored = 1 - bit
+        self.stored[index] = stored
+        if self.leak_probability > 0.0 and randomness.random() < self.leak_probability:
+            self.leaked[index] = stored
+
+    def reveal(self, index: int) -> int:
+        self.opened.add(index)
+        return self.stored[index]
+
+
+def scalar_run_session(strategy, params, scenario=None, randomness=None) -> SessionTranscript:
+    """One session, one scalar draw per committed bit and per measured particle.
+
+    Follows the stages of ``protocol.run_session`` with the memoized schedule
+    plan and the strategy's own draws, but commits each bit through a
+    ``DictCommitmentOracle``, opens each tested pair by index, and measures
+    each particle with ``quantum.measure_label``, stopping at the first
+    failure of a stage.
+    """
+    scenario = scenario or protocol.default_scenario()
+    n0 = params.n0
+    oracle = DictCommitmentOracle(params.flip_probability, params.leak_probability)
+    schedule, violations, events = protocol._session_plan(scenario, n0)
+    fields = dict(
+        params=params,
+        strategy=getattr(strategy, "name", type(strategy).__name__),
+        committed_bits=(),
+        sent_labels=(),
+        challenge=(),
+        untested=(),
+        declarations=(),
+        claimed_bit=None,
+        claimed_labels=(),
+        failed_stage=None,
+        reject_index=None,
+        events={},
+        schedule=schedule,
+        violations=(),
+    )
+
+    def transcript(verdict, **changes):
+        return SessionTranscript(**{**fields, **changes}, verdict=verdict, opened_indices=frozenset(oracle.opened))
+
+    if violations:
+        return transcript(Verdict.ABORT, failed_stage=Stage.SCHEDULE, violations=tuple(violations))
+
+    bits = tuple(int(b) for b in strategy.commit_bits(params, randomness))
+    for index, bit in enumerate(bits):
+        oracle.commit(index, bit, randomness)
+    labels = tuple(DEFAULT_ENCODING[bits[2 * i], bits[2 * i + 1]] for i in range(n0))
+    tested = tuple(sorted(int(i) for i in randomness.permutation(n0)[: params.n_tested]))
+    untested = tuple(i for i in range(n0) if i not in tested)
+    fields.update(committed_bits=bits, sent_labels=labels, challenge=tested, untested=untested, events=dict(events))
+
+    opened = {i: DEFAULT_ENCODING[oracle.reveal(2 * i), oracle.reveal(2 * i + 1)] for i in tested}
+    for particle in tested:
+        if measure_label(labels[particle], opened[particle].basis, randomness) is not opened[particle]:
+            return transcript(Verdict.REJECT, failed_stage=Stage.TESTED, reject_index=particle)
+
+    untested_labels = tuple(labels[i] for i in untested)
+    bit, declarations = strategy.plan_declarations(untested, untested_labels, randomness)
+    declarations = tuple(declarations)
+    claimed_bit, claimed_labels = strategy.reveal_claim(bit, untested_labels, declarations, randomness)
+    fields.update(declarations=declarations, claimed_bit=int(claimed_bit), claimed_labels=tuple(claimed_labels))
+
+    def reject_reveal(particle):
+        return transcript(Verdict.REJECT, failed_stage=Stage.REVEAL, reject_index=particle)
+
+    if len(claimed_labels) != len(declarations):
+        return reject_reveal(None)
+    for declaration, label in zip(declarations, claimed_labels):
+        if label.basis is not declaration.basis_for(claimed_bit):
+            return reject_reveal(declaration.particle)
+    for declaration, label in zip(declarations, claimed_labels):
+        if measure_label(labels[declaration.particle], declaration.basis_for(claimed_bit), randomness) is not label:
+            return reject_reveal(declaration.particle)
+    return transcript(Verdict.ACCEPT)

@@ -94,12 +94,13 @@ class TestDetectionProbability:
         with pytest.raises(ValueError):
             detection_probability_exact(-1)
 
-    def test_honest_estimate_is_deterministic_unity(self, make_rng):
+    def test_honest_estimate_is_deterministic_unity(self, make_rng, rng_calls):
+        # No false declaration: the pass rate is exactly 1, and nothing is sampled.
         params = ProtocolParams(n0=64, m=16)
-        quantity = detection_probability_mc(Honest(), params, 10_000, make_rng(1))
-        assert quantity.value == 1.0
-        assert quantity.ci == (1.0, 1.0)
-        assert quantity.note == "deterministic"
+        for strategy in (Honest(), ClassicalFlip(0)):
+            quantity = detection_probability_mc(strategy, params, 10_000, make_rng(1))
+            assert quantity == Quantity(1.0, "exact")
+        assert not rng_calls.counts
 
     def test_flip_two_estimate(self, make_rng):
         params = ProtocolParams(n0=64, m=16)
@@ -242,7 +243,8 @@ class TestCheatSum:
         p1 = detection_probability_mc(ClassicalFlip(params.m), params, 100_000, rng)
         exact = cheat_sum(params).p_sum.value
         assert exact == 1.0 + 2.0**-16
-        assert p0.ci[0] + p1.ci[0] <= exact <= p0.ci[1] + p1.ci[1]
+        assert p0 == Quantity(1.0, "exact")
+        assert p0.value + p1.ci[0] <= exact <= p0.value + p1.ci[1]
         assert p0.value + p1.value <= 1.0 + 2.0**-7
 
 

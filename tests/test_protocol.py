@@ -1,7 +1,9 @@
 """Protocol engine: params, oracle, encoding, stages, full sessions."""
 
+import dataclasses
 import json
 import math
+from collections import Counter
 from types import MappingProxyType
 
 import numpy as np
@@ -16,6 +18,7 @@ from certbit.protocol import (
     IdealCommitmentOracle,
     ProtocolParams,
     ReductionScenario,
+    SessionTranscript,
     Stage,
     Verdict,
     default_scenario,
@@ -27,10 +30,17 @@ from certbit.protocol import (
     verify_reveal,
     verify_tested,
 )
-from certbit.quantum import Basis, SpinLabel
+from certbit.quantum import Basis, SpinLabel, basis_eigenstates, measure_label, signal_probabilities
 from certbit.rng import RandomStream
 from certbit.spacetime import Event, Message, Site, earliest_commitment_time, validate_schedule
 import oracles
+
+# Pair code 2*b0 + b1 of the pair that sends each signal state.
+CODE = {label: 2 * b0 + b1 for (b0, b1), label in DEFAULT_ENCODING.items()}
+
+
+def codes(labels) -> list[int]:
+    return [CODE[label] for label in labels]
 
 
 class TestProtocolParams:
@@ -72,21 +82,30 @@ class TestEncoding:
 class TestOracle:
     def test_ideal_reveal_returns_committed(self, rng):
         oracle = IdealCommitmentOracle()
-        for index, bit in enumerate((0, 1, 1, 0)):
-            oracle.commit(index, bit, rng)
+        oracle.commit((0, 1, 1, 0), rng)
         assert [oracle.reveal(i) for i in range(4)] == [0, 1, 1, 0]
         assert oracle.leaked_view == {}
+
+    def test_array_reveal_opens_every_index(self, rng):
+        oracle = IdealCommitmentOracle()
+        oracle.commit((0, 1, 1, 0, 1, 1), rng)
+        assert oracle.reveal(np.array([[0, 1], [4, 5]])).tolist() == [[0, 1], [1, 1]]
+        assert oracle.opened_indices == {0, 1, 4, 5}
+        with pytest.raises(KeyError):
+            oracle.reveal(np.array([5, 6]))
+        with pytest.raises(KeyError):
+            oracle.reveal(-1)
 
     def test_classical_bits_only(self, rng):
         oracle = IdealCommitmentOracle()
         with pytest.raises(ValueError, match="classical bits"):
-            oracle.commit(0, 0.5, rng)
+            oracle.commit((0, 0.5), rng)
 
     def test_double_commit_rejected(self, rng):
         oracle = IdealCommitmentOracle()
-        oracle.commit(0, 1, rng)
+        oracle.commit((1,), rng)
         with pytest.raises(ValueError, match="already committed"):
-            oracle.commit(0, 0, rng)
+            oracle.commit((0,), rng)
 
     def test_missing_reveal_raises(self):
         with pytest.raises(KeyError):
@@ -94,12 +113,12 @@ class TestOracle:
 
     def test_flip_knob_changes_certified_bits(self, rng):
         oracle = IdealCommitmentOracle(flip_probability=1.0)
-        oracle.commit(0, 0, rng)
+        oracle.commit((0,), rng)
         assert oracle.reveal(0) == 1
 
     def test_leak_knob_exposes_view(self, rng):
         oracle = IdealCommitmentOracle(leak_probability=1.0)
-        oracle.commit(0, 1, rng)
+        oracle.commit((1,), rng)
         assert oracle.leaked_view == {0: 1}
 
 
@@ -127,33 +146,33 @@ class TestChallenge:
 class TestVerifyTested:
     def test_honest_accepts_with_certainty(self, rng):
         bits = (0, 0, 0, 1, 1, 0, 1, 1)
-        labels = spin_labels(bits)
-        revealed = {i: (bits[2 * i], bits[2 * i + 1]) for i in range(4)}
+        sent = codes(spin_labels(bits))
+        opened = [2 * bits[2 * i] + bits[2 * i + 1] for i in range(4)]
         for _ in range(25):
-            outcome = verify_tested(range(4), revealed, labels, rng)
+            outcome = verify_tested(range(4), opened, sent, rng)
             assert outcome.accepted
 
     def test_conjugate_swap_detected_half_the_time(self, rng):
         # A particle in the conjugate basis passes the check with p = 1/2.
         trials = 100_000
-        revealed = {0: (0, 0)}  # claims UP
+        opened = [CODE[SpinLabel.UP]]
         passes = 0
         for _ in range(trials):
-            if verify_tested([0], revealed, [SpinLabel.RIGHT], rng).accepted:
+            if verify_tested([0], opened, codes([SpinLabel.RIGHT]), rng).accepted:
                 passes += 1
         assert abs(passes / trials - 0.5) < 0.005
 
     def test_empty_subset_vacuous_accept(self, rng):
-        outcome = verify_tested([], {}, [], rng)
+        outcome = verify_tested([], [], [], rng)
         assert outcome.accepted and outcome.reject_index is None
 
     def test_missing_reveal_raises(self, rng):
-        with pytest.raises(KeyError, match="missing oracle reveal"):
-            verify_tested([0], {}, [SpinLabel.UP], rng)
+        with pytest.raises(ValueError, match="0 oracle reveals for 1 tested"):
+            verify_tested([0], [], codes([SpinLabel.UP]), rng)
 
     def test_rejection_names_first_failure(self, rng):
-        revealed = {0: (0, 0), 1: (0, 1)}  # particle 1 is orthogonal to its claim
-        outcome = verify_tested([0, 1], revealed, [SpinLabel.UP, SpinLabel.UP], rng)
+        opened = [CODE[SpinLabel.UP], CODE[SpinLabel.DOWN]]  # particle 1 is orthogonal to its claim
+        outcome = verify_tested([0, 1], opened, codes([SpinLabel.UP, SpinLabel.UP]), rng)
         assert not outcome.accepted
         assert outcome.reject_index == 1
 
@@ -185,20 +204,20 @@ class TestVerifyReveal:
         labels = [SpinLabel.UP, SpinLabel.LEFT, SpinLabel.RIGHT, SpinLabel.DOWN]
         declarations = self._declarations(1, labels)
         for _ in range(25):
-            outcome = verify_reveal(1, labels, declarations, labels, rng)
+            outcome = verify_reveal(1, labels, declarations, codes(labels), rng)
             assert outcome.accepted
 
     def test_wrong_length_rejected_without_measurement(self, rng):
         labels = [SpinLabel.UP, SpinLabel.DOWN]
         declarations = self._declarations(0, labels)
-        outcome = verify_reveal(0, labels[:1], declarations, labels, rng)
+        outcome = verify_reveal(0, labels[:1], declarations, codes(labels), rng)
         assert not outcome.accepted
         assert outcome.reason == "claim length mismatch"
 
     def test_label_outside_declared_basis_rejected(self, rng):
         labels = [SpinLabel.UP]
         declarations = self._declarations(0, labels)
-        outcome = verify_reveal(0, [SpinLabel.LEFT], declarations, labels, rng)
+        outcome = verify_reveal(0, [SpinLabel.LEFT], declarations, codes(labels), rng)
         assert not outcome.accepted
         assert outcome.reason == "claimed label outside declared basis"
 
@@ -207,7 +226,7 @@ class TestVerifyReveal:
         # Pass probability is 2^-k: each false declaration forces a
         # conjugate-basis measurement matched by a uniform guess.
         rng = make_rng(800 + k)
-        labels = [SpinLabel.UP] * 4
+        sent = codes([SpinLabel.UP] * 4)
         particles = tuple(range(4))
         declarations = []
         for i in particles:
@@ -222,7 +241,7 @@ class TestVerifyReveal:
                     claims.append((SpinLabel.RIGHT, SpinLabel.LEFT)[rng.bit()])
                 else:
                     claims.append(SpinLabel.UP)
-            if verify_reveal(0, claims, tuple(declarations), labels, rng).accepted:
+            if verify_reveal(0, claims, tuple(declarations), sent, rng).accepted:
                 passes += 1
         expected = 2.0**-k
         sigma = math.sqrt(expected * (1 - expected) / trials)
@@ -588,3 +607,85 @@ class TestRunSessionsCost:
         assert accepted.shape == leaked.shape == (n,)
         assert max(rng_calls.rows) == protocol.SESSION_CHUNK
         assert sum(rng_calls.counts.values()) == 3 * 5  # three blocks, five draws each
+
+
+# Sizes, oracle knobs and scenarios the array session is compared on with the scalar reference.
+REFERENCE_SIZES = [(8, 4, False), (16, 4, True), (64, 16, True)]
+REFERENCE_KNOBS = [(0.0, 0.0), (0.05, 0.0), (0.0, 0.3), (0.1, 0.2), (1.0, 1.0)]
+REFERENCE_SEEDS = range(6)
+
+
+class TestScalarReference:
+    """``run_session`` against ``oracles.scalar_run_session``, one draw per bit and particle, on fresh streams."""
+
+    @pytest.mark.parametrize("n0, m, strict", REFERENCE_SIZES, ids=["n0=8", "n0=16", "n0=64"])
+    @pytest.mark.parametrize("k", [None, 0, 1, 3, "m"], ids=["honest", "flip0", "flip1", "flip3", "flipm"])
+    def test_every_field_matches_the_scalar_session(self, n0, m, strict, k):
+        strategy = Honest() if k is None else ClassicalFlip(m if k == "m" else k)
+        scenarios = (default_scenario(), default_scenario(3), ReductionScenario(name="reference-tamper", tamper=instant_spin0))
+        seen = Counter()
+        for flip, leak in REFERENCE_KNOBS:
+            params = ProtocolParams(n0=n0, m=m, flip_probability=flip, leak_probability=leak, strict=strict)
+            for scenario in scenarios:
+                for seed in REFERENCE_SEEDS:
+                    stream, scalar_stream = RandomStream(seed), RandomStream(seed)
+                    transcript = run_session(strategy, params, scenario, stream)
+                    reference = oracles.scalar_run_session(strategy, params, scenario, scalar_stream)
+                    case = (flip, leak, scenario.suspension_rounds, scenario.tamper is not None, seed)
+                    for field in dataclasses.fields(SessionTranscript):
+                        assert getattr(transcript, field.name) == getattr(reference, field.name), (field.name, case)
+                    assert json.dumps(transcript.to_records()) == json.dumps(reference.to_records())
+                    if transcript.verdict is not Verdict.REJECT:
+                        # Nothing was cut short, so both took the same number of draws.
+                        assert stream.random() == scalar_stream.random(), case
+                    seen[transcript.verdict, transcript.failed_stage] += 1
+        assert {(Verdict.ABORT, Stage.SCHEDULE), (Verdict.REJECT, Stage.TESTED)} <= set(seen)
+        if k not in (None, 0):
+            assert (Verdict.REJECT, Stage.REVEAL) in seen
+        if k in (None, 0, 1):
+            assert (Verdict.ACCEPT, None) in seen
+
+
+class TestRunSessionCost:
+    def test_honest_draws_do_not_grow_with_n0(self, rng_calls):
+        counts = []
+        for n0 in (16, 128):
+            rng_calls.counts.clear()
+            assert run_session(Honest(), ProtocolParams(n0=n0, m=n0 // 4), randomness=RandomStream(n0)).accepted
+            counts.append(dict(rng_calls.counts))
+        assert counts[0] == counts[1]
+        assert sum(counts[0].values()) <= 6
+
+    @pytest.mark.parametrize("flip, leak, draws", [(0.1, 0.2, 1), (0.1, 0.0, 1), (0.0, 0.2, 1), (0.0, 0.0, 0)])
+    def test_oracle_commits_in_one_draw(self, flip, leak, draws, rng_calls):
+        n0 = 64
+        bits = RandomStream(1).bits(2 * n0)
+        rng_calls.counts.clear()
+        rng_calls.rows.clear()
+        IdealCommitmentOracle(flip, leak).commit(bits, RandomStream(2))
+        assert sum(rng_calls.counts.values()) == draws
+        assert rng_calls.rows == [2 * n0] * draws
+
+
+class FixedUniform:
+    """A stand-in stream whose every uniform is ``u``."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self, size=None):
+        return self.u if size is None else np.full(size, self.u)
+
+
+class TestOneBornRule:
+    @pytest.mark.parametrize("basis", list(Basis))
+    @pytest.mark.parametrize("label", list(SpinLabel))
+    def test_array_rule_matches_measure_label(self, label, basis):
+        # Outcome 0 iff u < p0, strictly: pinned at 0, just below p0, at p0 and just below 1.
+        p0 = signal_probabilities(label, basis)[0]
+        targets = basis_eigenstates(basis)
+        for u in (0.0, np.nextafter(p0, 0.0), p0, np.nextafter(1.0, 0.0)):
+            seen = measure_label(label, basis, FixedUniform(u))
+            assert seen is targets[0 if u < p0 else 1]
+            collapses = protocol._collapses(np.full(2, CODE[label]), np.array(codes(targets)), np.full(2, u))
+            assert collapses.tolist() == [seen is target for target in targets], (u, p0)

@@ -166,7 +166,8 @@ def _run_flip_sweep(config) -> ExperimentResult:
             within,
             f"k={k}: pass rate {estimate.value:.6f} within 4 sigma of exact {exact:.6f}",
         )
-        table.append((k, Quantity(exact, "exact"), estimate))
+        # With k = 0 nothing is sampled, so the record has no Monte Carlo column.
+        table.append((k, Quantity(exact, "exact"), estimate if estimate.provenance == "monte-carlo" else None))
     report = SecurityReport(epsilons=params.epsilons, detection_table=tuple(table))
     result.records = report.to_records()
     result.summary_lines.insert(0, f"flip-sweep: k in {list(config.k_values)}, {trials} trials each")

@@ -184,6 +184,25 @@ k_values = 1,2
             tmp_path / "b" / "report.jsonl"
         ).read_bytes()
 
+    def test_flip_sweep_at_k_zero_reports_no_sample(self, tmp_path):
+        body = """
+[experiment]
+scenario = flip-sweep
+seed = 3
+trials = 2000
+format = machine
+
+[analysis]
+k_values = 0,1
+"""
+        config = parse_config(write_config(tmp_path, body))
+        assert run_experiment(config, out_dir=tmp_path / "out") == 0
+        lines = (tmp_path / "out" / "report.jsonl").read_text().splitlines()
+        detection = {record["k"]: record for record in map(json.loads, lines) if record["type"] == "detection"}
+        assert detection[0]["exact"] == {"provenance": "exact", "value": 1.0}
+        assert "monte_carlo" not in detection[0]
+        assert detection[1]["monte_carlo"]["provenance"] == "monte-carlo"
+
     def test_summary_written(self, tmp_path, capsys):
         body = """
 [experiment]

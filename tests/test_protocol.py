@@ -645,6 +645,20 @@ class TestScalarReference:
         if k in (None, 0, 1):
             assert (Verdict.ACCEPT, None) in seen
 
+    @pytest.mark.parametrize("flip, leak", REFERENCE_KNOBS)
+    def test_oracle_matches_the_dict_oracle(self, flip, leak):
+        # Certified bits and the leaked view, which no transcript field shows.
+        for seed in REFERENCE_SEEDS:
+            bits = RandomStream(100 + seed).bits(128)
+            oracle, reference = IdealCommitmentOracle(flip, leak), oracles.DictCommitmentOracle(flip, leak)
+            stream, scalar_stream = RandomStream(seed), RandomStream(seed)
+            oracle.commit(bits, stream)
+            for index, bit in enumerate(bits):
+                reference.commit(index, bit, scalar_stream)
+            assert oracle.reveal(np.arange(128)).tolist() == [reference.reveal(i) for i in range(128)]
+            assert oracle.leaked_view == reference.leaked
+            assert stream.random() == scalar_stream.random()
+
 
 class TestRunSessionCost:
     def test_honest_draws_do_not_grow_with_n0(self, rng_calls):

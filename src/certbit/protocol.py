@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,6 +36,7 @@ from .spacetime import (
     Schedule,
     Site,
     Violation,
+    _arrival,
     earliest_commitment_time,
     validate_schedule,
 )
@@ -457,37 +459,32 @@ class ReductionScenario:
 
     def _flight(self, sender: Site, receiver: Site, emit_t: float) -> tuple[Event, Event]:
         emit = sender.event_at(emit_t)
-        receive_t = earliest_commitment_time(receiver, [emit])
-        return emit, receiver.event_at(receive_t)
+        return emit, receiver.event_at(_arrival(receiver, emit))
 
     def build_schedule(self, params: ProtocolParams) -> Schedule:
-        b0 = self.site(self.b0_id)
-        alice = self.site(self.alice_id)
-        messages: list[Message] = []
-        confirmations: list[Event] = []
+        sites = {site.id: site for site in self.sites}
+        b0, alice = sites[self.b0_id], sites[self.alice_id]
 
         # Oracle commitments, one per committed bit, assigned round-robin
         # over the committer/receiver site pairs; confirmations are the
         # receive events.  Every commitment of one pair is the same flight.
         pair_flights = [
-            self._flight(self.site(a_id), self.site(b_id), 0.0) for a_id, b_id in self.oracle_pairs
+            (a_id, b_id, *self._flight(sites[a_id], sites[b_id], 0.0)) for a_id, b_id in self.oracle_pairs
         ]
-        for index in range(params.n_commitments):
-            pair = index % len(self.oracle_pairs)
-            a_id, b_id = self.oracle_pairs[pair]
-            emit, receive = pair_flights[pair]
-            messages.append(Message(a_id, b_id, emit, receive, f"commit[{index}]"))
-            confirmations.append(receive)
-
-        used_pairs = pair_flights[: params.n_commitments]
-        t_c = earliest_commitment_time(b0, [receive for _, receive in used_pairs])
+        messages: list[Message] = [
+            Message(a_id, b_id, emit, receive, f"commit[{index}]")
+            for index, (a_id, b_id, emit, receive) in zip(range(params.n_commitments), itertools.cycle(pair_flights))
+        ]
+        confirmations = tuple([message.receive for message in messages])
+        t_c = earliest_commitment_time(b0, [receive for _, _, _, receive in pair_flights[: params.n_commitments]])
         commitment_point = b0.event_at(t_c)
 
         # Spin particles, emitted strictly after t_c, all on the same flight.
         spins_emit_t = t_c + SPIN_DELAY
         spin_emit, spin_recv = self._flight(alice, b0, spins_emit_t)
-        for i in range(params.n0):
-            messages.append(Message(self.alice_id, self.b0_id, spin_emit, spin_recv, f"spin[{i}]"))
+        messages += [
+            Message(self.alice_id, self.b0_id, spin_emit, spin_recv, f"spin[{i}]") for i in range(params.n0)
+        ]
         spin_recv_t = max(spins_emit_t, spin_recv.t)
 
         # Challenge out, openings and declarations back.
@@ -497,11 +494,11 @@ class ReductionScenario:
         t_r = t_c
         endpoints = sorted({b_id for _, b_id in self.oracle_pairs})
         for b_id in endpoints:
-            open_emit, open_recv = self._flight(alice, self.site(b_id), chal_recv.t)
+            open_emit, open_recv = self._flight(alice, sites[b_id], chal_recv.t)
             messages.append(
                 Message(self.alice_id, b_id, open_emit, open_recv, f"open-instruction[{b_id}]")
             )
-            rev_emit, rev_recv = self._flight(self.site(b_id), b0, open_recv.t)
+            rev_emit, rev_recv = self._flight(sites[b_id], b0, open_recv.t)
             messages.append(Message(b_id, self.b0_id, rev_emit, rev_recv, f"oracle-reveals[{b_id}]"))
             t_r = max(t_r, rev_recv.t)
 
@@ -528,12 +525,12 @@ class ReductionScenario:
             messages = self.tamper(list(messages))
 
         return Schedule(
-            sites={site.id: site for site in self.sites},
+            sites=sites,
             messages=tuple(messages),
             commitment_point=commitment_point,
             t_c=t_c,
             t_r=t_r,
-            confirmations=tuple(confirmations),
+            confirmations=confirmations,
             committer_ids=frozenset([self.alice_id, *(a_id for a_id, _ in self.oracle_pairs)]),
         )
 
@@ -558,16 +555,15 @@ def _session_plan(
     # build_schedule reads only the sizes n0 and 2*n0 from its params.
     schedule = scenario.build_schedule(ProtocolParams(n0=n0, m=1, strict=False))
     violations = validate_schedule(schedule)
-    # Spins must leave strictly after the commitment time.
-    for message in schedule.messages:
-        if message.payload.startswith("spin[") and message.emit.t <= schedule.t_c:
-            violations.append(
-                Violation("ordering", message.payload, "spin emitted at or before t_c")
-            )
-
+    # One walk: the first message of each payload, and spins must leave
+    # strictly after the commitment time.
+    t_c = schedule.t_c
     by_payload: dict[str, Message] = {}
     for message in schedule.messages:
-        by_payload.setdefault(message.payload, message)
+        payload = message.payload
+        by_payload.setdefault(payload, message)
+        if message.emit.t <= t_c and payload.startswith("spin["):
+            violations.append(Violation("ordering", payload, "spin emitted at or before t_c"))
     # The reveal must leave strictly after the declarations it opens.
     declarations, reveal = by_payload.get("declarations"), by_payload.get("reveal")
     if declarations and reveal and reveal.emit.t <= declarations.emit.t:
@@ -645,10 +641,12 @@ def run_session(
         )
 
     # Commit phase: the oracle certifies all 2*N0 bits in one batch.
-    bits = np.asarray(strategy.commit_bits(params, randomness), dtype=np.int64)
-    if bits.shape != (params.n_commitments,):
-        raise ValueError(f"strategy committed {bits.size} bits, expected {params.n_commitments}")
-    oracle.commit(bits, randomness)
+    # The oracle checks the strategy's own values before they are cast.
+    committed = np.asarray(strategy.commit_bits(params, randomness))
+    if committed.shape != (params.n_commitments,):
+        raise ValueError(f"strategy committed {committed.size} bits, expected {params.n_commitments}")
+    oracle.commit(committed, randomness)
+    bits = committed.astype(np.int64, copy=False)
 
     # Spin transmission: B0 holds particle i in the state of pair code sent[i].
     sent = 2 * bits[0::2] + bits[1::2]

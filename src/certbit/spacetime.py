@@ -12,6 +12,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
+from typing import NamedTuple
 
 __all__ = [
     "CONE_ATOL",
@@ -32,14 +33,13 @@ Vec3 = tuple[float, float, float]
 
 
 def _as_vec3(x) -> Vec3:
-    v = tuple(float(c) for c in x)
+    v = tuple(map(float, x))
     if len(v) == 1:
         v = (v[0], 0.0, 0.0)
     if len(v) != 3:
         raise ValueError(f"position must have 1 or 3 components, got {len(v)}")
-    for c in v:
-        if not math.isfinite(c):
-            raise ValueError("coordinates must be finite")
+    if not all(map(math.isfinite, v)):
+        raise ValueError("coordinates must be finite")
     return v
 
 
@@ -77,7 +77,8 @@ class Site:
             raise ValueError(f"site {self.id}: speed {speed} is not subluminal")
 
     def position_at(self, t: float) -> Vec3:
-        return tuple(p + v * t for p, v in zip(self.position, self.velocity))
+        p, v = self.position, self.velocity
+        return (p[0] + v[0] * t, p[1] + v[1] * t, p[2] + v[2] * t)
 
     def event_at(self, t: float) -> Event:
         return Event(t, self.position_at(t))
@@ -107,9 +108,12 @@ def lorentz_boost(event: Event, beta: Vec3) -> Event:
     return Event(t_new, x_new)
 
 
-@dataclass(frozen=True)
-class Message:
-    """One transmission: emitted at one site, received at another."""
+class Message(NamedTuple):
+    """One transmission: emitted at one site, received at another.
+
+    A named tuple, so it is immutable and its equality, hash and repr are
+    those of its five fields in order.
+    """
 
     sender: str
     receiver: str
@@ -165,43 +169,38 @@ def validate_schedule(schedule: Schedule, atol: float = CONE_ATOL) -> list[Viola
     checked once; each failing message still gets its own violations.
     """
     violations = []
-    flight_checks: dict[tuple, tuple[bool, bool, bool]] = {}
-    for message in schedule.messages:
-        key = (message.sender, message.receiver, id(message.emit), id(message.receive))
+    # Per flight, its (in cone, sender ok, receiver ok) checks, or () if all pass.
+    flight_checks: dict[tuple, tuple[bool, ...]] = {}
+    for sender_id, receiver_id, emit, receive, payload in schedule.messages:
+        key = (sender_id, receiver_id, id(emit), id(receive))
         checks = flight_checks.get(key)
         if checks is None:
-            sender = schedule.sites.get(message.sender)
-            receiver = schedule.sites.get(message.receiver)
-            checks = flight_checks[key] = (
-                in_past_cone(message.emit, message.receive, atol),
-                sender is None or sender.on_worldline(message.emit, atol),
-                receiver is None or receiver.on_worldline(message.receive, atol),
+            sender = schedule.sites.get(sender_id)
+            receiver = schedule.sites.get(receiver_id)
+            checks = (
+                in_past_cone(emit, receive, atol),
+                sender is None or sender.on_worldline(emit, atol),
+                receiver is None or receiver.on_worldline(receive, atol),
             )
+            checks = flight_checks[key] = () if all(checks) else checks
+        if not checks:
+            continue
         in_cone, sender_ok, receiver_ok = checks
         if not in_cone:
             violations.append(
                 Violation(
                     "superluminal",
-                    message.payload,
-                    f"receive at t={message.receive.t} outside causal future of "
-                    f"emit at t={message.emit.t}",
+                    payload,
+                    f"receive at t={receive.t} outside causal future of emit at t={emit.t}",
                 )
             )
         if not sender_ok:
             violations.append(
-                Violation(
-                    "off-worldline",
-                    message.payload,
-                    f"emit event not on worldline of site {message.sender}",
-                )
+                Violation("off-worldline", payload, f"emit event not on worldline of site {sender_id}")
             )
         if not receiver_ok:
             violations.append(
-                Violation(
-                    "off-worldline",
-                    message.payload,
-                    f"receive event not on worldline of site {message.receiver}",
-                )
+                Violation("off-worldline", payload, f"receive event not on worldline of site {receiver_id}")
             )
     if not schedule.t_r > schedule.t_c:
         violations.append(
@@ -214,6 +213,22 @@ def validate_schedule(schedule: Schedule, atol: float = CONE_ATOL) -> list[Viola
     return violations
 
 
+def _arrival(observer: Site, event: Event) -> float:
+    """First frame time on the observer's worldline with ``event`` in its past cone."""
+    p, v, x = observer.position, observer.velocity, event.x
+    d0, d1, d2 = p[0] - x[0], p[1] - x[1], p[2] - x[2]
+    v2 = v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
+    if v2 == 0.0:
+        return event.t + math.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
+    # Solve (t - e.t)^2 = |d + v t|^2 for the future intersection of the
+    # worldline with the event's forward light cone.
+    a = 1.0 - v2
+    b = -2.0 * (event.t + (d0 * v[0] + d1 * v[1] + d2 * v[2]))
+    c = event.t**2 - (d0 * d0 + d1 * d1 + d2 * d2)
+    disc = b * b - 4.0 * a * c
+    return (-b + math.sqrt(max(disc, 0.0))) / (2.0 * a)
+
+
 def earliest_commitment_time(observer: Site, confirmations) -> float:
     """Earliest frame time when every confirmation is in the observer's past cone.
 
@@ -221,23 +236,7 @@ def earliest_commitment_time(observer: Site, confirmations) -> float:
     observer's worldline with e inside its past light cone, and returns the
     maximum over confirmations.
     """
-    confirmations = list(confirmations)
-    if not confirmations:
+    arrivals = [_arrival(observer, event) for event in confirmations]
+    if not arrivals:
         raise ValueError("need at least one confirmation event")
-    t_c = -math.inf
-    v = observer.velocity
-    v2 = sum(c * c for c in v)
-    for event in confirmations:
-        d = tuple(p - e for p, e in zip(observer.position, event.x))
-        if v2 == 0.0:
-            t = event.t + math.sqrt(sum(c * c for c in d))
-        else:
-            # Solve (t - e.t)^2 = |d + v t|^2 for the future intersection of
-            # the worldline with the confirmation's forward light cone.
-            a = 1.0 - v2
-            b = -2.0 * (event.t + sum(dc * vc for dc, vc in zip(d, v)))
-            c = event.t**2 - sum(dc * dc for dc in d)
-            disc = b * b - 4.0 * a * c
-            t = (-b + math.sqrt(max(disc, 0.0))) / (2.0 * a)
-        t_c = max(t_c, t)
-    return t_c
+    return max(arrivals)

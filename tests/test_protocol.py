@@ -9,7 +9,7 @@ from types import MappingProxyType
 import numpy as np
 import pytest
 
-from certbit import protocol
+from certbit import protocol, spacetime
 from certbit.adversary import ClassicalFlip, Honest
 from certbit.analysis import honest_accept_probability_exact
 from certbit.protocol import (
@@ -32,7 +32,7 @@ from certbit.protocol import (
 )
 from certbit.quantum import Basis, SpinLabel, basis_eigenstates, measure_label, signal_probabilities
 from certbit.rng import RandomStream
-from certbit.spacetime import Event, Message, Site, earliest_commitment_time, validate_schedule
+from certbit.spacetime import Event, Message, Site, Violation, earliest_commitment_time, validate_schedule
 import oracles
 
 # Pair code 2*b0 + b1 of the pair that sends each signal state.
@@ -353,6 +353,15 @@ class TestRunSession:
         with pytest.raises(ValueError, match="expected 32"):
             run_session(ShortChanger(), params, randomness=make_rng(10))
 
+    def test_non_classical_commit_raises(self, make_rng):
+        class HalfCommitter(Honest):
+            def commit_bits(self, params, randomness):
+                return (0.5,) * params.n_commitments
+
+        params = ProtocolParams(n0=16, m=4)
+        with pytest.raises(ValueError, match="classical bits"):
+            run_session(HalfCommitter(), params, randomness=make_rng(1))
+
     def test_missing_randomness_and_seed_rejected(self):
         params = ProtocolParams(n0=16, m=4)
         with pytest.raises(ValueError, match="seed"):
@@ -421,32 +430,51 @@ def tamper_commits(messages):
     return out
 
 
-def random_moving_scenario(seed: int, tamper=None) -> ReductionScenario:
-    """Seeded positions and velocities; two committers, two receivers."""
+def random_moving_scenario(
+    seed: int, tamper=None, committers: int = 2, receivers: int = 2, rounds: int = 1
+) -> ReductionScenario:
+    """Seeded positions and velocities; every committer paired with every receiver."""
     gen = np.random.default_rng(seed)
 
     def site(site_id, position=None):
         position = gen.uniform(-4.0, 4.0, 3) if position is None else position
         return Site(site_id, tuple(position), tuple(gen.uniform(-0.3, 0.3, 3)))
 
-    sites = (site("B0", (0.0, 0.0, 0.0)), site("A1"), site("A2"), site("B1"), site("B2"))
+    sender_ids = [f"A{i + 1}" for i in range(committers)]
+    receiver_ids = [f"B{i + 1}" for i in range(receivers)]
+    sites = (site("B0", (0.0, 0.0, 0.0)), *map(site, sender_ids), *map(site, receiver_ids))
     return ReductionScenario(
         name=f"random-{seed}",
         sites=sites,
-        oracle_pairs=(("A1", "B1"), ("A1", "B2"), ("A2", "B1"), ("A2", "B2")),
-        suspension_rounds=1,
+        oracle_pairs=tuple((a_id, b_id) for a_id in sender_ids for b_id in receiver_ids),
+        suspension_rounds=rounds,
         tamper=tamper,
     )
+
+
+# (committers, receivers, suspension rounds) of the seeded moving scenarios
+# that sessions-geometry draws: every committer/receiver count pair, and
+# each round count three times.  Seed j gets shape j.
+SCHEDULE_SHAPES = [(1 + j % 3, 1 + (j // 3) % 3, j % 4) for j in range(12)]
+SHAPED = [
+    (seed, shape, n0, f"seed{seed}-{shape[0]}x{shape[1]}-rounds{shape[2]}-n0={n0}")
+    for seed, shape in enumerate(SCHEDULE_SHAPES)
+    for n0 in (16, 128)
+]
 
 
 class TestBuiltSchedule:
     """Deduplicated flights leave every message where a fresh flight puts it."""
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_validation_matches_per_message_oracle(self, seed):
-        params = ProtocolParams(n0=8, m=2)
+    @pytest.mark.parametrize(
+        "seed, shape, n0",
+        [pytest.param(seed, (2, 2, 1), 8, id=str(seed)) for seed in range(6)]
+        + [pytest.param(seed, shape, n0, id=case) for seed, shape, n0, case in SHAPED],
+    )
+    def test_validation_matches_per_message_oracle(self, seed, shape, n0):
+        params = ProtocolParams(n0=n0, m=n0 // 4)
         for tamper in (None, tamper_spin0, tamper_commits):
-            schedule = random_moving_scenario(seed, tamper).build_schedule(params)
+            schedule = random_moving_scenario(seed, tamper, *shape).build_schedule(params)
             found = [(v.kind, v.payload, v.detail) for v in validate_schedule(schedule)]
             assert found == oracles.reference_violations(schedule)
             payloads = {payload for _, payload, _ in found}
@@ -455,13 +483,22 @@ class TestBuiltSchedule:
             elif tamper is tamper_spin0:
                 assert payloads == {"spin[0]"}
             else:
-                # commit[11] shares commit[3]'s and commit[7]'s oracle pair.
+                # Untampered commitments of the same oracle pairs stay valid.
                 assert payloads == {"commit[3]", "commit[5]", "commit[7]", "commit[9]"}
 
-    @pytest.mark.parametrize("scenario", [default_scenario(3), moving_scenario()], ids=["line", "moving"])
-    def test_every_receive_recomputed(self, scenario):
-        params = ProtocolParams(n0=8, m=2)
-        schedule = scenario.build_schedule(params)
+    @pytest.mark.parametrize(
+        "scenario, n0",
+        [
+            pytest.param(default_scenario(3), 8, id="line"),
+            pytest.param(moving_scenario(), 8, id="moving"),
+            *(
+                pytest.param(random_moving_scenario(seed, None, *shape), n0, id=case)
+                for seed, shape, n0, case in SHAPED
+            ),
+        ],
+    )
+    def test_every_receive_recomputed(self, scenario, n0):
+        schedule = scenario.build_schedule(ProtocolParams(n0=n0, m=n0 // 4))
         for message in schedule.messages:
             receiver = scenario.site(message.receiver)
             assert scenario.site(message.sender).on_worldline(message.emit)
@@ -549,6 +586,64 @@ class TestScheduleMemo:
             assert run_session(Honest(), params, scenario=scenario, randomness=make_rng(index)).accepted
             assert protocol._session_plan.cache_info().currsize <= protocol.SCHEDULE_CACHE_SIZE
         assert protocol._session_plan.cache_info().currsize == protocol.SCHEDULE_CACHE_SIZE
+
+
+def spin3_at_t_c(sites):
+    """Tamper: re-emit spin[3] at t_c on its sender's worldline, received lightlike at B0."""
+    sites = {site.id: site for site in sites}
+    b0 = sites["B0"]
+
+    def tamper(messages):
+        t_c = earliest_commitment_time(b0, [m.receive for m in messages if m.payload.startswith("commit[")])
+        out = []
+        for message in messages:
+            if message.payload == "spin[3]":
+                emit = sites[message.sender].event_at(t_c)
+                receive = b0.event_at(earliest_commitment_time(b0, [emit]))
+                message = Message(message.sender, message.receiver, emit, receive, message.payload)
+            out.append(message)
+        return out
+
+    return tamper
+
+
+def early_second_reveal(sites):
+    """Tamper: append a second, causally valid ``reveal`` emitted before the declarations."""
+    sites = {site.id: site for site in sites}
+    b0 = sites["B0"]
+
+    def tamper(messages):
+        (declarations,) = [m for m in messages if m.payload == "declarations"]
+        emit = sites[declarations.sender].event_at(declarations.emit.t - 0.5)
+        receive = b0.event_at(earliest_commitment_time(b0, [emit]))
+        return [*messages, Message(declarations.sender, "B0", emit, receive, "reveal")]
+
+    return tamper
+
+
+class TestPlanOrdering:
+    """The ordering checks of the schedule plan, on schedules that are otherwise causally valid."""
+
+    @pytest.mark.parametrize("base", [default_scenario(), moving_scenario()], ids=["line", "moving"])
+    def test_spin_at_t_c_aborts(self, base, make_rng):
+        scenario = dataclasses.replace(base, tamper=spin3_at_t_c(base.sites))
+        transcript = run_session(Honest(), ProtocolParams(n0=16, m=4), scenario, make_rng(1))
+        assert validate_schedule(transcript.schedule) == []
+        assert transcript.verdict is Verdict.ABORT
+        assert transcript.failed_stage is Stage.SCHEDULE
+        assert transcript.violations == (Violation("ordering", "spin[3]", "spin emitted at or before t_c"),)
+
+    @pytest.mark.parametrize("base", [default_scenario(), moving_scenario()], ids=["line", "moving"])
+    def test_first_reveal_is_the_one_checked(self, base, make_rng):
+        scenario = dataclasses.replace(base, tamper=early_second_reveal(base.sites))
+        transcript = run_session(Honest(), ProtocolParams(n0=16, m=4), scenario, make_rng(1))
+        reveals = [m for m in transcript.schedule.messages if m.payload == "reveal"]
+        assert len(reveals) == 2
+        assert reveals[1].emit.t < transcript.events["declarations_emitted"].t
+        assert validate_schedule(transcript.schedule) == []
+        assert transcript.violations == ()
+        assert transcript.verdict is Verdict.ACCEPT
+        assert transcript.events["reveal_emitted"] is reveals[0].emit
 
 
 class TestRunSessions:
@@ -679,6 +774,33 @@ class TestRunSessionCost:
         IdealCommitmentOracle(flip, leak).commit(bits, RandomStream(2))
         assert sum(rng_calls.counts.values()) == draws
         assert rng_calls.rows == [2 * n0] * draws
+
+
+class TestSchedulePlanCost:
+    @pytest.mark.parametrize("scenario", [default_scenario(3), moving_scenario()], ids=["line", "moving"])
+    def test_plan_pays_per_flight_not_per_message(self, scenario, monkeypatch):
+        # Events and light arrivals are counted the way rng_calls counts draws.
+        calls = Counter()
+        for owner, name in (
+            (Event, "__post_init__"),
+            (spacetime, "_arrival"),
+            (protocol, "_arrival"),
+            (spacetime, "earliest_commitment_time"),
+            (protocol, "earliest_commitment_time"),
+        ):
+
+            def counted(*args, _original=getattr(owner, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        counts = []
+        for n0 in (16, 128):
+            calls.clear()
+            protocol._session_plan.__wrapped__(scenario, n0)
+            counts.append(dict(calls))
+        assert counts[0] == counts[1]
+        assert counts[0]["earliest_commitment_time"] == 1
 
 
 class FixedUniform:

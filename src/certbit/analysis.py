@@ -575,9 +575,7 @@ def evaluate_relativistic(transcript: SessionTranscript) -> SecurityReport:
         "declarations": transcript.events["declarations_emitted"],
         "reveal": transcript.events["reveal_emitted"],
     }
-    committer_actions = [
-        message.emit for message in schedule.messages if message.sender in schedule.committer_ids
-    ]
+    committer_actions = [flight.emit for flight in schedule.flights if flight.sender in schedule.committer_ids]
 
     evaluations = []
     for regime, (label, event) in enumerate(stage_events.items(), start=1):

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -32,7 +31,7 @@ from .quantum import (
 from .rng import RandomStream
 from .spacetime import (
     Event,
-    Message,
+    Flight,
     Schedule,
     Site,
     Violation,
@@ -128,6 +127,15 @@ _SIGNALS = tuple(DEFAULT_ENCODING[divmod(code, 2)] for code in range(4))
 _P0 = np.array([[signal_probabilities(s, c.basis)[0] for c in _SIGNALS] for s in _SIGNALS])
 # _OUTCOME[c]: the outcome that collapses onto signal c in its own basis.
 _OUTCOME = np.array([basis_eigenstates(c.basis).index(c) for c in _SIGNALS])
+# _CODES[label value]: the pair code that sends the signal state.
+_CODES = {label.value: code for code, label in enumerate(_SIGNALS)}
+# _BASIS_FOR_ZERO[bit][label value]: the basis a declaration must bind to bit 0
+# for ``bit`` to name the label's own basis.  Keyed by value, as
+# ``SpinLabel.basis`` is; a dict keyed by bit has no entry for -1 or 2.
+_BASIS_FOR_ZERO = {
+    0: {label.value: label.basis for label in SpinLabel},
+    1: {label.value: label.basis.conjugate() for label in SpinLabel},
+}
 
 
 def _collapses(sent, target, uniforms) -> np.ndarray:
@@ -298,13 +306,9 @@ def verify_tested(tested, opened, sent, randomness: RandomStream) -> TestedOutco
 
 
 def honest_declarations(bit: int, particles, labels) -> tuple[Declaration, ...]:
-    """Truthful declarations: bind ``bit`` to each particle's actual basis."""
-    out = []
-    for particle, label in zip(particles, labels):
-        basis = label.basis
-        basis_for_zero = basis if bit == 0 else basis.conjugate()
-        out.append(Declaration(particle, basis_for_zero))
-    return tuple(out)
+    """Truthful declarations: bind ``bit`` (any nonzero bit as 1) to each particle's actual basis."""
+    bases = _BASIS_FOR_ZERO[0 if bit == 0 else 1]
+    return tuple([Declaration(particle, bases[label._value_]) for particle, label in zip(particles, labels)])
 
 
 def verify_reveal(
@@ -319,25 +323,29 @@ def verify_reveal(
     Each declared particle, in the signal state of pair code
     ``sent[particle]``, is measured in the basis the declarations assign to
     the claimed bit; the claim passes only if every outcome matches the
-    claimed eigenstate.  A malformed claim (wrong length, or a label outside
-    its declared basis) is rejected without measurement and without a draw.
+    claimed eigenstate.  A malformed claim (a bit outside {0, 1}, the wrong
+    length, or a label outside its declared basis) is rejected without
+    measurement and without a draw.
 
     Otherwise it draws once: ``randomness.random(len(declarations))``, one
     uniform per declaration in order, all of them even when a particle
     fails, as ``verify_tested`` does.
     """
+    bases = _BASIS_FOR_ZERO.get(claimed_bit)
+    if bases is None:
+        return RevealOutcome(False, reason="claimed bit outside {0, 1}")
     claimed_labels = list(claimed_labels)
     if len(claimed_labels) != len(declarations):
         return RevealOutcome(False, reason="claim length mismatch")
     for declaration, label in zip(declarations, claimed_labels):
-        if label.basis is not declaration.basis_for(claimed_bit):
+        if declaration.basis_for_zero is not bases[label._value_]:
             return RevealOutcome(
                 False,
                 reject_index=declaration.particle,
                 reason="claimed label outside declared basis",
             )
     particles = np.array([d.particle for d in declarations], dtype=np.int64)
-    claimed = np.array([_SIGNALS.index(label) for label in claimed_labels], dtype=np.int64)
+    claimed = np.array([_CODES[label._value_] for label in claimed_labels], dtype=np.int64)
     sent = np.asarray(sent, dtype=np.int64)
     reject = _first_failure(particles, _collapses(sent[particles], claimed, randomness.random(particles.size)))
     return RevealOutcome(reject is None, reject_index=reject, reason="" if reject is None else "measurement mismatch")
@@ -420,8 +428,17 @@ class SessionTranscript:
         return records
 
 
+# Most distinct (scenario, n0) keys whose schedules ``run_session`` keeps.
+SCHEDULE_CACHE_SIZE = 16
+
 # Time from the commitment time t_c to the emission of the spin particles.
 SPIN_DELAY = 1.0
+
+
+@functools.lru_cache(maxsize=SCHEDULE_CACHE_SIZE)
+def _payload_names(n0: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The 2*n0 commit payloads and the n0 spin payloads, in message order."""
+    return tuple([f"commit[{i}]" for i in range(2 * n0)]), tuple([f"spin[{i}]" for i in range(n0)])
 
 
 @dataclass(frozen=True)
@@ -431,10 +448,13 @@ class ReductionScenario:
     The default layout puts the verifier anchor ``B0`` at the origin at
     rest, with committer and verifier sites alternating along a line at
     unit separations.  All messages travel at light speed.  ``tamper``
-    post-processes the built message list and exists so shipped scenarios
-    can inject causal violations; it must be a pure function of the message
-    list, because ``run_session`` builds a scenario's schedule once per
-    ``(scenario, n0)`` and reuses it.  A scenario must therefore also be
+    post-processes the built schedule's message list and exists so shipped
+    scenarios can inject causal violations: it takes and returns a list of
+    ``Message``, and the schedule is regrouped into flights from what it
+    returns (``Schedule.from_messages``), so a message it replaces with new
+    events gets a flight of its own.  It must be a pure function of the
+    message list, because ``run_session`` builds a scenario's schedule once
+    per ``(scenario, n0)`` and reuses it.  A scenario must therefore also be
     hashable, as the frozen fields it is made of are.
     """
 
@@ -457,90 +477,77 @@ class ReductionScenario:
                 return site
         raise KeyError(f"unknown site {site_id}")
 
-    def _flight(self, sender: Site, receiver: Site, emit_t: float) -> tuple[Event, Event]:
+    def _flight(self, sender: Site, receiver: Site, emit_t: float, payloads, positions) -> Flight:
         emit = sender.event_at(emit_t)
-        return emit, receiver.event_at(_arrival(receiver, emit))
+        return Flight(sender.id, receiver.id, emit, receiver.event_at(_arrival(receiver, emit)), payloads, positions)
 
     def build_schedule(self, params: ProtocolParams) -> Schedule:
         sites = {site.id: site for site in self.sites}
         b0, alice = sites[self.b0_id], sites[self.alice_id]
+        n0, n_commitments = params.n0, params.n_commitments
+        commit_names, spin_names = _payload_names(n0)
 
         # Oracle commitments, one per committed bit, assigned round-robin
-        # over the committer/receiver site pairs; confirmations are the
-        # receive events.  Every commitment of one pair is the same flight.
-        pair_flights = [
-            (a_id, b_id, *self._flight(sites[a_id], sites[b_id], 0.0)) for a_id, b_id in self.oracle_pairs
+        # over the committer/receiver site pairs: all commitments of one
+        # pair are one flight, whose receive event is a confirmation.
+        stride = len(self.oracle_pairs)
+        flights = [
+            self._flight(sites[a_id], sites[b_id], 0.0, commit_names[j::stride], range(j, n_commitments, stride))
+            for j, (a_id, b_id) in enumerate(self.oracle_pairs[:n_commitments])
         ]
-        messages: list[Message] = [
-            Message(a_id, b_id, emit, receive, f"commit[{index}]")
-            for index, (a_id, b_id, emit, receive) in zip(range(params.n_commitments), itertools.cycle(pair_flights))
-        ]
-        confirmations = tuple([message.receive for message in messages])
-        t_c = earliest_commitment_time(b0, [receive for _, _, _, receive in pair_flights[: params.n_commitments]])
+        confirmations = tuple([flight.receive for flight in flights])
+        t_c = earliest_commitment_time(b0, confirmations)
         commitment_point = b0.event_at(t_c)
 
         # Spin particles, emitted strictly after t_c, all on the same flight.
         spins_emit_t = t_c + SPIN_DELAY
-        spin_emit, spin_recv = self._flight(alice, b0, spins_emit_t)
-        messages += [
-            Message(self.alice_id, self.b0_id, spin_emit, spin_recv, f"spin[{i}]") for i in range(params.n0)
-        ]
-        spin_recv_t = max(spins_emit_t, spin_recv.t)
+        spins = self._flight(alice, b0, spins_emit_t, spin_names, range(n_commitments, n_commitments + n0))
+        flights.append(spins)
+        spin_recv_t = max(spins_emit_t, spins.receive.t)
+
+        # Every later flight carries one message, in the order they are sent.
+        offset = n_commitments + n0 - len(flights)
+
+        def send(sender: Site, receiver: Site, emit_t: float, payload: str) -> Event:
+            flight = self._flight(sender, receiver, emit_t, (payload,), (offset + len(flights),))
+            flights.append(flight)
+            return flight.receive
 
         # Challenge out, openings and declarations back.
-        chal_emit, chal_recv = self._flight(b0, alice, spin_recv_t)
-        messages.append(Message(self.b0_id, self.alice_id, chal_emit, chal_recv, "challenge"))
+        chal_recv = send(b0, alice, spin_recv_t, "challenge")
 
         t_r = t_c
         endpoints = sorted({b_id for _, b_id in self.oracle_pairs})
         for b_id in endpoints:
-            open_emit, open_recv = self._flight(alice, sites[b_id], chal_recv.t)
-            messages.append(
-                Message(self.alice_id, b_id, open_emit, open_recv, f"open-instruction[{b_id}]")
-            )
-            rev_emit, rev_recv = self._flight(sites[b_id], b0, open_recv.t)
-            messages.append(Message(b_id, self.b0_id, rev_emit, rev_recv, f"oracle-reveals[{b_id}]"))
-            t_r = max(t_r, rev_recv.t)
+            open_recv = send(alice, sites[b_id], chal_recv.t, f"open-instruction[{b_id}]")
+            t_r = max(t_r, send(sites[b_id], b0, open_recv.t, f"oracle-reveals[{b_id}]").t)
 
-        decl_emit, decl_recv = self._flight(alice, b0, chal_recv.t)
-        messages.append(Message(self.alice_id, self.b0_id, decl_emit, decl_recv, "declarations"))
+        decl_recv = send(alice, b0, chal_recv.t, "declarations")
 
         # Content-free suspension heartbeats keep the commitment open.
         beat_t = max(t_r, decl_recv.t)
         for round_index in range(self.suspension_rounds):
-            out_emit, out_recv = self._flight(b0, alice, beat_t)
-            messages.append(
-                Message(self.b0_id, self.alice_id, out_emit, out_recv, f"heartbeat-out[{round_index}]")
-            )
-            back_emit, back_recv = self._flight(alice, b0, out_recv.t)
-            messages.append(
-                Message(self.alice_id, self.b0_id, back_emit, back_recv, f"heartbeat-back[{round_index}]")
-            )
-            beat_t = back_recv.t
+            out_recv = send(b0, alice, beat_t, f"heartbeat-out[{round_index}]")
+            beat_t = send(alice, b0, out_recv.t, f"heartbeat-back[{round_index}]").t
 
-        reveal_emit, reveal_recv = self._flight(alice, b0, max(beat_t, chal_recv.t) + 1.0)
-        messages.append(Message(self.alice_id, self.b0_id, reveal_emit, reveal_recv, "reveal"))
+        send(alice, b0, max(beat_t, chal_recv.t) + 1.0, "reveal")
 
-        if self.tamper is not None:
-            messages = self.tamper(list(messages))
-
-        return Schedule(
+        fields = dict(
             sites=sites,
-            messages=tuple(messages),
             commitment_point=commitment_point,
             t_c=t_c,
             t_r=t_r,
             confirmations=confirmations,
             committer_ids=frozenset([self.alice_id, *(a_id for a_id, _ in self.oracle_pairs)]),
         )
+        schedule = Schedule(flights=tuple(flights), **fields)
+        if self.tamper is not None:
+            schedule = Schedule.from_messages(self.tamper(list(schedule.messages)), **fields)
+        return schedule
 
 
 def default_scenario(suspension_rounds: int = 0) -> ReductionScenario:
     return ReductionScenario(suspension_rounds=suspension_rounds)
-
-
-# Most distinct (scenario, n0) keys whose schedules ``run_session`` keeps.
-SCHEDULE_CACHE_SIZE = 16
 
 
 @functools.lru_cache(maxsize=SCHEDULE_CACHE_SIZE)
@@ -555,27 +562,35 @@ def _session_plan(
     # build_schedule reads only the sizes n0 and 2*n0 from its params.
     schedule = scenario.build_schedule(ProtocolParams(n0=n0, m=1, strict=False))
     violations = validate_schedule(schedule)
-    # One walk: the first message of each payload, and spins must leave
-    # strictly after the commitment time.
     t_c = schedule.t_c
-    by_payload: dict[str, Message] = {}
-    for message in schedule.messages:
-        payload = message.payload
-        by_payload.setdefault(payload, message)
-        if message.emit.t <= t_c and payload.startswith("spin["):
-            violations.append(Violation("ordering", payload, "spin emitted at or before t_c"))
+    # One pass over the flights for the messages of the payloads named here
+    # and for spins that leave at or before t_c.  A flight's payloads are
+    # read one by one only when their join holds "spin[".
+    wanted = {"declarations", "reveal", "challenge", f"spin[{n0 - 1}]"}
+    found: list[tuple[int, str, Flight]] = []
+    late: list[tuple[int, str]] = []
+    for flight in schedule.flights:
+        payloads, positions = flight.payloads, flight.positions
+        found += [(positions[payloads.index(payload)], payload, flight) for payload in wanted.intersection(payloads)]
+        if flight.emit.t <= t_c and "spin[" in "".join(payloads):
+            late += [(position, p) for position, p in zip(positions, payloads) if p.startswith("spin[")]
+    violations += [Violation("ordering", payload, "spin emitted at or before t_c") for _, payload in sorted(late)]
+    # The first message of each payload, in message order, is the one used.
+    first: dict[str, Flight] = {}
+    for _, payload, flight in sorted(found):
+        first.setdefault(payload, flight)
     # The reveal must leave strictly after the declarations it opens.
-    declarations, reveal = by_payload.get("declarations"), by_payload.get("reveal")
+    declarations, reveal = first.get("declarations"), first.get("reveal")
     if declarations and reveal and reveal.emit.t <= declarations.emit.t:
         violations.append(Violation("ordering", "reveal", "reveal emitted at or before the declarations"))
 
     def received(payload: str) -> Event | None:
-        message = by_payload.get(payload)
-        return message.receive if message else None
+        flight = first.get(payload)
+        return flight.receive if flight else None
 
     def emitted(payload: str) -> Event | None:
-        message = by_payload.get(payload)
-        return message.emit if message else None
+        flight = first.get(payload)
+        return flight.emit if flight else None
 
     events = {
         "commitment_point": schedule.commitment_point,

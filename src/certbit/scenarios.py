@@ -36,10 +36,10 @@ from .analysis import (
     nogo_tradeoff_sweep,
     wilson_interval,
 )
-from .protocol import Message, ReductionScenario, Verdict, default_scenario, run_session, run_sessions
+from .protocol import ReductionScenario, Verdict, default_scenario, run_session, run_sessions
 from .quantum import SpinLabel, partial_trace, spin_state
 from .rng import RandomStream
-from .spacetime import Event
+from .spacetime import Event, Message
 
 __all__ = ["ExperimentResult", "ScenarioSpec", "SCENARIOS", "scenario_names"]
 

@@ -4,13 +4,22 @@ Units have c = 1.  Time coordinates refer to the rest frame of the
 verifier's anchor site, conventionally ``B0``.  The past light cone is
 closed: lightlike-separated events count as causally ordered, which keeps
 the causal order transitive.
+
+A schedule is stored as its flights: the messages of one flight share one
+sender, one receiver, one emit event and one receive event, so timing,
+validation and planning cost one check per flight.  ``Schedule.messages``
+builds the individual messages, in order, only when something reads them;
+a tampered or hand-built message list is grouped back into flights by
+``Schedule.from_messages``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from operator import itemgetter
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -19,6 +28,7 @@ __all__ = [
     "Event",
     "Site",
     "Message",
+    "Flight",
     "Schedule",
     "Violation",
     "in_past_cone",
@@ -122,6 +132,21 @@ class Message(NamedTuple):
     payload: str
 
 
+class Flight(NamedTuple):
+    """Messages that share one emission and one reception.
+
+    ``payloads[i]`` is carried by the message at index ``positions[i]`` of
+    the schedule's message order; positions increase.
+    """
+
+    sender: str
+    receiver: str
+    emit: Event
+    receive: Event
+    payloads: tuple[str, ...]
+    positions: Sequence[int]
+
+
 @dataclass(frozen=True)
 class Violation:
     """A causality or ordering defect found in a schedule."""
@@ -136,18 +161,20 @@ class Violation:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Message timings for one protocol run, plus its distinguished events.
+    """Message timings for one protocol run, as flights, plus its distinguished events.
 
-    ``commitment_point`` is where the verifier's anchor site first knows
-    every oracle commitment is in its causal past; ``t_c`` is its time
-    coordinate and ``t_r`` the deadline for tested-commitment openings.
-    ``sites`` is stored as a read-only mapping, since one schedule may be
-    shared by many transcripts.  ``committer_ids`` names the sites whose
-    messages are committer actions.
+    ``flights`` holds each distinct flight once, in the order of its first
+    message.  ``commitment_point`` is where the verifier's anchor site
+    first knows every oracle commitment is in its causal past; ``t_c`` is
+    its time coordinate and ``t_r`` the deadline for tested-commitment
+    openings.  ``confirmations`` holds the receive event of each commit
+    flight as built, before any tamper.  ``sites`` is stored as a read-only mapping, since one
+    schedule may be shared by many transcripts.  ``committer_ids`` names
+    the sites whose messages are committer actions.
     """
 
     sites: Mapping[str, Site] = field(repr=False)
-    messages: tuple
+    flights: tuple[Flight, ...]
     commitment_point: Event
     t_c: float
     t_r: float
@@ -157,6 +184,33 @@ class Schedule:
     def __post_init__(self):
         object.__setattr__(self, "sites", MappingProxyType(dict(self.sites)))
 
+    @classmethod
+    def from_messages(cls, messages, **fields) -> Schedule:
+        """The schedule of ``messages``, in order, with the other fields as keywords.
+
+        Messages that share sender, receiver and emit and receive ``Event``
+        objects form one flight.
+        """
+        groups: dict[tuple, Flight] = {}
+        for position, (sender, receiver, emit, receive, payload) in enumerate(messages):
+            key = (sender, receiver, id(emit), id(receive))
+            flight = groups.get(key)
+            if flight is None:
+                flight = groups[key] = Flight(sender, receiver, emit, receive, [], [])
+            flight.payloads.append(payload)
+            flight.positions.append(position)
+        flights = tuple(f._replace(payloads=tuple(f.payloads), positions=tuple(f.positions)) for f in groups.values())
+        return cls(flights=flights, **fields)
+
+    @functools.cached_property
+    def messages(self) -> tuple[Message, ...]:
+        """Every message in order, built on first read; a flight's messages share its events."""
+        slots: list = [None] * sum(len(flight.positions) for flight in self.flights)
+        for sender, receiver, emit, receive, payloads, positions in self.flights:
+            for payload, position in zip(payloads, positions):
+                slots[position] = Message(sender, receiver, emit, receive, payload)
+        return tuple(slots)
+
     def site(self, site_id: str) -> Site:
         return self.sites[site_id]
 
@@ -164,43 +218,39 @@ class Schedule:
 def validate_schedule(schedule: Schedule, atol: float = CONE_ATOL) -> list[Violation]:
     """Every causal defect in the schedule; empty means causally valid.
 
-    Messages that share a flight (the same sender, receiver and emit and
-    receive ``Event`` objects, as one oracle pair's commitments do) are
-    checked once; each failing message still gets its own violations.
+    Each flight is checked once.  Every message of a failing flight gets
+    its own violations, and violations come in message order.
     """
+    failing = []
+    for flight in schedule.flights:
+        sender_id, receiver_id, emit, receive, payloads, positions = flight
+        sender = schedule.sites.get(sender_id)
+        receiver = schedule.sites.get(receiver_id)
+        checks = (
+            in_past_cone(emit, receive, atol),
+            sender is None or sender.on_worldline(emit, atol),
+            receiver is None or receiver.on_worldline(receive, atol),
+        )
+        if not all(checks):
+            failing += [(position, payload, flight, checks) for position, payload in zip(positions, payloads)]
+    failing.sort(key=itemgetter(0))
     violations = []
-    # Per flight, its (in cone, sender ok, receiver ok) checks, or () if all pass.
-    flight_checks: dict[tuple, tuple[bool, ...]] = {}
-    for sender_id, receiver_id, emit, receive, payload in schedule.messages:
-        key = (sender_id, receiver_id, id(emit), id(receive))
-        checks = flight_checks.get(key)
-        if checks is None:
-            sender = schedule.sites.get(sender_id)
-            receiver = schedule.sites.get(receiver_id)
-            checks = (
-                in_past_cone(emit, receive, atol),
-                sender is None or sender.on_worldline(emit, atol),
-                receiver is None or receiver.on_worldline(receive, atol),
-            )
-            checks = flight_checks[key] = () if all(checks) else checks
-        if not checks:
-            continue
-        in_cone, sender_ok, receiver_ok = checks
+    for _, payload, flight, (in_cone, sender_ok, receiver_ok) in failing:
         if not in_cone:
             violations.append(
                 Violation(
                     "superluminal",
                     payload,
-                    f"receive at t={receive.t} outside causal future of emit at t={emit.t}",
+                    f"receive at t={flight.receive.t} outside causal future of emit at t={flight.emit.t}",
                 )
             )
         if not sender_ok:
             violations.append(
-                Violation("off-worldline", payload, f"emit event not on worldline of site {sender_id}")
+                Violation("off-worldline", payload, f"emit event not on worldline of site {flight.sender}")
             )
         if not receiver_ok:
             violations.append(
-                Violation("off-worldline", payload, f"receive event not on worldline of site {receiver_id}")
+                Violation("off-worldline", payload, f"receive event not on worldline of site {flight.receiver}")
             )
     if not schedule.t_r > schedule.t_c:
         violations.append(

@@ -390,7 +390,7 @@ def scalar_run_session(strategy, params, scenario=None, randomness=None) -> Sess
     def reject_reveal(particle):
         return transcript(Verdict.REJECT, failed_stage=Stage.REVEAL, reject_index=particle)
 
-    if len(claimed_labels) != len(declarations):
+    if claimed_bit not in (0, 1) or len(claimed_labels) != len(declarations):
         return reject_reveal(None)
     for declaration, label in zip(declarations, claimed_labels):
         if label.basis is not declaration.basis_for(claimed_bit):

@@ -11,13 +11,14 @@ import pytest
 
 from certbit import protocol, spacetime
 from certbit.adversary import ClassicalFlip, Honest
-from certbit.analysis import honest_accept_probability_exact
+from certbit.analysis import evaluate_relativistic, honest_accept_probability_exact
 from certbit.protocol import (
     DEFAULT_ENCODING,
     Declaration,
     IdealCommitmentOracle,
     ProtocolParams,
     ReductionScenario,
+    RevealOutcome,
     SessionTranscript,
     Stage,
     Verdict,
@@ -32,7 +33,15 @@ from certbit.protocol import (
 )
 from certbit.quantum import Basis, SpinLabel, basis_eigenstates, measure_label, signal_probabilities
 from certbit.rng import RandomStream
-from certbit.spacetime import Event, Message, Site, Violation, earliest_commitment_time, validate_schedule
+from certbit.spacetime import (
+    Event,
+    Message,
+    Schedule,
+    Site,
+    Violation,
+    earliest_commitment_time,
+    validate_schedule,
+)
 import oracles
 
 # Pair code 2*b0 + b1 of the pair that sends each signal state.
@@ -214,6 +223,15 @@ class TestVerifyReveal:
         assert not outcome.accepted
         assert outcome.reason == "claim length mismatch"
 
+    @pytest.mark.parametrize("claimed_bit", [2, -1])
+    def test_bit_outside_zero_one_rejected_without_measurement(self, claimed_bit, rng, rng_calls):
+        # Labels honest for bit 1, which the declarations bind to any nonzero bit.
+        labels = [SpinLabel.LEFT, SpinLabel.UP]
+        declarations = self._declarations(1, labels)
+        outcome = verify_reveal(claimed_bit, labels, declarations, codes(labels), rng)
+        assert outcome == RevealOutcome(False, reason="claimed bit outside {0, 1}")
+        assert not rng_calls.counts
+
     def test_label_outside_declared_basis_rejected(self, rng):
         labels = [SpinLabel.UP]
         declarations = self._declarations(0, labels)
@@ -362,6 +380,28 @@ class TestRunSession:
         with pytest.raises(ValueError, match="classical bits"):
             run_session(HalfCommitter(), params, randomness=make_rng(1))
 
+    def test_claim_of_bit_two_rejected_at_reveal(self, make_rng, rng_calls):
+        class BitTwo(Honest):
+            """Declares honestly for bit 1, then claims bit 2 with the labels honest for 1."""
+
+            def plan_declarations(self, particles, labels, randomness):
+                return 1, honest_declarations(1, particles, labels)
+
+            def reveal_claim(self, bit, labels, declarations, randomness):
+                return 2, tuple(labels)
+
+        params = ProtocolParams(n0=16, m=4)
+        for seed in (1, 5, 6):
+            rng_calls.counts.clear()
+            transcript = run_session(BitTwo(), params, randomness=make_rng(seed))
+            assert transcript.verdict is Verdict.REJECT
+            assert transcript.failed_stage is Stage.REVEAL
+            assert transcript.claimed_bit == 2
+            assert rng_calls.counts["random"] == 1  # the tested uniforms; no reveal uniform
+            reference = oracles.scalar_run_session(BitTwo(), params, None, make_rng(seed))
+            assert (reference.verdict, reference.failed_stage) == (Verdict.REJECT, Stage.REVEAL)
+            assert [e.label for e in evaluate_relativistic(transcript).points] == ["commit", "declarations", "reveal"]
+
     def test_missing_randomness_and_seed_rejected(self):
         params = ProtocolParams(n0=16, m=4)
         with pytest.raises(ValueError, match="seed"):
@@ -485,6 +525,22 @@ class TestBuiltSchedule:
             else:
                 # Untampered commitments of the same oracle pairs stay valid.
                 assert payloads == {"commit[3]", "commit[5]", "commit[7]", "commit[9]"}
+
+    @pytest.mark.parametrize(
+        "seed, shape, n0", [pytest.param(seed, shape, n0, id=case) for seed, shape, n0, case in SHAPED]
+    )
+    def test_messages_round_trip_through_flights(self, seed, shape, n0):
+        params = ProtocolParams(n0=n0, m=n0 // 4)
+        for tamper in (None, tamper_spin0, tamper_commits):
+            schedule = random_moving_scenario(seed, tamper, *shape).build_schedule(params)
+            fields = {f.name: getattr(schedule, f.name) for f in dataclasses.fields(schedule) if f.name != "flights"}
+            again = Schedule.from_messages(schedule.messages, **fields)
+            assert again.messages == schedule.messages
+            assert all(
+                a.emit is b.emit and a.receive is b.receive for a, b in zip(again.messages, schedule.messages)
+            )
+            assert len(again.flights) == len(schedule.flights)
+            assert validate_schedule(again) == validate_schedule(schedule)
 
     @pytest.mark.parametrize(
         "scenario, n0",
@@ -779,7 +835,8 @@ class TestRunSessionCost:
 class TestSchedulePlanCost:
     @pytest.mark.parametrize("scenario", [default_scenario(3), moving_scenario()], ids=["line", "moving"])
     def test_plan_pays_per_flight_not_per_message(self, scenario, monkeypatch):
-        # Events and light arrivals are counted the way rng_calls counts draws.
+        # Events, light arrivals, causal checks and messages are counted the
+        # way rng_calls counts draws.
         calls = Counter()
         for owner, name in (
             (Event, "__post_init__"),
@@ -787,6 +844,9 @@ class TestSchedulePlanCost:
             (protocol, "_arrival"),
             (spacetime, "earliest_commitment_time"),
             (protocol, "earliest_commitment_time"),
+            (Site, "on_worldline"),
+            (spacetime, "in_past_cone"),
+            (Message, "__new__"),
         ):
 
             def counted(*args, _original=getattr(owner, name), _name=name, **kwargs):
@@ -801,6 +861,8 @@ class TestSchedulePlanCost:
             counts.append(dict(calls))
         assert counts[0] == counts[1]
         assert counts[0]["earliest_commitment_time"] == 1
+        assert counts[0]["on_worldline"] > 0 and counts[0]["in_past_cone"] > 0
+        assert "__new__" not in counts[0]  # an untampered plan builds no Message
 
 
 class FixedUniform:

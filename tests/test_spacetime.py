@@ -108,9 +108,9 @@ class TestSites:
 
 def toy_schedule(messages, t_c=0.0, t_r=1.0, sites=None):
     sites = sites if sites is not None else {}
-    return Schedule(
+    return Schedule.from_messages(
+        messages,
         sites=sites,
-        messages=tuple(messages),
         commitment_point=Event(t_c, (0, 0, 0)),
         t_c=t_c,
         t_r=t_r,
@@ -134,6 +134,26 @@ class TestValidateSchedule:
         message = Message("a", "b", Event(0.0, (5, 0, 0)), Event(6.0, (6, 0, 0)), "displaced")
         violations = validate_schedule(toy_schedule([message], sites={"a": site}))
         assert any(v.kind == "off-worldline" and v.payload == "displaced" for v in violations)
+
+    def test_shared_flight_fails_per_message_in_order(self):
+        # Messages 0 and 2 share their events, so they are one flight; each
+        # still gets its own violation, in message order around message 1.
+        fast = Event(0.5, (2, 0, 0))
+        messages = [
+            Message("a", "b", ORIGIN, fast, "first"),
+            Message("a", "b", ORIGIN, Event(0.25, (3, 0, 0)), "between"),
+            Message("a", "b", ORIGIN, fast, "last"),
+        ]
+        schedule = toy_schedule(messages)
+        assert [flight.payloads for flight in schedule.flights] == [("first", "last"), ("between",)]
+        assert [flight.positions for flight in schedule.flights] == [(0, 2), (1,)]
+        assert schedule.messages == tuple(messages)
+        violations = validate_schedule(schedule)
+        assert [(v.kind, v.payload) for v in violations] == [
+            ("superluminal", "first"),
+            ("superluminal", "between"),
+            ("superluminal", "last"),
+        ]
 
     def test_reveal_deadline_ordering(self):
         violations = validate_schedule(toy_schedule([], t_c=2.0, t_r=2.0))

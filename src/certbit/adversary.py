@@ -142,43 +142,29 @@ class ToyBCProtocol:
     """Finite two-state commitment abstraction.
 
     Committing bit b honestly means preparing the canonical purification of
-    ``commit_states[b]`` and handing the system half to the verifier;
+    ``commit_states[b]`` (:func:`~certbit.quantum.purify`, whose purifier
+    is as large as the state) and handing the system half to the verifier;
     opening hands over the purifier, and the verifier applies the bit's
-    accept test on the joint state.  Default accept tests are rank-1
-    projectors onto the honest joint states, so honest runs are accepted
-    with probability 1.
+    accept test on the joint state.  ``accept_tests`` holds the rank-1
+    projectors onto the two honest joint states, built here, so honest runs
+    are accepted with probability 1.
     """
 
     commit_states: tuple[DensityMatrix, DensityMatrix]
-    accept_tests: tuple[np.ndarray, np.ndarray] = field(default=None)
-    purifier_dim: int = field(default=None)
+    accept_tests: tuple[np.ndarray, np.ndarray] = field(init=False)
 
     def __post_init__(self):
         rho0, rho1 = self.commit_states
         if rho0.dim != rho1.dim:
             raise ValueError("commit states must share a dimension")
-        purifier_dim = self.purifier_dim or rho0.dim
-        object.__setattr__(self, "purifier_dim", purifier_dim)
-        joint = rho0.dim * purifier_dim
+        joint = rho0.dim * rho0.dim
         if joint > 64:
             raise ValueError(f"joint dimension {joint} exceeds the 2^6 cap")
-        if self.accept_tests is None:
-            tests = []
-            for rho in self.commit_states:
-                psi = purify(rho, purifier_dim)
-                tests.append(np.outer(psi.amplitudes, psi.amplitudes.conj()))
-            object.__setattr__(self, "accept_tests", tuple(tests))
-        for bit, test in enumerate(self.accept_tests):
-            if test.shape != (joint, joint):
-                raise ValueError(f"accept test {bit} has shape {test.shape}, expected {(joint, joint)}")
-            if not np.allclose(test, test.conj().T, atol=1e-9):
-                raise ValueError(f"accept test {bit} is not Hermitian")
-            if not np.allclose(test @ test, test, atol=1e-9):
-                raise ValueError(f"accept test {bit} is not idempotent")
-            honest = purify(self.commit_states[bit], purifier_dim)
-            accept = float(np.vdot(honest.amplitudes, test @ honest.amplitudes).real)
-            if abs(accept - 1.0) > 1e-9:
-                raise ValueError(f"honest state for bit {bit} accepted with p={accept!r}, not 1")
+        tests = []
+        for rho in self.commit_states:
+            psi = purify(rho)
+            tests.append(np.outer(psi.amplitudes, psi.amplitudes.conj()))
+        object.__setattr__(self, "accept_tests", tuple(tests))
 
     @property
     def system_dim(self) -> int:
@@ -195,7 +181,6 @@ class PurificationAttackResult:
     p0: float
     p1: float
     commit_state: StateVector
-    open_unitaries: tuple[np.ndarray, np.ndarray]
     fidelity: float
 
     @property
@@ -215,28 +200,24 @@ def purification_attack(protocol: ToyBCProtocol) -> PurificationAttackResult:
     exactly as hiding improves.
     """
     rho0, rho1 = protocol.commit_states
-    p_dim = protocol.purifier_dim
-    psi0 = purify(rho0, p_dim)
-    psi1 = purify(rho1, p_dim)
+    psi0 = purify(rho0)
+    psi1 = purify(rho1)
     # Rotate psi1's purifier so the two purifications overlap by sqrt(F).
     aligner, overlap = align_purifications(psi1, psi0, protocol.system_dim)
     psi1_aligned = apply_purifier_unitary(psi1, aligner, protocol.system_dim)
     midpoint = psi0.amplitudes + psi1_aligned.amplitudes
     midpoint = StateVector(midpoint / np.linalg.norm(midpoint))
 
-    unitaries = []
     probabilities = []
     for bit, honest in enumerate((psi0, psi1)):
         unitary, _ = align_purifications(midpoint, honest, protocol.system_dim)
         steered = apply_purifier_unitary(midpoint, unitary, protocol.system_dim)
         probabilities.append(protocol.open_probability(steered, bit))
-        unitaries.append(unitary)
 
     return PurificationAttackResult(
         p0=probabilities[0],
         p1=probabilities[1],
         commit_state=midpoint,
-        open_unitaries=(unitaries[0], unitaries[1]),
         fidelity=fidelity(rho0, rho1),
     )
 
@@ -270,20 +251,20 @@ _LOCAL_OFFSETS = np.stack(np.meshgrid(*[(-1, 0, 1)] * 3, indexing="ij"), axis=-1
 def sweep_open_probability(protocol: ToyBCProtocol, joint_state: StateVector, bit: int) -> float:
     """Best acceptance of opening ``bit`` over purifier unitaries, numerically.
 
-    Needs a 2-dimensional purifier, and sweeps U(2) up to global phase in
-    the angles ``(theta, alpha, beta)`` of :func:`_unitary_2x2`.  The
-    ``SWEEP_GRID`` x ``2 SWEEP_GRID`` x ``2 SWEEP_GRID`` start grid is
-    evaluated in one numpy batch.  A pattern search then evaluates the
-    3 x 3 x 3 points one step either side of the best point so far, moves
-    to the best of them, and halves the steps when none beats it, until
-    every step is below ``SWEEP_MIN_STEP``.  The steps halve only on no
+    Needs a 2-dimensional purifier, so one-qubit commit states, and sweeps
+    U(2) up to global phase in the angles ``(theta, alpha, beta)`` of
+    :func:`_unitary_2x2`.  The ``SWEEP_GRID`` x ``2 SWEEP_GRID`` x
+    ``2 SWEEP_GRID`` start grid is evaluated in one numpy batch.  A pattern
+    search then evaluates the 3 x 3 x 3 points one step either side of the
+    best point so far, moves to the best of them, and halves the steps when
+    none beats it, until every step is below ``SWEEP_MIN_STEP``.  The steps halve only on no
     gain because halving every round can strand the search short of the
     optimum: by ~1e-3 for a pure commit state against a mixed one.  The
     result never falls below the best grid value, and is independent of
     the Uhlmann construction behind :func:`purification_attack`.
     """
-    if protocol.purifier_dim != 2:
-        raise ValueError(f"the unitary sweep needs a 2-dimensional purifier, not {protocol.purifier_dim}")
+    if protocol.system_dim != 2:
+        raise ValueError(f"the unitary sweep needs a 2-dimensional purifier, not {protocol.system_dim}")
     amp = joint_state.amplitudes.reshape(protocol.system_dim, 2)
     test = protocol.accept_tests[bit]
 

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -131,7 +132,8 @@ _OUTCOME = np.array([basis_eigenstates(c.basis).index(c) for c in _SIGNALS])
 _CODES = {label.value: code for code, label in enumerate(_SIGNALS)}
 # _BASIS_FOR_ZERO[bit][label value]: the basis a declaration must bind to bit 0
 # for ``bit`` to name the label's own basis.  Keyed by value, as
-# ``SpinLabel.basis`` is; a dict keyed by bit has no entry for -1 or 2.
+# ``SpinLabel.basis`` is; a dict keyed by bit has no entry for -1 or 2, and
+# ``verify_reveal`` reads it for integer bits only, since 1.0 would find 1.
 _BASIS_FOR_ZERO = {
     0: {label.value: label.basis for label in SpinLabel},
     1: {label.value: label.basis.conjugate() for label in SpinLabel},
@@ -323,15 +325,15 @@ def verify_reveal(
     Each declared particle, in the signal state of pair code
     ``sent[particle]``, is measured in the basis the declarations assign to
     the claimed bit; the claim passes only if every outcome matches the
-    claimed eigenstate.  A malformed claim (a bit outside {0, 1}, the wrong
-    length, or a label outside its declared basis) is rejected without
-    measurement and without a draw.
+    claimed eigenstate.  A malformed claim (a bit that is not the integer 0
+    or 1, the wrong length, or a label outside its declared basis) is
+    rejected without measurement and without a draw.
 
     Otherwise it draws once: ``randomness.random(len(declarations))``, one
     uniform per declaration in order, all of them even when a particle
     fails, as ``verify_tested`` does.
     """
-    bases = _BASIS_FOR_ZERO.get(claimed_bit)
+    bases = _BASIS_FOR_ZERO.get(claimed_bit) if isinstance(claimed_bit, numbers.Integral) else None
     if bases is None:
         return RevealOutcome(False, reason="claimed bit outside {0, 1}")
     claimed_labels = list(claimed_labels)
@@ -351,25 +353,31 @@ def verify_reveal(
     return RevealOutcome(reject is None, reject_index=reject, reason="" if reject is None else "measurement mismatch")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SessionTranscript:
-    """Everything one run produced, stamped with schedule events."""
+    """Everything one run produced, stamped with schedule events.
+
+    Fields are keyword-only.  What a session never reached keeps its empty
+    default: an aborted session has no bits, labels or events, and a
+    session rejected at tested verification has no declarations or claim.
+    ``claimed_bit`` is ``None`` unless the strategy claimed an integer.
+    """
 
     params: ProtocolParams
     strategy: str
-    committed_bits: tuple[int, ...]
-    sent_labels: tuple[SpinLabel, ...]
-    challenge: tuple[int, ...]
-    untested: tuple[int, ...]
-    declarations: tuple[Declaration, ...]
-    claimed_bit: int | None
-    claimed_labels: tuple[SpinLabel, ...]
+    committed_bits: tuple[int, ...] = ()
+    sent_labels: tuple[SpinLabel, ...] = ()
+    challenge: tuple[int, ...] = ()
+    untested: tuple[int, ...] = ()
+    declarations: tuple[Declaration, ...] = ()
+    claimed_bit: int | None = None
+    claimed_labels: tuple[SpinLabel, ...] = ()
     verdict: Verdict
-    failed_stage: Stage | None
-    reject_index: int | None
-    events: dict
+    failed_stage: Stage | None = None
+    reject_index: int | None = None
+    events: dict = field(default_factory=dict)
     schedule: Schedule
-    violations: tuple[Violation, ...]
+    violations: tuple[Violation, ...] = ()
     opened_indices: frozenset
 
     @property
@@ -481,10 +489,11 @@ class ReductionScenario:
         emit = sender.event_at(emit_t)
         return Flight(sender.id, receiver.id, emit, receiver.event_at(_arrival(receiver, emit)), payloads, positions)
 
-    def build_schedule(self, params: ProtocolParams) -> Schedule:
+    def build_schedule(self, n0: int) -> Schedule:
+        """The schedule of a run with ``n0`` spin particles and ``2 * n0`` oracle commitments."""
         sites = {site.id: site for site in self.sites}
         b0, alice = sites[self.b0_id], sites[self.alice_id]
-        n0, n_commitments = params.n0, params.n_commitments
+        n_commitments = 2 * n0
         commit_names, spin_names = _payload_names(n0)
 
         # Oracle commitments, one per committed bit, assigned round-robin
@@ -559,8 +568,7 @@ def _session_plan(
     Everything here depends on the scenario and n0 alone, never on a
     session's randomness, so it is computed once per key and shared.
     """
-    # build_schedule reads only the sizes n0 and 2*n0 from its params.
-    schedule = scenario.build_schedule(ProtocolParams(n0=n0, m=1, strict=False))
+    schedule = scenario.build_schedule(n0)
     violations = validate_schedule(schedule)
     t_c = schedule.t_c
     # One pass over the flights for the messages of the payloads named here
@@ -618,7 +626,9 @@ def run_session(
     whose verdict is reject/abort with the stage recorded.  The suspended
     (untested) commitments are never opened.  Each stage works on numpy
     arrays of pair codes 2*b0 + b1; spin labels and tuples are built for
-    the strategy and the transcript.
+    the strategy and the transcript.  A strategy that commits the wrong
+    number of bits, or whose declarations do not name the untested
+    particles once each in order, is a ``ValueError``.
 
     The schedule, its validation and the stage events depend only on
     ``(scenario, params.n0)``; they are memoized per key (at most
@@ -644,16 +654,18 @@ def run_session(
 
     schedule, violations, events = _session_plan(scenario, params.n0)
 
-    if violations:
-        return _transcript(
-            params,
-            strategy,
-            schedule,
-            oracle,
-            verdict=Verdict.ABORT,
-            failed_stage=Stage.SCHEDULE,
-            violations=violations,
+    def transcript(verdict: Verdict, **fields) -> SessionTranscript:
+        return SessionTranscript(
+            params=params,
+            strategy=getattr(strategy, "name", type(strategy).__name__),
+            verdict=verdict,
+            schedule=schedule,
+            opened_indices=oracle.opened_indices,
+            **fields,
         )
+
+    if violations:
+        return transcript(Verdict.ABORT, failed_stage=Stage.SCHEDULE, violations=violations)
 
     # Commit phase: the oracle certifies all 2*N0 bits in one batch.
     # The oracle checks the strategy's own values before they are cast.
@@ -681,81 +693,31 @@ def run_session(
         sent_labels=labels,
         challenge=tested,
         untested=untested,
-        events=events,
+        events=dict(events),
     )
     if not tested_outcome.accepted:
-        return _transcript(
-            params,
-            strategy,
-            schedule,
-            oracle,
-            verdict=Verdict.REJECT,
-            failed_stage=Stage.TESTED,
-            reject_index=tested_outcome.reject_index,
-            **base,
+        return transcript(
+            Verdict.REJECT, failed_stage=Stage.TESTED, reject_index=tested_outcome.reject_index, **base
         )
 
     # Declarations over the untested particles.
     untested_labels = tuple(labels[i] for i in untested)
     bit, declarations = strategy.plan_declarations(untested, untested_labels, randomness)
     declarations = tuple(declarations)
-    if len(declarations) != len(untested):
+    if tuple([declaration.particle for declaration in declarations]) != untested:
         raise ValueError("strategy must declare every untested particle exactly once")
 
     # Reveal and verdict.  The suspended commitments are never opened.
     claimed_bit, claimed_labels = strategy.reveal_claim(bit, untested_labels, declarations, randomness)
     reveal_outcome = verify_reveal(claimed_bit, claimed_labels, declarations, sent, randomness)
-    return _transcript(
-        params,
-        strategy,
-        schedule,
-        oracle,
-        verdict=Verdict.ACCEPT if reveal_outcome.accepted else Verdict.REJECT,
+    return transcript(
+        Verdict.ACCEPT if reveal_outcome.accepted else Verdict.REJECT,
         failed_stage=None if reveal_outcome.accepted else Stage.REVEAL,
         reject_index=reveal_outcome.reject_index,
         declarations=declarations,
-        claimed_bit=int(claimed_bit),
+        claimed_bit=int(claimed_bit) if isinstance(claimed_bit, numbers.Integral) else None,
         claimed_labels=tuple(claimed_labels),
         **base,
-    )
-
-
-def _transcript(
-    params,
-    strategy,
-    schedule,
-    oracle,
-    *,
-    verdict,
-    failed_stage=None,
-    reject_index=None,
-    committed_bits=(),
-    sent_labels=(),
-    challenge=(),
-    untested=(),
-    declarations=(),
-    claimed_bit=None,
-    claimed_labels=(),
-    events=None,
-    violations=(),
-) -> SessionTranscript:
-    return SessionTranscript(
-        params=params,
-        strategy=getattr(strategy, "name", type(strategy).__name__),
-        committed_bits=tuple(committed_bits),
-        sent_labels=tuple(sent_labels),
-        challenge=tuple(challenge),
-        untested=tuple(untested),
-        declarations=tuple(declarations),
-        claimed_bit=claimed_bit,
-        claimed_labels=tuple(claimed_labels),
-        verdict=verdict,
-        failed_stage=failed_stage,
-        reject_index=reject_index,
-        events=dict(events or {}),
-        schedule=schedule,
-        violations=tuple(violations),
-        opened_indices=oracle.opened_indices,
     )
 
 

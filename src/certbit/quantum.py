@@ -337,7 +337,6 @@ class SchmidtDecomposition:
     coefficients: np.ndarray
     left_vectors: np.ndarray
     right_vectors: np.ndarray
-    left_qubits: int
 
     def reconstruct(self) -> StateVector:
         amps = np.zeros(
@@ -360,7 +359,6 @@ def schmidt_decompose(state: StateVector, left_qubits: int) -> SchmidtDecomposit
         coefficients=_frozen(s.copy()),
         left_vectors=_frozen(u.copy()),
         right_vectors=_frozen(vh.T.copy()),
-        left_qubits=left_qubits,
     )
 
 
@@ -370,24 +368,14 @@ def _eigh_descending(rho: DensityMatrix):
     return np.clip(eigenvalues[order], 0.0, None), vectors[:, order]
 
 
-def purify(rho: DensityMatrix, purifier_dim: int | None = None) -> StateVector:
+def purify(rho: DensityMatrix) -> StateVector:
     """Canonical purification: sum_i sqrt(l_i) |e_i> |i> on state x purifier.
 
-    ``purifier_dim`` must be a power of two at least the rank of ``rho``
-    (default: the state dimension), so the result fits a qubit register.
+    The purifier is as large as the state, which covers every rank, so the
+    result is a register of twice the state's qubits.  Eigenvalues descend.
     """
     eigenvalues, vectors = _eigh_descending(rho)
-    rank = int(np.sum(eigenvalues > 1e-12))
-    if purifier_dim is None:
-        purifier_dim = rho.dim
-    if not _is_power_of_two(purifier_dim):
-        raise ValueError(f"purifier_dim {purifier_dim} is not a power of two")
-    if purifier_dim < rank:
-        raise ValueError(f"purifier_dim {purifier_dim} < rank {rank}")
-    columns = min(rho.dim, purifier_dim)
-    amp = np.zeros((rho.dim, purifier_dim), dtype=np.complex128)
-    amp[:, :columns] = vectors[:, :columns] * np.sqrt(eigenvalues[:columns])
-    return StateVector(amp.reshape(-1))
+    return StateVector((vectors * np.sqrt(eigenvalues)).reshape(-1))
 
 
 def _purifier_dim_of(state: StateVector, system_dim: int) -> int:
@@ -419,18 +407,17 @@ def align_purifications(
     return unitary, achieved
 
 
-def uhlmann_rotation(
-    rho0: DensityMatrix, rho1: DensityMatrix, purifier_dim: int | None = None
-) -> np.ndarray:
+def uhlmann_rotation(rho0: DensityMatrix, rho1: DensityMatrix) -> np.ndarray:
     """Unitary on the purifier steering rho0's canonical purification onto rho1's.
 
+    Both purifiers are as large as the states (see :func:`purify`).
     Applied to ``purify(rho0)``, the result overlaps ``purify(rho1)`` by
     sqrt(F(rho0, rho1)).
     """
     if rho0.dim != rho1.dim:
         raise ValueError(f"dimension mismatch: {rho0.dim} vs {rho1.dim}")
-    psi0 = purify(rho0, purifier_dim)
-    psi1 = purify(rho1, purifier_dim)
+    psi0 = purify(rho0)
+    psi1 = purify(rho1)
     unitary, _ = align_purifications(psi0, psi1, rho0.dim)
     return unitary
 

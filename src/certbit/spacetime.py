@@ -93,8 +93,9 @@ class Site:
     def event_at(self, t: float) -> Event:
         return Event(t, self.position_at(t))
 
-    def on_worldline(self, event: Event, atol: float = CONE_ATOL) -> bool:
-        return _dist(event.x, self.position_at(event.t)) <= atol
+    def on_worldline(self, event: Event) -> bool:
+        """Whether ``event`` lies on the worldline, within ``CONE_ATOL``."""
+        return _dist(event.x, self.position_at(event.t)) <= CONE_ATOL
 
 
 def in_past_cone(q: Event, p: Event, atol: float = CONE_ATOL) -> bool:
@@ -215,11 +216,12 @@ class Schedule:
         return self.sites[site_id]
 
 
-def validate_schedule(schedule: Schedule, atol: float = CONE_ATOL) -> list[Violation]:
+def validate_schedule(schedule: Schedule) -> list[Violation]:
     """Every causal defect in the schedule; empty means causally valid.
 
-    Each flight is checked once.  Every message of a failing flight gets
-    its own violations, and violations come in message order.
+    Light cones and worldlines are checked within ``CONE_ATOL``.  Each
+    flight is checked once.  Every message of a failing flight gets its own
+    violations, and violations come in message order.
     """
     failing = []
     for flight in schedule.flights:
@@ -227,9 +229,9 @@ def validate_schedule(schedule: Schedule, atol: float = CONE_ATOL) -> list[Viola
         sender = schedule.sites.get(sender_id)
         receiver = schedule.sites.get(receiver_id)
         checks = (
-            in_past_cone(emit, receive, atol),
-            sender is None or sender.on_worldline(emit, atol),
-            receiver is None or receiver.on_worldline(receive, atol),
+            in_past_cone(emit, receive),
+            sender is None or sender.on_worldline(emit),
+            receiver is None or receiver.on_worldline(receive),
         )
         if not all(checks):
             failing += [(position, payload, flight, checks) for position, payload in zip(positions, payloads)]

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 
 import numpy as np
 from scipy import linalg, optimize
@@ -345,22 +346,7 @@ def scalar_run_session(strategy, params, scenario=None, randomness=None) -> Sess
     n0 = params.n0
     oracle = DictCommitmentOracle(params.flip_probability, params.leak_probability)
     schedule, violations, events = protocol._session_plan(scenario, n0)
-    fields = dict(
-        params=params,
-        strategy=getattr(strategy, "name", type(strategy).__name__),
-        committed_bits=(),
-        sent_labels=(),
-        challenge=(),
-        untested=(),
-        declarations=(),
-        claimed_bit=None,
-        claimed_labels=(),
-        failed_stage=None,
-        reject_index=None,
-        events={},
-        schedule=schedule,
-        violations=(),
-    )
+    fields = dict(params=params, strategy=getattr(strategy, "name", type(strategy).__name__), schedule=schedule)
 
     def transcript(verdict, **changes):
         return SessionTranscript(**{**fields, **changes}, verdict=verdict, opened_indices=frozenset(oracle.opened))
@@ -384,13 +370,20 @@ def scalar_run_session(strategy, params, scenario=None, randomness=None) -> Sess
     untested_labels = tuple(labels[i] for i in untested)
     bit, declarations = strategy.plan_declarations(untested, untested_labels, randomness)
     declarations = tuple(declarations)
+    if len(declarations) != len(untested) or any(d.particle != i for d, i in zip(declarations, untested)):
+        raise ValueError("strategy must declare every untested particle exactly once")
     claimed_bit, claimed_labels = strategy.reveal_claim(bit, untested_labels, declarations, randomness)
-    fields.update(declarations=declarations, claimed_bit=int(claimed_bit), claimed_labels=tuple(claimed_labels))
+    integral = isinstance(claimed_bit, numbers.Integral)
+    fields.update(
+        declarations=declarations,
+        claimed_bit=int(claimed_bit) if integral else None,
+        claimed_labels=tuple(claimed_labels),
+    )
 
     def reject_reveal(particle):
         return transcript(Verdict.REJECT, failed_stage=Stage.REVEAL, reject_index=particle)
 
-    if claimed_bit not in (0, 1) or len(claimed_labels) != len(declarations):
+    if not integral or claimed_bit not in (0, 1) or len(claimed_labels) != len(declarations):
         return reject_reveal(None)
     for declaration, label in zip(declarations, claimed_labels):
         if label.basis is not declaration.basis_for(claimed_bit):

@@ -17,7 +17,7 @@ from certbit.adversary import (
     sweep_open_probability,
     weak_oracle_degradation,
 )
-from certbit import protocol
+from certbit import analysis, protocol
 from certbit.protocol import ProtocolParams, run_session
 from certbit.rng import RandomStream
 from certbit.quantum import (
@@ -28,6 +28,7 @@ from certbit.quantum import (
     fidelity,
     measure,
     partial_trace,
+    purify,
     spin_state,
 )
 import oracles
@@ -145,6 +146,23 @@ class TestEntangledCommit:
         assert abs(np.mean(reveals == 0) - 0.5) < 0.01
 
 
+def honest_pairs():
+    """The 9 commit-state pairs of the purification-nogo config, and random pairs of dimension 2 and 4."""
+    zero = spin_state(SpinLabel.UP).density()
+    pairs = {}
+    for theta in np.linspace(0.0, np.pi / 2.0, 9):
+        other = analysis._snap_state(np.array([np.cos(theta), np.sin(theta)], dtype=np.complex128))
+        pairs[f"theta={theta:.4f}"] = (zero, other.density())
+    for dim in (2, 4):
+        for seed in (1, 2, 3):
+            pairs[f"mixed-{dim}-{seed}"] = (density(seed, dim=dim), density(seed + 100, dim=dim))
+        pairs[f"rank1-vs-mixed-{dim}"] = (density(4, dim=dim, rank=1), density(104, dim=dim))
+    return pairs
+
+
+HONEST_PAIRS = honest_pairs()
+
+
 class TestToyBCProtocol:
     def test_default_tests_accept_honest_states(self):
         toy = ToyBCProtocol((density(1), density(2)))
@@ -156,12 +174,16 @@ class TestToyBCProtocol:
         with pytest.raises(ValueError, match="cap"):
             ToyBCProtocol((big, big))
 
-    def test_custom_test_must_accept_honest_state(self):
-        zero = spin_state(SpinLabel.UP).density()
-        plus = spin_state(SpinLabel.RIGHT).density()
-        bad = np.zeros((4, 4))
-        with pytest.raises(ValueError, match="not 1"):
-            ToyBCProtocol((zero, plus), accept_tests=(bad, bad))
+    @pytest.mark.parametrize("name", HONEST_PAIRS)
+    def test_accept_tests_open_honest_purifications(self, name):
+        toy = ToyBCProtocol(HONEST_PAIRS[name])
+        joint = toy.system_dim**2
+        for bit, test in enumerate(toy.accept_tests):
+            assert test.shape == (joint, joint)
+            assert np.allclose(test, test.conj().T, atol=1e-9)
+            assert np.allclose(test @ test, test, atol=1e-9)
+            honest = purify(toy.commit_states[bit])
+            assert toy.open_probability(honest, bit) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestPurificationAttack:

@@ -223,7 +223,7 @@ class TestVerifyReveal:
         assert not outcome.accepted
         assert outcome.reason == "claim length mismatch"
 
-    @pytest.mark.parametrize("claimed_bit", [2, -1])
+    @pytest.mark.parametrize("claimed_bit", [2, -1, None, 0.5, "1", 1.0], ids=repr)
     def test_bit_outside_zero_one_rejected_without_measurement(self, claimed_bit, rng, rng_calls):
         # Labels honest for bit 1, which the declarations bind to any nonzero bit.
         labels = [SpinLabel.LEFT, SpinLabel.UP]
@@ -402,6 +402,60 @@ class TestRunSession:
             assert (reference.verdict, reference.failed_stage) == (Verdict.REJECT, Stage.REVEAL)
             assert [e.label for e in evaluate_relativistic(transcript).points] == ["commit", "declarations", "reveal"]
 
+    @pytest.mark.parametrize("claimed_bit", [None, 0.5, "1"], ids=repr)
+    def test_non_integer_claim_rejected_and_recorded_as_none(self, claimed_bit, make_rng, rng_calls):
+        class Claimer(Honest):
+            """Declares honestly for bit 1, then claims ``claimed_bit`` with the labels honest for 1."""
+
+            def plan_declarations(self, particles, labels, randomness):
+                return 1, honest_declarations(1, particles, labels)
+
+            def reveal_claim(self, bit, labels, declarations, randomness):
+                return claimed_bit, tuple(labels)
+
+        params = ProtocolParams(n0=16, m=4)
+        transcript = run_session(Claimer(), params, randomness=make_rng(1))
+        assert (transcript.verdict, transcript.failed_stage) == (Verdict.REJECT, Stage.REVEAL)
+        assert transcript.claimed_bit is None
+        assert transcript.to_records()[-1]["claimed_bit"] is None
+        assert rng_calls.counts["random"] == 1  # the tested uniforms; no reveal uniform
+        reference = oracles.scalar_run_session(Claimer(), params, None, make_rng(1))
+        assert (reference.verdict, reference.failed_stage, reference.claimed_bit) == (
+            Verdict.REJECT,
+            Stage.REVEAL,
+            None,
+        )
+
+    @pytest.mark.parametrize("declare", ["repeated", "tested", "reordered"])
+    def test_declarations_must_name_each_untested_particle_once(self, declare, make_rng):
+        class Misdeclarer(Honest):
+            """Declares honestly, for particles other than the untested ones in order, and claims to match."""
+
+            def commit_bits(self, params, randomness):
+                self.bits = super().commit_bits(params, randomness)
+                return self.bits
+
+            def plan_declarations(self, particles, labels, randomness):
+                sent = protocol.spin_labels(self.bits)
+                if declare == "repeated":
+                    particles = [particles[0]] * len(particles)
+                elif declare == "tested":
+                    particles = [i for i in range(len(sent)) if i not in particles][: len(particles)]
+                else:
+                    particles = particles[::-1]
+                self.claim = tuple(sent[i] for i in particles)
+                bit = randomness.bit()
+                return bit, honest_declarations(bit, particles, self.claim)
+
+            def reveal_claim(self, bit, labels, declarations, randomness):
+                return bit, self.claim
+
+        params = ProtocolParams(n0=16, m=4)
+        with pytest.raises(ValueError, match="every untested particle exactly once"):
+            run_session(Misdeclarer(), params, randomness=make_rng(1))
+        with pytest.raises(ValueError, match="every untested particle exactly once"):
+            oracles.scalar_run_session(Misdeclarer(), params, None, make_rng(1))
+
     def test_missing_randomness_and_seed_rejected(self):
         params = ProtocolParams(n0=16, m=4)
         with pytest.raises(ValueError, match="seed"):
@@ -512,9 +566,8 @@ class TestBuiltSchedule:
         + [pytest.param(seed, shape, n0, id=case) for seed, shape, n0, case in SHAPED],
     )
     def test_validation_matches_per_message_oracle(self, seed, shape, n0):
-        params = ProtocolParams(n0=n0, m=n0 // 4)
         for tamper in (None, tamper_spin0, tamper_commits):
-            schedule = random_moving_scenario(seed, tamper, *shape).build_schedule(params)
+            schedule = random_moving_scenario(seed, tamper, *shape).build_schedule(n0)
             found = [(v.kind, v.payload, v.detail) for v in validate_schedule(schedule)]
             assert found == oracles.reference_violations(schedule)
             payloads = {payload for _, payload, _ in found}
@@ -530,9 +583,8 @@ class TestBuiltSchedule:
         "seed, shape, n0", [pytest.param(seed, shape, n0, id=case) for seed, shape, n0, case in SHAPED]
     )
     def test_messages_round_trip_through_flights(self, seed, shape, n0):
-        params = ProtocolParams(n0=n0, m=n0 // 4)
         for tamper in (None, tamper_spin0, tamper_commits):
-            schedule = random_moving_scenario(seed, tamper, *shape).build_schedule(params)
+            schedule = random_moving_scenario(seed, tamper, *shape).build_schedule(n0)
             fields = {f.name: getattr(schedule, f.name) for f in dataclasses.fields(schedule) if f.name != "flights"}
             again = Schedule.from_messages(schedule.messages, **fields)
             assert again.messages == schedule.messages
@@ -554,7 +606,7 @@ class TestBuiltSchedule:
         ],
     )
     def test_every_receive_recomputed(self, scenario, n0):
-        schedule = scenario.build_schedule(ProtocolParams(n0=n0, m=n0 // 4))
+        schedule = scenario.build_schedule(n0)
         for message in schedule.messages:
             receiver = scenario.site(message.receiver)
             assert scenario.site(message.sender).on_worldline(message.emit)
@@ -566,7 +618,7 @@ class TestBuiltSchedule:
     @pytest.mark.parametrize("scenario", [default_scenario(3), moving_scenario()], ids=["line", "moving"])
     def test_payload_order(self, scenario):
         n0 = 8
-        schedule = scenario.build_schedule(ProtocolParams(n0=n0, m=2))
+        schedule = scenario.build_schedule(n0)
         endpoints = sorted({b_id for _, b_id in scenario.oracle_pairs})
         expected = (
             [f"commit[{i}]" for i in range(2 * n0)]
@@ -588,7 +640,7 @@ class TestBuiltSchedule:
             assert message.emit.t == 0.0
 
     def test_sites_read_only(self):
-        schedule = default_scenario().build_schedule(ProtocolParams(n0=8, m=2))
+        schedule = default_scenario().build_schedule(8)
         assert isinstance(schedule.sites, MappingProxyType)
         with pytest.raises(TypeError):
             schedule.sites["B9"] = Site("B9", (9.0, 0.0, 0.0))

@@ -353,17 +353,11 @@ class TestUhlmannRotation:
 
 
 class TestPurify:
-    def test_purifier_dim_must_cover_rank(self):
-        mixed = DensityMatrix(np.eye(2) / 2)
-        with pytest.raises(ValueError, match="rank"):
-            purify(mixed, purifier_dim=1)
-
-    def test_pure_state_allows_trivial_purifier(self):
-        zero = spin_state(SpinLabel.UP).density()
-        psi = purify(zero, purifier_dim=1)
-        assert psi.n_qubits == 1
-
-    def test_rejects_non_power_of_two_purifier(self):
-        mixed = DensityMatrix(np.eye(2) / 2)
-        with pytest.raises(ValueError, match="power of two"):
-            purify(mixed, purifier_dim=3)
+    @pytest.mark.parametrize("dim, rank", [(2, 1), (2, 2), (4, 1), (4, 2), (4, 4)])
+    def test_purifier_as_large_as_state(self, dim, rank):
+        # Even a pure state gets a purifier of its own size; tracing it out returns the state.
+        rho = random_density_matrix(60 + dim + rank, dim, rank)
+        psi = purify(rho)
+        assert psi.dim == dim * dim
+        kept = list(range(rho.n_qubits))
+        assert np.abs(partial_trace(psi, kept).entries - rho.entries).max() < 1e-10

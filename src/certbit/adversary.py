@@ -145,12 +145,13 @@ class ToyBCProtocol:
     ``commit_states[b]`` (:func:`~certbit.quantum.purify`, whose purifier
     is as large as the state) and handing the system half to the verifier;
     opening hands over the purifier, and the verifier applies the bit's
-    accept test on the joint state.  ``accept_tests`` holds the rank-1
-    projectors onto the two honest joint states, built here, so honest runs
-    are accepted with probability 1.
+    accept test on the joint state.  ``purifications`` holds the two honest
+    joint states and ``accept_tests`` the rank-1 projectors onto them, both
+    built here, so honest runs are accepted with probability 1.
     """
 
     commit_states: tuple[DensityMatrix, DensityMatrix]
+    purifications: tuple[StateVector, StateVector] = field(init=False)
     accept_tests: tuple[np.ndarray, np.ndarray] = field(init=False)
 
     def __post_init__(self):
@@ -160,11 +161,10 @@ class ToyBCProtocol:
         joint = rho0.dim * rho0.dim
         if joint > 64:
             raise ValueError(f"joint dimension {joint} exceeds the 2^6 cap")
-        tests = []
-        for rho in self.commit_states:
-            psi = purify(rho)
-            tests.append(np.outer(psi.amplitudes, psi.amplitudes.conj()))
-        object.__setattr__(self, "accept_tests", tuple(tests))
+        purifications = tuple(purify(rho) for rho in self.commit_states)
+        object.__setattr__(self, "purifications", purifications)
+        tests = tuple(np.outer(psi.amplitudes, psi.amplitudes.conj()) for psi in purifications)
+        object.__setattr__(self, "accept_tests", tests)
 
     @property
     def system_dim(self) -> int:
@@ -200,10 +200,9 @@ def purification_attack(protocol: ToyBCProtocol) -> PurificationAttackResult:
     exactly as hiding improves.
     """
     rho0, rho1 = protocol.commit_states
-    psi0 = purify(rho0)
-    psi1 = purify(rho1)
+    psi0, psi1 = protocol.purifications
     # Rotate psi1's purifier so the two purifications overlap by sqrt(F).
-    aligner, overlap = align_purifications(psi1, psi0, protocol.system_dim)
+    aligner, _ = align_purifications(psi1, psi0, protocol.system_dim)
     psi1_aligned = apply_purifier_unitary(psi1, aligner, protocol.system_dim)
     midpoint = psi0.amplitudes + psi1_aligned.amplitudes
     midpoint = StateVector(midpoint / np.linalg.norm(midpoint))

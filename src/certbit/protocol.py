@@ -19,6 +19,7 @@ import enum
 import functools
 import numbers
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable
 
 import numpy as np
@@ -479,14 +480,7 @@ class ReductionScenario:
     suspension_rounds: int = 0
     tamper: Callable | None = None
 
-    def site(self, site_id: str) -> Site:
-        for site in self.sites:
-            if site.id == site_id:
-                return site
-        raise KeyError(f"unknown site {site_id}")
-
-    def _flight(self, sender: Site, receiver: Site, emit_t: float, payloads, positions) -> Flight:
-        emit = sender.event_at(emit_t)
+    def _flight(self, sender: Site, receiver: Site, emit: Event, payloads, positions) -> Flight:
         return Flight(sender.id, receiver.id, emit, receiver.event_at(_arrival(receiver, emit)), payloads, positions)
 
     def build_schedule(self, n0: int) -> Schedule:
@@ -500,8 +494,10 @@ class ReductionScenario:
         # over the committer/receiver site pairs: all commitments of one
         # pair are one flight, whose receive event is a confirmation.
         stride = len(self.oracle_pairs)
+        senders = {a_id for a_id, _ in self.oracle_pairs}
+        t0 = {a_id: sites[a_id].event_at(0.0) for a_id in senders}  # each sender's event at t = 0
         flights = [
-            self._flight(sites[a_id], sites[b_id], 0.0, commit_names[j::stride], range(j, n_commitments, stride))
+            self._flight(sites[a_id], sites[b_id], t0[a_id], commit_names[j::stride], range(j, n_commitments, stride))
             for j, (a_id, b_id) in enumerate(self.oracle_pairs[:n_commitments])
         ]
         confirmations = tuple([flight.receive for flight in flights])
@@ -510,44 +506,45 @@ class ReductionScenario:
 
         # Spin particles, emitted strictly after t_c, all on the same flight.
         spins_emit_t = t_c + SPIN_DELAY
-        spins = self._flight(alice, b0, spins_emit_t, spin_names, range(n_commitments, n_commitments + n0))
+        spins = self._flight(alice, b0, alice.event_at(spins_emit_t), spin_names, range(2 * n0, 3 * n0))
         flights.append(spins)
-        spin_recv_t = max(spins_emit_t, spins.receive.t)
 
         # Every later flight carries one message, in the order they are sent.
+        # A reply leaves from the event at which its prompt arrived.
         offset = n_commitments + n0 - len(flights)
 
-        def send(sender: Site, receiver: Site, emit_t: float, payload: str) -> Event:
-            flight = self._flight(sender, receiver, emit_t, (payload,), (offset + len(flights),))
+        def send(sender: Site, receiver: Site, emit: Event, payload: str) -> Event:
+            flight = self._flight(sender, receiver, emit, (payload,), (offset + len(flights),))
             flights.append(flight)
             return flight.receive
 
-        # Challenge out, openings and declarations back.
-        chal_recv = send(b0, alice, spin_recv_t, "challenge")
+        # Challenge out once the spins are in; openings and declarations back.
+        spins_in = spins.receive if spins.receive.t >= spins_emit_t else b0.event_at(spins_emit_t)
+        chal_recv = send(b0, alice, spins_in, "challenge")
 
         t_r = t_c
         endpoints = sorted({b_id for _, b_id in self.oracle_pairs})
         for b_id in endpoints:
-            open_recv = send(alice, sites[b_id], chal_recv.t, f"open-instruction[{b_id}]")
-            t_r = max(t_r, send(sites[b_id], b0, open_recv.t, f"oracle-reveals[{b_id}]").t)
+            open_recv = send(alice, sites[b_id], chal_recv, f"open-instruction[{b_id}]")
+            t_r = max(t_r, send(sites[b_id], b0, open_recv, f"oracle-reveals[{b_id}]").t)
 
-        decl_recv = send(alice, b0, chal_recv.t, "declarations")
+        decl_recv = send(alice, b0, chal_recv, "declarations")
 
         # Content-free suspension heartbeats keep the commitment open.
-        beat_t = max(t_r, decl_recv.t)
+        beat = b0.event_at(max(t_r, decl_recv.t))
         for round_index in range(self.suspension_rounds):
-            out_recv = send(b0, alice, beat_t, f"heartbeat-out[{round_index}]")
-            beat_t = send(alice, b0, out_recv.t, f"heartbeat-back[{round_index}]").t
+            out_recv = send(b0, alice, beat, f"heartbeat-out[{round_index}]")
+            beat = send(alice, b0, out_recv, f"heartbeat-back[{round_index}]")
 
-        send(alice, b0, max(beat_t, chal_recv.t) + 1.0, "reveal")
+        send(alice, b0, alice.event_at(max(beat.t, chal_recv.t) + 1.0), "reveal")
 
         fields = dict(
-            sites=sites,
+            sites=MappingProxyType(sites),
             commitment_point=commitment_point,
             t_c=t_c,
             t_r=t_r,
             confirmations=confirmations,
-            committer_ids=frozenset([self.alice_id, *(a_id for a_id, _ in self.oracle_pairs)]),
+            committer_ids=frozenset([self.alice_id, *senders]),
         )
         schedule = Schedule(flights=tuple(flights), **fields)
         if self.tamper is not None:
@@ -571,17 +568,36 @@ def _session_plan(
     schedule = scenario.build_schedule(n0)
     violations = validate_schedule(schedule)
     t_c = schedule.t_c
-    # One pass over the flights for the messages of the payloads named here
-    # and for spins that leave at or before t_c.  A flight's payloads are
-    # read one by one only when their join holds "spin[".
-    wanted = {"declarations", "reveal", "challenge", f"spin[{n0 - 1}]"}
+    spin_names = _payload_names(n0)[1]
+    wanted = {"challenge", "declarations", "reveal", spin_names[-1]}
+    # One pass over the flights for the first message of each wanted payload,
+    # the spins sent and the spins that leave by t_c.  Without a tamper, a
+    # multi-message flight is the builder's spin flight (every spin, in order)
+    # or a commit flight (none of these), so only a tamper's are read per message.
+    built = scenario.tamper is None
     found: list[tuple[int, str, Flight]] = []
     late: list[tuple[int, str]] = []
+    sent: set[str] = set()  # spins read message by message
+    every_spin = False
     for flight in schedule.flights:
         payloads, positions = flight.payloads, flight.positions
-        found += [(positions[payloads.index(payload)], payload, flight) for payload in wanted.intersection(payloads)]
-        if flight.emit.t <= t_c and "spin[" in "".join(payloads):
-            late += [(position, p) for position, p in zip(positions, payloads) if p.startswith("spin[")]
+        if len(payloads) == 1 and not payloads[0].startswith("spin["):
+            if payloads[0] in wanted:
+                found.append((positions[0], payloads[0], flight))
+            continue
+        if not built or len(payloads) == 1:
+            hits = [payloads.index(p) for p in wanted.intersection(payloads)]
+            spins = []
+            if "spin[" in "".join(payloads):
+                spins = [i for i, p in enumerate(payloads) if p.startswith("spin[")]
+            sent.update([payloads[i] for i in spins])
+        elif payloads[0] == spin_names[0]:
+            hits, spins, every_spin = [len(payloads) - 1], range(len(payloads)), True
+        else:
+            continue
+        found += [(positions[i], payloads[i], flight) for i in hits]
+        if flight.emit.t <= t_c:
+            late += [(positions[i], payloads[i]) for i in spins]
     violations += [Violation("ordering", payload, "spin emitted at or before t_c") for _, payload in sorted(late)]
     # The first message of each payload, in message order, is the one used.
     first: dict[str, Flight] = {}
@@ -591,6 +607,10 @@ def _session_plan(
     declarations, reveal = first.get("declarations"), first.get("reveal")
     if declarations and reveal and reveal.emit.t <= declarations.emit.t:
         violations.append(Violation("ordering", "reveal", "reveal emitted at or before the declarations"))
+    required = ["challenge", "declarations", "reveal", *(() if every_spin else spin_names)]
+    violations += [
+        Violation("missing", p, "no message carries it") for p in required if p not in first and p not in sent
+    ]
 
     def received(payload: str) -> Event | None:
         flight = first.get(payload)
@@ -604,7 +624,7 @@ def _session_plan(
         "commitment_point": schedule.commitment_point,
         "spins_received": received(f"spin[{n0 - 1}]") or schedule.commitment_point,
         "challenge_received": received("challenge"),
-        "tested_verified": scenario.site(scenario.b0_id).event_at(schedule.t_r),
+        "tested_verified": schedule.sites[scenario.b0_id].event_at(schedule.t_r),
         "declarations_received": received("declarations"),
         "reveal_received": received("reveal"),
         "declarations_emitted": emitted("declarations"),

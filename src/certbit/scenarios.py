@@ -107,7 +107,7 @@ def _run_honest_default(config) -> ExperimentResult:
         " in the bases declared for the claimed bit",
     )
 
-    b0 = transcript.schedule.site("B0")
+    b0 = transcript.schedule.sites["B0"]
     expected_tc = max(
         e.t + math.dist(e.x, b0.position_at(0.0)) for e in transcript.schedule.confirmations
     )

@@ -11,6 +11,10 @@ validation and planning cost one check per flight.  ``Schedule.messages``
 builds the individual messages, in order, only when something reads them;
 a tampered or hand-built message list is grouped back into flights by
 ``Schedule.from_messages``.
+
+``Site.event_at``, which makes every event of a built schedule, skips
+``Event``'s validation: a site is validated when made, so its event is valid
+wherever ``t`` and the position are finite, and that is all it checks.
 """
 
 from __future__ import annotations
@@ -53,10 +57,6 @@ def _as_vec3(x) -> Vec3:
     return v
 
 
-def _dist(a: Vec3, b: Vec3) -> float:
-    return math.sqrt((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 + (a[2] - b[2]) ** 2)
-
-
 @dataclass(frozen=True)
 class Event:
     """A spacetime point (t, x) in the anchor frame."""
@@ -91,16 +91,27 @@ class Site:
         return (p[0] + v[0] * t, p[1] + v[1] * t, p[2] + v[2] * t)
 
     def event_at(self, t: float) -> Event:
+        """The event of this worldline at ``t``; a non-finite ``t`` or position raises in ``Event``."""
+        if math.isfinite(t):
+            t = float(t)
+            x = self.position_at(t)
+            if math.isfinite(x[0]) and math.isfinite(x[1]) and math.isfinite(x[2]):
+                event = object.__new__(Event)
+                event.__dict__.update(t=t, x=x)
+                return event
         return Event(t, self.position_at(t))
 
     def on_worldline(self, event: Event) -> bool:
         """Whether ``event`` lies on the worldline, within ``CONE_ATOL``."""
-        return _dist(event.x, self.position_at(event.t)) <= CONE_ATOL
+        (x0, x1, x2), (p0, p1, p2), (v0, v1, v2), t = event.x, self.position, self.velocity, event.t
+        distance = math.sqrt((x0 - (p0 + v0 * t)) ** 2 + (x1 - (p1 + v1 * t)) ** 2 + (x2 - (p2 + v2 * t)) ** 2)
+        return distance <= CONE_ATOL
 
 
 def in_past_cone(q: Event, p: Event, atol: float = CONE_ATOL) -> bool:
     """True iff q lies in the (closed) past light cone of p."""
-    return (p.t - q.t) - _dist(p.x, q.x) >= -atol
+    (p0, p1, p2), (q0, q1, q2) = p.x, q.x
+    return (p.t - q.t) - math.sqrt((p0 - q0) ** 2 + (p1 - q1) ** 2 + (p2 - q2) ** 2) >= -atol
 
 
 def lorentz_boost(event: Event, beta: Vec3) -> Event:
@@ -152,7 +163,7 @@ class Flight(NamedTuple):
 class Violation:
     """A causality or ordering defect found in a schedule."""
 
-    kind: str  # "superluminal" | "off-worldline" | "ordering"
+    kind: str  # "superluminal" | "off-worldline" | "ordering" | "missing"
     payload: str
     detail: str
 
@@ -183,7 +194,8 @@ class Schedule:
     committer_ids: frozenset[str] = frozenset()
 
     def __post_init__(self):
-        object.__setattr__(self, "sites", MappingProxyType(dict(self.sites)))
+        if not isinstance(self.sites, MappingProxyType):
+            object.__setattr__(self, "sites", MappingProxyType(dict(self.sites)))
 
     @classmethod
     def from_messages(cls, messages, **fields) -> Schedule:
@@ -192,28 +204,25 @@ class Schedule:
         Messages that share sender, receiver and emit and receive ``Event``
         objects form one flight.
         """
-        groups: dict[tuple, Flight] = {}
-        for position, (sender, receiver, emit, receive, payload) in enumerate(messages):
-            key = (sender, receiver, id(emit), id(receive))
-            flight = groups.get(key)
-            if flight is None:
-                flight = groups[key] = Flight(sender, receiver, emit, receive, [], [])
-            flight.payloads.append(payload)
-            flight.positions.append(position)
-        flights = tuple(f._replace(payloads=tuple(f.payloads), positions=tuple(f.positions)) for f in groups.values())
-        return cls(flights=flights, **fields)
+        messages = tuple(messages)
+        groups: dict[tuple, list[int]] = {}
+        for position, (sender, receiver, emit, receive, _) in enumerate(messages):
+            groups.setdefault((sender, receiver, id(emit), id(receive)), []).append(position)
+        flights = [
+            Flight(*messages[ps[0]][:4], tuple([messages[p].payload for p in ps]), tuple(ps))
+            for ps in groups.values()
+        ]
+        return cls(flights=tuple(flights), **fields)
 
     @functools.cached_property
     def messages(self) -> tuple[Message, ...]:
         """Every message in order, built on first read; a flight's messages share its events."""
+        new = functools.partial(tuple.__new__, Message)  # ``Message(...)`` without its Python-level ``__new__``
         slots: list = [None] * sum(len(flight.positions) for flight in self.flights)
         for sender, receiver, emit, receive, payloads, positions in self.flights:
             for payload, position in zip(payloads, positions):
-                slots[position] = Message(sender, receiver, emit, receive, payload)
+                slots[position] = new((sender, receiver, emit, receive, payload))
         return tuple(slots)
-
-    def site(self, site_id: str) -> Site:
-        return self.sites[site_id]
 
 
 def validate_schedule(schedule: Schedule) -> list[Violation]:
@@ -267,8 +276,8 @@ def validate_schedule(schedule: Schedule) -> list[Violation]:
 
 def _arrival(observer: Site, event: Event) -> float:
     """First frame time on the observer's worldline with ``event`` in its past cone."""
-    p, v, x = observer.position, observer.velocity, event.x
-    d0, d1, d2 = p[0] - x[0], p[1] - x[1], p[2] - x[2]
+    (p0, p1, p2), v, (x0, x1, x2) = observer.position, observer.velocity, event.x
+    d0, d1, d2 = p0 - x0, p1 - x1, p2 - x2
     v2 = v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
     if v2 == 0.0:
         return event.t + math.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
@@ -278,7 +287,7 @@ def _arrival(observer: Site, event: Event) -> float:
     b = -2.0 * (event.t + (d0 * v[0] + d1 * v[1] + d2 * v[2]))
     c = event.t**2 - (d0 * d0 + d1 * d1 + d2 * d2)
     disc = b * b - 4.0 * a * c
-    return (-b + math.sqrt(max(disc, 0.0))) / (2.0 * a)
+    return (-b + math.sqrt(0.0 if disc < 0.0 else disc)) / (2.0 * a)
 
 
 def earliest_commitment_time(observer: Site, confirmations) -> float:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from certbit import analysis
+from certbit import adversary, analysis
 from certbit.adversary import ClassicalFlip, Honest
 from certbit.analysis import (
     Quantity,
@@ -269,6 +269,20 @@ class TestNogoTradeoffSweep:
             assert earlier.fidelity >= later.fidelity
             assert earlier.p_sum.value >= later.p_sum.value - 1e-12
             assert earlier.epsilon_bob.value <= later.epsilon_bob.value + 1e-12
+
+    def test_purifies_each_commit_state_once(self, monkeypatch):
+        # ToyBCProtocol purifies both commit states and the attack reuses
+        # them: 2 calls per theta point, where purifying again in the attack
+        # made 4.
+        calls = []
+
+        def counted(rho, _purify=adversary.purify):
+            calls.append(rho)
+            return _purify(rho)
+
+        monkeypatch.setattr(adversary, "purify", counted)
+        nogo_tradeoff_sweep(np.linspace(0.0, np.pi / 2, 9))
+        assert len(calls) == 18
 
     def test_advantage_matches_measurement_sweep_oracle(self):
         rows = nogo_tradeoff_sweep([np.pi / 3])

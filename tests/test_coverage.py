@@ -6,9 +6,12 @@ interval may miss the closed form at most 6 times.  Under Binomial(100,
 that covers as it claims essentially never fails the audit.
 """
 
+import math
+
+import numpy as np
 import pytest
 
-from certbit.adversary import ClassicalFlip
+from certbit.adversary import ClassicalFlip, sample_entangled_reveals
 from certbit.analysis import (
     detection_probability_exact,
     detection_probability_mc,
@@ -55,12 +58,23 @@ def detection(k):
     return audit
 
 
+def entangle(alpha_sq):
+    alpha, beta = math.sqrt(alpha_sq), math.sqrt(1.0 - alpha_sq)
+
+    def audit(randomness):
+        reveals = sample_entangled_reveals(alpha, beta, 2_000, randomness)
+        return wilson_interval(int(np.count_nonzero(reveals == 0)), reveals.size), alpha_sq
+
+    return audit
+
+
 AUDITS = {
     "completeness f=0.02": completeness(0.02),
     "completeness f=0.05": completeness(0.05),
     "leaked fraction q=0.05": leaked_fraction(0.05),
     "detection k=1": detection(1),
     "detection k=3": detection(3),
+    "entangle alpha^2=0.25": entangle(0.25),
 }
 
 

@@ -466,7 +466,7 @@ class TestRunSession:
         params = ProtocolParams(n0=16, m=4)
         transcript = run_session(Honest(), params, randomness=make_rng(9))
         assert transcript.schedule.t_c == pytest.approx(3.0, abs=1e-12)
-        b0 = transcript.schedule.site("B0")
+        b0 = transcript.schedule.sites["B0"]
         expected = max(
             c.t + math.dist(c.x, b0.position) for c in transcript.schedule.confirmations
         )
@@ -608,12 +608,12 @@ class TestBuiltSchedule:
     def test_every_receive_recomputed(self, scenario, n0):
         schedule = scenario.build_schedule(n0)
         for message in schedule.messages:
-            receiver = scenario.site(message.receiver)
-            assert scenario.site(message.sender).on_worldline(message.emit)
+            receiver = schedule.sites[message.receiver]
+            assert schedule.sites[message.sender].on_worldline(message.emit)
             t = earliest_commitment_time(receiver, [message.emit])
             assert message.receive == receiver.event_at(t)
         assert validate_schedule(schedule) == []
-        assert schedule.t_c == earliest_commitment_time(scenario.site("B0"), schedule.confirmations)
+        assert schedule.t_c == earliest_commitment_time(schedule.sites["B0"], schedule.confirmations)
 
     @pytest.mark.parametrize("scenario", [default_scenario(3), moving_scenario()], ids=["line", "moving"])
     def test_payload_order(self, scenario):
@@ -638,6 +638,20 @@ class TestBuiltSchedule:
         for index, message in enumerate(schedule.messages[: 2 * n0]):
             assert (message.sender, message.receiver) == pairs[index % len(pairs)]
             assert message.emit.t == 0.0
+
+    @pytest.mark.parametrize(
+        "seed, shape, n0", [pytest.param(seed, shape, n0, id=case) for seed, shape, n0, case in SHAPED]
+    )
+    def test_built_events_are_valid_events(self, seed, shape, n0):
+        # Site.event_at skips Event.__post_init__; each event must be the
+        # one a validated construction gives.
+        schedule = random_moving_scenario(seed, None, *shape).build_schedule(n0)
+        events = [event for flight in schedule.flights for event in (flight.emit, flight.receive)]
+        for event in [*events, schedule.commitment_point]:
+            assert event == Event(event.t, event.x)
+            assert type(event.t) is float
+            assert type(event.x) is tuple and len(event.x) == 3
+            assert all(type(c) is float for c in event.x)
 
     def test_sites_read_only(self):
         schedule = default_scenario().build_schedule(8)
@@ -752,6 +766,55 @@ class TestPlanOrdering:
         assert transcript.violations == ()
         assert transcript.verdict is Verdict.ACCEPT
         assert transcript.events["reveal_emitted"] is reveals[0].emit
+
+
+def drop(*payloads):
+    """Tamper: remove every message carrying one of ``payloads``."""
+
+    def tamper(messages):
+        return [m for m in messages if m.payload not in payloads]
+
+    return tamper
+
+
+def drop_all(messages):
+    """Tamper: remove every message."""
+    return []
+
+
+class TestMissingMessages:
+    """A schedule that lacks a protocol message aborts at the schedule stage."""
+
+    N0 = 16
+    ESSENTIAL = ("challenge", "declarations", "reveal", *(f"spin[{i}]" for i in range(N0)))
+
+    @pytest.mark.parametrize("tamper", [drop_all, drop(*ESSENTIAL)], ids=["no-messages", "no-essential"])
+    def test_missing_messages_abort(self, tamper, make_rng):
+        scenario = ReductionScenario(name="missing", tamper=tamper)
+        params = ProtocolParams(n0=self.N0, m=4)
+        transcript = run_session(Honest(), params, scenario, make_rng(1))
+        assert transcript.verdict is Verdict.ABORT
+        assert transcript.failed_stage is Stage.SCHEDULE
+        assert [(v.kind, v.payload) for v in transcript.violations] == [("missing", p) for p in self.ESSENTIAL]
+        accepted, _ = run_sessions(params, 10, make_rng(2), scenario)
+        assert not accepted.any()
+
+    @pytest.mark.parametrize("base", [default_scenario(2), moving_scenario()], ids=["line", "moving"])
+    def test_each_missing_payload_is_named(self, base, make_rng):
+        scenario = dataclasses.replace(base, tamper=drop("spin[5]", "spin[15]", "reveal"))
+        transcript = run_session(Honest(), ProtocolParams(n0=self.N0, m=4), scenario, make_rng(1))
+        assert transcript.failed_stage is Stage.SCHEDULE
+        assert transcript.violations == tuple(
+            Violation("missing", payload, "no message carries it") for payload in ("reveal", "spin[5]", "spin[15]")
+        )
+
+    @pytest.mark.parametrize("base", [default_scenario(2), moving_scenario()], ids=["line", "moving"])
+    def test_dropping_other_messages_is_not_missing(self, base, make_rng):
+        # Only the challenge, declarations, reveal and spins are required.
+        scenario = dataclasses.replace(base, tamper=drop("heartbeat-out[0]", "commit[3]"))
+        transcript = run_session(Honest(), ProtocolParams(n0=self.N0, m=4), scenario, make_rng(1))
+        assert transcript.verdict is Verdict.ACCEPT
+        assert transcript.violations == ()
 
 
 class TestRunSessions:
@@ -898,7 +961,6 @@ class TestSchedulePlanCost:
             (protocol, "earliest_commitment_time"),
             (Site, "on_worldline"),
             (spacetime, "in_past_cone"),
-            (Message, "__new__"),
         ):
 
             def counted(*args, _original=getattr(owner, name), _name=name, **kwargs):
@@ -909,12 +971,14 @@ class TestSchedulePlanCost:
         counts = []
         for n0 in (16, 128):
             calls.clear()
-            protocol._session_plan.__wrapped__(scenario, n0)
+            schedule, _, _ = protocol._session_plan.__wrapped__(scenario, n0)
             counts.append(dict(calls))
+            assert "messages" not in schedule.__dict__  # an untampered plan builds no Message
         assert counts[0] == counts[1]
         assert counts[0]["earliest_commitment_time"] == 1
         assert counts[0]["on_worldline"] > 0 and counts[0]["in_past_cone"] > 0
-        assert "__new__" not in counts[0]  # an untampered plan builds no Message
+        # Builder events come from validated sites and are not validated again.
+        assert "__post_init__" not in counts[0]
 
 
 class FixedUniform:

@@ -105,6 +105,26 @@ class TestSites:
         assert site.on_worldline(Event(2.0, (2.0, 0.0, 0.0)))
         assert not site.on_worldline(Event(2.0, (2.5, 0.0, 0.0)))
 
+    def test_event_at_matches_a_validated_event(self):
+        site = Site("mover", (1.0, -2.0, 0.5), (0.5, 0.25, -0.125))
+        for t in (0.0, -3.5, 2.0, 7):
+            event = site.event_at(t)
+            assert event == Event(t, site.position_at(t))
+            assert type(event.t) is float and all(type(c) is float for c in event.x)
+            assert site.on_worldline(event)
+
+    @pytest.mark.parametrize("t", [float("inf"), float("-inf"), float("nan")])
+    def test_event_at_rejects_non_finite_time(self, t):
+        with pytest.raises(ValueError, match="time must be finite"):
+            Site("mover", (1.0, 0, 0), (0.5, 0, 0)).event_at(t)
+
+    def test_event_at_rejects_overflowing_position(self):
+        site = Site("far", (1e308, 0, 0), (0.9, 0, 0))
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            Event(1e308, site.position_at(1e308))
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            site.event_at(1e308)
+
 
 def toy_schedule(messages, t_c=0.0, t_r=1.0, sites=None):
     sites = sites if sites is not None else {}

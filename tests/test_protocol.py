@@ -808,14 +808,6 @@ class TestMissingMessages:
             Violation("missing", payload, "no message carries it") for payload in ("reveal", "spin[5]", "spin[15]")
         )
 
-    @pytest.mark.parametrize("base", [default_scenario(2), moving_scenario()], ids=["line", "moving"])
-    def test_dropping_other_messages_is_not_missing(self, base, make_rng):
-        # Only the challenge, declarations, reveal and spins are required.
-        scenario = dataclasses.replace(base, tamper=drop("heartbeat-out[0]", "commit[3]"))
-        transcript = run_session(Honest(), ProtocolParams(n0=self.N0, m=4), scenario, make_rng(1))
-        assert transcript.verdict is Verdict.ACCEPT
-        assert transcript.violations == ()
-
 
 class TestRunSessions:
     """The batched engine against the scalar path and the closed form, at n0 = 64, m = 16."""

@@ -180,8 +180,9 @@ class Schedule:
     first knows every oracle commitment is in its causal past; ``t_c`` is
     its time coordinate and ``t_r`` the deadline for tested-commitment
     openings.  ``confirmations`` holds the receive event of each commit
-    flight as built, before any tamper.  ``sites`` is stored as a read-only mapping, since one
-    schedule may be shared by many transcripts.  ``committer_ids`` names
+    flight as built, before any tamper.  ``sites`` is stored as a read-only
+    mapping (a ``MappingProxyType`` as given, anything else as a copy), since
+    one schedule may be shared by many transcripts.  ``committer_ids`` names
     the sites whose messages are committer actions.
     """
 

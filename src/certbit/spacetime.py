@@ -210,7 +210,7 @@ class Schedule:
         for position, (sender, receiver, emit, receive, _) in enumerate(messages):
             groups.setdefault((sender, receiver, id(emit), id(receive)), []).append(position)
         flights = [
-            Flight(*messages[ps[0]][:4], tuple([messages[p].payload for p in ps]), tuple(ps))
+            Flight(*messages[ps[0]][:4], tuple([messages[p][4] for p in ps]), tuple(ps))
             for ps in groups.values()
         ]
         return cls(flights=tuple(flights), **fields)

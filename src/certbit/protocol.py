@@ -19,7 +19,6 @@ import enum
 import functools
 import numbers
 from dataclasses import dataclass, field
-from types import MappingProxyType
 from typing import Callable
 
 import numpy as np
@@ -513,40 +512,42 @@ class ReductionScenario:
         # A reply leaves from the event at which its prompt arrived.
         offset = n_commitments + n0 - len(flights)
 
-        def send(sender: Site, receiver: Site, emit: Event, payload: str) -> Event:
+        def send(sender: Site, receiver: Site, emit: Event, payload: str) -> Flight:
             flight = self._flight(sender, receiver, emit, (payload,), (offset + len(flights),))
             flights.append(flight)
-            return flight.receive
+            return flight
 
         # Challenge out once the spins are in; openings and declarations back.
         spins_in = spins.receive if spins.receive.t >= spins_emit_t else b0.event_at(spins_emit_t)
-        chal_recv = send(b0, alice, spins_in, "challenge")
+        challenge = send(b0, alice, spins_in, "challenge")
+        chal_recv = challenge.receive
 
         t_r = t_c
         endpoints = sorted({b_id for _, b_id in self.oracle_pairs})
         for b_id in endpoints:
-            open_recv = send(alice, sites[b_id], chal_recv, f"open-instruction[{b_id}]")
-            t_r = max(t_r, send(sites[b_id], b0, open_recv, f"oracle-reveals[{b_id}]").t)
+            open_recv = send(alice, sites[b_id], chal_recv, f"open-instruction[{b_id}]").receive
+            t_r = max(t_r, send(sites[b_id], b0, open_recv, f"oracle-reveals[{b_id}]").receive.t)
 
-        decl_recv = send(alice, b0, chal_recv, "declarations")
+        declarations = send(alice, b0, chal_recv, "declarations")
 
         # Content-free suspension heartbeats keep the commitment open.
-        beat = b0.event_at(max(t_r, decl_recv.t))
+        beat = b0.event_at(max(t_r, declarations.receive.t))
         for round_index in range(self.suspension_rounds):
-            out_recv = send(b0, alice, beat, f"heartbeat-out[{round_index}]")
-            beat = send(alice, b0, out_recv, f"heartbeat-back[{round_index}]")
+            out_recv = send(b0, alice, beat, f"heartbeat-out[{round_index}]").receive
+            beat = send(alice, b0, out_recv, f"heartbeat-back[{round_index}]").receive
 
-        send(alice, b0, alice.event_at(max(beat.t, chal_recv.t) + 1.0), "reveal")
+        reveal = send(alice, b0, alice.event_at(max(beat.t, chal_recv.t) + 1.0), "reveal")
 
         fields = dict(
-            sites=MappingProxyType(sites),
+            sites=sites,
             commitment_point=commitment_point,
             t_c=t_c,
             t_r=t_r,
             confirmations=confirmations,
             committer_ids=frozenset([self.alice_id, *senders]),
         )
-        schedule = Schedule(flights=tuple(flights), **fields)
+        stages = (("challenge", challenge), ("declarations", declarations), ("reveal", reveal), (spin_names[-1], spins))
+        schedule = Schedule(flights=tuple(flights), stage_flights=stages, **fields)
         if self.tamper is not None:
             schedule = Schedule.from_messages(self.tamper(list(schedule.messages)), **fields)
         return schedule
@@ -567,50 +568,36 @@ def _session_plan(
     """
     schedule = scenario.build_schedule(n0)
     violations = validate_schedule(schedule)
-    t_c = schedule.t_c
-    spin_names = _payload_names(n0)[1]
-    wanted = {"challenge", "declarations", "reveal", spin_names[-1]}
-    # One pass over the flights for the first message of each wanted payload,
-    # the spins sent and the spins that leave by t_c.  Without a tamper, a
-    # multi-message flight is the builder's spin flight (every spin, in order)
-    # or a commit flight (none of these), so only a tamper's are read per message.
-    built = scenario.tamper is None
-    found: list[tuple[int, str, Flight]] = []
-    late: list[tuple[int, str]] = []
-    sent: set[str] = set()  # spins read message by message
-    every_spin = False
-    for flight in schedule.flights:
-        payloads, positions = flight.payloads, flight.positions
-        if len(payloads) == 1 and not payloads[0].startswith("spin["):
-            if payloads[0] in wanted:
-                found.append((positions[0], payloads[0], flight))
-            continue
-        if not built or len(payloads) == 1:
-            hits = [payloads.index(p) for p in wanted.intersection(payloads)]
-            spins = []
-            if "spin[" in "".join(payloads):
-                spins = [i for i, p in enumerate(payloads) if p.startswith("spin[")]
-            sent.update([payloads[i] for i in spins])
-        elif payloads[0] == spin_names[0]:
-            hits, spins, every_spin = [len(payloads) - 1], range(len(payloads)), True
-        else:
-            continue
-        found += [(positions[i], payloads[i], flight) for i in hits]
-        if flight.emit.t <= t_c:
-            late += [(positions[i], payloads[i]) for i in spins]
-    violations += [Violation("ordering", payload, "spin emitted at or before t_c") for _, payload in sorted(late)]
-    # The first message of each payload, in message order, is the one used.
-    first: dict[str, Flight] = {}
-    for _, payload, flight in sorted(found):
-        first.setdefault(payload, flight)
+    # A built schedule sends every protocol payload once and the spins after
+    # t_c, and names the flights read here.  A tamper may drop, rename,
+    # repeat or reorder messages, so a schedule made from messages is
+    # scanned: one pass over the flights finds the messages of the payloads
+    # read here, the protocol payloads no message carries and the spins that
+    # leave at or before t_c.  A flight's payloads are read one by one only
+    # when their join holds "spin[".
+    first = dict(schedule.stage_flights)
+    if not first:
+        spin_names = _payload_names(n0)[1]
+        wanted = {"declarations", "reveal", "challenge", spin_names[-1]}
+        missing = {"challenge", "declarations", "reveal", *spin_names}
+        found: list[tuple[int, str, Flight]] = []
+        late: list[tuple[int, str]] = []
+        for flight in schedule.flights:
+            payloads, positions = flight.payloads, flight.positions
+            found += [(positions[payloads.index(p)], p, flight) for p in wanted.intersection(payloads)]
+            missing.difference_update(payloads)
+            if flight.emit.t <= schedule.t_c and "spin[" in "".join(payloads):
+                late += [(position, p) for position, p in zip(positions, payloads) if p.startswith("spin[")]
+        violations += [Violation("ordering", p, "spin emitted at or before t_c") for _, p in sorted(late)]
+        required = ("challenge", "declarations", "reveal", *spin_names)
+        violations += [Violation("missing", p, "no message carries it") for p in required if p in missing]
+        # The first message of each payload, in message order, is the one used.
+        for _, payload, flight in sorted(found):
+            first.setdefault(payload, flight)
     # The reveal must leave strictly after the declarations it opens.
     declarations, reveal = first.get("declarations"), first.get("reveal")
     if declarations and reveal and reveal.emit.t <= declarations.emit.t:
         violations.append(Violation("ordering", "reveal", "reveal emitted at or before the declarations"))
-    required = ["challenge", "declarations", "reveal", *(() if every_spin else spin_names)]
-    violations += [
-        Violation("missing", p, "no message carries it") for p in required if p not in first and p not in sent
-    ]
 
     def received(payload: str) -> Event | None:
         flight = first.get(payload)

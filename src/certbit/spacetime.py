@@ -12,9 +12,9 @@ builds the individual messages, in order, only when something reads them;
 a tampered or hand-built message list is grouped back into flights by
 ``Schedule.from_messages``.
 
-``Site.event_at``, which makes every event of a built schedule, skips
-``Event``'s validation: a site is validated when made, so its event is valid
-wherever ``t`` and the position are finite, and that is all it checks.
+An ``Event`` whose time and position are already exact floats, as every
+``Site.event_at`` event is, is kept as given once they are shown finite;
+any other input is converted and checked component by component.
 """
 
 from __future__ import annotations
@@ -57,6 +57,10 @@ def _as_vec3(x) -> Vec3:
     return v
 
 
+def _dist(a: Vec3, b: Vec3) -> float:
+    return math.sqrt((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 + (a[2] - b[2]) ** 2)
+
+
 @dataclass(frozen=True)
 class Event:
     """A spacetime point (t, x) in the anchor frame."""
@@ -65,6 +69,10 @@ class Event:
     x: Vec3
 
     def __post_init__(self):
+        t, x = self.t, self.x
+        if type(t) is float and type(x) is tuple and len(x) == 3 and type(x[0]) is type(x[1]) is type(x[2]) is float:
+            if math.isfinite(t + x[0] + x[1] + x[2]):  # every term finite; an overflow takes the full path
+                return
         if not math.isfinite(self.t):
             raise ValueError("time must be finite")
         object.__setattr__(self, "t", float(self.t))
@@ -91,27 +99,16 @@ class Site:
         return (p[0] + v[0] * t, p[1] + v[1] * t, p[2] + v[2] * t)
 
     def event_at(self, t: float) -> Event:
-        """The event of this worldline at ``t``; a non-finite ``t`` or position raises in ``Event``."""
-        if math.isfinite(t):
-            t = float(t)
-            x = self.position_at(t)
-            if math.isfinite(x[0]) and math.isfinite(x[1]) and math.isfinite(x[2]):
-                event = object.__new__(Event)
-                event.__dict__.update(t=t, x=x)
-                return event
         return Event(t, self.position_at(t))
 
     def on_worldline(self, event: Event) -> bool:
         """Whether ``event`` lies on the worldline, within ``CONE_ATOL``."""
-        (x0, x1, x2), (p0, p1, p2), (v0, v1, v2), t = event.x, self.position, self.velocity, event.t
-        distance = math.sqrt((x0 - (p0 + v0 * t)) ** 2 + (x1 - (p1 + v1 * t)) ** 2 + (x2 - (p2 + v2 * t)) ** 2)
-        return distance <= CONE_ATOL
+        return _dist(event.x, self.position_at(event.t)) <= CONE_ATOL
 
 
 def in_past_cone(q: Event, p: Event, atol: float = CONE_ATOL) -> bool:
     """True iff q lies in the (closed) past light cone of p."""
-    (p0, p1, p2), (q0, q1, q2) = p.x, q.x
-    return (p.t - q.t) - math.sqrt((p0 - q0) ** 2 + (p1 - q1) ** 2 + (p2 - q2) ** 2) >= -atol
+    return (p.t - q.t) - _dist(p.x, q.x) >= -atol
 
 
 def lorentz_boost(event: Event, beta: Vec3) -> Event:
@@ -180,10 +177,11 @@ class Schedule:
     first knows every oracle commitment is in its causal past; ``t_c`` is
     its time coordinate and ``t_r`` the deadline for tested-commitment
     openings.  ``confirmations`` holds the receive event of each commit
-    flight as built, before any tamper.  ``sites`` is stored as a read-only
-    mapping (a ``MappingProxyType`` as given, anything else as a copy), since
-    one schedule may be shared by many transcripts.  ``committer_ids`` names
-    the sites whose messages are committer actions.
+    flight as built, before any tamper.  ``sites`` is stored as a read-only mapping, since one
+    schedule may be shared by many transcripts.  ``committer_ids`` names
+    the sites whose messages are committer actions.  ``stage_flights``
+    pairs the payloads whose events a session plan reads with the flight
+    that carries each, as built; a schedule made from messages has none.
     """
 
     sites: Mapping[str, Site] = field(repr=False)
@@ -193,10 +191,10 @@ class Schedule:
     t_r: float
     confirmations: tuple = ()
     committer_ids: frozenset[str] = frozenset()
+    stage_flights: tuple[tuple[str, Flight], ...] = field(default=(), repr=False)
 
     def __post_init__(self):
-        if not isinstance(self.sites, MappingProxyType):
-            object.__setattr__(self, "sites", MappingProxyType(dict(self.sites)))
+        object.__setattr__(self, "sites", MappingProxyType(dict(self.sites)))
 
     @classmethod
     def from_messages(cls, messages, **fields) -> Schedule:
@@ -218,11 +216,10 @@ class Schedule:
     @functools.cached_property
     def messages(self) -> tuple[Message, ...]:
         """Every message in order, built on first read; a flight's messages share its events."""
-        new = functools.partial(tuple.__new__, Message)  # ``Message(...)`` without its Python-level ``__new__``
         slots: list = [None] * sum(len(flight.positions) for flight in self.flights)
         for sender, receiver, emit, receive, payloads, positions in self.flights:
             for payload, position in zip(payloads, positions):
-                slots[position] = new((sender, receiver, emit, receive, payload))
+                slots[position] = Message(sender, receiver, emit, receive, payload)
         return tuple(slots)
 
 
@@ -277,8 +274,8 @@ def validate_schedule(schedule: Schedule) -> list[Violation]:
 
 def _arrival(observer: Site, event: Event) -> float:
     """First frame time on the observer's worldline with ``event`` in its past cone."""
-    (p0, p1, p2), v, (x0, x1, x2) = observer.position, observer.velocity, event.x
-    d0, d1, d2 = p0 - x0, p1 - x1, p2 - x2
+    p, v, x = observer.position, observer.velocity, event.x
+    d0, d1, d2 = p[0] - x[0], p[1] - x[1], p[2] - x[2]
     v2 = v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
     if v2 == 0.0:
         return event.t + math.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
@@ -288,7 +285,7 @@ def _arrival(observer: Site, event: Event) -> float:
     b = -2.0 * (event.t + (d0 * v[0] + d1 * v[1] + d2 * v[2]))
     c = event.t**2 - (d0 * d0 + d1 * d1 + d2 * d2)
     disc = b * b - 4.0 * a * c
-    return (-b + math.sqrt(0.0 if disc < 0.0 else disc)) / (2.0 * a)
+    return (-b + math.sqrt(max(disc, 0.0))) / (2.0 * a)
 
 
 def earliest_commitment_time(observer: Site, confirmations) -> float:

@@ -643,8 +643,8 @@ class TestBuiltSchedule:
         "seed, shape, n0", [pytest.param(seed, shape, n0, id=case) for seed, shape, n0, case in SHAPED]
     )
     def test_built_events_are_valid_events(self, seed, shape, n0):
-        # Site.event_at skips Event.__post_init__; each event must be the
-        # one a validated construction gives.
+        # Builder events keep event_at's floats as given; each must be the
+        # event that converting and checking its fields again gives.
         schedule = random_moving_scenario(seed, None, *shape).build_schedule(n0)
         events = [event for flight in schedule.flights for event in (flight.emit, flight.receive)]
         for event in [*events, schedule.commitment_point]:
@@ -766,6 +766,23 @@ class TestPlanOrdering:
         assert transcript.violations == ()
         assert transcript.verdict is Verdict.ACCEPT
         assert transcript.events["reveal_emitted"] is reveals[0].emit
+
+
+class TestStageFlights:
+    """An untampered plan reads the builder's stage flights; a scan of the same messages agrees."""
+
+    @pytest.mark.parametrize(
+        "seed, shape, n0", [pytest.param(seed, shape, n0, id=case) for seed, shape, n0, case in SHAPED]
+    )
+    def test_builder_flights_match_a_scan(self, seed, shape, n0):
+        built = random_moving_scenario(seed, None, *shape)
+        scanned = dataclasses.replace(built, tamper=list)  # same messages, planned by the scan
+        schedule, violations, events = protocol._session_plan.__wrapped__(built, n0)
+        rescheduled, rescanned, reevents = protocol._session_plan.__wrapped__(scanned, n0)
+        assert len(schedule.stage_flights) == 4 and rescheduled.stage_flights == ()
+        assert rescheduled.messages == schedule.messages
+        assert violations == rescanned == ()
+        assert events == reevents
 
 
 def drop(*payloads):
@@ -953,6 +970,7 @@ class TestSchedulePlanCost:
             (protocol, "earliest_commitment_time"),
             (Site, "on_worldline"),
             (spacetime, "in_past_cone"),
+            (spacetime, "_as_vec3"),
         ):
 
             def counted(*args, _original=getattr(owner, name), _name=name, **kwargs):
@@ -969,8 +987,9 @@ class TestSchedulePlanCost:
         assert counts[0] == counts[1]
         assert counts[0]["earliest_commitment_time"] == 1
         assert counts[0]["on_worldline"] > 0 and counts[0]["in_past_cone"] > 0
-        # Builder events come from validated sites and are not validated again.
-        assert "__post_init__" not in counts[0]
+        # Builder events are built from a validated site's floats and are
+        # not converted again.
+        assert counts[0]["__post_init__"] > 0 and "_as_vec3" not in counts[0]
 
 
 class FixedUniform:

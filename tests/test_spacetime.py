@@ -94,6 +94,32 @@ class TestLorentzBoost:
             lorentz_boost(ORIGIN, (1.0, 0, 0))
 
 
+class TestEvent:
+    def test_converts_other_inputs_to_floats(self):
+        event = Event(np.int64(2), [np.float32(1.5)])
+        assert event == Event(2.0, (1.5, 0.0, 0.0))
+        assert type(event.t) is float and type(event.x) is tuple
+        assert all(type(c) is float for c in event.x)
+
+    def test_keeps_finite_floats_whose_sum_overflows(self):
+        event = Event(1e308, (1e308, 1e308, -1e308))
+        assert (event.t, event.x) == (1e308, (1e308, 1e308, -1e308))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_each_non_finite_float(self, bad):
+        with pytest.raises(ValueError, match="time must be finite"):
+            Event(bad, (0.0, 0.0, 0.0))
+        for i in range(3):
+            x = [0.0, 0.0, 0.0]
+            x[i] = bad
+            with pytest.raises(ValueError, match="coordinates must be finite"):
+                Event(0.0, tuple(x))
+
+    def test_rejects_two_components(self):
+        with pytest.raises(ValueError, match="1 or 3 components"):
+            Event(0.0, (1.0, 2.0))
+
+
 class TestSites:
     def test_superluminal_site_rejected(self):
         with pytest.raises(ValueError, match="subluminal"):

@@ -505,7 +505,9 @@ class ReductionScenario:
 
         # Spin particles, emitted strictly after t_c, all on the same flight.
         spins_emit_t = t_c + SPIN_DELAY
-        spins = self._flight(alice, b0, alice.event_at(spins_emit_t), spin_names, range(2 * n0, 3 * n0))
+        spins = self._flight(
+            alice, b0, alice.event_at(spins_emit_t), spin_names, range(n_commitments, n_commitments + n0)
+        )
         flights.append(spins)
 
         # Every later flight carries one message, in the order they are sent.

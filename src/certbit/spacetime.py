@@ -181,7 +181,8 @@ class Schedule:
     schedule may be shared by many transcripts.  ``committer_ids`` names
     the sites whose messages are committer actions.  ``stage_flights``
     pairs the payloads whose events a session plan reads with the flight
-    that carries each, as built; a schedule made from messages has none.
+    that carries each, as built; a schedule made from messages has none,
+    and it takes no part in comparing schedules.
     """
 
     sites: Mapping[str, Site] = field(repr=False)
@@ -191,7 +192,7 @@ class Schedule:
     t_r: float
     confirmations: tuple = ()
     committer_ids: frozenset[str] = frozenset()
-    stage_flights: tuple[tuple[str, Flight], ...] = field(default=(), repr=False)
+    stage_flights: tuple[tuple[str, Flight], ...] = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sites", MappingProxyType(dict(self.sites)))

@@ -260,7 +260,9 @@ def sweep_open_probability(protocol: ToyBCProtocol, joint_state: StateVector, bi
     gain because halving every round can strand the search short of the
     optimum: by ~1e-3 for a pure commit state against a mixed one.  The
     result never falls below the best grid value, and is independent of
-    the Uhlmann construction behind :func:`purification_attack`.
+    the Uhlmann construction behind :func:`purification_attack`.  No
+    shipped run calls it: it is kept as the tests' optimality oracle for
+    that attack and because the benchmark's trace targets name it.
     """
     if protocol.system_dim != 2:
         raise ValueError(f"the unitary sweep needs a 2-dimensional purifier, not {protocol.system_dim}")

@@ -416,8 +416,9 @@ def nogo_tradeoff_sweep(thetas) -> tuple[TradeoffRow, ...]:
 
     Exactly the tension that rules out a finite certified commitment: the
     verifier's distinguishing advantage is (1/2) sqrt(1 - F) while the
-    purification attack achieves p0 + p1 = 1 + sqrt(F), so perfect hiding
-    (advantage -> 0) forces completely broken binding (p_sum -> 2).
+    purification attack, whose own p0, p1 and p_sum each row reports,
+    achieves p0 + p1 = 1 + sqrt(F), so perfect hiding (advantage -> 0)
+    forces completely broken binding (p_sum -> 2).
     """
     rows = []
     zero = spin_state(SpinLabel.UP)
@@ -425,19 +426,13 @@ def nogo_tradeoff_sweep(thetas) -> tuple[TradeoffRow, ...]:
         other = _snap_state(np.array([np.cos(theta), np.sin(theta)], dtype=np.complex128))
         rho0, rho1 = zero.density(), other.density()
         f = fidelity(rho0, rho1)
-        advantage = 0.5 * math.sqrt(max(0.0, 1.0 - f))
         attack = purification_attack(ToyBCProtocol((rho0, rho1)))
-        p_sum_closed = 1.0 + math.sqrt(f)
         rows.append(
             TradeoffRow(
                 theta=float(theta),
                 fidelity=f,
-                epsilon_bob=Quantity(advantage, "exact"),
-                p_sum=Quantity(
-                    p_sum_closed,
-                    "exact",
-                    note=f"attack achieved {attack.p_sum!r}",
-                ),
+                epsilon_bob=Quantity(0.5 * math.sqrt(max(0.0, 1.0 - f)), "exact"),
+                p_sum=Quantity(attack.p_sum, "exact", note="purification attack"),
                 p0=attack.p0,
                 p1=attack.p1,
             )

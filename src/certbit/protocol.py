@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import functools
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -37,6 +37,7 @@ from .spacetime import (
     Site,
     Violation,
     _arrival,
+    _group_flights,
     earliest_commitment_time,
     validate_schedule,
 )
@@ -456,14 +457,17 @@ class ReductionScenario:
     The default layout puts the verifier anchor ``B0`` at the origin at
     rest, with committer and verifier sites alternating along a line at
     unit separations.  All messages travel at light speed.  ``tamper``
-    post-processes the built schedule's message list and exists so shipped
-    scenarios can inject causal violations: it takes and returns a list of
-    ``Message``, and the schedule is regrouped into flights from what it
-    returns (``Schedule.from_messages``), so a message it replaces with new
-    events gets a flight of its own.  It must be a pure function of the
-    message list, because ``run_session`` builds a scenario's schedule once
-    per ``(scenario, n0)`` and reuses it.  A scenario must therefore also be
-    hashable, as the frozen fields it is made of are.
+    exists so shipped scenarios can inject causal violations: it takes the
+    built schedule's messages as a list of ``Message`` and returns a list.
+    ``build_schedule`` ignores it; the session plan applies it, regroups
+    what it returns into flights as ``Schedule.from_messages`` does, so a
+    message it replaces with new events gets a flight of its own, takes the
+    confirmations, t_c and t_r from the commit and oracle-reveals messages
+    it carries, and aborts on every built payload it no longer carries.  It
+    must be a pure function of the message list, because ``run_session``
+    plans a scenario's schedule once per ``(scenario, n0)`` and reuses it.
+    A scenario must therefore also be hashable, as the frozen fields it is
+    made of are.
     """
 
     name: str = "line-default"
@@ -540,19 +544,17 @@ class ReductionScenario:
 
         reveal = send(alice, b0, alice.event_at(max(beat.t, chal_recv.t) + 1.0), "reveal")
 
-        fields = dict(
+        stages = (("challenge", challenge), ("declarations", declarations), ("reveal", reveal), (spin_names[-1], spins))
+        return Schedule(
             sites=sites,
+            flights=tuple(flights),
             commitment_point=commitment_point,
             t_c=t_c,
             t_r=t_r,
             confirmations=confirmations,
             committer_ids=frozenset([self.alice_id, *senders]),
+            stage_flights=stages,
         )
-        stages = (("challenge", challenge), ("declarations", declarations), ("reveal", reveal), (spin_names[-1], spins))
-        schedule = Schedule(flights=tuple(flights), stage_flights=stages, **fields)
-        if self.tamper is not None:
-            schedule = Schedule.from_messages(self.tamper(list(schedule.messages)), **fields)
-        return schedule
 
 
 def default_scenario(suspension_rounds: int = 0) -> ReductionScenario:
@@ -569,33 +571,41 @@ def _session_plan(
     session's randomness, so it is computed once per key and shared.
     """
     schedule = scenario.build_schedule(n0)
-    violations = validate_schedule(schedule)
-    # A built schedule sends every protocol payload once and the spins after
-    # t_c, and names the flights read here.  A tamper may drop, rename,
-    # repeat or reorder messages, so a schedule made from messages is
-    # scanned: one pass over the flights finds the messages of the payloads
-    # read here, the protocol payloads no message carries and the spins that
-    # leave at or before t_c.  A flight's payloads are read one by one only
-    # when their join holds "spin[".
-    first = dict(schedule.stage_flights)
-    if not first:
-        spin_names = _payload_names(n0)[1]
-        wanted = {"declarations", "reveal", "challenge", spin_names[-1]}
-        missing = {"challenge", "declarations", "reveal", *spin_names}
-        found: list[tuple[int, str, Flight]] = []
-        late: list[tuple[int, str]] = []
+    found, late, missing = [], [], []
+    if scenario.tamper is not None:
+        # A tamper may drop, rename, repeat, re-time or reorder messages, so
+        # its schedule is timed from the builder's commit and oracle-reveals
+        # payloads it carries (with no commitment it keeps the builder's t_c)
+        # and scanned: one pass over the flights finds the messages of the
+        # payloads read here, the spins that leave at or before t_c and the
+        # builder's payloads no message carries.  A flight's payloads are
+        # read one by one only when their join holds "spin[".
+        sent = [message.payload for message in schedule.messages]
+        flights = _group_flights(scenario.tamper(list(schedule.messages)))
+        commits, reveals = set(_payload_names(n0)[0]), {f"oracle-reveals[{b_id}]" for _, b_id in scenario.oracle_pairs}
+        b0 = schedule.sites[scenario.b0_id]
+        confirmations = tuple([flight.receive for flight in flights if not commits.isdisjoint(flight.payloads)])
+        t_c = earliest_commitment_time(b0, confirmations) if confirmations else schedule.t_c
+        t_r = max([t_c, *[flight.receive.t for flight in flights if not reveals.isdisjoint(flight.payloads)]])
+        timing = dict(commitment_point=b0.event_at(t_c), t_c=t_c, t_r=t_r, confirmations=confirmations)
+        schedule = replace(schedule, flights=flights, stage_flights=(), **timing)
+        wanted = {"declarations", "reveal", "challenge", f"spin[{n0 - 1}]"}
+        carried: set[str] = set()
         for flight in schedule.flights:
             payloads, positions = flight.payloads, flight.positions
             found += [(positions[payloads.index(p)], p, flight) for p in wanted.intersection(payloads)]
-            missing.difference_update(payloads)
-            if flight.emit.t <= schedule.t_c and "spin[" in "".join(payloads):
+            carried.update(payloads)
+            if flight.emit.t <= t_c and "spin[" in "".join(payloads):
                 late += [(position, p) for position, p in zip(positions, payloads) if p.startswith("spin[")]
-        violations += [Violation("ordering", p, "spin emitted at or before t_c") for _, p in sorted(late)]
-        required = ("challenge", "declarations", "reveal", *spin_names)
-        violations += [Violation("missing", p, "no message carries it") for p in required if p in missing]
-        # The first message of each payload, in message order, is the one used.
-        for _, payload, flight in sorted(found):
-            first.setdefault(payload, flight)
+        missing = [] if carried.issuperset(sent) else [p for p in sent if p not in carried]
+    # A built schedule names the flights read here; in a tampered one the
+    # first message of each payload, in message order, is the one used.
+    first = dict(schedule.stage_flights)
+    for _, payload, flight in sorted(found):
+        first.setdefault(payload, flight)
+    violations = validate_schedule(schedule)
+    violations += [Violation("ordering", p, "spin emitted at or before t_c") for _, p in sorted(late)]
+    violations += [Violation("missing", p, "no message carries it") for p in missing]
     # The reveal must leave strictly after the declarations it opens.
     declarations, reveal = first.get("declarations"), first.get("reveal")
     if declarations and reveal and reveal.emit.t <= declarations.emit.t:

@@ -176,9 +176,10 @@ class Schedule:
     message.  ``commitment_point`` is where the verifier's anchor site
     first knows every oracle commitment is in its causal past; ``t_c`` is
     its time coordinate and ``t_r`` the deadline for tested-commitment
-    openings.  ``confirmations`` holds the receive event of each commit
-    flight as built, before any tamper.  ``sites`` is stored as a read-only mapping, since one
-    schedule may be shared by many transcripts.  ``committer_ids`` names
+    openings.  ``confirmations`` holds the receive event of each flight
+    that carries a commitment, in a built or a tampered schedule alike.
+    ``sites`` is stored as a read-only mapping, since one schedule may be
+    shared by many transcripts.  ``committer_ids`` names
     the sites whose messages are committer actions.  ``stage_flights``
     pairs the payloads whose events a session plan reads with the flight
     that carries each, as built; a schedule made from messages has none,
@@ -199,20 +200,8 @@ class Schedule:
 
     @classmethod
     def from_messages(cls, messages, **fields) -> Schedule:
-        """The schedule of ``messages``, in order, with the other fields as keywords.
-
-        Messages that share sender, receiver and emit and receive ``Event``
-        objects form one flight.
-        """
-        messages = tuple(messages)
-        groups: dict[tuple, list[int]] = {}
-        for position, (sender, receiver, emit, receive, _) in enumerate(messages):
-            groups.setdefault((sender, receiver, id(emit), id(receive)), []).append(position)
-        flights = [
-            Flight(*messages[ps[0]][:4], tuple([messages[p][4] for p in ps]), tuple(ps))
-            for ps in groups.values()
-        ]
-        return cls(flights=tuple(flights), **fields)
+        """The schedule of ``messages``, in order, with the other fields as keywords."""
+        return cls(flights=_group_flights(messages), **fields)
 
     @functools.cached_property
     def messages(self) -> tuple[Message, ...]:
@@ -222,6 +211,21 @@ class Schedule:
             for payload, position in zip(payloads, positions):
                 slots[position] = Message(sender, receiver, emit, receive, payload)
         return tuple(slots)
+
+
+def _group_flights(messages) -> tuple[Flight, ...]:
+    """The flights of ``messages``, in order of their first message.
+
+    Messages that share sender, receiver and emit and receive ``Event``
+    objects form one flight.
+    """
+    messages = tuple(messages)
+    groups: dict[tuple, list[int]] = {}
+    for position, (sender, receiver, emit, receive, _) in enumerate(messages):
+        groups.setdefault((sender, receiver, id(emit), id(receive)), []).append(position)
+    return tuple(
+        [Flight(*messages[ps[0]][:4], tuple([messages[p][4] for p in ps]), tuple(ps)) for ps in groups.values()]
+    )
 
 
 def validate_schedule(schedule: Schedule) -> list[Violation]:

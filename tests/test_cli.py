@@ -1,11 +1,13 @@
 """Config parsing, scenario orchestration, artifact determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from certbit.adversary import Honest
@@ -397,6 +399,28 @@ suspension_rounds = 3
         failed = [line for line in summary if line.startswith("FAIL: ")]
         assert len(failed) == 1
         assert failed[0].startswith("FAIL: flip=0.1: exact honest accept rate 0.5 inside")
+
+    def test_purification_nogo_fails_on_a_weakened_attack(self, tmp_path, monkeypatch):
+        def weakened(protocol, _attack=adversary.purification_attack):
+            result = _attack(protocol)
+            return dataclasses.replace(result, p0=0.8 * result.p0, p1=0.8 * result.p1)
+
+        monkeypatch.setattr(analysis, "purification_attack", weakened)
+        config = parse_config(ROOT / "configs" / "purification-nogo.ini")
+        assert run_experiment(config, out_dir=tmp_path / "out") == EXIT_EXPECTATION_FAILED
+        summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+        failed = [line.split(":")[1].strip() for line in summary if line.startswith("FAIL: ")]
+        thetas = np.linspace(0.0, np.pi / 2.0, config.theta_points)
+        assert failed == [f"theta={theta:.4f}" for theta in thetas]
+
+    def test_purification_nogo_runs_no_unitary_sweep(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("purification-nogo ran the unitary sweep")
+
+        monkeypatch.setattr(adversary, "sweep_open_probability", refuse)
+        monkeypatch.setattr(scenarios, "sweep_open_probability", refuse, raising=False)
+        config = parse_config(ROOT / "configs" / "purification-nogo.ini")
+        assert run_experiment(config, out_dir=tmp_path / "out") == 0
 
 
     def test_flip_sweep_fails_on_a_wrong_closed_form(self, tmp_path, monkeypatch):

@@ -567,7 +567,7 @@ class TestBuiltSchedule:
     )
     def test_validation_matches_per_message_oracle(self, seed, shape, n0):
         for tamper in (None, tamper_spin0, tamper_commits):
-            schedule = random_moving_scenario(seed, tamper, *shape).build_schedule(n0)
+            schedule, _, _ = protocol._session_plan.__wrapped__(random_moving_scenario(seed, tamper, *shape), n0)
             found = [(v.kind, v.payload, v.detail) for v in validate_schedule(schedule)]
             assert found == oracles.reference_violations(schedule)
             payloads = {payload for _, payload, _ in found}
@@ -584,7 +584,7 @@ class TestBuiltSchedule:
     )
     def test_messages_round_trip_through_flights(self, seed, shape, n0):
         for tamper in (None, tamper_spin0, tamper_commits):
-            schedule = random_moving_scenario(seed, tamper, *shape).build_schedule(n0)
+            schedule, _, _ = protocol._session_plan.__wrapped__(random_moving_scenario(seed, tamper, *shape), n0)
             fields = {f.name: getattr(schedule, f.name) for f in dataclasses.fields(schedule) if f.name != "flights"}
             again = Schedule.from_messages(schedule.messages, **fields)
             assert again.messages == schedule.messages
@@ -799,8 +799,31 @@ def drop_all(messages):
     return []
 
 
+def retime_commit0(sites):
+    """Tamper: commit[0] reaches its receiver's worldline at t = 50, later than light would."""
+    sites = {site.id: site for site in sites}
+
+    def tamper(messages):
+        return [
+            Message(m.sender, m.receiver, m.emit, sites[m.receiver].event_at(50.0), m.payload)
+            if m.payload == "commit[0]"
+            else m
+            for m in messages
+        ]
+
+    return tamper
+
+
+def missing(*payloads):
+    return [Violation("missing", payload, "no message carries it") for payload in payloads]
+
+
+def t_r_not_after_t_c(t):
+    return Violation("ordering", "t_r", f"t_r={t} must be strictly after t_c={t}")
+
+
 class TestMissingMessages:
-    """A schedule that lacks a protocol message aborts at the schedule stage."""
+    """A schedule that lacks a message the builder sent aborts at the schedule stage."""
 
     N0 = 16
     ESSENTIAL = ("challenge", "declarations", "reveal", *(f"spin[{i}]" for i in range(N0)))
@@ -812,7 +835,13 @@ class TestMissingMessages:
         transcript = run_session(Honest(), params, scenario, make_rng(1))
         assert transcript.verdict is Verdict.ABORT
         assert transcript.failed_stage is Stage.SCHEDULE
-        assert [(v.kind, v.payload) for v in transcript.violations] == [("missing", p) for p in self.ESSENTIAL]
+        if tamper is drop_all:
+            # No oracle-reveals message is left either, so t_r falls back to t_c.
+            sent = [m.payload for m in default_scenario().build_schedule(self.N0).messages]
+            expected = [t_r_not_after_t_c(3.0), *missing(*sent)]
+        else:
+            expected = missing(*(f"spin[{i}]" for i in range(self.N0)), "challenge", "declarations", "reveal")
+        assert list(transcript.violations) == expected
         accepted, _ = run_sessions(params, 10, make_rng(2), scenario)
         assert not accepted.any()
 
@@ -821,9 +850,48 @@ class TestMissingMessages:
         scenario = dataclasses.replace(base, tamper=drop("spin[5]", "spin[15]", "reveal"))
         transcript = run_session(Honest(), ProtocolParams(n0=self.N0, m=4), scenario, make_rng(1))
         assert transcript.failed_stage is Stage.SCHEDULE
-        assert transcript.violations == tuple(
-            Violation("missing", payload, "no message carries it") for payload in ("reveal", "spin[5]", "spin[15]")
-        )
+        assert list(transcript.violations) == missing("spin[5]", "spin[15]", "reveal")
+
+    @pytest.mark.parametrize("base", [default_scenario(1), moving_scenario()], ids=["line", "moving"])
+    @pytest.mark.parametrize(
+        "dropped",
+        [("commit[3]", "heartbeat-out[0]"), ("open-instruction[B1]",), ("oracle-reveals[B1]",)],
+        ids=["commit-and-heartbeat", "open-instruction", "oracle-reveals"],
+    )
+    def test_dropped_builder_message_aborts(self, base, dropped, make_rng):
+        params = ProtocolParams(n0=self.N0, m=4)
+        scenario = dataclasses.replace(base, tamper=drop(*dropped))
+        transcript = run_session(Honest(), params, scenario, make_rng(1))
+        expected = missing(*dropped)
+        if dropped == ("oracle-reveals[B1]",) and base.name == "line-default":
+            # B1 is the line's only oracle endpoint: no reveal reaches B0, so t_r = t_c.
+            expected.insert(0, t_r_not_after_t_c(3.0))
+        assert transcript.verdict is Verdict.ABORT
+        assert transcript.failed_stage is Stage.SCHEDULE
+        assert list(transcript.violations) == expected
+        accepted, _ = run_sessions(params, 10, make_rng(2), scenario)
+        assert not accepted.any()
+
+    @pytest.mark.parametrize("base", [default_scenario(), moving_scenario()], ids=["line", "moving"])
+    def test_retimed_commit_moves_t_c(self, base, make_rng):
+        params = ProtocolParams(n0=self.N0, m=4)
+        scenario = dataclasses.replace(base, tamper=retime_commit0(base.sites))
+        transcript = run_session(Honest(), params, scenario, make_rng(1))
+        schedule = transcript.schedule
+        b0 = schedule.sites["B0"]
+        late_commit = next(m for m in schedule.messages if m.payload == "commit[0]")
+        assert late_commit.receive.t == 50.0 and late_commit.receive in schedule.confirmations
+        assert schedule.t_c == earliest_commitment_time(b0, schedule.confirmations) > 50.0
+        assert schedule.commitment_point == b0.event_at(schedule.t_c)
+        # Every oracle reveal now arrives before t_c, and every spin leaves before it.
+        assert list(transcript.violations) == [
+            t_r_not_after_t_c(schedule.t_c),
+            *(Violation("ordering", f"spin[{i}]", "spin emitted at or before t_c") for i in range(self.N0)),
+        ]
+        if base.name == "line-default":
+            assert schedule.t_c == 52.0
+        accepted, _ = run_sessions(params, 10, make_rng(2), scenario)
+        assert not accepted.any()
 
 
 class TestRunSessions:

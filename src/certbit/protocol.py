@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import functools
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -459,15 +459,13 @@ class ReductionScenario:
     unit separations.  All messages travel at light speed.  ``tamper``
     exists so shipped scenarios can inject causal violations: it takes the
     built schedule's messages as a list of ``Message`` and returns a list.
-    ``build_schedule`` ignores it; the session plan applies it, regroups
-    what it returns into flights as ``Schedule.from_messages`` does, so a
-    message it replaces with new events gets a flight of its own, takes the
-    confirmations, t_c and t_r from the commit and oracle-reveals messages
-    it carries, and aborts on every built payload it no longer carries.  It
-    must be a pure function of the message list, because ``run_session``
-    plans a scenario's schedule once per ``(scenario, n0)`` and reuses it.
-    A scenario must therefore also be hashable, as the frozen fields it is
-    made of are.
+    The session plan applies it (``build_schedule`` ignores it), groups the
+    result into flights as ``Schedule.from_messages`` does, times it from
+    the commit and oracle-reveals messages it carries, and aborts on every
+    built payload it drops.  It must be a pure function of the message
+    list, because ``run_session`` plans a scenario once per
+    ``(scenario, n0)`` and reuses the plan.  A scenario must therefore also
+    be hashable, as the frozen fields it is made of are.
     """
 
     name: str = "line-default"
@@ -575,29 +573,31 @@ def _session_plan(
     if scenario.tamper is not None:
         # A tamper may drop, rename, repeat, re-time or reorder messages, so
         # its schedule is timed from the builder's commit and oracle-reveals
-        # payloads it carries (with no commitment it keeps the builder's t_c)
-        # and scanned: one pass over the flights finds the messages of the
-        # payloads read here, the spins that leave at or before t_c and the
-        # builder's payloads no message carries.  A flight's payloads are
-        # read one by one only when their join holds "spin[".
-        sent = [message.payload for message in schedule.messages]
-        flights = _group_flights(scenario.tamper(list(schedule.messages)))
+        # payloads it carries (with none, or the built commit flights, t_c is
+        # the builder's) and scanned for the messages of the payloads read
+        # here, for spins that leave at or before t_c and for the built
+        # payloads it drops.  A flight's payloads are read one by one only
+        # when their join holds "spin[", or when the built flight lost one.
+        built = schedule
+        flights = _group_flights(scenario.tamper(list(built.messages)))
         commits, reveals = set(_payload_names(n0)[0]), {f"oracle-reveals[{b_id}]" for _, b_id in scenario.oracle_pairs}
-        b0 = schedule.sites[scenario.b0_id]
+        b0 = built.sites[scenario.b0_id]
         confirmations = tuple([flight.receive for flight in flights if not commits.isdisjoint(flight.payloads)])
-        t_c = earliest_commitment_time(b0, confirmations) if confirmations else schedule.t_c
+        t_c = built.t_c if confirmations in ((), built.confirmations) else earliest_commitment_time(b0, confirmations)
         t_r = max([t_c, *[flight.receive.t for flight in flights if not reveals.isdisjoint(flight.payloads)]])
         timing = dict(commitment_point=b0.event_at(t_c), t_c=t_c, t_r=t_r, confirmations=confirmations)
-        schedule = replace(schedule, flights=flights, stage_flights=(), **timing)
+        schedule = Schedule(sites=built.sites, flights=flights, committer_ids=built.committer_ids, **timing)
         wanted = {"declarations", "reveal", "challenge", f"spin[{n0 - 1}]"}
         carried: set[str] = set()
-        for flight in schedule.flights:
+        for flight in flights:
             payloads, positions = flight.payloads, flight.positions
             found += [(positions[payloads.index(p)], p, flight) for p in wanted.intersection(payloads)]
             carried.update(payloads)
             if flight.emit.t <= t_c and "spin[" in "".join(payloads):
                 late += [(position, p) for position, p in zip(positions, payloads) if p.startswith("spin[")]
-        missing = [] if carried.issuperset(sent) else [p for p in sent if p not in carried]
+        for flight in built.flights:
+            if not carried.issuperset(flight.payloads):
+                missing += [(position, p) for position, p in zip(flight.positions, flight.payloads) if p not in carried]
     # A built schedule names the flights read here; in a tampered one the
     # first message of each payload, in message order, is the one used.
     first = dict(schedule.stage_flights)
@@ -605,7 +605,7 @@ def _session_plan(
         first.setdefault(payload, flight)
     violations = validate_schedule(schedule)
     violations += [Violation("ordering", p, "spin emitted at or before t_c") for _, p in sorted(late)]
-    violations += [Violation("missing", p, "no message carries it") for p in missing]
+    violations += [Violation("missing", p, "no message carries it") for _, p in sorted(missing)]
     # The reveal must leave strictly after the declarations it opens.
     declarations, reveal = first.get("declarations"), first.get("reveal")
     if declarations and reveal and reveal.emit.t <= declarations.emit.t:

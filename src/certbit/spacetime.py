@@ -177,9 +177,8 @@ class Schedule:
     first knows every oracle commitment is in its causal past; ``t_c`` is
     its time coordinate and ``t_r`` the deadline for tested-commitment
     openings.  ``confirmations`` holds the receive event of each flight
-    that carries a commitment, in a built or a tampered schedule alike.
-    ``sites`` is stored as a read-only mapping, since one schedule may be
-    shared by many transcripts.  ``committer_ids`` names
+    that carries a commitment, built or tampered.  ``sites`` is stored as a read-only mapping, since one
+    schedule may be shared by many transcripts.  ``committer_ids`` names
     the sites whose messages are committer actions.  ``stage_flights``
     pairs the payloads whose events a session plan reads with the flight
     that carries each, as built; a schedule made from messages has none,

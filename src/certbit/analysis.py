@@ -426,12 +426,13 @@ def nogo_tradeoff_sweep(thetas) -> tuple[TradeoffRow, ...]:
         other = _snap_state(np.array([np.cos(theta), np.sin(theta)], dtype=np.complex128))
         rho0, rho1 = zero.density(), other.density()
         f = fidelity(rho0, rho1)
+        advantage = 0.5 * math.sqrt(max(0.0, 1.0 - f))
         attack = purification_attack(ToyBCProtocol((rho0, rho1)))
         rows.append(
             TradeoffRow(
                 theta=float(theta),
                 fidelity=f,
-                epsilon_bob=Quantity(0.5 * math.sqrt(max(0.0, 1.0 - f)), "exact"),
+                epsilon_bob=Quantity(advantage, "exact"),
                 p_sum=Quantity(attack.p_sum, "exact", note="purification attack"),
                 p0=attack.p0,
                 p1=attack.p1,

@@ -445,9 +445,10 @@ SPIN_DELAY = 1.0
 
 
 @functools.lru_cache(maxsize=SCHEDULE_CACHE_SIZE)
-def _payload_names(n0: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The 2*n0 commit payloads and the n0 spin payloads, in message order."""
-    return tuple([f"commit[{i}]" for i in range(2 * n0)]), tuple([f"spin[{i}]" for i in range(n0)])
+def _payload_names(n0: int) -> tuple[tuple[str, ...], tuple[str, ...], frozenset[str]]:
+    """The 2*n0 commit payloads and the n0 spin payloads, in message order, and the commit payloads as a set."""
+    commits = tuple([f"commit[{i}]" for i in range(2 * n0)])
+    return commits, tuple([f"spin[{i}]" for i in range(n0)]), frozenset(commits)
 
 
 @dataclass(frozen=True)
@@ -489,7 +490,7 @@ class ReductionScenario:
         sites = {site.id: site for site in self.sites}
         b0, alice = sites[self.b0_id], sites[self.alice_id]
         n_commitments = 2 * n0
-        commit_names, spin_names = _payload_names(n0)
+        commit_names, spin_names, _ = _payload_names(n0)
 
         # Oracle commitments, one per committed bit, assigned round-robin
         # over the committer/receiver site pairs: all commitments of one
@@ -580,7 +581,7 @@ def _session_plan(
         # when their join holds "spin[", or when the built flight lost one.
         built = schedule
         flights = _group_flights(scenario.tamper(list(built.messages)))
-        commits, reveals = set(_payload_names(n0)[0]), {f"oracle-reveals[{b_id}]" for _, b_id in scenario.oracle_pairs}
+        commits, reveals = _payload_names(n0)[2], {f"oracle-reveals[{b_id}]" for _, b_id in scenario.oracle_pairs}
         b0 = built.sites[scenario.b0_id]
         confirmations = tuple([flight.receive for flight in flights if not commits.isdisjoint(flight.payloads)])
         t_c = built.t_c if confirmations in ((), built.confirmations) else earliest_commitment_time(b0, confirmations)

@@ -445,10 +445,9 @@ SPIN_DELAY = 1.0
 
 
 @functools.lru_cache(maxsize=SCHEDULE_CACHE_SIZE)
-def _payload_names(n0: int) -> tuple[tuple[str, ...], tuple[str, ...], frozenset[str]]:
-    """The 2*n0 commit payloads and the n0 spin payloads, in message order, and the commit payloads as a set."""
-    commits = tuple([f"commit[{i}]" for i in range(2 * n0)])
-    return commits, tuple([f"spin[{i}]" for i in range(n0)]), frozenset(commits)
+def _payload_names(n0: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The 2*n0 commit payloads and the n0 spin payloads, in message order."""
+    return tuple([f"commit[{i}]" for i in range(2 * n0)]), tuple([f"spin[{i}]" for i in range(n0)])
 
 
 @dataclass(frozen=True)
@@ -461,9 +460,10 @@ class ReductionScenario:
     exists so shipped scenarios can inject causal violations: it takes the
     built schedule's messages as a list of ``Message`` and returns a list.
     The session plan applies it (``build_schedule`` ignores it), groups the
-    result into flights as ``Schedule.from_messages`` does, times it from
-    the commit and oracle-reveals messages it carries, and aborts on every
-    built payload it drops.  It must be a pure function of the message
+    result into flights, times it from the commit and oracle-reveals
+    messages it carries, and aborts on every built payload it drops.  A
+    payload counts as carried only from the sender to the receiver the
+    builder sent it between.  It must be a pure function of the message
     list, because ``run_session`` plans a scenario once per
     ``(scenario, n0)`` and reuses the plan.  A scenario must therefore also
     be hashable, as the frozen fields it is made of are.
@@ -490,7 +490,7 @@ class ReductionScenario:
         sites = {site.id: site for site in self.sites}
         b0, alice = sites[self.b0_id], sites[self.alice_id]
         n_commitments = 2 * n0
-        commit_names, spin_names, _ = _payload_names(n0)
+        commit_names, spin_names = _payload_names(n0)
 
         # Oracle commitments, one per committed bit, assigned round-robin
         # over the committer/receiver site pairs: all commitments of one
@@ -572,33 +572,34 @@ def _session_plan(
     schedule = scenario.build_schedule(n0)
     found, late, missing = [], [], []
     if scenario.tamper is not None:
-        # A tamper may drop, rename, repeat, re-time or reorder messages, so
-        # its schedule is timed from the builder's commit and oracle-reveals
-        # payloads it carries (with none, or the built commit flights, t_c is
-        # the builder's) and scanned for the messages of the payloads read
-        # here, for spins that leave at or before t_c and for the built
-        # payloads it drops.  A flight's payloads are read one by one only
-        # when their join holds "spin[", or when the built flight lost one.
+        # A tamper may drop, rename, repeat, re-time, reroute or reorder
+        # messages.  A payload counts as carried only on the route (sender,
+        # receiver) the builder sent it on.  The tampered schedule is timed
+        # from the flights that so carry commit and oracle-reveals payloads,
+        # and scanned for the messages of the payloads read here, for spins
+        # that leave at or before t_c and for the built payloads it drops.
         built = schedule
+        routes: dict[tuple[str, str], set[str]] = {}
+        for flight in built.flights:
+            routes.setdefault((flight.sender, flight.receiver), set()).update(flight.payloads)
         flights = _group_flights(scenario.tamper(list(built.messages)))
-        commits, reveals = _payload_names(n0)[2], {f"oracle-reveals[{b_id}]" for _, b_id in scenario.oracle_pairs}
+        kept = [routes.get((flight.sender, flight.receiver), set()).intersection(flight.payloads) for flight in flights]
+        commit_names, spin_names = _payload_names(n0)
+        reveals = {f"oracle-reveals[{b_id}]" for _, b_id in scenario.oracle_pairs}
         b0 = built.sites[scenario.b0_id]
-        confirmations = tuple([flight.receive for flight in flights if not commits.isdisjoint(flight.payloads)])
-        t_c = built.t_c if confirmations in ((), built.confirmations) else earliest_commitment_time(b0, confirmations)
-        t_r = max([t_c, *[flight.receive.t for flight in flights if not reveals.isdisjoint(flight.payloads)]])
+        confirmations = tuple([f.receive for f, k in zip(flights, kept) if not k.isdisjoint(commit_names)])
+        t_c = earliest_commitment_time(b0, confirmations) if confirmations else built.t_c
+        t_r = max([t_c, *[f.receive.t for f, k in zip(flights, kept) if not k.isdisjoint(reveals)]])
         timing = dict(commitment_point=b0.event_at(t_c), t_c=t_c, t_r=t_r, confirmations=confirmations)
         schedule = Schedule(sites=built.sites, flights=flights, committer_ids=built.committer_ids, **timing)
-        wanted = {"declarations", "reveal", "challenge", f"spin[{n0 - 1}]"}
-        carried: set[str] = set()
-        for flight in flights:
+        wanted = {"declarations", "reveal", "challenge", spin_names[-1]}
+        for flight, k in zip(flights, kept):
             payloads, positions = flight.payloads, flight.positions
-            found += [(positions[payloads.index(p)], p, flight) for p in wanted.intersection(payloads)]
-            carried.update(payloads)
-            if flight.emit.t <= t_c and "spin[" in "".join(payloads):
-                late += [(position, p) for position, p in zip(positions, payloads) if p.startswith("spin[")]
-        for flight in built.flights:
-            if not carried.issuperset(flight.payloads):
-                missing += [(position, p) for position, p in zip(flight.positions, flight.payloads) if p not in carried]
+            found += [(positions[payloads.index(p)], p, flight) for p in wanted.intersection(k)]
+            if flight.emit.t <= t_c and not k.isdisjoint(spin_names):
+                late += [(position, p) for position, p in zip(positions, payloads) if p in k and p.startswith("spin[")]
+        carried = set().union(*kept)
+        missing = [message.payload for message in built.messages if message.payload not in carried]
     # A built schedule names the flights read here; in a tampered one the
     # first message of each payload, in message order, is the one used.
     first = dict(schedule.stage_flights)
@@ -606,7 +607,7 @@ def _session_plan(
         first.setdefault(payload, flight)
     violations = validate_schedule(schedule)
     violations += [Violation("ordering", p, "spin emitted at or before t_c") for _, p in sorted(late)]
-    violations += [Violation("missing", p, "no message carries it") for _, p in sorted(missing)]
+    violations += [Violation("missing", p, "no message carries it") for p in missing]
     # The reveal must leave strictly after the declarations it opens.
     declarations, reveal = first.get("declarations"), first.get("reveal")
     if declarations and reveal and reveal.emit.t <= declarations.emit.t:

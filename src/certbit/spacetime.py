@@ -9,8 +9,8 @@ A schedule is stored as its flights: the messages of one flight share one
 sender, one receiver, one emit event and one receive event, so timing,
 validation and planning cost one check per flight.  ``Schedule.messages``
 builds the individual messages, in order, only when something reads them;
-a tampered or hand-built message list is grouped back into flights by
-``Schedule.from_messages``.
+``_group_flights`` groups a tampered or hand-built message list back into
+flights.
 
 An ``Event`` whose time and position are already exact floats, as every
 ``Site.event_at`` event is, is kept as given once they are shown finite;
@@ -196,11 +196,6 @@ class Schedule:
 
     def __post_init__(self):
         object.__setattr__(self, "sites", MappingProxyType(dict(self.sites)))
-
-    @classmethod
-    def from_messages(cls, messages, **fields) -> Schedule:
-        """The schedule of ``messages``, in order, with the other fields as keywords."""
-        return cls(flights=_group_flights(messages), **fields)
 
     @functools.cached_property
     def messages(self) -> tuple[Message, ...]:

@@ -39,6 +39,8 @@ from certbit.spacetime import (
     Schedule,
     Site,
     Violation,
+    _arrival,
+    _group_flights,
     earliest_commitment_time,
     validate_schedule,
 )
@@ -586,7 +588,7 @@ class TestBuiltSchedule:
         for tamper in (None, tamper_spin0, tamper_commits):
             schedule, _, _ = protocol._session_plan.__wrapped__(random_moving_scenario(seed, tamper, *shape), n0)
             fields = {f.name: getattr(schedule, f.name) for f in dataclasses.fields(schedule) if f.name != "flights"}
-            again = Schedule.from_messages(schedule.messages, **fields)
+            again = Schedule(flights=_group_flights(schedule.messages), **fields)
             assert again.messages == schedule.messages
             assert all(
                 a.emit is b.emit and a.receive is b.receive for a, b in zip(again.messages, schedule.messages)
@@ -869,6 +871,31 @@ class TestMissingMessages:
         assert transcript.verdict is Verdict.ABORT
         assert transcript.failed_stage is Stage.SCHEDULE
         assert list(transcript.violations) == expected
+        accepted, _ = run_sessions(params, 10, make_rng(2), scenario)
+        assert not accepted.any()
+
+    @pytest.mark.parametrize("base", [default_scenario(), moving_scenario()], ids=["line", "moving"])
+    @pytest.mark.parametrize("receiver", ["B0", "Z9"], ids=["to-B0", "to-unknown-site"])
+    def test_rerouted_commit_aborts(self, base, receiver, make_rng):
+        # commit[3] goes to B0 on a lightlike path, or to a site the scenario does not have,
+        # so the oracle endpoint it was built for never receives it.
+        params = ProtocolParams(n0=self.N0, m=4)
+        b0 = {site.id: site for site in base.sites}["B0"]
+
+        def reroute(messages):
+            return [
+                Message(m.sender, receiver, m.emit, b0.event_at(_arrival(b0, m.emit)), m.payload)
+                if m.payload == "commit[3]"
+                else m
+                for m in messages
+            ]
+
+        scenario = dataclasses.replace(base, tamper=reroute)
+        transcript = run_session(Honest(), params, scenario, make_rng(1))
+        assert transcript.schedule.t_c == base.build_schedule(self.N0).t_c
+        assert transcript.verdict is Verdict.ABORT
+        assert transcript.failed_stage is Stage.SCHEDULE
+        assert list(transcript.violations) == missing("commit[3]")
         accepted, _ = run_sessions(params, 10, make_rng(2), scenario)
         assert not accepted.any()
 

@@ -10,6 +10,7 @@ from certbit.spacetime import (
     Message,
     Schedule,
     Site,
+    _group_flights,
     earliest_commitment_time,
     in_past_cone,
     lorentz_boost,
@@ -154,8 +155,8 @@ class TestSites:
 
 def toy_schedule(messages, t_c=0.0, t_r=1.0, sites=None):
     sites = sites if sites is not None else {}
-    return Schedule.from_messages(
-        messages,
+    return Schedule(
+        flights=_group_flights(messages),
         sites=sites,
         commitment_point=Event(t_c, (0, 0, 0)),
         t_c=t_c,

@@ -584,20 +584,20 @@ def _session_plan(
             routes.setdefault((flight.sender, flight.receiver), set()).update(flight.payloads)
         flights = _group_flights(scenario.tamper(list(built.messages)))
         kept = [routes.get((flight.sender, flight.receiver), set()).intersection(flight.payloads) for flight in flights]
-        commit_names, spin_names = _payload_names(n0)
+        commits, spins = map(frozenset, _payload_names(n0))
         reveals = {f"oracle-reveals[{b_id}]" for _, b_id in scenario.oracle_pairs}
         b0 = built.sites[scenario.b0_id]
-        confirmations = tuple([f.receive for f, k in zip(flights, kept) if not k.isdisjoint(commit_names)])
+        confirmations = tuple([f.receive for f, k in zip(flights, kept) if not k.isdisjoint(commits)])
         t_c = earliest_commitment_time(b0, confirmations) if confirmations else built.t_c
         t_r = max([t_c, *[f.receive.t for f, k in zip(flights, kept) if not k.isdisjoint(reveals)]])
         timing = dict(commitment_point=b0.event_at(t_c), t_c=t_c, t_r=t_r, confirmations=confirmations)
         schedule = Schedule(sites=built.sites, flights=flights, committer_ids=built.committer_ids, **timing)
-        wanted = {"declarations", "reveal", "challenge", spin_names[-1]}
+        wanted = {"declarations", "reveal", "challenge", f"spin[{n0 - 1}]"}
         for flight, k in zip(flights, kept):
             payloads, positions = flight.payloads, flight.positions
             found += [(positions[payloads.index(p)], p, flight) for p in wanted.intersection(k)]
-            if flight.emit.t <= t_c and not k.isdisjoint(spin_names):
-                late += [(position, p) for position, p in zip(positions, payloads) if p in k and p.startswith("spin[")]
+            if flight.emit.t <= t_c and not k.isdisjoint(spins):
+                late += [(position, p) for position, p in zip(positions, payloads) if p in k and p in spins]
         carried = set().union(*kept)
         missing = [message.payload for message in built.messages if message.payload not in carried]
     # A built schedule names the flights read here; in a tampered one the

@@ -49,7 +49,6 @@ __all__ = [
     "IdealCommitmentOracle",
     "Verdict",
     "Stage",
-    "TestedOutcome",
     "RevealOutcome",
     "SessionTranscript",
     "ReductionScenario",
@@ -176,6 +175,24 @@ class Declaration:
         return self.basis_for_zero if bit == 0 else self.basis_for_one
 
 
+def _oracle_masks(shape, flip_probability: float, leak_probability: float, randomness: RandomStream):
+    """The oracle's flip and leak masks over committed bits of ``shape``, from one array draw.
+
+    The draw is ``(*shape, 2)`` uniforms with both knobs above zero (bit by
+    bit, one flip and then one leak uniform), ``shape`` with one, and none
+    with both at zero.
+    """
+    flip = leak = np.zeros(shape, dtype=bool)
+    if flip_probability > 0.0 and leak_probability > 0.0:
+        uniforms = randomness.random((*shape, 2))
+        flip, leak = uniforms[..., 0] < flip_probability, uniforms[..., 1] < leak_probability
+    elif flip_probability > 0.0:
+        flip = randomness.random(shape) < flip_probability
+    elif leak_probability > 0.0:
+        leak = randomness.random(shape) < leak_probability
+    return flip, leak
+
+
 class IdealCommitmentOracle:
     """Trusted functionality certifying that reveals return the committed bit.
 
@@ -187,10 +204,9 @@ class IdealCommitmentOracle:
     time); with ``leak_probability`` > 0 the certified value becomes part of
     the receiver's view at commit time.  Inputs are classical bits only.
 
-    ``commit`` makes one array draw: shape ``(n, 2)`` with both knobs above
-    zero (column 0 decides each flip, column 1 each leak, so row by row the
-    order of one flip and then one leak uniform per bit), shape ``(n,)``
-    with one knob above zero, and no draw with both at zero.
+    ``commit`` draws its masks with ``_oracle_masks``, as each block of
+    ``run_sessions`` does, so ``run_sessions`` at n = 1 draws this oracle's
+    numbers.
     """
 
     def __init__(self, flip_probability: float = 0.0, leak_probability: float = 0.0):
@@ -210,16 +226,7 @@ class IdealCommitmentOracle:
         bits = np.asarray(bits)
         if not ((bits == 0) | (bits == 1)).all():
             raise ValueError("oracle accepts classical bits only")
-        n = len(bits)
-        flip = leak = np.zeros(n, dtype=bool)
-        if self.flip_probability > 0.0 and self.leak_probability > 0.0:
-            uniforms = randomness.random((n, 2))
-            flip = uniforms[:, 0] < self.flip_probability
-            leak = uniforms[:, 1] < self.leak_probability
-        elif self.flip_probability > 0.0:
-            flip = randomness.random(n) < self.flip_probability
-        elif self.leak_probability > 0.0:
-            leak = randomness.random(n) < self.leak_probability
+        flip, leak = _oracle_masks(bits.shape, self.flip_probability, self.leak_probability, randomness)
         self._stored = bits.astype(np.int64) ^ flip
         self._leaked = np.flatnonzero(leak)
         self._committed = True
@@ -261,12 +268,6 @@ class Stage(enum.Enum):
 
 
 @dataclass(frozen=True)
-class TestedOutcome:
-    accepted: bool
-    reject_index: int | None = None
-
-
-@dataclass(frozen=True)
 class RevealOutcome:
     accepted: bool
     reject_index: int | None = None
@@ -278,34 +279,37 @@ def spin_labels(bits) -> list[SpinLabel]:
     return [DEFAULT_ENCODING[(bits[2 * i], bits[2 * i + 1])] for i in range(len(bits) // 2)]
 
 
-def draw_challenge(params: ProtocolParams, randomness: RandomStream) -> tuple[int, ...]:
-    """Uniformly random subset of n0 - m particle indices, sorted."""
-    picked = randomness.permutation(params.n0)[: params.n_tested]
-    return tuple(np.sort(picked).tolist())
+def draw_challenge(params: ProtocolParams, n: int, randomness: RandomStream) -> np.ndarray:
+    """Each of ``n`` sessions' uniformly random subset of n0 - m particle indices, sorted, as rows.
+
+    One ``permutation(n0, rows=n)`` draw, whose rows are those of ``n``
+    successive ``permutation(n0)`` calls, so ``run_sessions`` at n = 1 draws
+    ``run_session``'s challenge.
+    """
+    picked = randomness.permutation(params.n0, rows=n)[:, : params.n_tested]
+    return np.sort(picked, axis=1)
 
 
-def verify_tested(tested, opened, sent, randomness: RandomStream) -> TestedOutcome:
-    """Measure each challenged particle in the basis its opened pair names.
+def verify_tested(tested, opened, sent, randomness: RandomStream) -> np.ndarray:
+    """Measure each session's challenged particles in the bases their opened pairs name.
 
-    ``opened[j]`` is the pair code 2*b0 + b1 the oracle certified for
-    particle ``tested[j]``, and particle ``i`` is in the signal state of
-    pair code ``sent[i]``.  Accepts iff every single-shot outcome is the
-    exact eigenstate the opened pair encodes (each particle is one copy);
-    a rejection names the first tested particle that failed.
+    Row ``r`` is session ``r``: ``opened[r, j]`` is the pair code 2*b0 + b1
+    the oracle certified for particle ``tested[r, j]``, and particle ``i`` is
+    in the signal state of pair code ``sent[r, i]``.  Returns whether each
+    particle's single-shot outcome is the exact eigenstate its opened pair
+    encodes (each particle is one copy); a session passes iff its row does.
 
-    Draws once: ``randomness.random(len(tested))``, uniform ``j`` for
-    particle ``tested[j]``.  The whole array is drawn even when a particle
-    fails, so a fresh stream gives the outcome a draw per particle up to the
-    first failure would, and a shared stream is further along after a
-    rejection.
+    Draws once: ``randomness.random(tested.shape)``, uniform ``[r, j]`` for
+    particle ``tested[r, j]``, so ``run_sessions`` at n = 1 measures with
+    ``run_session``'s numbers.  The whole array is drawn even when a
+    particle fails, so a shared stream is further along after a rejection.
     """
     tested = np.asarray(tested, dtype=np.int64)
     opened = np.asarray(opened, dtype=np.int64)
     if opened.shape != tested.shape:
-        raise ValueError(f"{opened.size} oracle reveals for {tested.size} tested particles")
-    sent = np.asarray(sent, dtype=np.int64)
-    reject = _first_failure(tested, _collapses(sent[tested], opened, randomness.random(tested.size)))
-    return TestedOutcome(reject is None, reject_index=reject)
+        raise ValueError(f"oracle reveals of shape {opened.shape} for tested particles of shape {tested.shape}")
+    sent = np.asarray(sent, dtype=np.int64)[np.arange(len(tested))[:, None], tested]
+    return _collapses(sent, opened, randomness.random(tested.shape))
 
 
 def honest_declarations(bit: int, particles, labels) -> tuple[Declaration, ...]:
@@ -700,26 +704,24 @@ def run_session(
     sent = 2 * bits[0::2] + bits[1::2]
     labels = tuple([_SIGNALS[code] for code in sent.tolist()])
 
-    # Challenge and tested verification on the certified pairs of the tested particles.
-    tested = draw_challenge(params, randomness)
-    tested_at = np.array(tested, dtype=np.int64)
+    # Challenge and tested verification, as row 0 of the rules ``run_sessions`` runs on blocks.
+    tested = draw_challenge(params, 1, randomness)[0]
     untested_mask = np.ones(params.n0, dtype=bool)
-    untested_mask[tested_at] = False
+    untested_mask[tested] = False
     untested = tuple(np.flatnonzero(untested_mask).tolist())
-    certified = oracle.reveal(2 * tested_at[:, None] + (0, 1))
-    tested_outcome = verify_tested(tested_at, 2 * certified[:, 0] + certified[:, 1], sent, randomness)
+    certified = oracle.reveal(2 * tested[:, None] + (0, 1))
+    opened = 2 * certified[:, 0] + certified[:, 1]
+    reject = _first_failure(tested, verify_tested(tested[None], opened[None], sent[None], randomness)[0])
 
     base = dict(
         committed_bits=tuple(bits.tolist()),
         sent_labels=labels,
-        challenge=tested,
+        challenge=tuple(tested.tolist()),
         untested=untested,
         events=dict(events),
     )
-    if not tested_outcome.accepted:
-        return transcript(
-            Verdict.REJECT, failed_stage=Stage.TESTED, reject_index=tested_outcome.reject_index, **base
-        )
+    if reject is not None:
+        return transcript(Verdict.REJECT, failed_stage=Stage.TESTED, reject_index=reject, **base)
 
     # Declarations over the untested particles.
     untested_labels = tuple(labels[i] for i in untested)
@@ -756,19 +758,17 @@ def run_sessions(
     """Run ``n`` honest sessions as numpy arrays; the Monte Carlo path.
 
     Returns each session's acceptance and the number of commitments the
-    oracle leaked in it.  The rules are those of :func:`run_session` with
-    an honest committer: the oracle flips and leaks each of the 2*n0
-    committed bits independently, the challenge is a uniform (n0 - m)-subset,
-    and each tested particle is measured in the basis of its certified pair
-    and must collapse onto that pair's state.  The honest reveal measures
-    each untested particle in its sent basis, so it always matches and is
-    not simulated.  Every session aborts when the scenario's schedule has
-    causal violations.
+    oracle leaked in it.  The stages are :func:`run_session`'s with an
+    honest committer, through its rules over a leading session axis:
+    ``_oracle_masks``, ``draw_challenge`` and ``verify_tested``.  The honest
+    reveal measures each untested particle in its sent basis, so it always
+    matches and is not simulated.  Every session aborts when the scenario's
+    schedule has causal violations.
 
-    The sessions follow the scalar path's distributions but not its random
-    numbers: each kind of draw is one array draw per block of
-    ``SESSION_CHUNK`` sessions, so the number of ``RandomStream`` calls
-    grows with the number of blocks, not with ``n``.
+    Each block of at most ``SESSION_CHUNK`` sessions makes one array draw
+    per stage, in ``run_session``'s order, so the ``RandomStream`` calls
+    grow with the number of blocks, not with ``n``.  At n = 1 the numbers,
+    and so the verdict, are those of ``run_session(Honest(), ...)``.
     """
     if n < 1:
         raise ValueError("run_sessions needs n >= 1")
@@ -777,25 +777,13 @@ def run_sessions(
     _, violations, _ = _session_plan(scenario, params.n0)
     if violations:
         return np.zeros(n, dtype=bool), np.zeros(n, dtype=np.int64)
-    blocks = [
-        _honest_block(params, min(SESSION_CHUNK, n - start), randomness) for start in range(0, n, SESSION_CHUNK)
-    ]
-    accepted, leaked = zip(*blocks)
+    accepted, leaked = [], []
+    for start in range(0, n, SESSION_CHUNK):
+        bits = randomness.integers(0, 2, size=(min(SESSION_CHUNK, n - start), params.n_commitments))
+        flip, leak = _oracle_masks(bits.shape, params.flip_probability, params.leak_probability, randomness)
+        certified = bits ^ flip
+        tested = draw_challenge(params, len(bits), randomness)
+        opened = np.take_along_axis(2 * certified[:, 0::2] + certified[:, 1::2], tested, axis=1)
+        accepted.append(verify_tested(tested, opened, 2 * bits[:, 0::2] + bits[:, 1::2], randomness).all(axis=1))
+        leaked.append(np.count_nonzero(leak, axis=1))
     return np.concatenate(accepted), np.concatenate(leaked)
-
-
-def _honest_block(params: ProtocolParams, n: int, randomness: RandomStream) -> tuple[np.ndarray, np.ndarray]:
-    """Acceptance and leak count of ``n`` honest sessions, one array draw per kind of randomness."""
-    bits = randomness.integers(0, 2, size=(n, params.n_commitments))
-    certified = bits
-    if params.flip_probability > 0.0:
-        certified = bits ^ (randomness.random(bits.shape) < params.flip_probability)
-    leaked = np.zeros(n, dtype=np.int64)
-    if params.leak_probability > 0.0:
-        leaked = np.count_nonzero(randomness.random(bits.shape) < params.leak_probability, axis=1)
-
-    challenge = np.argsort(randomness.random((n, params.n0)), axis=1)[:, : params.n_tested]
-    rows = np.arange(n)[:, None]
-    sent = (2 * bits[:, 0::2] + bits[:, 1::2])[rows, challenge]
-    opened = (2 * certified[:, 0::2] + certified[:, 1::2])[rows, challenge]
-    return _collapses(sent, opened, randomness.random(sent.shape)).all(axis=1), leaked

@@ -47,8 +47,13 @@ class RandomStream:
         """``n`` fair bits as Python ints, from one array draw of ``integers(0, 2, size=n)``."""
         return tuple(self._generator.integers(0, 2, size=n).tolist())
 
-    def permutation(self, n: int) -> np.ndarray:
-        return self._generator.permutation(n)
+    def permutation(self, n: int, rows: int | None = None) -> np.ndarray:
+        """A permutation of ``range(n)``; with ``rows``, a ``(rows, n)`` array of the ones ``rows`` calls would give."""
+        if rows is None:
+            return self._generator.permutation(n)
+        if rows == 1:  # the same numbers, without the set-up cost of ``permuted``
+            return self._generator.permutation(n)[None]
+        return self._generator.permuted(np.broadcast_to(np.arange(n), (rows, n)), axis=1)
 
     def choice(self, seq, size=None, replace=True):
         return self._generator.choice(seq, size=size, replace=replace)

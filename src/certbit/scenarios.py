@@ -275,7 +275,7 @@ def _run_oracle_degradation(config) -> ExperimentResult:
     _expect(result, ideal.honest_accept_rate == 1.0, "knobs at 0: no completeness degradation")
     records.append(_degradation_record(ideal, _degradation_quantities(base, ideal)))
 
-    flipped = config.params(flip_probability=0.1)
+    flipped = config.params(flip_probability=0.01)
     degraded = weak_oracle_degradation(flipped, sessions, randomness, scenario=scenario)
     quantities = _degradation_quantities(flipped, degraded)
     exact, estimate = quantities["honest_accept_rate"]
@@ -283,7 +283,7 @@ def _run_oracle_degradation(config) -> ExperimentResult:
     _expect(
         result,
         low <= exact.value <= high,
-        f"flip=0.1: exact honest accept rate {exact.value:.4g}"
+        f"flip=0.01: exact honest accept rate {exact.value:.4g}"
         f" inside the Monte Carlo 99% interval [{low:.4g}, {high:.4g}]",
     )
     records.append(_degradation_record(degraded, quantities))

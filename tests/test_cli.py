@@ -391,14 +391,18 @@ suspension_rounds = 3
         assert run_experiment(parse_config(write_config(tmp_path, body)), out_dir=tmp_path / "out") == 0
         assert [s.suspension_rounds for s in seen] == [3, 3]
 
-    def test_oracle_degradation_fails_on_a_wrong_closed_form(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(scenarios, "honest_accept_probability_exact", lambda params: 0.5)
+    @pytest.mark.parametrize("factor", [1.25, 0.75])
+    def test_oracle_degradation_fails_on_a_wrong_closed_form(self, factor, tmp_path, monkeypatch):
+        # At flip = 0.01 the exact rate is 0.4865, so a closed form off by 25% either way leaves the interval.
+        exact = scenarios.honest_accept_probability_exact
+        monkeypatch.setattr(scenarios, "honest_accept_probability_exact", lambda params: factor * exact(params))
         config = parse_config(ROOT / "configs" / "oracle-degradation.ini")
         assert run_experiment(config, out_dir=tmp_path / "out") == EXIT_EXPECTATION_FAILED
         summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()
         failed = [line for line in summary if line.startswith("FAIL: ")]
         assert len(failed) == 1
-        assert failed[0].startswith("FAIL: flip=0.1: exact honest accept rate 0.5 inside")
+        scaled = factor * exact(config.params(flip_probability=0.01))
+        assert failed[0].startswith(f"FAIL: flip=0.01: exact honest accept rate {scaled:.4g} inside")
 
     def test_purification_nogo_fails_on_a_weakened_attack(self, tmp_path, monkeypatch):
         def weakened(protocol, _attack=adversary.purification_attack):

@@ -136,21 +136,19 @@ class TestOracle:
 class TestChallenge:
     def test_subset_size(self, rng):
         params = ProtocolParams(n0=3, m=2, strict=False)
-        assert len(draw_challenge(params, rng)) == 1
+        assert draw_challenge(params, 5, rng).shape == (5, 1)
 
     def test_degenerate_empty_subset(self, rng):
         params = ProtocolParams(n0=2, m=2, strict=False)
-        assert draw_challenge(params, rng) == ()
+        assert draw_challenge(params, 3, rng).shape == (3, 0)
 
     def test_uniform_membership(self, rng):
         # Each index of 8 appears in a size-4 subset with frequency 1/2.
         params = ProtocolParams(n0=8, m=4, strict=False)
         draws = 100_000
-        counts = np.zeros(8)
-        for _ in range(draws):
-            for index in draw_challenge(params, rng):
-                counts[index] += 1
-        frequencies = counts / draws
+        challenges = draw_challenge(params, draws, rng)
+        assert (np.diff(challenges, axis=1) > 0).all()  # sorted, no index twice
+        frequencies = np.bincount(challenges.ravel(), minlength=8) / draws
         assert np.all(np.abs(frequencies - 0.5) < 0.01)
 
 
@@ -159,33 +157,28 @@ class TestVerifyTested:
         bits = (0, 0, 0, 1, 1, 0, 1, 1)
         sent = codes(spin_labels(bits))
         opened = [2 * bits[2 * i] + bits[2 * i + 1] for i in range(4)]
-        for _ in range(25):
-            outcome = verify_tested(range(4), opened, sent, rng)
-            assert outcome.accepted
+        assert verify_tested([range(4)] * 25, [opened] * 25, [sent] * 25, rng).all()
 
     def test_conjugate_swap_detected_half_the_time(self, rng):
         # A particle in the conjugate basis passes the check with p = 1/2.
         trials = 100_000
-        opened = [CODE[SpinLabel.UP]]
-        passes = 0
-        for _ in range(trials):
-            if verify_tested([0], opened, codes([SpinLabel.RIGHT]), rng).accepted:
-                passes += 1
-        assert abs(passes / trials - 0.5) < 0.005
+        tested, opened = np.zeros((trials, 1), dtype=int), np.full((trials, 1), CODE[SpinLabel.UP])
+        passed = verify_tested(tested, opened, np.full((trials, 1), CODE[SpinLabel.RIGHT]), rng)
+        assert abs(passed.mean() - 0.5) < 0.005
 
     def test_empty_subset_vacuous_accept(self, rng):
-        outcome = verify_tested([], [], [], rng)
-        assert outcome.accepted and outcome.reject_index is None
+        passed = verify_tested(np.zeros((2, 0), dtype=int), np.zeros((2, 0)), [[], []], rng)
+        assert passed.shape == (2, 0) and passed.all(axis=1).tolist() == [True, True]
 
     def test_missing_reveal_raises(self, rng):
-        with pytest.raises(ValueError, match="0 oracle reveals for 1 tested"):
-            verify_tested([0], [], codes([SpinLabel.UP]), rng)
+        with pytest.raises(ValueError, match=r"reveals of shape \(1, 0\) for tested particles of shape \(1, 1\)"):
+            verify_tested([[0]], [[]], [codes([SpinLabel.UP])], rng)
 
-    def test_rejection_names_first_failure(self, rng):
-        opened = [CODE[SpinLabel.UP], CODE[SpinLabel.DOWN]]  # particle 1 is orthogonal to its claim
-        outcome = verify_tested([0, 1], opened, codes([SpinLabel.UP, SpinLabel.UP]), rng)
-        assert not outcome.accepted
-        assert outcome.reject_index == 1
+    def test_each_session_checks_its_own_particles(self, rng):
+        # Session 0: particle 1 is orthogonal to its claim; session 1 is honest.
+        opened = [[CODE[SpinLabel.UP], CODE[SpinLabel.DOWN]], [CODE[SpinLabel.UP], CODE[SpinLabel.UP]]]
+        passed = verify_tested([[0, 1], [0, 1]], opened, [codes([SpinLabel.UP, SpinLabel.UP])] * 2, rng)
+        assert passed.tolist() == [[True, False], [True, True]]
 
 
 class TestDeclarations:
@@ -976,7 +969,7 @@ class TestRunSessionsCost:
         accepted, leaked = run_sessions(params, n, RandomStream(7))
         assert accepted.shape == leaked.shape == (n,)
         assert max(rng_calls.rows) == protocol.SESSION_CHUNK
-        assert sum(rng_calls.counts.values()) == 3 * 5  # three blocks, five draws each
+        assert sum(rng_calls.counts.values()) == 3 * 4  # three blocks, four draws each
 
 
 # Sizes, oracle knobs and scenarios the array session is compared on with the scalar reference.
@@ -1028,6 +1021,30 @@ class TestScalarReference:
             assert oracle.reveal(np.arange(128)).tolist() == [reference.reveal(i) for i in range(128)]
             assert oracle.leaked_view == reference.leaked
             assert stream.random() == scalar_stream.random()
+
+
+# Sizes a one-session run_sessions is compared with run_session on.
+ROW_SIZES = [(8, 2, False), (16, 4, True), (64, 16, True)]
+
+
+class TestOneRowOfRunSessions:
+    """``run_sessions`` at n = 1 draws what ``run_session(Honest(), ...)`` draws, so it reaches the same verdict."""
+
+    @pytest.mark.parametrize("n0, m, strict", ROW_SIZES, ids=["n0=8", "n0=16", "n0=64"])
+    @pytest.mark.parametrize("flip, leak", REFERENCE_KNOBS)
+    def test_acceptance_and_leaks_match_run_session(self, n0, m, strict, flip, leak):
+        params = ProtocolParams(n0=n0, m=m, flip_probability=flip, leak_probability=leak, strict=strict)
+        verdicts = Counter()
+        for seed in range(60):
+            accepted, leaked = run_sessions(params, 1, RandomStream(seed))
+            transcript = run_session(Honest(), params, randomness=RandomStream(seed))
+            assert bool(accepted[0]) == transcript.accepted, seed
+            stream, oracle = RandomStream(seed), IdealCommitmentOracle(flip, leak)
+            oracle.commit(stream.bits(params.n_commitments), stream)
+            assert leaked[0] == len(oracle.leaked_view), seed
+            verdicts[transcript.accepted] += 1
+        if 0.0 < flip < 1.0 and n0 < 64:
+            assert verdicts[True] and verdicts[False]  # both verdicts are compared
 
 
 class TestRunSessionCost:

@@ -5,7 +5,19 @@ closed forms written out here.  For the commit states |0> and
 cos(t)|0> + sin(t)|1>, the fidelity is cos^2 t, the verifier's
 distinguishing advantage (1/2) sqrt(1 - F) is (1/2) sin t, and the
 purification attack opens each bit with probability (1 + sqrt F)/2, so
-p_sum = 1 + cos t.  A record type the audit has no check for fails it.
+p_sum = 1 + cos t.
+
+Each record of ``runs/oracle-degradation/report.jsonl`` is checked the
+same way.  An honest session passes a tested particle whose pair the
+oracle left alone, passes one whose basis bit it flipped with
+probability 1/2, and fails one whose value bit alone it flipped, so it is
+accepted with probability ((1 - f)^2 + f/2)^(n0 - m); each commitment
+leaks with probability q.  Each Monte Carlo estimate must be a count over
+its trials, carry that count's 99% Wilson interval and cover the exact
+value.  The leak = 1 record's intervals must cover 1, the value of both
+its quantities when every commitment leaks.
+
+A record type the audit has no check for fails it.
 """
 
 import configparser
@@ -13,6 +25,7 @@ import copy
 import json
 import math
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -22,16 +35,31 @@ NOGO_REPORT = ROOT / "runs" / "purification-nogo" / "report.jsonl"
 NOGO_CONFIG = ROOT / "configs" / "purification-nogo.ini"
 TOLERANCE = 1e-12
 TRADEOFF_FIELDS = ("theta", "fidelity", "epsilon_bob", "p_sum", "p0", "p1")
+DEGRADATION_REPORT = ROOT / "runs" / "oracle-degradation" / "report.jsonl"
+DEGRADATION_CONFIG = ROOT / "configs" / "oracle-degradation.ini"
+# The scenario's (flip, leak) points and its sessions per point; the shipped config sets no trials.
+DEGRADATION_KNOBS = [(0.0, 0.0), (0.01, 0.0)]
+DEGRADATION_SESSIONS = 300
+Z99 = NormalDist().inv_cdf(0.995)
 
 
 def load(path: Path) -> list[dict]:
     return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
 
 
-def theta_points() -> int:
+def read_config(path: Path) -> configparser.ConfigParser:
     config = configparser.ConfigParser()
-    config.read(NOGO_CONFIG, encoding="utf-8")
-    return config.getint("analysis", "theta_points")
+    config.read(path, encoding="utf-8")
+    return config
+
+
+def theta_points() -> int:
+    return read_config(NOGO_CONFIG).getint("analysis", "theta_points")
+
+
+def degradation_sizes() -> tuple[int, int]:
+    config = read_config(DEGRADATION_CONFIG)
+    return config.getint("protocol", "n0"), config.getint("protocol", "m")
 
 
 def value(record: dict, name: str) -> float:
@@ -95,3 +123,115 @@ def test_audit_refuses_inexact_provenance():
     records = load(NOGO_REPORT)
     records[1]["p_sum"]["provenance"] = "monte-carlo"
     assert audit_nogo(records, theta_points()) == ["tradeoff 0: p_sum provenance 'monte-carlo'"]
+
+
+def wilson(successes: int, trials: int) -> tuple[float, float]:
+    """The 99% Wilson score interval, written out."""
+    phat, z2n = successes / trials, Z99 * Z99 / trials
+    center = (phat + z2n / 2.0) / (1.0 + z2n)
+    half = Z99 * math.sqrt(phat * (1.0 - phat) / trials + z2n / (4.0 * trials)) / (1.0 + z2n)
+    return center - half, center + half
+
+
+def audit_estimate(where: str, estimate: dict, exact: float, trials: int) -> list[str]:
+    """A Monte Carlo estimate is a count over ``trials`` with that count's interval, which covers ``exact``."""
+    problems = []
+    count = estimate["value"] * trials
+    low, high = estimate["ci"]
+    bounds = zip((low, high), wilson(round(count), trials))
+    if estimate["provenance"] != "monte-carlo" or estimate["trials"] != trials:
+        problems.append(f"{where}: {estimate['provenance']!r} over {estimate['trials']!r} trials, expected {trials}")
+    elif abs(count - round(count)) > 1e-9:
+        problems.append(f"{where}: value {estimate['value']!r} is no count over {trials} trials")
+    elif any(abs(bound - wilson_bound) > TOLERANCE for bound, wilson_bound in bounds):
+        problems.append(f"{where}: interval {[low, high]!r} is not the Wilson interval of {round(count)}/{trials}")
+    if not low <= exact <= high:
+        problems.append(f"{where}: interval {[low, high]!r} misses the exact {exact!r}")
+    return problems
+
+
+def audit_degradation(records: list[dict], n0: int, m: int) -> list[str]:
+    """Every disagreement between the records and the closed forms; empty means the report passes."""
+    problems = []
+    degradations, leaks = [], []
+    for index, record in enumerate(records):
+        if record["type"] == "degradation":
+            degradations.append(record)
+        elif record["type"] == "leak":
+            leaks.append(record)
+        elif record["type"] != "experiment":
+            problems.append(f"record {index}: no audit for type {record['type']!r}")
+    if len(degradations) != len(DEGRADATION_KNOBS) or len(leaks) != 1:
+        problems.append(f"{len(degradations)} degradation and {len(leaks)} leak records")
+    for index, (record, (flip, leak)) in enumerate(zip(degradations, DEGRADATION_KNOBS)):
+        where = f"degradation {index}"
+        if (record["flip_probability"], record["leak_probability"]) != (flip, leak):
+            problems.append(f"{where}: knobs {record['flip_probability']!r}, {record['leak_probability']!r}")
+        if record["trials"] != DEGRADATION_SESSIONS:
+            problems.append(f"{where}: {record['trials']!r} trials")
+        expected = {
+            "honest_accept_rate": (((1.0 - flip) ** 2 + flip / 2.0) ** (n0 - m), DEGRADATION_SESSIONS),
+            "leaked_fraction": (leak, DEGRADATION_SESSIONS * 2 * n0),
+        }
+        for name, (exact, trials) in expected.items():
+            reported = record[name]["exact"]
+            if reported["provenance"] != "exact" or abs(reported["value"] - exact) > TOLERANCE:
+                problems.append(f"{where}: {name} exact {reported!r}, expected {exact!r}")
+            problems += audit_estimate(f"{where}: {name}", record[name]["monte_carlo"], exact, trials)
+    for record in leaks:
+        if record["leak_probability"] != 1.0:
+            problems.append(f"leak: leak_probability {record['leak_probability']!r}")
+        for name in ("tv_distance", "mutual_information_bits"):
+            # Both quantities lie in [0, 1], so an interval that covers 1 ends there.
+            low, high = record[name]["ci"]
+            if not 0.0 <= low <= record[name]["value"] <= high == 1.0:
+                problems.append(f"leak: {name} {record[name]['value']!r} in {[low, high]!r}, which must end at 1")
+    return problems
+
+
+# (record index, field path, shift): each shift breaks one check the audit makes.
+DEGRADATION_MUTATIONS = [
+    (row, path, 1e-9)
+    for row in (1, 2)
+    for path in (
+        ("flip_probability",),
+        ("leak_probability",),
+        ("honest_accept_rate", "exact", "value"),
+        ("honest_accept_rate", "monte_carlo", "value"),
+        ("honest_accept_rate", "monte_carlo", "ci", 0),
+        ("honest_accept_rate", "monte_carlo", "ci", 1),
+        ("leaked_fraction", "exact", "value"),
+        ("leaked_fraction", "monte_carlo", "value"),
+        ("leaked_fraction", "monte_carlo", "ci", 0),
+        ("leaked_fraction", "monte_carlo", "ci", 1),
+    )
+] + [
+    (3, ("leak_probability",), -1e-9),
+    (3, ("tv_distance", "value"), 1e-9),
+    (3, ("tv_distance", "ci", 1), -1e-9),
+    (3, ("mutual_information_bits", "value"), 1e-9),
+    (3, ("mutual_information_bits", "ci", 0), 1e-9),
+    (3, ("mutual_information_bits", "ci", 1), -1e-9),
+]
+
+
+def test_oracle_degradation_report_matches_closed_forms():
+    assert audit_degradation(load(DEGRADATION_REPORT), *degradation_sizes()) == []
+
+
+@pytest.mark.parametrize("row, path, shift", DEGRADATION_MUTATIONS)
+def test_degradation_audit_catches_a_shifted_value(row, path, shift):
+    records = copy.deepcopy(load(DEGRADATION_REPORT))
+    owner = records[row]
+    for key in path[:-1]:
+        owner = owner[key]
+    owner[path[-1]] += shift
+    problems = audit_degradation(records, *degradation_sizes())
+    where = "leak" if records[row]["type"] == "leak" else f"degradation {row - 1}"
+    assert problems and all(problem.startswith(f"{where}: ") for problem in problems)
+
+
+def test_degradation_audit_refuses_an_unaudited_record_type():
+    records = load(DEGRADATION_REPORT) + [{"schema": 1, "type": "stage-outcomes", "tested": 162}]
+    problems = audit_degradation(records, *degradation_sizes())
+    assert problems == [f"record {len(records) - 1}: no audit for type 'stage-outcomes'"]

@@ -28,6 +28,7 @@ from .adversary import (
 from .protocol import (
     ProtocolParams,
     SessionTranscript,
+    _oracle_masks,
     honest_declarations,
     spin_labels,
 )
@@ -240,10 +241,8 @@ def _sample_view_atoms(
     pair_bits = randomness.integers(0, 2, size=(n, 2))
     true_basis = pair_bits[:, 0]  # 0 -> Z, 1 -> X
     basis_for_zero = true_basis if bit == 0 else 1 - true_basis
-    if params.leak_probability > 0.0:
-        leaked = randomness.random(n) < params.leak_probability
-    else:
-        leaked = np.zeros(n, dtype=bool)
+    # The oracle's own leak rule, one leak per atom; this model leaves flips out.
+    _, leaked = _oracle_masks((n,), 0.0, params.leak_probability, randomness)
     leak_code = np.where(leaked, 1 + 2 * pair_bits[:, 0] + pair_bits[:, 1], 0)
     return (basis_for_zero * 5 + leak_code).reshape(trials, params.m)
 

@@ -28,11 +28,12 @@ from .adversary import (
 from .protocol import (
     ProtocolParams,
     SessionTranscript,
+    _collapses,
     _oracle_masks,
     honest_declarations,
     spin_labels,
 )
-from .quantum import Basis, SpinLabel, StateVector, fidelity, signal_probabilities, spin_state
+from .quantum import Basis, SpinLabel, StateVector, spin_state
 from .rng import RandomStream
 from .spacetime import Event, in_past_cone
 
@@ -60,11 +61,6 @@ _Z99 = 2.5758293035489
 # Fewest trials ``detection_probability_mc`` accepts; the config check of
 # flip-sweep, its one shipped caller, reads it too.
 MIN_DETECTION_TRIALS = 10**3
-
-# P(outcome == claim) for a signal state measured in the conjugate basis.  Z
-# and X are mutually unbiased, so all eight (state, claimed outcome) entries
-# equal this one; a false declaration's pass needs no state or claim drawn.
-_CONJUGATE_MATCH = signal_probabilities(SpinLabel.UP, Basis.X)[0]
 
 STRATEGY_CLASS_NOTE = (
     "cheat probabilities are maxima over the implemented strategy class, "
@@ -151,11 +147,15 @@ def detection_probability_mc(
     """Empirical reveal pass rate for a strategy, with 99% Wilson interval.
 
     Samples the reveal check, the only stochastic stage for the honest/flip
-    family: a falsely declared particle is measured in the basis conjugate
-    to its state and matches the claim with probability ``_CONJUGATE_MATCH``,
-    so a trial draws one uniform per false declaration.  With no false
-    declaration (Honest, or ClassicalFlip(0)) the reveal always passes, and
-    the exact 1.0 is returned without sampling.
+    family, with the session's Born rule ``protocol._collapses``: a falsely
+    declared particle is measured in the basis conjugate to its state, and
+    each trial measures k of them.  Z and X are mutually unbiased, so every
+    (state, conjugate claim) pair passes with the same probability, and one
+    fixed pair stands for all of them: sent UP (pair code 0), claimed RIGHT
+    (pair code 3).  Draws once: ``randomness.random((trials, k))``, one
+    uniform per false declaration.  With no false declaration (Honest, or
+    ClassicalFlip(0)) the reveal always passes, and the exact 1.0 is
+    returned without sampling or drawing.
     """
     if trials < MIN_DETECTION_TRIALS:
         raise ValueError("need at least 10^3 trials")
@@ -173,7 +173,8 @@ def detection_probability_mc(
         return Quantity(1.0, "exact")
 
     draws = randomness.random((trials, k))
-    successes = int(np.count_nonzero(np.all(draws < _CONJUGATE_MATCH, axis=1)))
+    # A trial passes when all k of its particles collapse onto their claims.
+    successes = int(np.count_nonzero(_collapses(0, 3, draws).sum(axis=1) == k))
     return Quantity(successes / trials, "monte-carlo", trials=trials, ci=wilson_interval(successes, trials))
 
 
@@ -424,9 +425,9 @@ def nogo_tradeoff_sweep(thetas) -> tuple[TradeoffRow, ...]:
     for theta in thetas:
         other = _snap_state(np.array([np.cos(theta), np.sin(theta)], dtype=np.complex128))
         rho0, rho1 = zero.density(), other.density()
-        f = fidelity(rho0, rho1)
-        advantage = 0.5 * math.sqrt(max(0.0, 1.0 - f))
         attack = purification_attack(ToyBCProtocol((rho0, rho1)))
+        f = attack.fidelity
+        advantage = 0.5 * math.sqrt(max(0.0, 1.0 - f))
         rows.append(
             TradeoffRow(
                 theta=float(theta),
@@ -528,12 +529,7 @@ class SecurityReport:
 
 
 def _false_declaration_count(transcript: SessionTranscript, bit: int) -> int:
-    labels = {i: transcript.sent_labels[i] for i in transcript.untested}
-    count = 0
-    for declaration in transcript.declarations:
-        if declaration.basis_for(bit) is not labels[declaration.particle].basis:
-            count += 1
-    return count
+    return sum(d.basis_for(bit) is not transcript.sent_labels[d.particle].basis for d in transcript.declarations)
 
 
 def evaluate_relativistic(transcript: SessionTranscript) -> SecurityReport:

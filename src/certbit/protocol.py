@@ -49,7 +49,6 @@ __all__ = [
     "IdealCommitmentOracle",
     "Verdict",
     "Stage",
-    "RevealOutcome",
     "SessionTranscript",
     "ReductionScenario",
     "default_scenario",
@@ -126,14 +125,16 @@ DEFAULT_ENCODING = {
 _SIGNALS = tuple(DEFAULT_ENCODING[divmod(code, 2)] for code in range(4))
 # _P0[s, c]: Born probability of outcome 0 for signal s measured in the basis of signal c.
 _P0 = np.array([[signal_probabilities(s, c.basis)[0] for c in _SIGNALS] for s in _SIGNALS])
-# _OUTCOME[c]: the outcome that collapses onto signal c in its own basis.
-_OUTCOME = np.array([basis_eigenstates(c.basis).index(c) for c in _SIGNALS])
+# _OUTCOME[c]: the outcome that collapses onto signal c in its own basis, a bool as outcomes are.
+_OUTCOME = np.array([basis_eigenstates(c.basis).index(c) for c in _SIGNALS], dtype=bool)
 # _CODES[label value]: the pair code that sends the signal state.
 _CODES = {label.value: code for code, label in enumerate(_SIGNALS)}
+# _BASIS_CODES[basis value]: the bit b0 of the pairs that send the basis's
+# eigenstates, so a label of pair code c lies in basis c >> 1.
+_BASIS_CODES = {label.basis.value: code >> 1 for code, label in enumerate(_SIGNALS)}
 # _BASIS_FOR_ZERO[bit][label value]: the basis a declaration must bind to bit 0
 # for ``bit`` to name the label's own basis.  Keyed by value, as
-# ``SpinLabel.basis`` is; a dict keyed by bit has no entry for -1 or 2, and
-# ``verify_reveal`` reads it for integer bits only, since 1.0 would find 1.
+# ``SpinLabel.basis`` is; ``honest_declarations`` reads it.
 _BASIS_FOR_ZERO = {
     0: {label.value: label.basis for label in SpinLabel},
     1: {label.value: label.basis.conjugate() for label in SpinLabel},
@@ -267,13 +268,6 @@ class Stage(enum.Enum):
     REVEAL = "reveal"
 
 
-@dataclass(frozen=True)
-class RevealOutcome:
-    accepted: bool
-    reject_index: int | None = None
-    reason: str = ""
-
-
 def spin_labels(bits) -> list[SpinLabel]:
     bits = tuple(int(b) for b in bits)
     return [DEFAULT_ENCODING[(bits[2 * i], bits[2 * i + 1])] for i in range(len(bits) // 2)]
@@ -318,44 +312,28 @@ def honest_declarations(bit: int, particles, labels) -> tuple[Declaration, ...]:
     return tuple([Declaration(particle, bases[label._value_]) for particle, label in zip(particles, labels)])
 
 
-def verify_reveal(
-    claimed_bit: int,
-    claimed_labels,
-    declarations,
-    sent,
-    randomness: RandomStream,
-) -> RevealOutcome:
-    """Check a reveal claim against the declarations by measurement.
+def verify_reveal(untested, bound, claimed, sent, randomness: RandomStream) -> np.ndarray:
+    """Measure one session's untested particles in the bases its declarations bind to the claimed bit.
 
-    Each declared particle, in the signal state of pair code
-    ``sent[particle]``, is measured in the basis the declarations assign to
-    the claimed bit; the claim passes only if every outcome matches the
-    claimed eigenstate.  A malformed claim (a bit that is not the integer 0
-    or 1, the wrong length, or a label outside its declared basis) is
-    rejected without measurement and without a draw.
+    ``bound[j]`` is the basis (0 for Z, 1 for X) that declaration ``j``
+    binds to the claimed bit, ``claimed[j]`` the pair code 2*b0 + b1 of the
+    label claimed for particle ``untested[j]``, and particle ``i`` is in the
+    signal state of pair code ``sent[i]``.  Returns whether each particle
+    passes: its claimed label lies in its bound basis and its single-shot
+    outcome there is that label.
 
-    Otherwise it draws once: ``randomness.random(len(declarations))``, one
-    uniform per declaration in order, all of them even when a particle
-    fails, as ``verify_tested`` does.
+    A claim with a label outside its bound basis fails at those particles
+    without measurement and without a draw.  Otherwise it draws once:
+    ``randomness.random(len(untested))``, one uniform per particle in
+    order, all of them even when a particle fails, as ``verify_tested``
+    does.
     """
-    bases = _BASIS_FOR_ZERO.get(claimed_bit) if isinstance(claimed_bit, numbers.Integral) else None
-    if bases is None:
-        return RevealOutcome(False, reason="claimed bit outside {0, 1}")
-    claimed_labels = list(claimed_labels)
-    if len(claimed_labels) != len(declarations):
-        return RevealOutcome(False, reason="claim length mismatch")
-    for declaration, label in zip(declarations, claimed_labels):
-        if declaration.basis_for_zero is not bases[label._value_]:
-            return RevealOutcome(
-                False,
-                reject_index=declaration.particle,
-                reason="claimed label outside declared basis",
-            )
-    particles = np.array([d.particle for d in declarations], dtype=np.int64)
-    claimed = np.array([_CODES[label._value_] for label in claimed_labels], dtype=np.int64)
-    sent = np.asarray(sent, dtype=np.int64)
-    reject = _first_failure(particles, _collapses(sent[particles], claimed, randomness.random(particles.size)))
-    return RevealOutcome(reject is None, reject_index=reject, reason="" if reject is None else "measurement mismatch")
+    untested = np.asarray(untested, dtype=np.int64)
+    claimed = np.asarray(claimed, dtype=np.int64)
+    in_basis = claimed >> 1 == np.asarray(bound)
+    if np.count_nonzero(in_basis) < in_basis.size:
+        return in_basis
+    return _collapses(np.asarray(sent, dtype=np.int64)[untested], claimed, randomness.random(untested.size))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -664,12 +642,16 @@ def run_session(
     Draws, in order: the strategy's committed bits, the oracle's one array
     (see ``IdealCommitmentOracle``), the challenge permutation, one array of
     ``n0 - m`` tested uniforms, the strategy's declaration and claim draws,
-    and one array of ``m`` reveal uniforms.  These are the values, in the
-    order, that one draw per bit and per measured particle would take, so a
-    transcript started from a fresh stream is the one such draws give.  A
-    stage that rejects has still drawn its whole array, so a stream shared
-    across sessions is further along after a rejection.  A schedule abort
-    draws nothing.
+    and one array of ``m`` reveal uniforms (see ``verify_reveal``).  These
+    are the values, in the order, that one draw per bit and per measured
+    particle would take, so a transcript started from a fresh stream is the
+    one such draws give.  A stage that rejects has still drawn its whole
+    array, so a stream shared across sessions is further along after a
+    rejection.  A schedule abort draws nothing, and neither does a reveal
+    whose claim is malformed: a claimed bit that is not the integer 0 or
+    1, a claim whose length is not ``m``, or a claimed label outside the
+    basis its declaration binds to the claimed bit.  Such a claim is
+    rejected at the reveal, with no reject index for the first two.
     """
     if scenario is None:
         scenario = default_scenario()
@@ -708,7 +690,8 @@ def run_session(
     tested = draw_challenge(params, 1, randomness)[0]
     untested_mask = np.ones(params.n0, dtype=bool)
     untested_mask[tested] = False
-    untested = tuple(np.flatnonzero(untested_mask).tolist())
+    untested_idx = np.flatnonzero(untested_mask)
+    untested = tuple(untested_idx.tolist())
     certified = oracle.reveal(2 * tested[:, None] + (0, 1))
     opened = 2 * certified[:, 0] + certified[:, 1]
     reject = _first_failure(tested, verify_tested(tested[None], opened[None], sent[None], randomness)[0])
@@ -730,16 +713,27 @@ def run_session(
     if tuple([declaration.particle for declaration in declarations]) != untested:
         raise ValueError("strategy must declare every untested particle exactly once")
 
-    # Reveal and verdict.  The suspended commitments are never opened.
+    # Reveal and verdict.  The suspended commitments are never opened.  The
+    # claim is made a tuple once, so what is checked is what is recorded.
     claimed_bit, claimed_labels = strategy.reveal_claim(bit, untested_labels, declarations, randomness)
-    reveal_outcome = verify_reveal(claimed_bit, claimed_labels, declarations, sent, randomness)
+    claimed_labels = tuple(claimed_labels)
+    integral = isinstance(claimed_bit, numbers.Integral)
+    well_formed = integral and claimed_bit in (0, 1) and len(claimed_labels) == len(declarations)
+    reject = None
+    if well_formed:
+        # A declaration binds bit 1 to the conjugate of its basis for bit 0.
+        b = int(claimed_bit)
+        bound = np.array([_BASIS_CODES[d.basis_for_zero._value_] ^ b for d in declarations])
+        claimed = np.array([_CODES[label._value_] for label in claimed_labels])
+        reject = _first_failure(untested_idx, verify_reveal(untested_idx, bound, claimed, sent, randomness))
+    accepted = well_formed and reject is None
     return transcript(
-        Verdict.ACCEPT if reveal_outcome.accepted else Verdict.REJECT,
-        failed_stage=None if reveal_outcome.accepted else Stage.REVEAL,
-        reject_index=reveal_outcome.reject_index,
+        Verdict.ACCEPT if accepted else Verdict.REJECT,
+        failed_stage=None if accepted else Stage.REVEAL,
+        reject_index=reject,
         declarations=declarations,
-        claimed_bit=int(claimed_bit) if isinstance(claimed_bit, numbers.Integral) else None,
-        claimed_labels=tuple(claimed_labels),
+        claimed_bit=int(claimed_bit) if integral else None,
+        claimed_labels=claimed_labels,
         **base,
     )
 

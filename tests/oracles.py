@@ -373,11 +373,12 @@ def scalar_run_session(strategy, params, scenario=None, randomness=None) -> Sess
     if len(declarations) != len(untested) or any(d.particle != i for d, i in zip(declarations, untested)):
         raise ValueError("strategy must declare every untested particle exactly once")
     claimed_bit, claimed_labels = strategy.reveal_claim(bit, untested_labels, declarations, randomness)
+    claimed_labels = tuple(claimed_labels)
     integral = isinstance(claimed_bit, numbers.Integral)
     fields.update(
         declarations=declarations,
         claimed_bit=int(claimed_bit) if integral else None,
-        claimed_labels=tuple(claimed_labels),
+        claimed_labels=claimed_labels,
     )
 
     def reject_reveal(particle):

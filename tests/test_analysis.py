@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from certbit import adversary, analysis
+from certbit import adversary, analysis, protocol, quantum
 from certbit.adversary import ClassicalFlip, Honest
 from certbit.analysis import (
     Quantity,
@@ -32,7 +32,7 @@ from certbit.protocol import (
     honest_declarations,
     run_session,
 )
-from certbit.quantum import Basis, SpinLabel, signal_probabilities
+from certbit.quantum import Basis
 from certbit.rng import RandomStream
 from certbit.spacetime import Event, Message, Site, Violation
 
@@ -130,12 +130,17 @@ class TestDetectionProbability:
             detection_probability_mc(Honest(), params, 10, make_rng(5))
 
     def test_one_match_probability_stands_for_every_conjugate_measurement(self):
-        # The Monte Carlo draws no signal state and no claim: every signal state,
-        # measured in the conjugate basis, gives each outcome with this probability.
-        entries = [
-            p for label in SpinLabel for p in signal_probabilities(label, label.basis.conjugate())
-        ]
-        assert entries == [analysis._CONJUGATE_MATCH] * 8
+        # The Monte Carlo draws no signal state and no claim: it measures sent UP
+        # against claimed RIGHT.  Under the session's Born rule, every signal state
+        # measured in the conjugate basis collapses onto each of its eigenstates
+        # on exactly as many uniforms of a fine grid as that pair does.
+        uniforms = (np.arange(1 << 16) + 0.5) / (1 << 16)
+        fixed = np.count_nonzero(protocol._collapses(0, 3, uniforms))
+        pairs = [(s, c) for s in range(4) for c in range(4) if s >> 1 != c >> 1]
+        assert len(pairs) == 8
+        for sent, claimed in pairs:
+            assert protocol._P0[sent, claimed] == 0.5
+            assert np.count_nonzero(protocol._collapses(sent, claimed, uniforms)) == fixed == 1 << 15
 
     @pytest.mark.parametrize("k", [1, 5, 16])
     def test_one_draw_per_call(self, k, rng_calls):
@@ -285,6 +290,21 @@ class TestNogoTradeoffSweep:
         monkeypatch.setattr(adversary, "purify", counted)
         nogo_tradeoff_sweep(np.linspace(0.0, np.pi / 2, 9))
         assert len(calls) == 18
+
+    def test_computes_each_fidelity_once(self, monkeypatch):
+        # Each row reads the attack's fidelity: 9 evaluations for 9 theta
+        # points, where computing it again in the sweep made 18.
+        calls = []
+
+        def counted(rho0, rho1, _fidelity=quantum.fidelity):
+            calls.append(theta)
+            return _fidelity(rho0, rho1)
+
+        for module in (adversary, analysis):
+            monkeypatch.setattr(module, "fidelity", counted, raising=False)
+        for theta in np.linspace(0.0, np.pi / 2, 9):
+            nogo_tradeoff_sweep([theta])
+        assert len(calls) == 9 and len(set(calls)) == 9
 
     def test_advantage_matches_measurement_sweep_oracle(self):
         rows = nogo_tradeoff_sweep([np.pi / 3])

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -23,6 +24,23 @@ def write_config(tmp_path, body, name="experiment.ini"):
     path = tmp_path / name
     path.write_text(body, encoding="utf-8")
     return path
+
+
+# flip-sweep's 4-sigma gate at its default 10^5 trials per k: the power, the
+# smallest relative error in 2^-k that the gate is sure to see, is 4 sigma / p
+# = 4 sqrt((1 - p) / (p N)) at p = 2^-k.  These are Monte Carlo limits of the
+# trial count, and no gate is tuned to them.
+FLIP_SWEEP_TRIALS = 100_000
+FLIP_SWEEP_POWER = {
+    1: 0.0126,
+    2: 0.0219,
+    3: 0.0335,
+    4: 0.0490,
+    5: 0.0704,
+    6: 0.1004,
+    7: 0.1425,
+    8: 0.2020,
+}
 
 
 MINIMAL = """
@@ -245,7 +263,7 @@ sessions = 25
     def test_honest_default_catches_a_wrong_claimed_bit(self, tmp_path, capsys, monkeypatch):
         # A verifier that accepts every reveal, and a committer that claims
         # the other bit: the claim check must fail on its own.
-        monkeypatch.setattr(protocol, "verify_reveal", lambda *args: protocol.RevealOutcome(True))
+        monkeypatch.setattr(protocol, "verify_reveal", lambda untested, *rest: np.ones(len(untested), dtype=bool))
         monkeypatch.setattr(
             Honest, "reveal_claim", lambda self, bit, labels, *rest: (1 - bit, tuple(labels))
         )
@@ -434,6 +452,35 @@ suspension_rounds = 3
         summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()
         failed = [line for line in summary if line.startswith("FAIL: ")]
         assert [line.split(":")[1].strip() for line in failed] == [f"k={k}" for k in config.k_values]
+
+    def test_flip_sweep_samples_the_session_born_rule(self, tmp_path, monkeypatch):
+        # A Born rule that gives 0.47 where the session's gives 1/2 moves every pass rate off 2^-k.
+        monkeypatch.setattr(protocol, "_P0", np.where(protocol._P0 == 0.5, 0.47, protocol._P0))
+        config = parse_config(ROOT / "configs" / "flip-sweep.ini")
+        assert run_experiment(config, out_dir=tmp_path / "out") == EXIT_EXPECTATION_FAILED
+        summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+        failed = [line.split(":")[1].strip() for line in summary if line.startswith("FAIL: ")]
+        assert failed == [f"k={k}" for k in config.k_values]
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["up", "down"])
+    @pytest.mark.parametrize("k", sorted(FLIP_SWEEP_POWER))
+    def test_flip_sweep_fails_on_one_closed_form_scaled_past_its_power(self, k, sign, tmp_path, monkeypatch):
+        # Twice the power: the seeded estimate may sit anywhere inside the
+        # gate, so a shift by the power alone can still pass.
+        factor = 1.0 + sign * 2.0 * FLIP_SWEEP_POWER[k]
+        exact = scenarios.detection_probability_exact
+        monkeypatch.setattr(scenarios, "detection_probability_exact", lambda j: exact(j) * (factor if j == k else 1.0))
+        config = parse_config(ROOT / "configs" / "flip-sweep.ini")
+        assert run_experiment(config, out_dir=tmp_path / "out") == EXIT_EXPECTATION_FAILED
+        summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+        assert [line.split(":")[1].strip() for line in summary if line.startswith("FAIL: ")] == [f"k={k}"]
+
+    def test_flip_sweep_power_table_is_the_gate_resolution(self):
+        config = parse_config(ROOT / "configs" / "flip-sweep.ini")
+        assert sorted(FLIP_SWEEP_POWER) == list(config.k_values)
+        for k, power in FLIP_SWEEP_POWER.items():
+            p = 2.0**-k
+            assert power == pytest.approx(4.0 * math.sqrt((1.0 - p) / (p * FLIP_SWEEP_TRIALS)), rel=5e-3), k
 
 
 class TestMain:

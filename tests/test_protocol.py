@@ -14,11 +14,9 @@ from certbit.adversary import ClassicalFlip, Honest
 from certbit.analysis import evaluate_relativistic, honest_accept_probability_exact
 from certbit.protocol import (
     DEFAULT_ENCODING,
-    Declaration,
     IdealCommitmentOracle,
     ProtocolParams,
     ReductionScenario,
-    RevealOutcome,
     SessionTranscript,
     Stage,
     Verdict,
@@ -200,65 +198,62 @@ class TestDeclarations:
         assert [d.particle for d in declarations] == [1, 4, 5]
 
 
+# The basis bit of each basis, as ``verify_reveal`` takes it: b0 of the pairs that send its eigenstates.
+BASIS_BIT = {Basis.Z: 0, Basis.X: 1}
+
+
 class TestVerifyReveal:
-    def _declarations(self, bit, labels):
-        return honest_declarations(bit, tuple(range(len(labels))), labels)
+    def _bound(self, bit, labels):
+        """The basis bits that honest declarations for ``bit`` bind to ``bit``."""
+        return [BASIS_BIT[d.basis_for(bit)] for d in honest_declarations(bit, range(len(labels)), labels)]
 
     def test_honest_reveal_accepts(self, rng):
         labels = [SpinLabel.UP, SpinLabel.LEFT, SpinLabel.RIGHT, SpinLabel.DOWN]
-        declarations = self._declarations(1, labels)
         for _ in range(25):
-            outcome = verify_reveal(1, labels, declarations, codes(labels), rng)
-            assert outcome.accepted
+            passed = verify_reveal(range(4), self._bound(1, labels), codes(labels), codes(labels), rng)
+            assert passed.tolist() == [True] * 4
 
-    def test_wrong_length_rejected_without_measurement(self, rng):
-        labels = [SpinLabel.UP, SpinLabel.DOWN]
-        declarations = self._declarations(0, labels)
-        outcome = verify_reveal(0, labels[:1], declarations, codes(labels), rng)
-        assert not outcome.accepted
-        assert outcome.reason == "claim length mismatch"
+    def test_measures_untested_particles_in_one_draw(self, rng_calls):
+        # Particles 1 and 3 of five; particle 3 is orthogonal to its claim.
+        sent = codes([SpinLabel.DOWN, SpinLabel.UP, SpinLabel.LEFT, SpinLabel.RIGHT, SpinLabel.UP])
+        claimed = codes([SpinLabel.UP, SpinLabel.LEFT])
+        passed = verify_reveal([1, 3], [0, 1], claimed, sent, RandomStream(1))
+        assert passed.tolist() == [True, False]
+        assert (dict(rng_calls.counts), rng_calls.rows) == ({"random": 1}, [2])
 
-    @pytest.mark.parametrize("claimed_bit", [2, -1, None, 0.5, "1", 1.0], ids=repr)
-    def test_bit_outside_zero_one_rejected_without_measurement(self, claimed_bit, rng, rng_calls):
-        # Labels honest for bit 1, which the declarations bind to any nonzero bit.
-        labels = [SpinLabel.LEFT, SpinLabel.UP]
-        declarations = self._declarations(1, labels)
-        outcome = verify_reveal(claimed_bit, labels, declarations, codes(labels), rng)
-        assert outcome == RevealOutcome(False, reason="claimed bit outside {0, 1}")
+    def test_label_outside_bound_basis_fails_without_measurement(self, rng, rng_calls):
+        labels = [SpinLabel.UP, SpinLabel.LEFT, SpinLabel.DOWN]
+        claims = [SpinLabel.UP, SpinLabel.DOWN, SpinLabel.DOWN]  # DOWN is no eigenstate of X
+        passed = verify_reveal([0, 1, 2], self._bound(0, labels), codes(claims), codes(labels), rng)
+        assert passed.tolist() == [True, False, True]
         assert not rng_calls.counts
-
-    def test_label_outside_declared_basis_rejected(self, rng):
-        labels = [SpinLabel.UP]
-        declarations = self._declarations(0, labels)
-        outcome = verify_reveal(0, [SpinLabel.LEFT], declarations, codes(labels), rng)
-        assert not outcome.accepted
-        assert outcome.reason == "claimed label outside declared basis"
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_k_false_declarations_pass_rate(self, k, make_rng):
         # Pass probability is 2^-k: each false declaration forces a
-        # conjugate-basis measurement matched by a uniform guess.
+        # conjugate-basis measurement matched by a uniform guess.  One call
+        # measures every trial: four particles sent UP, the first k bound to
+        # X and claimed LEFT or RIGHT at random, the rest bound to Z.
         rng = make_rng(800 + k)
-        sent = codes([SpinLabel.UP] * 4)
-        particles = tuple(range(4))
-        declarations = []
-        for i in particles:
-            basis = Basis.Z if i >= k else Basis.X  # first k are false for bit 0
-            declarations.append(Declaration(i, basis))
         trials = 40_000
-        passes = 0
-        for _ in range(trials):
-            claims = []
-            for i in particles:
-                if i < k:
-                    claims.append((SpinLabel.RIGHT, SpinLabel.LEFT)[rng.bit()])
-                else:
-                    claims.append(SpinLabel.UP)
-            if verify_reveal(0, claims, tuple(declarations), sent, rng).accepted:
-                passes += 1
+        bound = np.tile([1] * k + [0] * (4 - k), trials)
+        guesses = rng.integers(CODE[SpinLabel.LEFT], CODE[SpinLabel.RIGHT] + 1, size=bound.size)
+        claimed = np.where(bound == 1, guesses, CODE[SpinLabel.UP])
+        sent = np.full(bound.size, CODE[SpinLabel.UP])
+        passed = verify_reveal(np.arange(bound.size), bound, claimed, sent, rng).reshape(trials, 4).all(axis=1)
         expected = 2.0**-k
         sigma = math.sqrt(expected * (1 - expected) / trials)
-        assert abs(passes / trials - expected) < 4 * sigma
+        assert abs(passed.mean() - expected) < 4 * sigma
+
+
+def claiming(claim):
+    """An honest committer whose reveal claims ``claim(bit, labels)``."""
+
+    class Claimer(Honest):
+        def reveal_claim(self, bit, labels, declarations, randomness):
+            return claim(bit, labels)
+
+    return Claimer()
 
 
 def instant_spin0(messages):
@@ -420,6 +415,51 @@ class TestRunSession:
             Stage.REVEAL,
             None,
         )
+
+    @pytest.mark.parametrize("claimed_bit", [2, -1, None, 0.5, "1", 1.0], ids=repr)
+    def test_bit_outside_zero_one_rejected_without_measurement(self, claimed_bit, make_rng, rng_calls):
+        # The claimed labels are honest for the protocol bit, which no claimed bit here names.
+        strategy = claiming(lambda bit, labels: (claimed_bit, labels))
+        transcript = run_session(strategy, ProtocolParams(n0=16, m=4), randomness=make_rng(2))
+        assert (transcript.verdict, transcript.failed_stage, transcript.reject_index) == (
+            Verdict.REJECT,
+            Stage.REVEAL,
+            None,
+        )
+        assert rng_calls.counts["random"] == 1  # the tested uniforms; no reveal uniform
+        assert_matches_scalar_session(strategy, ProtocolParams(n0=16, m=4), 2)
+
+    def test_wrong_length_rejected_without_measurement(self, make_rng, rng_calls):
+        strategy = claiming(lambda bit, labels: (bit, labels[:-1]))
+        transcript = run_session(strategy, ProtocolParams(n0=16, m=4), randomness=make_rng(3))
+        assert (transcript.verdict, transcript.failed_stage, transcript.reject_index) == (
+            Verdict.REJECT,
+            Stage.REVEAL,
+            None,
+        )
+        assert len(transcript.claimed_labels) == 3
+        assert rng_calls.counts["random"] == 1  # the tested uniforms; no reveal uniform
+        assert_matches_scalar_session(strategy, ProtocolParams(n0=16, m=4), 3)
+
+    def test_label_outside_declared_basis_rejected_without_measurement(self, make_rng, rng_calls):
+        # The third label is swapped for an eigenstate of the other basis.
+        swap = {SpinLabel.UP: SpinLabel.LEFT, SpinLabel.DOWN: SpinLabel.RIGHT}
+        swap.update({v: k for k, v in swap.items()})
+        strategy = claiming(lambda bit, labels: (bit, (*labels[:2], swap[labels[2]], *labels[3:])))
+        transcript = run_session(strategy, ProtocolParams(n0=16, m=4), randomness=make_rng(4))
+        assert (transcript.verdict, transcript.failed_stage) == (Verdict.REJECT, Stage.REVEAL)
+        assert transcript.reject_index == transcript.untested[2]
+        assert rng_calls.counts["random"] == 1  # the tested uniforms; no reveal uniform
+        assert_matches_scalar_session(strategy, ProtocolParams(n0=16, m=4), 4)
+
+    def test_claim_returned_as_an_iterator_is_checked_and_recorded_whole(self, make_rng):
+        strategy = claiming(lambda bit, labels: (bit, iter(labels)))
+        params = ProtocolParams(n0=16, m=4)
+        transcript = run_session(strategy, params, randomness=make_rng(1))
+        assert transcript.verdict is Verdict.ACCEPT
+        assert transcript.claimed_labels == tuple(transcript.sent_labels[i] for i in transcript.untested)
+        assert oracles.honest_claim_ok(transcript)
+        assert_matches_scalar_session(strategy, params, 1)
 
     @pytest.mark.parametrize("declare", ["repeated", "tested", "reordered"])
     def test_declarations_must_name_each_untested_particle_once(self, declare, make_rng):
@@ -976,6 +1016,14 @@ class TestRunSessionsCost:
 REFERENCE_SIZES = [(8, 4, False), (16, 4, True), (64, 16, True)]
 REFERENCE_KNOBS = [(0.0, 0.0), (0.05, 0.0), (0.0, 0.3), (0.1, 0.2), (1.0, 1.0)]
 REFERENCE_SEEDS = range(6)
+
+
+def assert_matches_scalar_session(strategy, params, seed, scenario=None):
+    """``run_session`` and ``oracles.scalar_run_session`` give equal transcripts from fresh streams of ``seed``."""
+    transcript = run_session(strategy, params, scenario, RandomStream(seed))
+    reference = oracles.scalar_run_session(strategy, params, scenario, RandomStream(seed))
+    for field in dataclasses.fields(SessionTranscript):
+        assert getattr(transcript, field.name) == getattr(reference, field.name), field.name
 
 
 class TestScalarReference:

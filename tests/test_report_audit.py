@@ -17,6 +17,14 @@ its trials, carry that count's 99% Wilson interval and cover the exact
 value.  The leak = 1 record's intervals must cover 1, the value of both
 its quantities when every commitment leaks.
 
+Each record of ``runs/flip-sweep/report.jsonl`` is checked the same way.
+A reveal with k false declarations passes each of them with probability
+1/2, so it is accepted with probability 2^-k, which each ``detection``
+record must report bit for bit.  Its Monte Carlo estimate over 10^5
+trials must be a count with that count's Wilson interval, which covers
+2^-k.  The records run over the config's k values, and the scenario reads
+no oracle knob, so its ``epsilons`` record must be (0, 0).
+
 A record type the audit has no check for fails it.
 """
 
@@ -40,6 +48,10 @@ DEGRADATION_CONFIG = ROOT / "configs" / "oracle-degradation.ini"
 # The scenario's (flip, leak) points and its sessions per point; the shipped config sets no trials.
 DEGRADATION_KNOBS = [(0.0, 0.0), (0.01, 0.0)]
 DEGRADATION_SESSIONS = 300
+FLIP_REPORT = ROOT / "runs" / "flip-sweep" / "report.jsonl"
+FLIP_CONFIG = ROOT / "configs" / "flip-sweep.ini"
+# flip-sweep's trials per k; the shipped config sets none.
+FLIP_TRIALS = 100_000
 Z99 = NormalDist().inv_cdf(0.995)
 
 
@@ -215,17 +227,23 @@ DEGRADATION_MUTATIONS = [
 ]
 
 
+def shifted(records: list[dict], row: int, path: tuple, shift: float) -> list[dict]:
+    """A copy of ``records`` with the field at ``path`` of record ``row`` moved by ``shift``."""
+    records = copy.deepcopy(records)
+    owner = records[row]
+    for key in path[:-1]:
+        owner = owner[key]
+    owner[path[-1]] += shift
+    return records
+
+
 def test_oracle_degradation_report_matches_closed_forms():
     assert audit_degradation(load(DEGRADATION_REPORT), *degradation_sizes()) == []
 
 
 @pytest.mark.parametrize("row, path, shift", DEGRADATION_MUTATIONS)
 def test_degradation_audit_catches_a_shifted_value(row, path, shift):
-    records = copy.deepcopy(load(DEGRADATION_REPORT))
-    owner = records[row]
-    for key in path[:-1]:
-        owner = owner[key]
-    owner[path[-1]] += shift
+    records = shifted(load(DEGRADATION_REPORT), row, path, shift)
     problems = audit_degradation(records, *degradation_sizes())
     where = "leak" if records[row]["type"] == "leak" else f"degradation {row - 1}"
     assert problems and all(problem.startswith(f"{where}: ") for problem in problems)
@@ -235,3 +253,69 @@ def test_degradation_audit_refuses_an_unaudited_record_type():
     records = load(DEGRADATION_REPORT) + [{"schema": 1, "type": "stage-outcomes", "tested": 162}]
     problems = audit_degradation(records, *degradation_sizes())
     assert problems == [f"record {len(records) - 1}: no audit for type 'stage-outcomes'"]
+
+
+def flip_k_values() -> list[int]:
+    return [int(k) for k in read_config(FLIP_CONFIG).get("analysis", "k_values").split(",")]
+
+
+def audit_flip(records: list[dict], k_values: list[int]) -> list[str]:
+    """Every disagreement between the records and 2^-k; empty means the report passes."""
+    problems = []
+    epsilons, detections = [], []
+    for index, record in enumerate(records):
+        if record["type"] == "epsilons":
+            epsilons.append(record)
+        elif record["type"] == "detection":
+            detections.append(record)
+        elif record["type"] != "experiment":
+            problems.append(f"record {index}: no audit for type {record['type']!r}")
+    if len(epsilons) != 1 or len(detections) != len(k_values):
+        problems.append(f"{len(epsilons)} epsilons and {len(detections)} detection records")
+    for record in epsilons:
+        if (record["fidelity_defect"], record["leak"]) != (0.0, 0.0):
+            problems.append(f"epsilons: ({record['fidelity_defect']!r}, {record['leak']!r}), expected (0, 0)")
+    for index, (record, k) in enumerate(zip(detections, k_values)):
+        where = f"detection {index}"
+        exact = 2.0**-k
+        if record["k"] != k:
+            problems.append(f"{where}: k = {record['k']!r}, expected {k}")
+        if record["exact"] != {"provenance": "exact", "value": exact}:
+            problems.append(f"{where}: exact {record['exact']!r}, expected {exact!r}")
+        if "monte_carlo" not in record:
+            problems.append(f"{where}: no Monte Carlo estimate")
+        else:
+            problems += audit_estimate(f"{where}: monte_carlo", record["monte_carlo"], exact, FLIP_TRIALS)
+    return problems
+
+
+# (record index, field path): a 1e-9 shift of each field breaks one check the audit makes.
+FLIP_MUTATIONS = [(1, ("fidelity_defect",)), (1, ("leak",))] + [
+    (row, path)
+    for row in range(2, 2 + len(flip_k_values()))
+    for path in (
+        ("k",),
+        ("exact", "value"),
+        ("monte_carlo", "value"),
+        ("monte_carlo", "trials"),
+        ("monte_carlo", "ci", 0),
+        ("monte_carlo", "ci", 1),
+    )
+]
+
+
+def test_flip_sweep_report_matches_closed_forms():
+    assert audit_flip(load(FLIP_REPORT), flip_k_values()) == []
+
+
+@pytest.mark.parametrize("row, path", FLIP_MUTATIONS)
+def test_flip_audit_catches_a_shifted_value(row, path):
+    records = shifted(load(FLIP_REPORT), row, path, 1e-9)
+    problems = audit_flip(records, flip_k_values())
+    where = "epsilons" if records[row]["type"] == "epsilons" else f"detection {row - 2}"
+    assert problems and all(problem.startswith(f"{where}: ") for problem in problems)
+
+
+def test_flip_audit_refuses_an_unaudited_record_type():
+    records = load(FLIP_REPORT) + [{"schema": 1, "type": "power", "k": 8, "relative": 0.2}]
+    assert audit_flip(records, flip_k_values()) == [f"record {len(records) - 1}: no audit for type 'power'"]

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .protocol import Declaration, ProtocolParams, honest_declarations, run_sessions
+from .protocol import ProtocolParams, _is_integer, honest_declarations, run_sessions
 from .quantum import (
     DensityMatrix,
     StateVector,
@@ -50,7 +50,7 @@ class Honest:
 
     name = "honest"
 
-    def commit_bits(self, params: ProtocolParams, randomness: RandomStream) -> tuple[int, ...]:
+    def commit_bits(self, params: ProtocolParams, randomness: RandomStream) -> np.ndarray:
         return randomness.bits(params.n_commitments)
 
     def plan_declarations(self, particles, labels, randomness: RandomStream):
@@ -77,11 +77,13 @@ class ClassicalFlip:
     name = "classical-flip"
 
     def __init__(self, k: int):
+        if not _is_integer(k):
+            raise ValueError(f"k must be an integer, not {k!r}")
         if k < 0:
             raise ValueError("k must be >= 0")
         self.k = k
 
-    def commit_bits(self, params: ProtocolParams, randomness: RandomStream) -> tuple[int, ...]:
+    def commit_bits(self, params: ProtocolParams, randomness: RandomStream) -> np.ndarray:
         if self.k > params.m:
             raise ValueError(f"k={self.k} exceeds the {params.m} untested particles")
         return randomness.bits(params.n_commitments)
@@ -92,8 +94,7 @@ class ClassicalFlip:
         bit = randomness.bit()
         declarations = list(honest_declarations(bit, particles, labels))
         for pos in randomness.choice(len(particles), size=self.k, replace=False):
-            truthful = declarations[pos]
-            declarations[pos] = Declaration(truthful.particle, truthful.basis_for_one)  # false for the target bit
+            (declarations[pos],) = honest_declarations(1 - bit, particles[pos : pos + 1], labels[pos : pos + 1])
         return bit, tuple(declarations)
 
     def reveal_claim(self, bit, labels, declarations, randomness: RandomStream):

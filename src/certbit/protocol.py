@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import functools
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -65,6 +65,10 @@ __all__ = [
 MIN_RATIO = 4
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ProtocolParams:
     """Sizes and oracle knobs for one reduction run.
@@ -82,6 +86,9 @@ class ProtocolParams:
     strict: bool = True
 
     def __post_init__(self):
+        for name in ("n0", "m"):
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, not {getattr(self, name)!r}")
         if self.m < 1:
             raise ValueError("m must be >= 1")
         if self.n0 < self.m:
@@ -92,8 +99,7 @@ class ProtocolParams:
                 " (pass strict=False for degenerate test sizes)"
             )
         for name in ("flip_probability", "leak_probability"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
+            if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
 
     @property
@@ -121,8 +127,8 @@ DEFAULT_ENCODING = {
 }
 
 # The sessions name each signal state by the code 2*b0 + b1 of the pair
-# (b0, b1) that sends it.
-_SIGNALS = tuple(DEFAULT_ENCODING[divmod(code, 2)] for code in range(4))
+# (b0, b1) that sends it; an array of codes indexes this array of labels.
+_SIGNALS = np.array([DEFAULT_ENCODING[divmod(code, 2)] for code in range(4)], dtype=object)
 # _P0[s, c]: Born probability of outcome 0 for signal s measured in the basis of signal c.
 _P0 = np.array([[signal_probabilities(s, c.basis)[0] for c in _SIGNALS] for s in _SIGNALS])
 # _OUTCOME[c]: the outcome that collapses onto signal c in its own basis, a bool as outcomes are.
@@ -132,12 +138,11 @@ _CODES = {label.value: code for code, label in enumerate(_SIGNALS)}
 # _BASIS_CODES[basis value]: the bit b0 of the pairs that send the basis's
 # eigenstates, so a label of pair code c lies in basis c >> 1.
 _BASIS_CODES = {label.basis.value: code >> 1 for code, label in enumerate(_SIGNALS)}
-# _BASIS_FOR_ZERO[bit][label value]: the basis a declaration must bind to bit 0
-# for ``bit`` to name the label's own basis.  Keyed by value, as
-# ``SpinLabel.basis`` is; ``honest_declarations`` reads it.
+# _BASIS_FOR_ZERO[bit][label value]: the value of the basis a declaration must bind to bit 0 for
+# ``bit`` to name the label's own basis.  Values, so ``honest_declarations`` hashes strings.
 _BASIS_FOR_ZERO = {
-    0: {label.value: label.basis for label in SpinLabel},
-    1: {label.value: label.basis.conjugate() for label in SpinLabel},
+    0: {label.value: label.basis.value for label in SpinLabel},
+    1: {label.value: label.basis.conjugate().value for label in SpinLabel},
 }
 
 
@@ -168,12 +173,14 @@ class Declaration:
     particle: int
     basis_for_zero: Basis
 
-    @property
-    def basis_for_one(self) -> Basis:
-        return self.basis_for_zero.conjugate()
-
     def basis_for(self, bit: int) -> Basis:
-        return self.basis_for_zero if bit == 0 else self.basis_for_one
+        return self.basis_for_zero if bit == 0 else self.basis_for_zero.conjugate()
+
+
+@functools.lru_cache(maxsize=4096)
+def _declaration(particle: int, basis_for_zero: str) -> Declaration:
+    """The one frozen declaration, shared by every session, binding bit 0 to the basis of that value."""
+    return Declaration(particle, Basis(basis_for_zero))
 
 
 def _oracle_masks(shape, flip_probability: float, leak_probability: float, randomness: RandomStream):
@@ -194,6 +201,14 @@ def _oracle_masks(shape, flip_probability: float, leak_probability: float, rando
     return flip, leak
 
 
+def _certify(bits: np.ndarray, flip_probability: float, leak_probability: float, randomness: RandomStream):
+    """The certified values of classical ``bits`` and the leak mask; other bits raise before the draw."""
+    if not ((bits == 0) | (bits == 1)).all():
+        raise ValueError("oracle accepts classical bits only")
+    flip, leak = _oracle_masks(bits.shape, flip_probability, leak_probability, randomness)
+    return bits.astype(np.int64, copy=False) ^ flip, leak
+
+
 class IdealCommitmentOracle:
     """Trusted functionality certifying that reveals return the committed bit.
 
@@ -205,9 +220,8 @@ class IdealCommitmentOracle:
     time); with ``leak_probability`` > 0 the certified value becomes part of
     the receiver's view at commit time.  Inputs are classical bits only.
 
-    ``commit`` draws its masks with ``_oracle_masks``, as each block of
-    ``run_sessions`` does, so ``run_sessions`` at n = 1 draws this oracle's
-    numbers.
+    No session builds one: sessions certify in ``_commit_and_test`` through
+    ``_certify``, which ``commit`` calls too, so this is the tested model of that rule.
     """
 
     def __init__(self, flip_probability: float = 0.0, leak_probability: float = 0.0):
@@ -224,11 +238,7 @@ class IdealCommitmentOracle:
     def commit(self, bits, randomness: RandomStream) -> None:
         if self._committed:
             raise ValueError("bits already committed")
-        bits = np.asarray(bits)
-        if not ((bits == 0) | (bits == 1)).all():
-            raise ValueError("oracle accepts classical bits only")
-        flip, leak = _oracle_masks(bits.shape, self.flip_probability, self.leak_probability, randomness)
-        self._stored = bits.astype(np.int64) ^ flip
+        self._stored, leak = _certify(np.asarray(bits), self.flip_probability, self.leak_probability, randomness)
         self._leaked = np.flatnonzero(leak)
         self._committed = True
 
@@ -277,8 +287,7 @@ def draw_challenge(params: ProtocolParams, n: int, randomness: RandomStream) -> 
     """Each of ``n`` sessions' uniformly random subset of n0 - m particle indices, sorted, as rows.
 
     One ``permutation(n0, rows=n)`` draw, whose rows are those of ``n``
-    successive ``permutation(n0)`` calls, so ``run_sessions`` at n = 1 draws
-    ``run_session``'s challenge.
+    successive ``permutation(n0)`` calls.
     """
     picked = randomness.permutation(params.n0, rows=n)[:, : params.n_tested]
     return np.sort(picked, axis=1)
@@ -294,9 +303,8 @@ def verify_tested(tested, opened, sent, randomness: RandomStream) -> np.ndarray:
     encodes (each particle is one copy); a session passes iff its row does.
 
     Draws once: ``randomness.random(tested.shape)``, uniform ``[r, j]`` for
-    particle ``tested[r, j]``, so ``run_sessions`` at n = 1 measures with
-    ``run_session``'s numbers.  The whole array is drawn even when a
-    particle fails, so a shared stream is further along after a rejection.
+    particle ``tested[r, j]``, all of it even when a particle fails, so a
+    shared stream is further along after a rejection.
     """
     tested = np.asarray(tested, dtype=np.int64)
     opened = np.asarray(opened, dtype=np.int64)
@@ -306,10 +314,24 @@ def verify_tested(tested, opened, sent, randomness: RandomStream) -> np.ndarray:
     return _collapses(sent, opened, randomness.random(tested.shape))
 
 
+def _commit_and_test(params: ProtocolParams, bits: np.ndarray, randomness: RandomStream):
+    """Commit and tested verification of one session per row of committed ``bits``.
+
+    Returns per row: pair codes sent, tested particles, commitment indices read, pass flags, leak mask.
+    """
+    certified, leak = _certify(bits, params.flip_probability, params.leak_probability, randomness)
+    sent = 2 * bits[:, 0::2] + bits[:, 1::2]
+    tested = draw_challenge(params, len(bits), randomness)
+    read = (2 * tested[:, :, None] + (0, 1)).reshape(len(bits), -1)
+    pairs = certified[np.arange(len(bits))[:, None], read]
+    passed = verify_tested(tested, 2 * pairs[:, 0::2] + pairs[:, 1::2], sent, randomness)
+    return sent, tested, read, passed, leak
+
+
 def honest_declarations(bit: int, particles, labels) -> tuple[Declaration, ...]:
     """Truthful declarations: bind ``bit`` (any nonzero bit as 1) to each particle's actual basis."""
     bases = _BASIS_FOR_ZERO[0 if bit == 0 else 1]
-    return tuple([Declaration(particle, bases[label._value_]) for particle, label in zip(particles, labels)])
+    return tuple([_declaration(particle, bases[label._value_]) for particle, label in zip(particles, labels)])
 
 
 def verify_reveal(untested, bound, claimed, sent, randomness: RandomStream) -> np.ndarray:
@@ -361,7 +383,7 @@ class SessionTranscript:
     events: dict = field(default_factory=dict)
     schedule: Schedule
     violations: tuple[Violation, ...] = ()
-    opened_indices: frozenset
+    opened_indices: frozenset = frozenset()
 
     @property
     def accepted(self) -> bool:
@@ -463,6 +485,14 @@ class ReductionScenario:
     oracle_pairs: tuple[tuple[str, str], ...] = (("A1", "B1"), ("A2", "B1"))
     suspension_rounds: int = 0
     tamper: Callable | None = None
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        """The fields' hash, computed once: ``run_session`` looks its plan up by scenario on every call."""
+        return hash(tuple([getattr(self, f.name) for f in fields(self)]))
 
     def _flight(self, sender: Site, receiver: Site, emit: Event, payloads, positions) -> Flight:
         return Flight(sender.id, receiver.id, emit, receiver.event_at(_arrival(receiver, emit)), payloads, positions)
@@ -629,9 +659,11 @@ def run_session(
     whose verdict is reject/abort with the stage recorded.  The suspended
     (untested) commitments are never opened.  Each stage works on numpy
     arrays of pair codes 2*b0 + b1; spin labels and tuples are built for
-    the strategy and the transcript.  A strategy that commits the wrong
-    number of bits, or whose declarations do not name the untested
-    particles once each in order, is a ``ValueError``.
+    the strategy and the transcript; commit and tested verification are
+    row 0 of ``run_sessions``' ``_commit_and_test``, with no oracle object.
+    A strategy that commits the wrong number of bits or a non-classical
+    one, or whose declarations do not name the untested particles once each
+    in order, is a ``ValueError``.
 
     The schedule, its validation and the stage events depend only on
     ``(scenario, params.n0)``; they are memoized per key (at most
@@ -640,7 +672,7 @@ def run_session(
     draw randomness, all from ``randomness``, which is required.
 
     Draws, in order: the strategy's committed bits, the oracle's one array
-    (see ``IdealCommitmentOracle``), the challenge permutation, one array of
+    (see ``_oracle_masks``), the challenge permutation, one array of
     ``n0 - m`` tested uniforms, the strategy's declaration and claim draws,
     and one array of ``m`` reveal uniforms (see ``verify_reveal``).  These
     are the values, in the order, that one draw per bit and per measured
@@ -657,57 +689,37 @@ def run_session(
         scenario = default_scenario()
     if randomness is None:
         raise ValueError("run_session needs a seeded RandomStream")
-    oracle = IdealCommitmentOracle(params.flip_probability, params.leak_probability)
-
     schedule, violations, events = _session_plan(scenario, params.n0)
-
-    def transcript(verdict: Verdict, **fields) -> SessionTranscript:
-        return SessionTranscript(
-            params=params,
-            strategy=getattr(strategy, "name", type(strategy).__name__),
-            verdict=verdict,
-            schedule=schedule,
-            opened_indices=oracle.opened_indices,
-            **fields,
-        )
-
+    common = dict(params=params, strategy=getattr(strategy, "name", type(strategy).__name__), schedule=schedule)
     if violations:
-        return transcript(Verdict.ABORT, failed_stage=Stage.SCHEDULE, violations=violations)
+        return SessionTranscript(verdict=Verdict.ABORT, failed_stage=Stage.SCHEDULE, violations=violations, **common)
 
-    # Commit phase: the oracle certifies all 2*N0 bits in one batch.
-    # The oracle checks the strategy's own values before they are cast.
+    # Commit and tested verification check the strategy's own values before they are cast.
     committed = np.asarray(strategy.commit_bits(params, randomness))
     if committed.shape != (params.n_commitments,):
         raise ValueError(f"strategy committed {committed.size} bits, expected {params.n_commitments}")
-    oracle.commit(committed, randomness)
-    bits = committed.astype(np.int64, copy=False)
+    (sent,), (tested,), (read,), (passed,), _ = _commit_and_test(params, committed[None], randomness)
+    reject = _first_failure(tested, passed)
 
     # Spin transmission: B0 holds particle i in the state of pair code sent[i].
-    sent = 2 * bits[0::2] + bits[1::2]
-    labels = tuple([_SIGNALS[code] for code in sent.tolist()])
-
-    # Challenge and tested verification, as row 0 of the rules ``run_sessions`` runs on blocks.
-    tested = draw_challenge(params, 1, randomness)[0]
-    untested_mask = np.ones(params.n0, dtype=bool)
-    untested_mask[tested] = False
-    untested_idx = np.flatnonzero(untested_mask)
+    bits, sent = committed.astype(np.int64, copy=False), sent.astype(np.int64, copy=False)
+    untested_idx = np.flatnonzero(np.bincount(tested, minlength=params.n0) == 0)
     untested = tuple(untested_idx.tolist())
-    certified = oracle.reveal(2 * tested[:, None] + (0, 1))
-    opened = 2 * certified[:, 0] + certified[:, 1]
-    reject = _first_failure(tested, verify_tested(tested[None], opened[None], sent[None], randomness)[0])
 
     base = dict(
+        common,
         committed_bits=tuple(bits.tolist()),
-        sent_labels=labels,
+        sent_labels=tuple(_SIGNALS[sent].tolist()),
         challenge=tuple(tested.tolist()),
         untested=untested,
         events=dict(events),
+        opened_indices=frozenset(read.tolist()),
     )
     if reject is not None:
-        return transcript(Verdict.REJECT, failed_stage=Stage.TESTED, reject_index=reject, **base)
+        return SessionTranscript(verdict=Verdict.REJECT, failed_stage=Stage.TESTED, reject_index=reject, **base)
 
     # Declarations over the untested particles.
-    untested_labels = tuple(labels[i] for i in untested)
+    untested_labels = tuple(_SIGNALS[sent[untested_idx]].tolist())
     bit, declarations = strategy.plan_declarations(untested, untested_labels, randomness)
     declarations = tuple(declarations)
     if tuple([declaration.particle for declaration in declarations]) != untested:
@@ -727,8 +739,8 @@ def run_session(
         claimed = np.array([_CODES[label._value_] for label in claimed_labels])
         reject = _first_failure(untested_idx, verify_reveal(untested_idx, bound, claimed, sent, randomness))
     accepted = well_formed and reject is None
-    return transcript(
-        Verdict.ACCEPT if accepted else Verdict.REJECT,
+    return SessionTranscript(
+        verdict=Verdict.ACCEPT if accepted else Verdict.REJECT,
         failed_stage=None if accepted else Stage.REVEAL,
         reject_index=reject,
         declarations=declarations,
@@ -753,8 +765,8 @@ def run_sessions(
 
     Returns each session's acceptance and the number of commitments the
     oracle leaked in it.  The stages are :func:`run_session`'s with an
-    honest committer, through its rules over a leading session axis:
-    ``_oracle_masks``, ``draw_challenge`` and ``verify_tested``.  The honest
+    honest committer: each block runs ``_commit_and_test``, the commit and
+    tested rule ``run_session`` runs on one row.  The honest
     reveal measures each untested particle in its sent basis, so it always
     matches and is not simulated.  Every session aborts when the scenario's
     schedule has causal violations.
@@ -774,10 +786,7 @@ def run_sessions(
     accepted, leaked = [], []
     for start in range(0, n, SESSION_CHUNK):
         bits = randomness.integers(0, 2, size=(min(SESSION_CHUNK, n - start), params.n_commitments))
-        flip, leak = _oracle_masks(bits.shape, params.flip_probability, params.leak_probability, randomness)
-        certified = bits ^ flip
-        tested = draw_challenge(params, len(bits), randomness)
-        opened = np.take_along_axis(2 * certified[:, 0::2] + certified[:, 1::2], tested, axis=1)
-        accepted.append(verify_tested(tested, opened, 2 * bits[:, 0::2] + bits[:, 1::2], randomness).all(axis=1))
+        _, _, _, passed, leak = _commit_and_test(params, bits, randomness)
+        accepted.append(passed.all(axis=1))
         leaked.append(np.count_nonzero(leak, axis=1))
     return np.concatenate(accepted), np.concatenate(leaked)

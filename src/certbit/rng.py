@@ -43,9 +43,9 @@ class RandomStream:
     def bit(self) -> int:
         return int(self._generator.integers(0, 2))
 
-    def bits(self, n: int) -> tuple[int, ...]:
-        """``n`` fair bits as Python ints, from one array draw of ``integers(0, 2, size=n)``."""
-        return tuple(self._generator.integers(0, 2, size=n).tolist())
+    def bits(self, n: int) -> np.ndarray:
+        """``n`` fair bits: the array of one draw of ``integers(0, 2, size=n)``."""
+        return self._generator.integers(0, 2, size=n)
 
     def permutation(self, n: int, rows: int | None = None) -> np.ndarray:
         """A permutation of ``range(n)``; with ``rows``, a ``(rows, n)`` array of the ones ``rows`` calls would give."""

@@ -40,6 +40,16 @@ def density(seed, dim=2, rank=None):
 
 
 class TestClassicalFlipPlan:
+    @pytest.mark.parametrize("k", [1.5, 2.0, True, "3"])
+    def test_k_must_be_an_integer(self, k):
+        # Caught at construction, not inside the declaration draw.
+        with pytest.raises(ValueError, match="^k must be an integer"):
+            ClassicalFlip(k)
+
+    def test_numpy_integer_k_accepted(self, make_rng):
+        transcript = run_session(ClassicalFlip(np.int64(0)), ProtocolParams(n0=16, m=4), randomness=make_rng(3))
+        assert transcript.accepted
+
     def test_k_zero_is_honest_reveal(self, make_rng):
         params = ProtocolParams(n0=8, m=2, strict=False)
         rng = make_rng(1)

@@ -69,6 +69,24 @@ class TestProtocolParams:
         with pytest.raises(ValueError, match="flip_probability"):
             ProtocolParams(n0=64, m=16, flip_probability=1.5)
 
+    @pytest.mark.parametrize(
+        "sizes, field",
+        [
+            ({"n0": 16.0, "m": 4}, "n0"),
+            ({"n0": 16, "m": 4.0}, "m"),
+            ({"n0": 16, "m": True}, "m"),
+            ({"n0": True, "m": 1}, "n0"),
+        ],
+    )
+    def test_sizes_must_be_integers(self, sizes, field):
+        # Caught at construction, not as numpy's TypeError deep in a session.
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            ProtocolParams(**sizes, strict=False)
+
+    def test_numpy_integer_sizes_accepted(self):
+        params = ProtocolParams(n0=np.int64(16), m=np.int32(4))
+        assert params.n_tested == 12
+
 
 class TestEncoding:
     def test_default_table(self):
@@ -1095,7 +1113,50 @@ class TestOneRowOfRunSessions:
             assert verdicts[True] and verdicts[False]  # both verdicts are compared
 
 
+def counted_calls(monkeypatch, owner, name: str) -> Counter:
+    """Count the calls of ``owner.name`` the way ``rng_calls`` counts draws."""
+    calls = Counter()
+
+    def counted(*args, _original=getattr(owner, name), **kwargs):
+        calls[name] += 1
+        return _original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 class TestRunSessionCost:
+    def test_honest_session_builds_no_oracle_object(self, monkeypatch):
+        built = counted_calls(monkeypatch, IdealCommitmentOracle, "__init__")
+        assert run_session(Honest(), ProtocolParams(n0=64, m=16), randomness=RandomStream(5)).accepted
+        assert built == {}
+
+    @pytest.mark.parametrize("strategy", [Honest(), ClassicalFlip(3)], ids=["honest", "flip3"])
+    def test_a_second_session_builds_no_declaration(self, strategy, monkeypatch):
+        # The same seed makes the same (particle, basis) declarations, which the first session built.
+        params = ProtocolParams(n0=64, m=16)
+        built = counted_calls(monkeypatch, protocol.Declaration, "__init__")
+        first = run_session(strategy, params, randomness=RandomStream(7))
+        built.clear()
+        second = run_session(strategy, params, randomness=RandomStream(7))
+        assert built == {}
+        assert len(second.declarations) == params.m
+        assert all(a is b for a, b in zip(first.declarations, second.declarations))
+
+    def test_sessions_share_one_stage_rule(self, monkeypatch):
+        class Sentinel(Exception):
+            pass
+
+        def fail(*args, **kwargs):
+            raise Sentinel
+
+        monkeypatch.setattr(protocol, "_commit_and_test", fail)
+        params = ProtocolParams(n0=64, m=16)
+        with pytest.raises(Sentinel):
+            run_session(Honest(), params, randomness=RandomStream(6))
+        with pytest.raises(Sentinel):
+            run_sessions(params, 3, RandomStream(6))
+
     def test_honest_draws_do_not_grow_with_n0(self, rng_calls):
         counts = []
         for n0 in (16, 128):

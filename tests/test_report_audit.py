@@ -25,6 +25,20 @@ trials must be a count with that count's Wilson interval, which covers
 2^-k.  The records run over the config's k values, and the scenario reads
 no oracle knob, so its ``epsilons`` record must be (0, 0).
 
+Each record of ``runs/honest-default/report.jsonl`` is checked the same
+way, against the config and the session in ``transcript.jsonl``.  Before
+the declarations the best hedge opens one bit surely and the other with
+2^-m, so the commit point is (1, 2^-m, 1 + 2^-m).  Honest declarations
+bind the claimed bit truthfully on all m particles, so the declarations
+point opens the claimed bit surely and the other with 2^-m; once the
+reveal is seen the claimed bit is opened and the other is not, (1, 0, 1)
+ordered by bit.  Each point sits at the commitment position, at the
+earliest time whose past light cone holds the commitment point and its
+last stage's emission, as read from the transcript's stage records.  The
+honest cheat sum is (1, 0, 1), the epsilons echo the config's knobs, and
+both Monte Carlo hiding intervals cover 0, the value under the ideal
+oracle.
+
 A record type the audit has no check for fails it.
 """
 
@@ -319,3 +333,105 @@ def test_flip_audit_catches_a_shifted_value(row, path):
 def test_flip_audit_refuses_an_unaudited_record_type():
     records = load(FLIP_REPORT) + [{"schema": 1, "type": "power", "k": 8, "relative": 0.2}]
     assert audit_flip(records, flip_k_values()) == [f"record {len(records) - 1}: no audit for type 'power'"]
+
+
+HONEST_REPORT = ROOT / "runs" / "honest-default" / "report.jsonl"
+HONEST_TRANSCRIPT = ROOT / "runs" / "honest-default" / "transcript.jsonl"
+HONEST_CONFIG = ROOT / "configs" / "honest-default.ini"
+# bob_information's trials when the config sets none.
+HONEST_HIDING_TRIALS = 20_000
+# Each point's label and the stage record whose emission its witness must see.
+HONEST_POINTS = (("commit", "commitment_point"), ("declarations", "declarations_emitted"), ("reveal", "reveal_emitted"))
+
+
+def honest_config() -> dict:
+    config = read_config(HONEST_CONFIG)
+    return {
+        "m": config.getint("protocol", "m"),
+        "flip_probability": config.getfloat("protocol", "flip_probability", fallback=0.0),
+        "leak_probability": config.getfloat("protocol", "leak_probability", fallback=0.0),
+        "trials": config.getint("experiment", "trials", fallback=HONEST_HIDING_TRIALS),
+    }
+
+
+def audit_honest(records: list[dict], transcript: list[dict], config: dict) -> list[str]:
+    """Every disagreement between the records and the closed forms; empty means the report passes."""
+    problems = []
+    kinds = {"epsilons": [], "point": [], "bob-information": [], "cheat-sum": []}
+    for index, record in enumerate(records):
+        if record["type"] in kinds:
+            kinds[record["type"]].append(record)
+        elif record["type"] not in ("experiment", "notes"):
+            problems.append(f"record {index}: no audit for type {record['type']!r}")
+    if [len(found) for found in kinds.values()] != [1, len(HONEST_POINTS), 1, 1]:
+        problems.append(f"record counts {[len(found) for found in kinds.values()]}, expected [1, 3, 1, 1]")
+    for record in kinds["epsilons"]:
+        expected = (config["flip_probability"], config["leak_probability"])
+        if (record["fidelity_defect"], record["leak"]) != expected:
+            problems.append(f"epsilons: ({record['fidelity_defect']!r}, {record['leak']!r}), expected {expected!r}")
+
+    stages = {record["name"]: record for record in transcript if record["type"] == "stage"}
+    (verdict,) = [record for record in transcript if record["type"] == "verdict"]
+    claimed = verdict["claimed_bit"]
+    hedge = 2.0 ** -config["m"]
+    surely = {"commit": (1.0, hedge), "declarations": (1.0, hedge), "reveal": (1.0, 0.0)}
+    commitment = stages["commitment_point"]
+    for index, (record, (label, stage)) in enumerate(zip(kinds["point"], HONEST_POINTS)):
+        where = f"point {index}"
+        opened, other = surely[label]
+        # The commit point's hedge opens bit 0 surely; later points, the claimed bit.
+        p = (opened, other) if label == "commit" or claimed == 0 else (other, opened)
+        expected = {"p0": p[0], "p1": p[1], "p_sum": p[0] + p[1]}
+        if record["label"] != label:
+            problems.append(f"{where}: label {record['label']!r}, expected {label!r}")
+        for name, exact in expected.items():
+            if record[name] != {**record[name], "provenance": "exact", "value": exact}:
+                problems.append(f"{where}: {name} {record[name]!r}, expected exactly {exact!r}")
+        emitted = stages[stage]
+        t = max(commitment["t"], emitted["t"] + math.dist(emitted["x"], commitment["x"]))
+        if (record["t"], record["x"]) != (t, commitment["x"]):
+            problems.append(f"{where}: at ({record['t']!r}, {record['x']!r}), expected ({t!r}, {commitment['x']!r})")
+        if record["within_bound"] is not True:
+            problems.append(f"{where}: not within the binding bound")
+
+    for record in kinds["bob-information"]:
+        for name in ("tv_distance", "mutual_information_bits"):
+            estimate = record[name]
+            low, high = estimate["ci"]
+            if estimate["provenance"] != "monte-carlo" or estimate["trials"] != config["trials"]:
+                problems.append(f"bob-information: {name} {estimate['provenance']!r} over {estimate['trials']!r} trials")
+            if not low <= 0.0 <= high or not low <= estimate["value"] <= high:
+                problems.append(f"bob-information: {name} {estimate['value']!r} in {[low, high]!r}, which must cover 0")
+
+    for record in kinds["cheat-sum"]:
+        for name, exact in (("p0", 1.0), ("p1", 0.0), ("p_sum", 1.0)):
+            if record[name] != {**record[name], "provenance": "exact", "value": exact}:
+                problems.append(f"cheat-sum: {name} {record[name]!r}, expected exactly {exact!r}")
+    return problems
+
+
+def test_honest_default_report_matches_closed_forms():
+    assert audit_honest(load(HONEST_REPORT), load(HONEST_TRANSCRIPT), honest_config()) == []
+
+
+# (record index, field path): a 1e-9 shift of each field breaks one check the audit makes.
+HONEST_MUTATIONS = (
+    [(1, ("fidelity_defect",)), (1, ("leak",))]
+    + [(row, path) for row in (2, 3, 4) for path in (("p0", "value"), ("p1", "value"), ("p_sum", "value"), ("t",), ("x", 0))]
+    + [(5, (name, *key)) for name in ("tv_distance", "mutual_information_bits") for key in (("ci", 0), ("trials",))]
+    + [(6, (name, "value")) for name in ("p0", "p1", "p_sum")]
+)
+
+
+@pytest.mark.parametrize("row, path", HONEST_MUTATIONS)
+def test_honest_audit_catches_a_shifted_value(row, path):
+    records = shifted(load(HONEST_REPORT), row, path, 1e-9)
+    problems = audit_honest(records, load(HONEST_TRANSCRIPT), honest_config())
+    where = {"epsilons": "epsilons", "point": f"point {row - 2}"}.get(records[row]["type"], records[row]["type"])
+    assert problems and all(problem.startswith(f"{where}: ") for problem in problems)
+
+
+def test_honest_audit_refuses_an_unaudited_record_type():
+    records = load(HONEST_REPORT) + [{"schema": 1, "type": "session-count", "sessions": 200}]
+    problems = audit_honest(records, load(HONEST_TRANSCRIPT), honest_config())
+    assert problems == [f"record {len(records) - 1}: no audit for type 'session-count'"]

@@ -2,6 +2,7 @@
 
 import inspect
 
+import numpy as np
 import pytest
 
 from certbit.rng import RandomStream
@@ -23,3 +24,11 @@ def test_permutation_rows_are_successive_permutations(n, rows):
     assert drawn.shape == (rows, n)
     assert drawn.tolist() == [single.permutation(n).tolist() for _ in range(rows)]
     assert stream.random() == single.random()
+
+
+def test_bits_is_the_integers_draw_itself():
+    stream, reference = RandomStream(4), RandomStream(4)
+    drawn = stream.bits(128)
+    assert isinstance(drawn, np.ndarray) and drawn.dtype == np.int64
+    assert drawn.tolist() == reference.integers(0, 2, size=128).tolist()
+    assert stream.random() == reference.random()

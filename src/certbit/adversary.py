@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .protocol import ProtocolParams, _is_integer, honest_declarations, run_sessions
+from .protocol import _BASES, _CODES, ProtocolParams, _is_integer, honest_bases, run_sessions
 from .quantum import (
     DensityMatrix,
     StateVector,
@@ -53,12 +53,16 @@ class Honest:
     def commit_bits(self, params: ProtocolParams, randomness: RandomStream) -> np.ndarray:
         return randomness.bits(params.n_commitments)
 
-    def plan_declarations(self, particles, labels, randomness: RandomStream):
+    def plan_declarations(self, particles, sent, randomness: RandomStream):
         bit = randomness.bit()
-        return bit, honest_declarations(bit, particles, labels)
+        return bit, honest_bases(bit, sent)
 
-    def reveal_claim(self, bit, labels, declarations, randomness: RandomStream):
-        return bit, tuple(labels)
+    def reveal_claim(self, bit, sent, bases, randomness: RandomStream):
+        return bit, sent
+
+
+# _EIGENSTATES[b]: the pair codes of ``basis_eigenstates`` of basis code b, in its order.
+_EIGENSTATES = np.array([[_CODES[label.value] for label in basis_eigenstates(basis)] for basis in _BASES])
 
 
 class ClassicalFlip:
@@ -88,22 +92,20 @@ class ClassicalFlip:
             raise ValueError(f"k={self.k} exceeds the {params.m} untested particles")
         return randomness.bits(params.n_commitments)
 
-    def plan_declarations(self, particles, labels, randomness: RandomStream):
+    def plan_declarations(self, particles, sent, randomness: RandomStream):
         if self.k > len(particles):
             raise ValueError(f"k={self.k} exceeds the {len(particles)} untested particles")
         bit = randomness.bit()
-        declarations = list(honest_declarations(bit, particles, labels))
-        for pos in randomness.choice(len(particles), size=self.k, replace=False):
-            (declarations[pos],) = honest_declarations(1 - bit, particles[pos : pos + 1], labels[pos : pos + 1])
-        return bit, tuple(declarations)
+        bases = honest_bases(bit, sent)
+        bases[randomness.choice(len(particles), size=self.k, replace=False)] ^= 1
+        return bit, bases
 
-    def reveal_claim(self, bit, labels, declarations, randomness: RandomStream):
-        claims = []
-        for declaration, label in zip(declarations, labels):
-            basis = declaration.basis_for(bit)
-            # A declaration false for the claimed bit leaves a uniform guess in its basis.
-            claims.append(label if basis is label.basis else basis_eigenstates(basis)[randomness.bit()])
-        return bit, tuple(claims)
+    def reveal_claim(self, bit, sent, bases, randomness: RandomStream):
+        # A declaration false for the claimed bit leaves a uniform guess in its basis.
+        false = np.flatnonzero(bases ^ bit != sent >> 1)
+        claims = sent.copy()
+        claims[false] = _EIGENSTATES[bases[false] ^ bit, randomness.integers(0, 2, size=false.size)]
+        return bit, claims
 
 
 def entangled_commit(alpha: complex, beta: complex) -> StateVector:

@@ -28,10 +28,11 @@ from .adversary import (
 from .protocol import (
     ProtocolParams,
     SessionTranscript,
+    _SIGNALS,
     _collapses,
     _oracle_masks,
+    honest_bases,
     honest_declarations,
-    spin_labels,
 )
 from .quantum import Basis, SpinLabel, StateVector, spin_state
 from .rng import RandomStream
@@ -207,9 +208,8 @@ def _exact_view_statistics(params: ProtocolParams) -> tuple[float, float]:
     opened = (codes[:, tested] << (2 * np.arange(n_tested))).sum(axis=2)
     prefix = (np.arange(len(subsets)) * 4**n_tested + opened) << m
     # declares_x[a, code]: the rule declares X for bit 0 on a particle sent by pair ``code``.
-    signals = spin_labels((0, 0, 0, 1, 1, 0, 1, 1))  # pair codes 0..3
     declares_x = np.array(
-        [[d.basis_for_zero is Basis.X for d in honest_declarations(a, range(4), signals)] for a in (0, 1)],
+        [[d.basis_for_zero is Basis.X for d in honest_declarations(a, range(4), _SIGNALS)] for a in (0, 1)],
         dtype=np.intp,
     )
     counts = []
@@ -239,13 +239,10 @@ def _sample_view_atoms(
     for bit 0, leaked pair or nothing) as an integer in [0, 10).
     """
     n = trials * params.m
-    pair_bits = randomness.integers(0, 2, size=(n, 2))
-    true_basis = pair_bits[:, 0]  # 0 -> Z, 1 -> X
-    basis_for_zero = true_basis if bit == 0 else 1 - true_basis
-    # The oracle's own leak rule, one leak per atom; this model leaves flips out.
+    sent = randomness.integers(0, 2, size=(n, 2)) @ (2, 1)  # each atom's pair code 2*b0 + b1
+    # The sessions' declaration rule and the oracle's own leak rule, one leak per atom; this model leaves flips out.
     _, leaked = _oracle_masks((n,), 0.0, params.leak_probability, randomness)
-    leak_code = np.where(leaked, 1 + 2 * pair_bits[:, 0] + pair_bits[:, 1], 0)
-    return (basis_for_zero * 5 + leak_code).reshape(trials, params.m)
+    return (honest_bases(bit, sent) * 5 + np.where(leaked, 1 + sent, 0)).reshape(trials, params.m)
 
 
 def _sampled_view_statistics(

@@ -26,6 +26,7 @@ import numpy as np
 from .quantum import (
     Basis,
     SpinLabel,
+    _frozen,
     basis_eigenstates,
     signal_probabilities,
 )
@@ -54,6 +55,7 @@ __all__ = [
     "default_scenario",
     "draw_challenge",
     "verify_tested",
+    "honest_bases",
     "honest_declarations",
     "verify_reveal",
     "run_session",
@@ -135,15 +137,8 @@ _P0 = np.array([[signal_probabilities(s, c.basis)[0] for c in _SIGNALS] for s in
 _OUTCOME = np.array([basis_eigenstates(c.basis).index(c) for c in _SIGNALS], dtype=bool)
 # _CODES[label value]: the pair code that sends the signal state.
 _CODES = {label.value: code for code, label in enumerate(_SIGNALS)}
-# _BASIS_CODES[basis value]: the bit b0 of the pairs that send the basis's
-# eigenstates, so a label of pair code c lies in basis c >> 1.
-_BASIS_CODES = {label.basis.value: code >> 1 for code, label in enumerate(_SIGNALS)}
-# _BASIS_FOR_ZERO[bit][label value]: the value of the basis a declaration must bind to bit 0 for
-# ``bit`` to name the label's own basis.  Values, so ``honest_declarations`` hashes strings.
-_BASIS_FOR_ZERO = {
-    0: {label.value: label.basis.value for label in SpinLabel},
-    1: {label.value: label.basis.conjugate().value for label in SpinLabel},
-}
+# _BASES[b]: the basis of basis code b, which pair codes 2b and 2b + 1 send eigenstates of.
+_BASES = (_SIGNALS[0].basis, _SIGNALS[2].basis)
 
 
 def _collapses(sent, target, uniforms) -> np.ndarray:
@@ -158,8 +153,7 @@ def _collapses(sent, target, uniforms) -> np.ndarray:
 
 def _first_failure(particles: np.ndarray, passed: np.ndarray) -> int | None:
     """The first particle whose check failed, or None if all passed."""
-    checks = passed.tolist()
-    return int(particles[checks.index(False)]) if False in checks else None
+    return None if np.count_nonzero(passed) == passed.size else int(particles[passed.tolist().index(False)])
 
 
 @dataclass(frozen=True)
@@ -177,10 +171,12 @@ class Declaration:
         return self.basis_for_zero if bit == 0 else self.basis_for_zero.conjugate()
 
 
-@functools.lru_cache(maxsize=4096)
-def _declaration(particle: int, basis_for_zero: str) -> Declaration:
-    """The one frozen declaration, shared by every session, binding bit 0 to the basis of that value."""
-    return Declaration(particle, Basis(basis_for_zero))
+def _codes(values, width: int, what: str) -> np.ndarray:
+    """``values``, taken whole, as a 1-d int64 array of ``width``-bit codes; anything else is a ``ValueError``."""
+    codes = np.asarray(values if isinstance(values, np.ndarray) else list(values))
+    if codes.ndim != 1 or codes.size and (codes.dtype.kind not in "iu" or np.count_nonzero(codes >> width)):
+        raise ValueError(f"{what} must be a 1-d array of integers in [0, {2**width})")
+    return codes.astype(np.int64, copy=False)
 
 
 def _oracle_masks(shape, flip_probability: float, leak_probability: float, randomness: RandomStream):
@@ -203,7 +199,9 @@ def _oracle_masks(shape, flip_probability: float, leak_probability: float, rando
 
 def _certify(bits: np.ndarray, flip_probability: float, leak_probability: float, randomness: RandomStream):
     """The certified values of classical ``bits`` and the leak mask; other bits raise before the draw."""
-    if not ((bits == 0) | (bits == 1)).all():
+    # An integer is a bit iff shifting out its lowest bit leaves 0.
+    classical = not np.count_nonzero(bits >> 1) if bits.dtype.kind in "iu" else ((bits == 0) | (bits == 1)).all()
+    if not classical:
         raise ValueError("oracle accepts classical bits only")
     flip, leak = _oracle_masks(bits.shape, flip_probability, leak_probability, randomness)
     return bits.astype(np.int64, copy=False) ^ flip, leak
@@ -278,11 +276,6 @@ class Stage(enum.Enum):
     REVEAL = "reveal"
 
 
-def spin_labels(bits) -> list[SpinLabel]:
-    bits = tuple(int(b) for b in bits)
-    return [DEFAULT_ENCODING[(bits[2 * i], bits[2 * i + 1])] for i in range(len(bits) // 2)]
-
-
 def draw_challenge(params: ProtocolParams, n: int, randomness: RandomStream) -> np.ndarray:
     """Each of ``n`` sessions' uniformly random subset of n0 - m particle indices, sorted, as rows.
 
@@ -317,21 +310,26 @@ def verify_tested(tested, opened, sent, randomness: RandomStream) -> np.ndarray:
 def _commit_and_test(params: ProtocolParams, bits: np.ndarray, randomness: RandomStream):
     """Commit and tested verification of one session per row of committed ``bits``.
 
-    Returns per row: pair codes sent, tested particles, commitment indices read, pass flags, leak mask.
+    Returns per row: pair codes sent, tested particles (read through commitments 2i, 2i + 1), pass flags, leak mask.
     """
     certified, leak = _certify(bits, params.flip_probability, params.leak_probability, randomness)
     sent = 2 * bits[:, 0::2] + bits[:, 1::2]
+    # An oracle that flips no bit certifies the pairs sent.
+    opened = sent if params.flip_probability == 0.0 else 2 * certified[:, 0::2] + certified[:, 1::2]
     tested = draw_challenge(params, len(bits), randomness)
-    read = (2 * tested[:, :, None] + (0, 1)).reshape(len(bits), -1)
-    pairs = certified[np.arange(len(bits))[:, None], read]
-    passed = verify_tested(tested, 2 * pairs[:, 0::2] + pairs[:, 1::2], sent, randomness)
-    return sent, tested, read, passed, leak
+    passed = verify_tested(tested, opened[np.arange(len(bits))[:, None], tested], sent, randomness)
+    return sent, tested, passed, leak
+
+
+def honest_bases(bit: int, sent: np.ndarray) -> np.ndarray:
+    """The honest declaration rule: the basis code that binds ``bit`` to the basis of each sent pair code."""
+    return (sent >> 1) ^ bit
 
 
 def honest_declarations(bit: int, particles, labels) -> tuple[Declaration, ...]:
-    """Truthful declarations: bind ``bit`` (any nonzero bit as 1) to each particle's actual basis."""
-    bases = _BASIS_FOR_ZERO[0 if bit == 0 else 1]
-    return tuple([_declaration(particle, bases[label._value_]) for particle, label in zip(particles, labels)])
+    """The object view of ``honest_bases``: bind ``bit`` (any nonzero bit as 1) to each particle's actual basis."""
+    bases = honest_bases(int(bit != 0), np.array([_CODES[label.value] for label in labels], dtype=np.int64))
+    return tuple([Declaration(int(particle), _BASES[b]) for particle, b in zip(particles, bases.tolist())])
 
 
 def verify_reveal(untested, bound, claimed, sent, randomness: RandomStream) -> np.ndarray:
@@ -646,6 +644,13 @@ def _session_plan(
     return schedule, tuple(violations), events
 
 
+@functools.lru_cache(maxsize=SCHEDULE_CACHE_SIZE)
+def _transcript_tables(n0: int) -> tuple[np.ndarray, np.ndarray]:
+    """Particle i's commitments ``pairs[i] = (2i, 2i + 1)`` and shared declarations ``declarations[b, i]``."""
+    declarations = np.array([[Declaration(i, basis) for i in range(n0)] for basis in _BASES], dtype=object)
+    return _frozen(np.arange(2 * n0).reshape(n0, 2)), _frozen(declarations)
+
+
 def run_session(
     strategy,
     params: ProtocolParams,
@@ -655,35 +660,32 @@ def run_session(
     """Execute one full run and return its transcript.
 
     Stages: commit, spins, challenge, tested verification, declarations,
-    suspension, reveal, verdict.  Any stage failure yields a transcript
-    whose verdict is reject/abort with the stage recorded.  The suspended
-    (untested) commitments are never opened.  Each stage works on numpy
-    arrays of pair codes 2*b0 + b1; spin labels and tuples are built for
-    the strategy and the transcript; commit and tested verification are
-    row 0 of ``run_sessions``' ``_commit_and_test``, with no oracle object.
-    A strategy that commits the wrong number of bits or a non-classical
-    one, or whose declarations do not name the untested particles once each
-    in order, is a ``ValueError``.
+    suspension, reveal, verdict; a failing stage is recorded with a
+    reject/abort verdict, and untested commitments are never opened.
+    Stages and strategy rules work on arrays of pair codes 2*b0 + b1:
+    ``plan_declarations(untested, sent, randomness)`` returns the protocol
+    bit and the basis code (0 for Z, 1 for X) each declaration binds to bit
+    0, ``reveal_claim(bit, sent, bases, randomness)`` the claimed bit and
+    pair codes.  Commit and tested verification are row 0 of
+    ``run_sessions``' ``_commit_and_test``.  Committing the wrong number of
+    bits or a non-classical one, declaring anything but one basis code per
+    untested particle, or claiming a code outside 0..3 is a ``ValueError``.
+    The plan of each ``(scenario, params.n0)`` is memoized (at most
+    ``SCHEDULE_CACHE_SIZE`` keys), so its transcripts share one ``Schedule``.
 
-    The schedule, its validation and the stage events depend only on
-    ``(scenario, params.n0)``; they are memoized per key (at most
-    ``SCHEDULE_CACHE_SIZE`` keys), so transcripts of one key share one
-    read-only ``Schedule``.  Only the strategy, oracle and measurements
-    draw randomness, all from ``randomness``, which is required.
-
-    Draws, in order: the strategy's committed bits, the oracle's one array
-    (see ``_oracle_masks``), the challenge permutation, one array of
-    ``n0 - m`` tested uniforms, the strategy's declaration and claim draws,
-    and one array of ``m`` reveal uniforms (see ``verify_reveal``).  These
-    are the values, in the order, that one draw per bit and per measured
-    particle would take, so a transcript started from a fresh stream is the
-    one such draws give.  A stage that rejects has still drawn its whole
-    array, so a stream shared across sessions is further along after a
-    rejection.  A schedule abort draws nothing, and neither does a reveal
-    whose claim is malformed: a claimed bit that is not the integer 0 or
-    1, a claim whose length is not ``m``, or a claimed label outside the
-    basis its declaration binds to the claimed bit.  Such a claim is
-    rejected at the reveal, with no reject index for the first two.
+    Draws, all from the required ``randomness``, in order: the committed
+    bits (one ``bits`` call for ``Honest`` and ``ClassicalFlip``), the
+    oracle's one array (see ``_oracle_masks``), the challenge permutation,
+    ``n0 - m`` tested uniforms, the protocol bit, for ``ClassicalFlip(k)``
+    one ``choice`` of its k false declarations and one
+    ``integers(0, 2, size=k)`` of its guesses (on Philox, the values and
+    stream position of k ``bit()`` calls), and ``m`` reveal uniforms (see
+    ``verify_reveal``): the values, in order, of one draw per bit and per
+    measured particle.  A rejecting stage has drawn its whole array.  A
+    schedule abort draws nothing, and neither does a malformed claim, which
+    is rejected at the reveal: a claimed bit other than the integer 0 or 1
+    or a claim whose length is not ``m`` (with no reject index), or a
+    claimed code outside the basis its declaration binds to the claimed bit.
     """
     if scenario is None:
         scenario = default_scenario()
@@ -698,54 +700,52 @@ def run_session(
     committed = np.asarray(strategy.commit_bits(params, randomness))
     if committed.shape != (params.n_commitments,):
         raise ValueError(f"strategy committed {committed.size} bits, expected {params.n_commitments}")
-    (sent,), (tested,), (read,), (passed,), _ = _commit_and_test(params, committed[None], randomness)
+    (sent,), (tested,), (passed,), _ = _commit_and_test(params, committed[None], randomness)
     reject = _first_failure(tested, passed)
 
     # Spin transmission: B0 holds particle i in the state of pair code sent[i].
-    bits, sent = committed.astype(np.int64, copy=False), sent.astype(np.int64, copy=False)
-    untested_idx = np.flatnonzero(np.bincount(tested, minlength=params.n0) == 0)
-    untested = tuple(untested_idx.tolist())
-
+    sent = sent.astype(np.int64, copy=False)
+    pairs, declarations = _transcript_tables(params.n0)
+    is_untested = np.ones(params.n0, dtype=bool)
+    is_untested[tested] = False
+    (untested,) = is_untested.nonzero()
     base = dict(
         common,
-        committed_bits=tuple(bits.tolist()),
+        committed_bits=tuple(committed.astype(np.int64, copy=False).tolist()),
         sent_labels=tuple(_SIGNALS[sent].tolist()),
         challenge=tuple(tested.tolist()),
-        untested=untested,
+        untested=tuple(untested.tolist()),
         events=dict(events),
-        opened_indices=frozenset(read.tolist()),
+        opened_indices=frozenset(pairs.take(tested, axis=0).ravel().tolist()),
     )
     if reject is not None:
         return SessionTranscript(verdict=Verdict.REJECT, failed_stage=Stage.TESTED, reject_index=reject, **base)
 
-    # Declarations over the untested particles.
-    untested_labels = tuple(_SIGNALS[sent[untested_idx]].tolist())
-    bit, declarations = strategy.plan_declarations(untested, untested_labels, randomness)
-    declarations = tuple(declarations)
-    if tuple([declaration.particle for declaration in declarations]) != untested:
-        raise ValueError("strategy must declare every untested particle exactly once")
+    # Declarations: one basis code per untested particle, from arrays the session reads on, so read-only.
+    untested, held = _frozen(untested), _frozen(sent[untested])
+    bit, bases = strategy.plan_declarations(untested, held, randomness)
+    bases = _codes(bases, 1, "declared basis codes")
+    if bases.shape != untested.shape:
+        raise ValueError(f"declared basis codes must be one per untested particle: {bases.size} for {untested.size}")
 
     # Reveal and verdict.  The suspended commitments are never opened.  The
-    # claim is made a tuple once, so what is checked is what is recorded.
-    claimed_bit, claimed_labels = strategy.reveal_claim(bit, untested_labels, declarations, randomness)
-    claimed_labels = tuple(claimed_labels)
+    # claim is made an array once, so what is checked is what is recorded.
+    claimed_bit, claimed = strategy.reveal_claim(bit, held, bases, randomness)
+    claimed = _codes(claimed, 2, "claimed pair codes")
     integral = isinstance(claimed_bit, numbers.Integral)
-    well_formed = integral and claimed_bit in (0, 1) and len(claimed_labels) == len(declarations)
     reject = None
+    well_formed = integral and claimed_bit in (0, 1) and claimed.shape == untested.shape
     if well_formed:
         # A declaration binds bit 1 to the conjugate of its basis for bit 0.
-        b = int(claimed_bit)
-        bound = np.array([_BASIS_CODES[d.basis_for_zero._value_] ^ b for d in declarations])
-        claimed = np.array([_CODES[label._value_] for label in claimed_labels])
-        reject = _first_failure(untested_idx, verify_reveal(untested_idx, bound, claimed, sent, randomness))
+        reject = _first_failure(untested, verify_reveal(untested, bases ^ int(claimed_bit), claimed, sent, randomness))
     accepted = well_formed and reject is None
     return SessionTranscript(
         verdict=Verdict.ACCEPT if accepted else Verdict.REJECT,
         failed_stage=None if accepted else Stage.REVEAL,
         reject_index=reject,
-        declarations=declarations,
+        declarations=tuple(declarations[bases, untested].tolist()),
         claimed_bit=int(claimed_bit) if integral else None,
-        claimed_labels=claimed_labels,
+        claimed_labels=tuple(_SIGNALS[claimed].tolist()),
         **base,
     )
 
@@ -776,8 +776,8 @@ def run_sessions(
     grow with the number of blocks, not with ``n``.  At n = 1 the numbers,
     and so the verdict, are those of ``run_session(Honest(), ...)``.
     """
-    if n < 1:
-        raise ValueError("run_sessions needs n >= 1")
+    if not _is_integer(n) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, not {n!r}")
     if scenario is None:
         scenario = default_scenario()
     _, violations, _ = _session_plan(scenario, params.n0)
@@ -786,7 +786,7 @@ def run_sessions(
     accepted, leaked = [], []
     for start in range(0, n, SESSION_CHUNK):
         bits = randomness.integers(0, 2, size=(min(SESSION_CHUNK, n - start), params.n_commitments))
-        _, _, _, passed, leak = _commit_and_test(params, bits, randomness)
+        _, _, passed, leak = _commit_and_test(params, bits, randomness)
         accepted.append(passed.all(axis=1))
         leaked.append(np.count_nonzero(leak, axis=1))
     return np.concatenate(accepted), np.concatenate(leaked)

@@ -27,8 +27,11 @@ import numpy as np
 from scipy import linalg, optimize
 
 from certbit import protocol
-from certbit.protocol import DEFAULT_ENCODING, SessionTranscript, Stage, Verdict
+from certbit.protocol import DEFAULT_ENCODING, Declaration, SessionTranscript, Stage, Verdict
 from certbit.quantum import measure_label
+
+# The basis of basis code b: the one whose eigenstates pairs (b, 0) and (b, 1) send.
+BASIS_OF_CODE = (DEFAULT_ENCODING[0, 0].basis, DEFAULT_ENCODING[1, 0].basis)
 
 
 def random_state(rng: np.random.Generator, n_qubits: int) -> np.ndarray:
@@ -367,13 +370,18 @@ def scalar_run_session(strategy, params, scenario=None, randomness=None) -> Sess
         if measure_label(labels[particle], opened[particle].basis, randomness) is not opened[particle]:
             return transcript(Verdict.REJECT, failed_stage=Stage.TESTED, reject_index=particle)
 
-    untested_labels = tuple(labels[i] for i in untested)
-    bit, declarations = strategy.plan_declarations(untested, untested_labels, randomness)
-    declarations = tuple(declarations)
-    if len(declarations) != len(untested) or any(d.particle != i for d, i in zip(declarations, untested)):
-        raise ValueError("strategy must declare every untested particle exactly once")
-    claimed_bit, claimed_labels = strategy.reveal_claim(bit, untested_labels, declarations, randomness)
-    claimed_labels = tuple(claimed_labels)
+    # The strategy rules take and return arrays of codes; each is read here one particle at a time.
+    codes = np.array([2 * bits[2 * i] + bits[2 * i + 1] for i in untested], dtype=np.int64)
+    bit, bases = strategy.plan_declarations(np.array(untested, dtype=np.int64), codes.copy(), randomness)
+    bases = list(bases)
+    if len(bases) != len(untested) or not all(isinstance(b, numbers.Integral) and b in (0, 1) for b in bases):
+        raise ValueError("declared basis codes must be one 0 or 1 per untested particle")
+    declarations = tuple(Declaration(i, BASIS_OF_CODE[b]) for i, b in zip(untested, bases))
+    claimed_bit, claimed = strategy.reveal_claim(bit, codes.copy(), np.array(bases, dtype=np.int64), randomness)
+    claimed = list(claimed)
+    if not all(isinstance(c, numbers.Integral) and 0 <= c < 4 for c in claimed):
+        raise ValueError("claimed pair codes must lie in 0..3")
+    claimed_labels = tuple(DEFAULT_ENCODING[divmod(int(c), 2)] for c in claimed)
     integral = isinstance(claimed_bit, numbers.Integral)
     fields.update(
         declarations=declarations,

@@ -18,7 +18,7 @@ from certbit.adversary import (
     weak_oracle_degradation,
 )
 from certbit import analysis, protocol
-from certbit.protocol import ProtocolParams, run_session
+from certbit.protocol import DEFAULT_ENCODING, ProtocolParams, run_session
 from certbit.rng import RandomStream
 from certbit.quantum import (
     Basis,
@@ -32,6 +32,12 @@ from certbit.quantum import (
     spin_state,
 )
 import oracles
+
+
+def codes(labels) -> list[int]:
+    """The pair code 2*b0 + b1 of the pair that sends each label."""
+    code = {label: 2 * b0 + b1 for (b0, b1), label in DEFAULT_ENCODING.items()}
+    return [code[label] for label in labels]
 
 
 def density(seed, dim=2, rank=None):
@@ -58,32 +64,28 @@ class TestClassicalFlipPlan:
             assert transcript.accepted
 
     def test_declarations_false_on_exactly_k(self, make_rng):
+        # Declaration j binds bit b to basis code bases[j] ^ b; it is false for b
+        # when that is not the sent basis code sent[j] >> 1.
         rng = make_rng(2)
         strategy = ClassicalFlip(k=3)
-        particles = (0, 1, 2, 3, 4)
+        particles = np.arange(5)
         labels = (SpinLabel.UP, SpinLabel.LEFT, SpinLabel.DOWN, SpinLabel.RIGHT, SpinLabel.UP)
-        target, declarations = strategy.plan_declarations(particles, labels, rng)
-        false_for_target = sum(
-            declaration.basis_for(target) is not label.basis
-            for declaration, label in zip(declarations, labels)
-        )
-        false_for_other = sum(
-            declaration.basis_for(1 - target) is not label.basis
-            for declaration, label in zip(declarations, labels)
-        )
+        sent = np.array(codes(labels))
+        target, bases = strategy.plan_declarations(particles, sent, rng)
+        false_for_target = np.count_nonzero(bases ^ target != sent >> 1)
+        false_for_other = np.count_nonzero(bases ^ (1 - target) != sent >> 1)
         assert false_for_target == 3
         assert false_for_other == 2  # hedging: false counts sum to m
 
     def test_claims_stay_inside_declared_basis(self, make_rng):
         rng = make_rng(3)
         strategy = ClassicalFlip(k=2)
-        particles = (0, 1, 2)
-        labels = (SpinLabel.UP, SpinLabel.RIGHT, SpinLabel.DOWN)
-        target, declarations = strategy.plan_declarations(particles, labels, rng)
-        bit, claims = strategy.reveal_claim(target, labels, declarations, rng)
+        particles = np.arange(3)
+        sent = np.array(codes((SpinLabel.UP, SpinLabel.RIGHT, SpinLabel.DOWN)))
+        target, bases = strategy.plan_declarations(particles, sent, rng)
+        bit, claims = strategy.reveal_claim(target, sent, bases, rng)
         assert bit == target
-        for declaration, claim in zip(declarations, claims):
-            assert claim.basis is declaration.basis_for(bit)
+        assert (claims >> 1 == bases ^ bit).all()
 
     # sha256 of the fingerprints below over 300 seeded sessions for each k,
     # computed with the earlier, stateful strategies: a change to the flip

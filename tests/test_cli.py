@@ -265,7 +265,7 @@ sessions = 25
         # the other bit: the claim check must fail on its own.
         monkeypatch.setattr(protocol, "verify_reveal", lambda untested, *rest: np.ones(len(untested), dtype=bool))
         monkeypatch.setattr(
-            Honest, "reveal_claim", lambda self, bit, labels, *rest: (1 - bit, tuple(labels))
+            Honest, "reveal_claim", lambda self, bit, sent, *rest: (1 - bit, sent)
         )
         path = write_config(tmp_path, SMALL_HONEST.format(rounds=0))
         assert main(["run", str(path), "--out", str(tmp_path / "out"), "--format", "summary"]) == 1

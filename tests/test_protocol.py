@@ -3,14 +3,17 @@
 import dataclasses
 import json
 import math
+import re
+import sys
 from collections import Counter
+from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
 import pytest
 
 from certbit import protocol, spacetime
-from certbit.adversary import ClassicalFlip, Honest
+from certbit.adversary import ClassicalFlip, Honest, weak_oracle_degradation
 from certbit.analysis import evaluate_relativistic, honest_accept_probability_exact
 from certbit.protocol import (
     DEFAULT_ENCODING,
@@ -22,10 +25,10 @@ from certbit.protocol import (
     Verdict,
     default_scenario,
     draw_challenge,
+    honest_bases,
     honest_declarations,
     run_session,
     run_sessions,
-    spin_labels,
     verify_reveal,
     verify_tested,
 )
@@ -102,9 +105,6 @@ class TestEncoding:
         for pair in [(0, 0), (0, 1), (1, 0), (1, 1)]:
             assert inverse[DEFAULT_ENCODING[pair]] == pair
 
-    def test_spin_labels(self):
-        assert spin_labels((0, 1, 1, 0)) == [SpinLabel.DOWN, SpinLabel.LEFT]
-
 
 class TestOracle:
     def test_ideal_reveal_returns_committed(self, rng):
@@ -171,8 +171,7 @@ class TestChallenge:
 class TestVerifyTested:
     def test_honest_accepts_with_certainty(self, rng):
         bits = (0, 0, 0, 1, 1, 0, 1, 1)
-        sent = codes(spin_labels(bits))
-        opened = [2 * bits[2 * i] + bits[2 * i + 1] for i in range(4)]
+        sent = opened = [2 * bits[2 * i] + bits[2 * i + 1] for i in range(4)]
         assert verify_tested([range(4)] * 25, [opened] * 25, [sent] * 25, rng).all()
 
     def test_conjugate_swap_detected_half_the_time(self, rng):
@@ -265,11 +264,11 @@ class TestVerifyReveal:
 
 
 def claiming(claim):
-    """An honest committer whose reveal claims ``claim(bit, labels)``."""
+    """An honest committer whose reveal claims ``claim(bit, sent)``, given the untested particles' sent pair codes."""
 
     class Claimer(Honest):
-        def reveal_claim(self, bit, labels, declarations, randomness):
-            return claim(bit, labels)
+        def reveal_claim(self, bit, sent, bases, randomness):
+            return claim(bit, sent)
 
     return Claimer()
 
@@ -334,6 +333,26 @@ class TestRunSession:
         )
         assert abs(accepted / trials - 0.5) < 0.1
 
+    @pytest.mark.parametrize("flip", [0.02, 0.1])
+    def test_honest_rejections_under_oracle_flips(self, flip, make_rng):
+        # A tested pair the oracle left alone passes, one whose basis bit it
+        # flipped passes with probability 1/2, and one whose value bit alone it
+        # flipped fails; the untested pairs are never read, so an honest
+        # session is rejected at tested verification or not at all.
+        params = ProtocolParams(n0=16, m=4, flip_probability=flip)
+        rng = make_rng(90)
+        sessions = 2000
+        rejected = 0
+        for _ in range(sessions):
+            transcript = run_session(Honest(), params, randomness=rng)
+            if not transcript.accepted:
+                rejected += 1
+                assert (transcript.verdict, transcript.failed_stage) == (Verdict.REJECT, Stage.TESTED)
+                assert transcript.reject_index in transcript.challenge
+        expected = 1.0 - ((1.0 - flip) ** 2 + flip / 2.0) ** params.n_tested
+        sigma = math.sqrt(expected * (1.0 - expected) / sessions)
+        assert abs(rejected / sessions - expected) <= 4 * sigma
+
     def test_flip_k_exceeding_m_rejected(self, make_rng):
         params = ProtocolParams(n0=8, m=2, strict=False)
         with pytest.raises(ValueError, match="exceeds"):
@@ -390,13 +409,13 @@ class TestRunSession:
 
     def test_claim_of_bit_two_rejected_at_reveal(self, make_rng, rng_calls):
         class BitTwo(Honest):
-            """Declares honestly for bit 1, then claims bit 2 with the labels honest for 1."""
+            """Declares honestly for bit 1, then claims bit 2 with the pair codes honest for 1."""
 
-            def plan_declarations(self, particles, labels, randomness):
-                return 1, honest_declarations(1, particles, labels)
+            def plan_declarations(self, particles, sent, randomness):
+                return 1, honest_bases(1, sent)
 
-            def reveal_claim(self, bit, labels, declarations, randomness):
-                return 2, tuple(labels)
+            def reveal_claim(self, bit, sent, bases, randomness):
+                return 2, sent
 
         params = ProtocolParams(n0=16, m=4)
         for seed in (1, 5, 6):
@@ -413,13 +432,13 @@ class TestRunSession:
     @pytest.mark.parametrize("claimed_bit", [None, 0.5, "1"], ids=repr)
     def test_non_integer_claim_rejected_and_recorded_as_none(self, claimed_bit, make_rng, rng_calls):
         class Claimer(Honest):
-            """Declares honestly for bit 1, then claims ``claimed_bit`` with the labels honest for 1."""
+            """Declares honestly for bit 1, then claims ``claimed_bit`` with the pair codes honest for 1."""
 
-            def plan_declarations(self, particles, labels, randomness):
-                return 1, honest_declarations(1, particles, labels)
+            def plan_declarations(self, particles, sent, randomness):
+                return 1, honest_bases(1, sent)
 
-            def reveal_claim(self, bit, labels, declarations, randomness):
-                return claimed_bit, tuple(labels)
+            def reveal_claim(self, bit, sent, bases, randomness):
+                return claimed_bit, sent
 
         params = ProtocolParams(n0=16, m=4)
         transcript = run_session(Claimer(), params, randomness=make_rng(1))
@@ -436,8 +455,8 @@ class TestRunSession:
 
     @pytest.mark.parametrize("claimed_bit", [2, -1, None, 0.5, "1", 1.0], ids=repr)
     def test_bit_outside_zero_one_rejected_without_measurement(self, claimed_bit, make_rng, rng_calls):
-        # The claimed labels are honest for the protocol bit, which no claimed bit here names.
-        strategy = claiming(lambda bit, labels: (claimed_bit, labels))
+        # The claimed codes are honest for the protocol bit, which no claimed bit here names.
+        strategy = claiming(lambda bit, sent: (claimed_bit, sent))
         transcript = run_session(strategy, ProtocolParams(n0=16, m=4), randomness=make_rng(2))
         assert (transcript.verdict, transcript.failed_stage, transcript.reject_index) == (
             Verdict.REJECT,
@@ -448,7 +467,7 @@ class TestRunSession:
         assert_matches_scalar_session(strategy, ProtocolParams(n0=16, m=4), 2)
 
     def test_wrong_length_rejected_without_measurement(self, make_rng, rng_calls):
-        strategy = claiming(lambda bit, labels: (bit, labels[:-1]))
+        strategy = claiming(lambda bit, sent: (bit, sent[:-1]))
         transcript = run_session(strategy, ProtocolParams(n0=16, m=4), randomness=make_rng(3))
         assert (transcript.verdict, transcript.failed_stage, transcript.reject_index) == (
             Verdict.REJECT,
@@ -460,10 +479,8 @@ class TestRunSession:
         assert_matches_scalar_session(strategy, ProtocolParams(n0=16, m=4), 3)
 
     def test_label_outside_declared_basis_rejected_without_measurement(self, make_rng, rng_calls):
-        # The third label is swapped for an eigenstate of the other basis.
-        swap = {SpinLabel.UP: SpinLabel.LEFT, SpinLabel.DOWN: SpinLabel.RIGHT}
-        swap.update({v: k for k, v in swap.items()})
-        strategy = claiming(lambda bit, labels: (bit, (*labels[:2], swap[labels[2]], *labels[3:])))
+        # The third code is swapped for an eigenstate of the other basis: UP for LEFT, DOWN for RIGHT.
+        strategy = claiming(lambda bit, sent: (bit, np.concatenate([sent[:2], sent[2:3] ^ 2, sent[3:]])))
         transcript = run_session(strategy, ProtocolParams(n0=16, m=4), randomness=make_rng(4))
         assert (transcript.verdict, transcript.failed_stage) == (Verdict.REJECT, Stage.REVEAL)
         assert transcript.reject_index == transcript.untested[2]
@@ -471,7 +488,7 @@ class TestRunSession:
         assert_matches_scalar_session(strategy, ProtocolParams(n0=16, m=4), 4)
 
     def test_claim_returned_as_an_iterator_is_checked_and_recorded_whole(self, make_rng):
-        strategy = claiming(lambda bit, labels: (bit, iter(labels)))
+        strategy = claiming(lambda bit, sent: (bit, iter(sent)))
         params = ProtocolParams(n0=16, m=4)
         transcript = run_session(strategy, params, randomness=make_rng(1))
         assert transcript.verdict is Verdict.ACCEPT
@@ -479,35 +496,50 @@ class TestRunSession:
         assert oracles.honest_claim_ok(transcript)
         assert_matches_scalar_session(strategy, params, 1)
 
-    @pytest.mark.parametrize("declare", ["repeated", "tested", "reordered"])
-    def test_declarations_must_name_each_untested_particle_once(self, declare, make_rng):
+    @pytest.mark.parametrize(
+        "declare",
+        [
+            lambda bases: bases[:-1],
+            lambda bases: np.append(bases, 0),
+            lambda bases: bases[:, None],
+            lambda bases: np.where(np.arange(bases.size) == 1, 2, bases),
+            lambda bases: np.where(np.arange(bases.size) == 1, -1, bases),
+            lambda bases: bases.astype(float),
+        ],
+        ids=["short", "long", "column", "two", "minus-one", "float"],
+    )
+    def test_declared_bases_must_be_one_bit_per_untested_particle(self, declare, make_rng):
         class Misdeclarer(Honest):
-            """Declares honestly, for particles other than the untested ones in order, and claims to match."""
+            """Declares honestly, then hands over the basis codes as ``declare`` changes them."""
 
-            def commit_bits(self, params, randomness):
-                self.bits = super().commit_bits(params, randomness)
-                return self.bits
-
-            def plan_declarations(self, particles, labels, randomness):
-                sent = protocol.spin_labels(self.bits)
-                if declare == "repeated":
-                    particles = [particles[0]] * len(particles)
-                elif declare == "tested":
-                    particles = [i for i in range(len(sent)) if i not in particles][: len(particles)]
-                else:
-                    particles = particles[::-1]
-                self.claim = tuple(sent[i] for i in particles)
-                bit = randomness.bit()
-                return bit, honest_declarations(bit, particles, self.claim)
-
-            def reveal_claim(self, bit, labels, declarations, randomness):
-                return bit, self.claim
+            def plan_declarations(self, particles, sent, randomness):
+                bit, bases = super().plan_declarations(particles, sent, randomness)
+                return bit, declare(bases)
 
         params = ProtocolParams(n0=16, m=4)
-        with pytest.raises(ValueError, match="every untested particle exactly once"):
+        with pytest.raises(ValueError, match="^declared basis codes must"):
             run_session(Misdeclarer(), params, randomness=make_rng(1))
-        with pytest.raises(ValueError, match="every untested particle exactly once"):
+        with pytest.raises(ValueError, match="^declared basis codes must"):
             oracles.scalar_run_session(Misdeclarer(), params, None, make_rng(1))
+
+    @pytest.mark.parametrize("code", [4, -1])
+    def test_claimed_codes_must_name_signal_states(self, code, make_rng):
+        strategy = claiming(lambda bit, sent: (bit, np.where(np.arange(sent.size) == 0, code, sent)))
+        params = ProtocolParams(n0=16, m=4)
+        with pytest.raises(ValueError, match="^claimed pair codes must"):
+            run_session(strategy, params, randomness=make_rng(1))
+        with pytest.raises(ValueError, match="^claimed pair codes must"):
+            oracles.scalar_run_session(strategy, params, None, make_rng(1))
+
+    @pytest.mark.parametrize("argument", ["particles", "sent"])
+    def test_strategy_cannot_write_the_arrays_it_is_handed(self, argument, make_rng):
+        class Scribbler(Honest):
+            def plan_declarations(self, particles, sent, randomness):
+                {"particles": particles, "sent": sent}[argument][0] = 0
+                return super().plan_declarations(particles, sent, randomness)
+
+        with pytest.raises(ValueError, match="read-only"):
+            run_session(Scribbler(), ProtocolParams(n0=16, m=4), randomness=make_rng(1))
 
     def test_missing_randomness_and_seed_rejected(self):
         params = ProtocolParams(n0=16, m=4)
@@ -1008,6 +1040,19 @@ class TestRunSessions:
         accepted, _ = run_sessions(params, 400, make_rng(64))
         assert accepted.all()
 
+    @pytest.mark.parametrize("n", [True, 2.0, "3", 0, -1])
+    def test_session_count_must_be_a_positive_integer(self, n, rng_calls):
+        params = ProtocolParams(n0=16, m=4)
+        with pytest.raises(ValueError, match=f"^n must be an integer >= 1, not {re.escape(repr(n))}$"):
+            run_sessions(params, n, RandomStream(1))
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            weak_oracle_degradation(params, n, RandomStream(1))
+        assert not rng_calls.counts
+
+    def test_numpy_integer_session_count_accepted(self):
+        accepted, leaked = run_sessions(ProtocolParams(n0=16, m=4), np.int64(3), RandomStream(1))
+        assert accepted.shape == leaked.shape == (3,)
+
 
 class TestRunSessionsCost:
     @pytest.mark.parametrize("knobs", [{}, {"flip_probability": 0.1, "leak_probability": 0.1}])
@@ -1125,6 +1170,28 @@ def counted_calls(monkeypatch, owner, name: str) -> Counter:
     return calls
 
 
+def certbit_lines(call):
+    """The number of ``line`` events in certbit's modules while ``call()`` runs, and its result."""
+    package = Path(protocol.__file__).parent
+    count = 0
+
+    def count_lines(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return count_lines
+
+    def enter(frame, event, arg):
+        return count_lines if Path(frame.f_code.co_filename).parent == package else None
+
+    previous = sys.gettrace()
+    sys.settrace(enter)
+    try:
+        result = call()
+    finally:
+        sys.settrace(previous)
+    return count, result
+
+
 class TestRunSessionCost:
     def test_honest_session_builds_no_oracle_object(self, monkeypatch):
         built = counted_calls(monkeypatch, IdealCommitmentOracle, "__init__")
@@ -1165,6 +1232,35 @@ class TestRunSessionCost:
             counts.append(dict(rng_calls.counts))
         assert counts[0] == counts[1]
         assert sum(counts[0].values()) <= 6
+
+    def test_classical_flip_draws_do_not_grow_with_k(self, rng_calls):
+        # The k guesses are one integers draw, so every k makes the same calls.
+        counts = []
+        for k in (0, 1, 2, 5, 16):
+            rng_calls.counts.clear()
+            transcript = run_session(ClassicalFlip(k), ProtocolParams(n0=64, m=16), randomness=RandomStream(k))
+            assert transcript.failed_stage in (None, Stage.REVEAL)
+            counts.append(dict(rng_calls.counts))
+        assert all(count == counts[0] for count in counts)
+        assert counts[0]["integers"] == 1
+
+    @pytest.mark.parametrize("strategy", [Honest(), ClassicalFlip(3)], ids=["honest", "flip3"])
+    def test_no_python_loop_grows_with_the_session(self, strategy):
+        # Lines run in certbit's own modules, comprehensions included, for one
+        # session at two sizes whose caches are warm and which end at the same stage.
+        sizes = [ProtocolParams(n0=16, m=4), ProtocolParams(n0=128, m=32)]
+        for params in sizes:
+            run_session(strategy, params, randomness=RandomStream(0))
+        for seed in range(20):
+            lines, stages = [], set()
+            for params in sizes:
+                count, transcript = certbit_lines(lambda: run_session(strategy, params, randomness=RandomStream(seed)))
+                lines.append(count)
+                stages.add((transcript.verdict, transcript.failed_stage))
+            if len(stages) == 1:
+                break
+        assert len(stages) == 1, "no seed reaches the same stage at both sizes"
+        assert lines[0] == lines[1] > 0
 
     @pytest.mark.parametrize("flip, leak, draws", [(0.1, 0.2, 1), (0.1, 0.0, 1), (0.0, 0.2, 1), (0.0, 0.0, 0)])
     def test_oracle_commits_in_one_draw(self, flip, leak, draws, rng_calls):

@@ -39,7 +39,22 @@ honest cheat sum is (1, 0, 1), the epsilons echo the config's knobs, and
 both Monte Carlo hiding intervals cover 0, the value under the ideal
 oracle.
 
-A record type the audit has no check for fails it.
+Each record of ``runs/entangle-demo/report.jsonl`` is checked the same
+way.  Measuring the kept ancilla of alpha|00> + beta|11> makes the
+committer reveal 0 with probability alpha^2, so each record's exact
+probability must be the config's alpha^2 bit for bit, and its frequency a
+count over its trials with that count's Wilson interval, covering alpha^2.
+
+The record of ``runs/causal-violation/report.jsonl`` must show an abort
+whose only violation is the tampered spin[0].  On the default line, at
+light speed 1, every commitment leaves at t = 0 and is confirmed where it
+arrives; t_c is the earliest time B0 has every confirmation in its past
+light cone, the spins leave A1 one time unit later, and the tamper makes
+spin[0] arrive 0.25 after it left, at B0, one unit of distance away.  The
+audit recomputes both times from the sites written out here.
+
+A record type the audit has no check for fails it, and so does a
+directory of ``runs/`` that it has no audit for.
 """
 
 import configparser
@@ -51,6 +66,8 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+
+from certbit.protocol import SPIN_DELAY, ReductionScenario
 
 ROOT = Path(__file__).resolve().parents[1]
 NOGO_REPORT = ROOT / "runs" / "purification-nogo" / "report.jsonl"
@@ -435,3 +452,178 @@ def test_honest_audit_refuses_an_unaudited_record_type():
     records = load(HONEST_REPORT) + [{"schema": 1, "type": "session-count", "sessions": 200}]
     problems = audit_honest(records, load(HONEST_TRANSCRIPT), honest_config())
     assert problems == [f"record {len(records) - 1}: no audit for type 'session-count'"]
+
+
+ENTANGLE_REPORT = ROOT / "runs" / "entangle-demo" / "report.jsonl"
+ENTANGLE_CONFIG = ROOT / "configs" / "entangle-demo.ini"
+# entangle-demo's trials per alpha^2; the shipped config sets none.
+ENTANGLE_TRIALS = 100_000
+
+
+def alpha_squares() -> list[float]:
+    return [float(a) for a in read_config(ENTANGLE_CONFIG).get("analysis", "alpha_squares").split(",")]
+
+
+def audit_entangle(records: list[dict], alphas: list[float]) -> list[str]:
+    """Every disagreement between the records and alpha^2; empty means the report passes."""
+    problems = []
+    entangles = []
+    for index, record in enumerate(records):
+        if record["type"] == "entangle":
+            entangles.append(record)
+        elif record["type"] != "experiment":
+            problems.append(f"record {index}: no audit for type {record['type']!r}")
+    if len(entangles) != len(alphas):
+        problems.append(f"{len(entangles)} entangle records, expected {len(alphas)}")
+    for index, (record, alpha_sq) in enumerate(zip(entangles, alphas)):
+        where = f"entangle {index}"
+        for name in ("alpha_squared", "exact_probability"):
+            if record[name] != alpha_sq:
+                problems.append(f"{where}: {name} = {record[name]!r}, expected exactly {alpha_sq!r}")
+        if record["trials"] != ENTANGLE_TRIALS:
+            problems.append(f"{where}: {record['trials']!r} trials, expected {ENTANGLE_TRIALS}")
+        problems += audit_estimate(f"{where}: frequency", record["frequency"], alpha_sq, ENTANGLE_TRIALS)
+    return problems
+
+
+def test_entangle_demo_report_matches_closed_forms():
+    assert audit_entangle(load(ENTANGLE_REPORT), alpha_squares()) == []
+
+
+# (record index, field path): a 1e-9 shift of each field breaks one check the audit makes.
+ENTANGLE_MUTATIONS = [
+    (row, path)
+    for row in range(1, 1 + len(alpha_squares()))
+    for path in (
+        ("alpha_squared",),
+        ("exact_probability",),
+        ("trials",),
+        ("frequency", "value"),
+        ("frequency", "trials"),
+        ("frequency", "ci", 0),
+        ("frequency", "ci", 1),
+    )
+]
+
+
+@pytest.mark.parametrize("row, path", ENTANGLE_MUTATIONS)
+def test_entangle_audit_catches_a_shifted_value(row, path):
+    records = shifted(load(ENTANGLE_REPORT), row, path, 1e-9)
+    problems = audit_entangle(records, alpha_squares())
+    assert problems and all(problem.startswith(f"entangle {row - 1}: ") for problem in problems)
+
+
+def test_entangle_audit_refuses_an_unaudited_record_type():
+    records = load(ENTANGLE_REPORT) + [{"schema": 1, "type": "ancilla", "alpha_squared": 0.5}]
+    assert audit_entangle(records, alpha_squares()) == [f"record {len(records) - 1}: no audit for type 'ancilla'"]
+
+
+CAUSAL_REPORT = ROOT / "runs" / "causal-violation" / "report.jsonl"
+# The default line the scenario runs on: each site's x coordinate, all at rest.
+LINE_SITES = {"B0": 0.0, "A1": 1.0, "B1": 2.0, "A2": 3.0}
+# Its oracle pairs (committer, receiver), the spins' sender and receiver, the delay
+# from t_c to the spins' emission and the tampered spin[0]'s travel time.
+LINE_ORACLE_PAIRS = (("A1", "B1"), ("A2", "B1"))
+SPINS = ("A1", "B0")
+LINE_SPIN_DELAY = 1.0
+TAMPERED_TRAVEL = 0.25
+
+
+def test_causal_audit_reads_the_scenario_geometry():
+    # The scenario runs on the default line; its sites and timing are read, no certbit function called.
+    scenario = ReductionScenario()
+    assert {site.id: site.position for site in scenario.sites} == {k: (x, 0.0, 0.0) for k, x in LINE_SITES.items()}
+    assert {site.id: site.velocity for site in scenario.sites} == dict.fromkeys(LINE_SITES, (0.0, 0.0, 0.0))
+    assert (scenario.oracle_pairs, (scenario.alice_id, scenario.b0_id)) == (LINE_ORACLE_PAIRS, SPINS)
+    assert SPIN_DELAY == LINE_SPIN_DELAY
+
+
+def spin0_times() -> tuple[float, float]:
+    """spin[0]'s emission time and its tampered arrival time, from the line's sites at light speed 1."""
+    # Each pair's commitments leave at t = 0 and are confirmed at the receiver on arrival.
+    confirmations = [(abs(LINE_SITES[b] - LINE_SITES[a]), LINE_SITES[b]) for a, b in LINE_ORACLE_PAIRS]
+    t_c = max(t + abs(x - LINE_SITES["B0"]) for t, x in confirmations)
+    emit = t_c + LINE_SPIN_DELAY
+    return emit, emit + TAMPERED_TRAVEL
+
+
+def audit_causal(records: list[dict]) -> list[str]:
+    """Every disagreement with an abort on exactly the tampered spin[0]; empty means the report passes."""
+    problems = []
+    violations = []
+    for index, record in enumerate(records):
+        if record["type"] == "causal-violation":
+            violations.append(record)
+        elif record["type"] != "experiment":
+            problems.append(f"record {index}: no audit for type {record['type']!r}")
+    if len(violations) != 1:
+        problems.append(f"{len(violations)} causal-violation records, expected 1")
+    emit, receive = spin0_times()
+    expected = [f"superluminal [spin[0]]: receive at t={receive} outside causal future of emit at t={emit}"]
+    for record in violations:
+        if record["verdict"] != "abort":
+            problems.append(f"causal-violation: verdict {record['verdict']!r}, expected 'abort'")
+        if record["violations"] != expected:
+            problems.append(f"causal-violation: violations {record['violations']!r}, expected {expected!r}")
+    return problems
+
+
+def test_causal_violation_report_matches_the_tampered_spin():
+    assert audit_causal(load(CAUSAL_REPORT)) == []
+
+
+def test_spin0_times_on_the_line():
+    # Confirmations reach B1 at t = 1, two units from B0: t_c = 3, and the spins leave at 4.
+    emit, receive = spin0_times()
+    assert (emit, receive) == (4.0, 4.25)
+    # spin[0] covers the distance from A1 to B0 in less time than light takes.
+    assert receive - emit < abs(LINE_SITES[SPINS[0]] - LINE_SITES[SPINS[1]])
+
+
+def shifted_time(records: list[dict], time: float, shift: float) -> list[dict]:
+    """A copy of ``records`` whose violation names ``time`` moved by ``shift``."""
+    records = copy.deepcopy(records)
+    records[1]["violations"][0] = records[1]["violations"][0].replace(f"t={time}", f"t={time + shift}")
+    return records
+
+
+# Each mutation of the causal-violation record breaks one check the audit makes.
+CAUSAL_MUTATIONS = {
+    "emit": lambda records: shifted_time(records, spin0_times()[0], 1e-9),
+    "receive": lambda records: shifted_time(records, spin0_times()[1], 1e-9),
+    "verdict": lambda records: [records[0], {**records[1], "verdict": "reject"}],
+    "extra-violation": lambda records: [records[0], {**records[1], "violations": records[1]["violations"] * 2}],
+    "payload": lambda records: [
+        records[0],
+        {**records[1], "violations": [v.replace("spin[0]", "spin[1]") for v in records[1]["violations"]]},
+    ],
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(CAUSAL_MUTATIONS))
+def test_causal_audit_catches_a_changed_field(mutation):
+    records = CAUSAL_MUTATIONS[mutation](load(CAUSAL_REPORT))
+    assert records != load(CAUSAL_REPORT)
+    problems = audit_causal(records)
+    assert problems and all(problem.startswith("causal-violation: ") for problem in problems)
+
+
+def test_causal_audit_refuses_an_unaudited_record_type():
+    records = load(CAUSAL_REPORT) + [{"schema": 1, "type": "schedule", "messages": 262}]
+    assert audit_causal(records) == [f"record {len(records) - 1}: no audit for type 'schedule'"]
+
+
+# Each shipped run directory and the test that audits its report.
+AUDITED_RUNS = {
+    "purification-nogo": test_purification_nogo_report_matches_closed_forms,
+    "oracle-degradation": test_oracle_degradation_report_matches_closed_forms,
+    "flip-sweep": test_flip_sweep_report_matches_closed_forms,
+    "honest-default": test_honest_default_report_matches_closed_forms,
+    "entangle-demo": test_entangle_demo_report_matches_closed_forms,
+    "causal-violation": test_causal_violation_report_matches_the_tampered_spin,
+}
+
+
+def test_every_shipped_run_is_audited():
+    shipped = sorted(path.name for path in (ROOT / "runs").iterdir() if path.is_dir())
+    assert shipped == sorted(AUDITED_RUNS)

@@ -28,13 +28,11 @@ from .adversary import (
 from .protocol import (
     ProtocolParams,
     SessionTranscript,
-    _SIGNALS,
     _collapses,
     _oracle_masks,
     honest_bases,
-    honest_declarations,
 )
-from .quantum import Basis, SpinLabel, StateVector, spin_state
+from .quantum import SpinLabel, StateVector, spin_state
 from .rng import RandomStream
 from .spacetime import Event, in_past_cone
 
@@ -208,10 +206,7 @@ def _exact_view_statistics(params: ProtocolParams) -> tuple[float, float]:
     opened = (codes[:, tested] << (2 * np.arange(n_tested))).sum(axis=2)
     prefix = (np.arange(len(subsets)) * 4**n_tested + opened) << m
     # declares_x[a, code]: the rule declares X for bit 0 on a particle sent by pair ``code``.
-    declares_x = np.array(
-        [[d.basis_for_zero is Basis.X for d in honest_declarations(a, range(4), _SIGNALS)] for a in (0, 1)],
-        dtype=np.intp,
-    )
+    declares_x = np.array([honest_bases(a, np.arange(4)) for a in (0, 1)], dtype=np.intp)
     counts = []
     for a in (0, 1):
         declared = (declares_x[a, codes[:, untested]] << np.arange(m)).sum(axis=2)

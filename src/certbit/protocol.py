@@ -56,7 +56,6 @@ __all__ = [
     "draw_challenge",
     "verify_tested",
     "honest_bases",
-    "honest_declarations",
     "verify_reveal",
     "run_session",
     "run_sessions",
@@ -199,9 +198,7 @@ def _oracle_masks(shape, flip_probability: float, leak_probability: float, rando
 
 def _certify(bits: np.ndarray, flip_probability: float, leak_probability: float, randomness: RandomStream):
     """The certified values of classical ``bits`` and the leak mask; other bits raise before the draw."""
-    # An integer is a bit iff shifting out its lowest bit leaves 0.
-    classical = not np.count_nonzero(bits >> 1) if bits.dtype.kind in "iu" else ((bits == 0) | (bits == 1)).all()
-    if not classical:
+    if not ((bits == 0) | (bits == 1)).all():
         raise ValueError("oracle accepts classical bits only")
     flip, leak = _oracle_masks(bits.shape, flip_probability, leak_probability, randomness)
     return bits.astype(np.int64, copy=False) ^ flip, leak
@@ -314,8 +311,7 @@ def _commit_and_test(params: ProtocolParams, bits: np.ndarray, randomness: Rando
     """
     certified, leak = _certify(bits, params.flip_probability, params.leak_probability, randomness)
     sent = 2 * bits[:, 0::2] + bits[:, 1::2]
-    # An oracle that flips no bit certifies the pairs sent.
-    opened = sent if params.flip_probability == 0.0 else 2 * certified[:, 0::2] + certified[:, 1::2]
+    opened = 2 * certified[:, 0::2] + certified[:, 1::2]
     tested = draw_challenge(params, len(bits), randomness)
     passed = verify_tested(tested, opened[np.arange(len(bits))[:, None], tested], sent, randomness)
     return sent, tested, passed, leak
@@ -324,12 +320,6 @@ def _commit_and_test(params: ProtocolParams, bits: np.ndarray, randomness: Rando
 def honest_bases(bit: int, sent: np.ndarray) -> np.ndarray:
     """The honest declaration rule: the basis code that binds ``bit`` to the basis of each sent pair code."""
     return (sent >> 1) ^ bit
-
-
-def honest_declarations(bit: int, particles, labels) -> tuple[Declaration, ...]:
-    """The object view of ``honest_bases``: bind ``bit`` (any nonzero bit as 1) to each particle's actual basis."""
-    bases = honest_bases(int(bit != 0), np.array([_CODES[label.value] for label in labels], dtype=np.int64))
-    return tuple([Declaration(int(particle), _BASES[b]) for particle, b in zip(particles, bases.tolist())])
 
 
 def verify_reveal(untested, bound, claimed, sent, randomness: RandomStream) -> np.ndarray:
@@ -645,10 +635,9 @@ def _session_plan(
 
 
 @functools.lru_cache(maxsize=SCHEDULE_CACHE_SIZE)
-def _transcript_tables(n0: int) -> tuple[np.ndarray, np.ndarray]:
-    """Particle i's commitments ``pairs[i] = (2i, 2i + 1)`` and shared declarations ``declarations[b, i]``."""
-    declarations = np.array([[Declaration(i, basis) for i in range(n0)] for basis in _BASES], dtype=object)
-    return _frozen(np.arange(2 * n0).reshape(n0, 2)), _frozen(declarations)
+def _declaration_table(n0: int) -> np.ndarray:
+    """The shared declarations ``table[b, i]`` of particle i with basis code b for bit 0."""
+    return _frozen(np.array([[Declaration(i, basis) for i in range(n0)] for basis in _BASES], dtype=object))
 
 
 def run_session(
@@ -705,7 +694,6 @@ def run_session(
 
     # Spin transmission: B0 holds particle i in the state of pair code sent[i].
     sent = sent.astype(np.int64, copy=False)
-    pairs, declarations = _transcript_tables(params.n0)
     is_untested = np.ones(params.n0, dtype=bool)
     is_untested[tested] = False
     (untested,) = is_untested.nonzero()
@@ -716,7 +704,7 @@ def run_session(
         challenge=tuple(tested.tolist()),
         untested=tuple(untested.tolist()),
         events=dict(events),
-        opened_indices=frozenset(pairs.take(tested, axis=0).ravel().tolist()),
+        opened_indices=frozenset((2 * tested[:, None] + (0, 1)).ravel().tolist()),
     )
     if reject is not None:
         return SessionTranscript(verdict=Verdict.REJECT, failed_stage=Stage.TESTED, reject_index=reject, **base)
@@ -743,7 +731,7 @@ def run_session(
         verdict=Verdict.ACCEPT if accepted else Verdict.REJECT,
         failed_stage=None if accepted else Stage.REVEAL,
         reject_index=reject,
-        declarations=tuple(declarations[bases, untested].tolist()),
+        declarations=tuple(_declaration_table(params.n0)[bases, untested].tolist()),
         claimed_bit=int(claimed_bit) if integral else None,
         claimed_labels=tuple(_SIGNALS[claimed].tolist()),
         **base,

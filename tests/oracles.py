@@ -269,8 +269,9 @@ def enumerate_views(n0: int, m: int, declare):
     """Exact distribution of the verifier's pre-reveal view, per protocol bit.
 
     Enumerates all committed bit strings and challenge subsets for a
-    committer who declares by ``declare(bit, particles, labels)`` (the
-    signature of ``protocol.honest_declarations``) against the ideal oracle.
+    committer who declares by ``declare(bit, sent)`` (the signature of
+    ``protocol.honest_bases``: the basis code each declaration binds to bit
+    0, from the untested particles' pair codes) against the ideal oracle.
     The view is everything the verifier holds before reveal: challenge
     subset, opened tested pairs, tested measurement outcomes, and the
     declarations.
@@ -283,9 +284,9 @@ def enumerate_views(n0: int, m: int, declare):
         for subset in subsets:
             tested_view = tuple((i, bits[2 * i], bits[2 * i + 1], labels[i].value) for i in subset)
             untested = tuple(i for i in range(n0) if i not in subset)
+            sent = np.array([2 * bits[2 * i] + bits[2 * i + 1] for i in untested], dtype=np.int64)
             for a in (0, 1):
-                declarations = declare(a, untested, [labels[i] for i in untested])
-                decl_view = tuple((d.particle, d.basis_for_zero.value) for d in declarations)
+                decl_view = tuple(zip(untested, (int(b) for b in declare(a, sent))))
                 view = (subset, tested_view, decl_view)
                 distributions[a][view] = distributions[a].get(view, 0.0) + weight
     return distributions
@@ -336,6 +337,11 @@ class DictCommitmentOracle:
         return self.stored[index]
 
 
+def _is_code(value) -> bool:
+    """Whether a strategy's basis or pair code is an integer; a bool is not a code."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def scalar_run_session(strategy, params, scenario=None, randomness=None) -> SessionTranscript:
     """One session, one scalar draw per committed bit and per measured particle.
 
@@ -374,12 +380,12 @@ def scalar_run_session(strategy, params, scenario=None, randomness=None) -> Sess
     codes = np.array([2 * bits[2 * i] + bits[2 * i + 1] for i in untested], dtype=np.int64)
     bit, bases = strategy.plan_declarations(np.array(untested, dtype=np.int64), codes.copy(), randomness)
     bases = list(bases)
-    if len(bases) != len(untested) or not all(isinstance(b, numbers.Integral) and b in (0, 1) for b in bases):
+    if len(bases) != len(untested) or not all(_is_code(b) and b in (0, 1) for b in bases):
         raise ValueError("declared basis codes must be one 0 or 1 per untested particle")
     declarations = tuple(Declaration(i, BASIS_OF_CODE[b]) for i, b in zip(untested, bases))
     claimed_bit, claimed = strategy.reveal_claim(bit, codes.copy(), np.array(bases, dtype=np.int64), randomness)
     claimed = list(claimed)
-    if not all(isinstance(c, numbers.Integral) and 0 <= c < 4 for c in claimed):
+    if not all(_is_code(c) and 0 <= c < 4 for c in claimed):
         raise ValueError("claimed pair codes must lie in 0..3")
     claimed_labels = tuple(DEFAULT_ENCODING[divmod(int(c), 2)] for c in claimed)
     integral = isinstance(claimed_bit, numbers.Integral)

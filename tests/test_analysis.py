@@ -23,16 +23,14 @@ from certbit.analysis import (
     wilson_interval,
 )
 from certbit.protocol import (
-    Declaration,
     ProtocolParams,
     ReductionScenario,
     Stage,
     Verdict,
     default_scenario,
-    honest_declarations,
+    honest_bases,
     run_session,
 )
-from certbit.quantum import Basis
 from certbit.rng import RandomStream
 from certbit.spacetime import Event, Message, Site, Violation
 
@@ -149,24 +147,21 @@ class TestDetectionProbability:
         assert rng_calls.rows == [2000]
 
 
-def _full_leak(bit, particles, labels):
-    """Declare Z for bit 0 when the bit is 0 and X when it is 1, whatever was sent."""
-    return tuple(Declaration(p, Basis.Z if bit == 0 else Basis.X) for p in particles)
+def _full_leak(bit, sent):
+    """Declare Z (basis code 0) for bit 0 when the bit is 0 and X (code 1) when it is 1, whatever was sent."""
+    return np.full(sent.shape, bit)
 
 
-def _partial_leak(bit, particles, labels):
+def _partial_leak(bit, sent):
     """Z-basis particles declare their own basis; X-basis particles declare as ``_full_leak``.
 
     Bit 0 always shows all Z; bit 1 shows each particle's uniform basis, so
     only the all-Z view is shared: TV = 1 - 2^-m.
     """
-    return tuple(
-        Declaration(p, Basis.Z if label.basis is Basis.Z or bit == 0 else Basis.X)
-        for p, label in zip(particles, labels)
-    )
+    return (sent >> 1) & bit
 
 
-DECLARATION_RULES = {"honest": honest_declarations, "full-leak": _full_leak, "partial-leak": _partial_leak}
+DECLARATION_RULES = {"honest": honest_bases, "full-leak": _full_leak, "partial-leak": _partial_leak}
 
 
 class TestBobInformation:
@@ -185,7 +180,7 @@ class TestBobInformation:
         # The counted views against the dict oracle, under the honest rule and
         # two rules that leak the bit; (2, 2) tests no particle at all.
         declare = DECLARATION_RULES[rule]
-        monkeypatch.setattr(analysis, "honest_declarations", declare)
+        monkeypatch.setattr(analysis, "honest_bases", declare)
         info = bob_information(ProtocolParams(n0=n0, m=m, strict=False), mode="exact")
         tv, mi = info.tv_distance.value, info.mutual_information_bits.value
         oracle_tv, oracle_mi = oracles.enumerated_view_statistics(n0, m, declare)

@@ -26,7 +26,6 @@ from certbit.protocol import (
     default_scenario,
     draw_challenge,
     honest_bases,
-    honest_declarations,
     run_session,
     run_sessions,
     verify_reveal,
@@ -198,21 +197,16 @@ class TestVerifyTested:
 
 class TestDeclarations:
     def test_bit_zero_on_z_particle(self):
-        (declaration,) = honest_declarations(0, [7], [SpinLabel.UP])
-        assert declaration.particle == 7
-        assert declaration.basis_for(0) is Basis.Z
-        assert declaration.basis_for(1) is Basis.X
+        # The declaration binds bit 0 to Z (code 0), so bit 1 to X.
+        assert honest_bases(0, np.array(codes([SpinLabel.UP]))).tolist() == [0]
 
     def test_bit_one_on_x_particle(self):
-        (declaration,) = honest_declarations(1, [2], [SpinLabel.LEFT])
-        assert declaration.basis_for(1) is Basis.X
-        assert declaration.basis_for(0) is Basis.Z
+        # Bit 1 is bound to X, the particle's basis, so bit 0 to Z.
+        assert honest_bases(1, np.array(codes([SpinLabel.LEFT]))).tolist() == [0]
 
     def test_one_declaration_per_untested_particle(self):
         labels = [SpinLabel.UP, SpinLabel.LEFT, SpinLabel.RIGHT]
-        declarations = honest_declarations(0, [1, 4, 5], labels)
-        assert len(declarations) == 3
-        assert [d.particle for d in declarations] == [1, 4, 5]
+        assert honest_bases(0, np.array(codes(labels))).tolist() == [0, 1, 1]
 
 
 # The basis bit of each basis, as ``verify_reveal`` takes it: b0 of the pairs that send its eigenstates.
@@ -221,8 +215,8 @@ BASIS_BIT = {Basis.Z: 0, Basis.X: 1}
 
 class TestVerifyReveal:
     def _bound(self, bit, labels):
-        """The basis bits that honest declarations for ``bit`` bind to ``bit``."""
-        return [BASIS_BIT[d.basis_for(bit)] for d in honest_declarations(bit, range(len(labels)), labels)]
+        """The basis bits that honest declarations for ``bit`` bind to ``bit``: each particle's own basis."""
+        return [BASIS_BIT[label.basis] for label in labels]
 
     def test_honest_reveal_accepts(self, rng):
         labels = [SpinLabel.UP, SpinLabel.LEFT, SpinLabel.RIGHT, SpinLabel.DOWN]
@@ -505,8 +499,10 @@ class TestRunSession:
             lambda bases: np.where(np.arange(bases.size) == 1, 2, bases),
             lambda bases: np.where(np.arange(bases.size) == 1, -1, bases),
             lambda bases: bases.astype(float),
+            lambda bases: bases.astype(bool),
+            lambda bases: [bool(b) for b in bases],
         ],
-        ids=["short", "long", "column", "two", "minus-one", "float"],
+        ids=["short", "long", "column", "two", "minus-one", "float", "bool", "bool-list"],
     )
     def test_declared_bases_must_be_one_bit_per_untested_particle(self, declare, make_rng):
         class Misdeclarer(Honest):
@@ -522,9 +518,18 @@ class TestRunSession:
         with pytest.raises(ValueError, match="^declared basis codes must"):
             oracles.scalar_run_session(Misdeclarer(), params, None, make_rng(1))
 
-    @pytest.mark.parametrize("code", [4, -1])
-    def test_claimed_codes_must_name_signal_states(self, code, make_rng):
-        strategy = claiming(lambda bit, sent: (bit, np.where(np.arange(sent.size) == 0, code, sent)))
+    @pytest.mark.parametrize(
+        "claim",
+        [
+            lambda sent: np.where(np.arange(sent.size) == 0, 4, sent),
+            lambda sent: np.where(np.arange(sent.size) == 0, -1, sent),
+            lambda sent: (sent & 1).astype(bool),
+            lambda sent: [bool(c & 1) for c in sent],
+        ],
+        ids=["4", "-1", "bool", "bool-list"],
+    )
+    def test_claimed_codes_must_name_signal_states(self, claim, make_rng):
+        strategy = claiming(lambda bit, sent: (bit, claim(sent)))
         params = ProtocolParams(n0=16, m=4)
         with pytest.raises(ValueError, match="^claimed pair codes must"):
             run_session(strategy, params, randomness=make_rng(1))

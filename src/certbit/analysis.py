@@ -13,6 +13,7 @@ abstractions), and every report says so.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -26,6 +27,7 @@ from .adversary import (
     purification_attack,
 )
 from .protocol import (
+    SESSION_CHUNK,
     ProtocolParams,
     SessionTranscript,
     _collapses,
@@ -57,8 +59,8 @@ __all__ = [
 # ``statistics`` (and the fractions and decimal it imports) out of ``import certbit``.
 _Z99 = 2.5758293035489
 
-# Fewest trials ``detection_probability_mc`` accepts; the config check of
-# flip-sweep, its one shipped caller, reads it too.
+# Fewest trials ``detection_probability_mc`` accepts; the config checks of
+# flip-sweep, its one shipped caller, and of entangle-demo read it too.
 MIN_DETECTION_TRIALS = 10**3
 
 STRATEGY_CLASS_NOTE = (
@@ -140,6 +142,11 @@ def honest_accept_probability_exact(params: ProtocolParams) -> float:
     return ((1.0 - f) ** 2 + f / 2.0) ** params.n_tested
 
 
+def _row_blocks(rows: int) -> list[slice]:
+    """Consecutive slices of at most ``SESSION_CHUNK`` rows covering ``range(rows)``: draw blocks (see ``rng``)."""
+    return [slice(start, min(start + SESSION_CHUNK, rows)) for start in range(0, rows, SESSION_CHUNK)]
+
+
 def detection_probability_mc(
     strategy, params: ProtocolParams, trials: int, randomness: RandomStream
 ) -> Quantity:
@@ -151,8 +158,9 @@ def detection_probability_mc(
     each trial measures k of them.  Z and X are mutually unbiased, so every
     (state, conjugate claim) pair passes with the same probability, and one
     fixed pair stands for all of them: sent UP (pair code 0), claimed RIGHT
-    (pair code 3).  Draws once: ``randomness.random((trials, k))``, one
-    uniform per false declaration.  With no false declaration (Honest, or
+    (pair code 3).  Draws the values of one ``randomness.random((trials, k))``,
+    one uniform per false declaration, taken in row blocks (see
+    ``_row_blocks``).  With no false declaration (Honest, or
     ClassicalFlip(0)) the reveal always passes, and the exact 1.0 is
     returned without sampling or drawing.
     """
@@ -171,9 +179,11 @@ def detection_probability_mc(
         # Honest reveals measure exact eigenstates: every trial would pass.
         return Quantity(1.0, "exact")
 
-    draws = randomness.random((trials, k))
-    # A trial passes when all k of its particles collapse onto their claims.
-    successes = int(np.count_nonzero(_collapses(0, 3, draws).sum(axis=1) == k))
+    successes = 0
+    for block in _row_blocks(trials):
+        # A trial passes when all k of its particles collapse onto their claims; ANDing columns beats a row reduction.
+        collapsed = _collapses(0, 3, randomness.random((block.stop - block.start, k)))
+        successes += int(np.count_nonzero(functools.reduce(np.logical_and, collapsed.T)))
     return Quantity(successes / trials, "monte-carlo", trials=trials, ci=wilson_interval(successes, trials))
 
 
@@ -225,19 +235,25 @@ def _exact_view_statistics(params: ProtocolParams) -> tuple[float, float]:
 def _sample_view_atoms(
     params: ProtocolParams, trials: int, bit: int, randomness: RandomStream
 ) -> np.ndarray:
-    """Per-particle view atoms for ``trials`` sessions with protocol bit ``bit``.
+    """Per-particle view atoms for ``trials`` sessions with protocol bit ``bit``, as ``uint8`` codes.
 
     The protocol bit reaches the verifier's pre-reveal view only through
     the declarations and any oracle leak, independently per untested
     particle (the challenge subset, opened pairs and tested outcomes are
     generated before the bit enters).  Each atom encodes (declared basis
-    for bit 0, leaked pair or nothing) as an integer in [0, 10).
+    for bit 0, leaked pair or nothing) as an integer in [0, 10).  Draws the
+    values of one ``integers(0, 2, size=(trials * m, 2))`` and then of the
+    oracle's leak draw, each taken in row blocks.
     """
-    n = trials * params.m
-    sent = randomness.integers(0, 2, size=(n, 2)) @ (2, 1)  # each atom's pair code 2*b0 + b1
-    # The sessions' declaration rule and the oracle's own leak rule, one leak per atom; this model leaves flips out.
-    _, leaked = _oracle_masks((n,), 0.0, params.leak_probability, randomness)
-    return (honest_bases(bit, sent) * 5 + np.where(leaked, 1 + sent, 0)).reshape(trials, params.m)
+    atoms = np.empty((trials, params.m), dtype=np.uint8)  # the sent pair codes 2*b0 + b1, then the atoms
+    for block in _row_blocks(trials):
+        atoms[block] = randomness.integers(0, 2, size=(*atoms[block].shape, 2)) @ (2, 1)
+    for block in _row_blocks(trials):
+        sent = atoms[block]
+        # The sessions' declaration rule and the oracle's own leak rule, one leak per atom; this model leaves flips out.
+        _, leaked = _oracle_masks(sent.shape, 0.0, params.leak_probability, randomness)
+        sent[:] = honest_bases(bit, sent) * 5 + np.where(leaked, 1 + sent, 0)
+    return atoms
 
 
 def _sampled_view_statistics(
@@ -254,23 +270,24 @@ def _sampled_view_statistics(
     count (additivity over conditionally iid views), capped at 1 bit.
     """
     n_atoms = 10
-    atoms0 = _sample_view_atoms(params, trials, 0, randomness)
-    atoms1 = _sample_view_atoms(params, trials, 1, randomness)
+    atoms = [_sample_view_atoms(params, trials, bit, randomness) for bit in (0, 1)]
     half = trials // 2
-    train0, test0 = atoms0[:half], atoms0[half:]
-    train1, test1 = atoms1[:half], atoms1[half:]
+
+    def counts(rows):  # by row block: ``bincount`` copies its input to intp
+        return sum((np.bincount(rows[b].ravel(), minlength=n_atoms) for b in _row_blocks(len(rows))), np.zeros(n_atoms))
 
     # Smoothed per-atom log-likelihoods from the training half.
-    count0 = np.bincount(train0.reshape(-1), minlength=n_atoms) + 0.5
-    count1 = np.bincount(train1.reshape(-1), minlength=n_atoms) + 0.5
+    count0, count1 = (counts(bit_atoms[:half]) + 0.5 for bit_atoms in atoms)
     log_ratio = np.log(count0 / count0.sum()) - np.log(count1 / count1.sum())
 
-    llr0 = log_ratio[test0].sum(axis=1)
-    llr1 = log_ratio[test1].sum(axis=1)
-    ties = int(np.sum(llr0 == 0.0) + np.sum(llr1 == 0.0))
-    correct = int(np.sum(llr0 > 0.0) + np.sum(llr1 < 0.0))
+    ties = correct = 0
+    for bit, bit_atoms in enumerate(atoms):
+        for block in _row_blocks(trials - half):
+            llr = log_ratio[bit_atoms[half:][block]].sum(axis=1)
+            ties += int(np.count_nonzero(llr == 0.0))
+            correct += int(np.count_nonzero(llr < 0.0 if bit else llr > 0.0))
     correct += int(np.sum(randomness.random(ties) < 0.5)) if ties else 0
-    n_test = len(llr0) + len(llr1)
+    n_test = 2 * (trials - half)
     accuracy = correct / n_test
     tv_value = max(0.0, 2.0 * accuracy - 1.0)
     acc_ci = wilson_interval(correct, n_test)
@@ -278,8 +295,7 @@ def _sampled_view_statistics(
     tv_note = "held-out likelihood-ratio distinguisher advantage"
 
     # Plug-in mutual information per particle, pooled over both halves.
-    freq0 = np.bincount(atoms0.reshape(-1), minlength=n_atoms) / atoms0.size
-    freq1 = np.bincount(atoms1.reshape(-1), minlength=n_atoms) / atoms1.size
+    freq0, freq1 = (counts(bit_atoms) / bit_atoms.size for bit_atoms in atoms)
     mix = 0.5 * (freq0 + freq1)
     mi_particle = 0.0
     for f in (freq0, freq1):
@@ -288,7 +304,7 @@ def _sampled_view_statistics(
     mi_value = min(1.0, params.m * mi_particle)
     # Seeded multinomial bootstrap for the interval.
     boot = []
-    n_pooled = atoms0.size
+    n_pooled = atoms[0].size
     for _ in range(200):
         r0 = randomness.multinomial(n_pooled, freq0) / n_pooled
         r1 = randomness.multinomial(n_pooled, freq1) / n_pooled

@@ -174,8 +174,9 @@ def _checked(config: ExperimentConfig, errors: list[str]) -> ExperimentConfig:
         errors.append(f"experiment.format: {config.format!r} not one of summary|machine|both")
     if config.trials is not None and config.trials < 1:
         errors.append("experiment.trials: must be >= 1")
-    elif config.scenario == "flip-sweep" and config.trials is not None and config.trials < MIN_DETECTION_TRIALS:
-        errors.append(f"experiment.trials: must be >= {MIN_DETECTION_TRIALS} for flip-sweep")
+    elif config.scenario in ("flip-sweep", "entangle-demo") and config.trials is not None:
+        if config.trials < MIN_DETECTION_TRIALS:  # fewer let a 4-sigma check pass whatever is sampled
+            errors.append(f"experiment.trials: must be >= {MIN_DETECTION_TRIALS} for {config.scenario}")
     if config.suspension_rounds < 0:
         errors.append("spacetime.suspension_rounds: must be >= 0")
     if config.sessions < 1:

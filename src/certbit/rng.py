@@ -4,7 +4,9 @@ Every probabilistic operation in the package takes a :class:`RandomStream`
 argument; there is no hidden global randomness.  Streams are backed by the
 counter-based Philox generator, and ``split`` derives statistically
 independent child streams deterministically, so parallel batches and
-re-runs with the same seed reproduce bit-identical results.
+re-runs with the same seed reproduce bit-identical results.  A ``random``
+or ``integers(0, 2)`` array drawn in consecutive row blocks gives the one
+draw's values and leaves the stream where that draw would.
 """
 
 from __future__ import annotations

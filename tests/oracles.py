@@ -14,7 +14,8 @@ closed-form witnesses, the exact hiding statistics sum a dict of
 every pre-reveal view, built as tuples, instead of counting integer view
 codes, and a reference session commits, reveals and measures one bit or
 particle at a time through a dict oracle and ``quantum.measure_label``
-instead of in arrays of pair codes.
+instead of in arrays of pair codes, and the Monte Carlo samplers make each
+of their draws as one whole array instead of in row blocks.
 """
 
 from __future__ import annotations
@@ -194,6 +195,20 @@ def enumerate_flip_pass_probability(k: int) -> float:
             if guesses == outcomes:
                 total += weight
     return total
+
+
+def one_shot_pass_count(k: int, trials: int, randomness) -> int:
+    """``detection_probability_mc``'s passing trials from one ``random((trials, k))`` draw."""
+    draws = randomness.random((trials, k))
+    return int(np.count_nonzero(protocol._collapses(0, 3, draws).sum(axis=1) == k))
+
+
+def one_shot_view_atoms(params, trials: int, bit: int, randomness) -> np.ndarray:
+    """``analysis._sample_view_atoms`` from one ``(trials * m, 2)`` sent-pair draw and one leak draw."""
+    n = trials * params.m
+    sent = randomness.integers(0, 2, size=(n, 2)) @ (2, 1)  # each atom's pair code 2*b0 + b1
+    _, leaked = protocol._oracle_masks((n,), 0.0, params.leak_probability, randomness)
+    return (protocol.honest_bases(bit, sent) * 5 + np.where(leaked, 1 + sent, 0)).reshape(trials, params.m)
 
 
 def helstrom_advantage_sweep(rho0: np.ndarray, rho1: np.ndarray, steps: int = 2000) -> float:

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from statistics import NormalDist
 
 import numpy as np
@@ -12,6 +13,7 @@ from scipy import stats
 from certbit import adversary, analysis, protocol, quantum
 from certbit.adversary import ClassicalFlip, Honest
 from certbit.analysis import (
+    MIN_DETECTION_TRIALS,
     Quantity,
     SecurityReport,
     bob_information,
@@ -146,6 +148,24 @@ class TestDetectionProbability:
         assert dict(rng_calls.counts) == {"random": 1}
         assert rng_calls.rows == [2000]
 
+    def test_one_draw_per_row_block(self, rng_calls):
+        trials = 2 * protocol.SESSION_CHUNK + 3
+        detection_probability_mc(ClassicalFlip(8), ProtocolParams(n0=64, m=16), trials, RandomStream(8))
+        assert dict(rng_calls.counts) == {"random": math.ceil(trials / protocol.SESSION_CHUNK)}
+        assert sum(rng_calls.rows) == trials
+        assert rng_calls.rows == [protocol.SESSION_CHUNK, protocol.SESSION_CHUNK, 3]
+
+    @pytest.mark.parametrize("trials", [MIN_DETECTION_TRIALS, 2 * protocol.SESSION_CHUNK + 3])
+    @pytest.mark.parametrize("k", [1, 8, 16])
+    def test_row_blocks_count_what_the_one_draw_counts(self, k, trials):
+        params = ProtocolParams(n0=64, m=16)
+        for seed in range(3):
+            stream, reference = RandomStream(seed), RandomStream(seed)
+            successes = oracles.one_shot_pass_count(k, trials, reference)
+            expected = Quantity(successes / trials, "monte-carlo", trials=trials, ci=wilson_interval(successes, trials))
+            assert detection_probability_mc(ClassicalFlip(k), params, trials, stream) == expected
+            assert stream.random() == reference.random()
+
 
 def _full_leak(bit, sent):
     """Declare Z (basis code 0) for bit 0 when the bit is 0 and X (code 1) when it is 1, whatever was sent."""
@@ -219,6 +239,53 @@ class TestBobInformation:
     def test_monte_carlo_needs_stream(self):
         with pytest.raises(ValueError, match="RandomStream"):
             bob_information(ProtocolParams(n0=64, m=16), mode="monte-carlo")
+
+    @pytest.mark.parametrize("leak", [0.0, 0.05, 1.0])
+    @pytest.mark.parametrize("trials", [1, 2 * protocol.SESSION_CHUNK + 3])
+    def test_view_atoms_are_the_one_shot_atoms(self, trials, leak):
+        params = ProtocolParams(n0=64, m=16, leak_probability=leak)
+        for seed in range(3):
+            stream, reference = RandomStream(seed), RandomStream(seed)
+            for bit in (0, 1):
+                atoms = analysis._sample_view_atoms(params, trials, bit, stream)
+                assert atoms.dtype == np.uint8
+                assert np.array_equal(atoms, oracles.one_shot_view_atoms(params, trials, bit, reference))
+            assert stream.random() == reference.random()
+
+    @pytest.mark.parametrize("leak", [0.0, 0.05, 1.0])
+    def test_statistics_do_not_depend_on_the_row_blocks(self, leak, monkeypatch):
+        # One block of every row is the one-shot estimator: its counts, test-row sums and later draws.
+        params = ProtocolParams(n0=64, m=16, leak_probability=leak)
+        trials = 2 * protocol.SESSION_CHUNK + 3
+        blocked, whole = RandomStream(9), RandomStream(9)
+        expected = bob_information(params, trials, blocked, mode="monte-carlo")
+        monkeypatch.setattr(analysis, "_row_blocks", lambda rows: [slice(0, rows)])
+        assert bob_information(params, trials, whole, mode="monte-carlo") == expected
+        assert blocked.random() == whole.random()
+
+
+def _traced_peak(run) -> int:
+    """The bytes ``run()`` holds at its traced peak; numpy reports its arrays to ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMonteCarloMemory:
+    """The samplers hold one row block and their counts, not trial-sized float64 or int64 arrays."""
+
+    @pytest.mark.parametrize("trials", [100_000, 400_000])
+    def test_detection_peak_does_not_grow_with_trials(self, trials):
+        params, randomness = ProtocolParams(n0=64, m=16), RandomStream(1)
+        assert _traced_peak(lambda: detection_probability_mc(ClassicalFlip(8), params, trials, randomness)) <= 1e6
+
+    def test_hiding_sampler_holds_at_most_eight_bytes_per_atom(self):
+        params, randomness, trials = ProtocolParams(n0=64, m=16), RandomStream(1), 80_000
+        peak = _traced_peak(lambda: bob_information(params, trials=trials, randomness=randomness, mode="monte-carlo"))
+        assert peak <= 8 * trials * params.m
 
 
 class TestCheatSum:

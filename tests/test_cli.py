@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from certbit.adversary import Honest
+from certbit.analysis import MIN_DETECTION_TRIALS
 from certbit.cli import ConfigError, list_scenarios, main, parse_config, run_experiment
 from certbit import adversary, analysis, protocol, scenarios
 from certbit.scenarios import EXIT_CAUSAL_ABORT, EXIT_EXPECTATION_FAILED
@@ -322,6 +323,25 @@ sessions = 25
         failed = [line for line in summary if line.startswith("FAIL: ")]
         assert [line.split(":")[1].strip() for line in failed] == ["alpha^2=0.0", "alpha^2=0.25", "alpha^2=1.0"]
 
+    def test_entangle_demo_refuses_trials_below_the_floor(self, tmp_path, capsys):
+        # At 16 trials or fewer the 4-sigma check at alpha^2 = 0.5 passes whatever the sampler returns.
+        out = tmp_path / "out"
+        assert main(["run", str(ROOT / "configs" / "entangle-demo.ini"), "--out", str(out), "--trials", "999"]) == 2
+        assert "experiment.trials: must be >= 1000 for entangle-demo" in capsys.readouterr().err
+        assert not out.exists()
+        body = "[experiment]\nscenario = entangle-demo\nseed = 1\ntrials = 999\n"
+        with pytest.raises(ConfigError, match="experiment.trials: must be >= 1000 for entangle-demo"):
+            parse_config(write_config(tmp_path, body))
+
+    def test_entangle_demo_fails_all_one_reveals_at_the_floor(self, tmp_path, monkeypatch):
+        # Every reveal 1: each frequency check with alpha^2 > 0 fails at the fewest trials accepted.
+        monkeypatch.setattr(scenarios, "sample_entangled_reveals", lambda alpha, beta, trials, randomness: np.ones(trials))
+        config = dataclasses.replace(parse_config(ROOT / "configs" / "entangle-demo.ini"), trials=MIN_DETECTION_TRIALS)
+        assert run_experiment(config, out_dir=tmp_path / "out") == EXIT_EXPECTATION_FAILED
+        summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+        failed = [line.split(":")[1].strip() for line in summary if line.startswith("FAIL: ")]
+        assert failed == ["alpha^2=0.25", "alpha^2=0.5", "alpha^2=1.0"]
+
     def test_entangle_frequency_carries_its_interval(self):
         # Each sampled frequency is a monte-carlo quantity whose 99% Wilson interval covers alpha^2.
         records = [json.loads(line) for line in (ROOT / "runs" / "entangle-demo" / "report.jsonl").open()]
@@ -570,6 +590,35 @@ def test_import_leaves_scipy_unloaded(tmp_path):
     )
     assert sorted(path.name for path in tmp_path.iterdir()) == SHIPPED
     assert result.stdout.strip().splitlines()[-1] == "[]"
+
+
+COLD_RSS_PROBE = """
+import runpy, sys
+try:
+    runpy.run_module("certbit.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exit:
+    if exit.code:
+        raise
+print(next(line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads the peak from /proc/self/status")
+def test_flip_sweep_at_a_million_trials_stays_under_60_mb(tmp_path):
+    # The child reads its own peak after exec, VmHWM.  RUSAGE_CHILDREN would share pytest's other
+    # subprocesses, and Linux carries the forking pytest's high-water mark into RUSAGE_SELF.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    flags = ["--trials", "1000000", "--format", "machine", "--out", str(tmp_path)]
+    result = subprocess.run(
+        [sys.executable, "-c", COLD_RSS_PROBE, "run", str(ROOT / "configs" / "flip-sweep.ini"), *flags],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    assert int(result.stdout.split()[-1]) / 1024 <= 60  # VmHWM is in KiB
 
 
 def test_import_leaves_statistics_unloaded():

@@ -18,8 +18,6 @@ from .quantum import (
     purify,
     schmidt_decompose,
     spin_state,
-    tensor,
-    uhlmann_rotation,
 )
 from .spacetime import Event, Schedule, Site, earliest_commitment_time, in_past_cone, validate_schedule
 from .protocol import (

@@ -17,13 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .protocol import _BASES, _CODES, ProtocolParams, _is_integer, honest_bases, run_sessions
+from .protocol import _BASES, _CODES, ProtocolParams, _is_integer, _row_blocks, honest_bases, run_sessions
 from .quantum import (
     DensityMatrix,
     StateVector,
     align_purifications,
     apply_purifier_unitary,
     basis_eigenstates,
+    born_outcomes,
     fidelity,
     partial_trace,
     purify,
@@ -135,9 +136,15 @@ def entangled_reveal_probability(alpha: complex, beta: complex) -> float:
 
 
 def sample_entangled_reveals(alpha, beta, trials: int, randomness: RandomStream) -> np.ndarray:
-    """Monte Carlo of the delayed ancilla measurement; returns revealed bits."""
+    """Monte Carlo of the delayed ancilla measurement; returns the revealed bits as ``uint8``.
+
+    Draws one ``randomness.random(trials)`` in row blocks (``protocol._row_blocks``), holding no trial-sized floats.
+    """
     p_zero = entangled_reveal_probability(alpha, beta)
-    return (randomness.random(trials) >= p_zero).astype(np.int64)
+    reveals = np.empty(trials, dtype=np.uint8)
+    for block in _row_blocks(trials):
+        reveals[block] = born_outcomes(p_zero, randomness.random(block.stop - block.start))
+    return reveals
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,11 +27,11 @@ from .adversary import (
     purification_attack,
 )
 from .protocol import (
-    SESSION_CHUNK,
     ProtocolParams,
     SessionTranscript,
     _collapses,
     _oracle_masks,
+    _row_blocks,
     honest_bases,
 )
 from .quantum import SpinLabel, StateVector, spin_state
@@ -140,11 +140,6 @@ def honest_accept_probability_exact(params: ProtocolParams) -> float:
     """
     f = params.flip_probability
     return ((1.0 - f) ** 2 + f / 2.0) ** params.n_tested
-
-
-def _row_blocks(rows: int) -> list[slice]:
-    """Consecutive slices of at most ``SESSION_CHUNK`` rows covering ``range(rows)``: draw blocks (see ``rng``)."""
-    return [slice(start, min(start + SESSION_CHUNK, rows)) for start in range(0, rows, SESSION_CHUNK)]
 
 
 def detection_probability_mc(

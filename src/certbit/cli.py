@@ -48,7 +48,7 @@ from pathlib import Path
 
 from .analysis import MIN_DETECTION_TRIALS
 from .protocol import ProtocolParams
-from .scenarios import EXIT_CONFIG_ERROR, EXIT_EXPECTATION_FAILED, SCENARIOS, scenario_names
+from .scenarios import EXIT_CONFIG_ERROR, EXIT_EXPECTATION_FAILED, SCENARIOS, min_degradation_sessions, scenario_names
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "run_experiment", "list_scenarios", "main"]
 
@@ -199,6 +199,11 @@ def _checked(config: ExperimentConfig, errors: list[str]) -> ExperimentConfig:
         config.params()
     except ConfigError as error:
         errors.append(str(error))
+    else:  # oracle-degradation's session floor depends on n0 and m, so it waits for them to be valid
+        floor = min_degradation_sessions(config) if config.scenario == "oracle-degradation" and config.trials else 1
+        if config.trials is not None and 1 <= config.trials < floor:
+            where = f"oracle-degradation at n0={config.n0}, m={config.m}"
+            errors.append(f"experiment.trials: must be >= {floor} for {where}")
     if errors:
         raise ConfigError("; ".join(errors))
     return config

@@ -28,6 +28,7 @@ from .quantum import (
     SpinLabel,
     _frozen,
     basis_eigenstates,
+    born_outcomes,
     signal_probabilities,
 )
 from .rng import RandomStream
@@ -143,11 +144,10 @@ _BASES = (_SIGNALS[0].basis, _SIGNALS[2].basis)
 def _collapses(sent, target, uniforms) -> np.ndarray:
     """Whether each signal ``sent``, measured in the basis of signal ``target``, collapses onto ``target``.
 
-    Signals are pair codes, with one uniform per measurement.  Outcome 0
-    comes iff the uniform is below its Born probability, as in
-    ``quantum.measure_label``, so one uniform gives both the same outcome.
+    Signals are pair codes, with one uniform per measurement.  ``quantum.born_outcomes`` decides each
+    outcome, as in ``measure`` and ``measure_label``, so one uniform gives all three the same outcome.
     """
-    return (uniforms >= _P0[sent, target]) == _OUTCOME[target]
+    return born_outcomes(_P0[sent, target], uniforms) == _OUTCOME[target]
 
 
 def _first_failure(particles: np.ndarray, passed: np.ndarray) -> int | None:
@@ -738,9 +738,14 @@ def run_session(
     )
 
 
-# Sessions per block of ``run_sessions``: its arrays hold at most this many
-# rows, so its peak memory does not grow with ``n``.
+# Rows per draw block of ``run_sessions`` and the Monte Carlo samplers, so their
+# peak memory does not grow with the number of sessions or trials.
 SESSION_CHUNK = 4096
+
+
+def _row_blocks(rows: int) -> list[slice]:
+    """Consecutive slices of at most ``SESSION_CHUNK`` rows covering ``range(rows)``: draw blocks (see ``rng``)."""
+    return [slice(start, min(start + SESSION_CHUNK, rows)) for start in range(0, rows, SESSION_CHUNK)]
 
 
 def run_sessions(
@@ -772,8 +777,8 @@ def run_sessions(
     if violations:
         return np.zeros(n, dtype=bool), np.zeros(n, dtype=np.int64)
     accepted, leaked = [], []
-    for start in range(0, n, SESSION_CHUNK):
-        bits = randomness.integers(0, 2, size=(min(SESSION_CHUNK, n - start), params.n_commitments))
+    for block in _row_blocks(n):
+        bits = randomness.integers(0, 2, size=(block.stop - block.start, params.n_commitments))
         _, _, passed, leak = _commit_and_test(params, bits, randomness)
         accepted.append(passed.all(axis=1))
         leaked.append(np.count_nonzero(leak, axis=1))

@@ -28,8 +28,7 @@ __all__ = [
     "SchmidtDecomposition",
     "spin_state",
     "basis_eigenstates",
-    "outcome_label",
-    "tensor",
+    "born_outcomes",
     "measure_probabilities",
     "measure",
     "measure_label",
@@ -39,7 +38,6 @@ __all__ = [
     "schmidt_decompose",
     "purify",
     "align_purifications",
-    "uhlmann_rotation",
     "apply_purifier_unitary",
 ]
 
@@ -153,11 +151,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def allclose(self, other: "DensityMatrix", atol: float = STATE_ATOL) -> bool:
-        return self.dim == other.dim and bool(
-            np.allclose(self.entries, other.entries, atol=atol)
-        )
-
 
 # Single-qubit kets in the computational (Z) basis.  The sign convention
 # LEFT = (1,-1)/sqrt(2), RIGHT = (1,1)/sqrt(2) is fixed here once.
@@ -186,15 +179,6 @@ def spin_state(label: SpinLabel) -> StateVector:
 def basis_eigenstates(basis: Basis) -> tuple[SpinLabel, SpinLabel]:
     """Labels collapsed to by outcomes (0, 1) of a measurement in ``basis``."""
     return _BASIS_OUTCOMES[basis]
-
-
-def outcome_label(basis: Basis, outcome: int) -> SpinLabel:
-    return _BASIS_OUTCOMES[basis][outcome]
-
-
-def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """Kronecker product; qubit counts add, ``a``'s qubits come first."""
-    return StateVector(np.kron(a.amplitudes, b.amplitudes))
 
 
 def _basis_components(state: StateVector, basis: Basis, qubit: int):
@@ -226,9 +210,9 @@ def _collapse(branch: np.ndarray, weight: float, basis: Basis, qubit: int, outco
     return StateVector(post.reshape(-1))
 
 
-def _draw(p0: float, randomness: RandomStream) -> int:
-    """One uniform draw decides the outcome: 0 with probability ``p0``."""
-    return 0 if randomness.random() < p0 else 1
+def born_outcomes(p0, uniforms):
+    """Born-rule outcomes over floats or arrays: 1 (True) where a uniform from [0, 1) is >= ``p0``, the chance of 0."""
+    return uniforms >= p0
 
 
 def measure_probabilities(state: StateVector, basis: Basis, qubit: int = 0) -> tuple[float, float]:
@@ -246,10 +230,9 @@ def measure(
     A zero-probability branch is never returned.
     """
     c0, c1, p0, _ = _born(state, basis, qubit)
-    outcome = _draw(p0, randomness)
-    if outcome == 0:
-        return 0, _collapse(c0, p0, basis, qubit, 0)
-    return 1, _collapse(c1, 1.0 - p0, basis, qubit, 1)
+    if born_outcomes(p0, randomness.random()):
+        return 1, _collapse(c1, 1.0 - p0, basis, qubit, 1)
+    return 0, _collapse(c0, p0, basis, qubit, 0)
 
 
 # Born probabilities of the four signal states in both bases.  Built with the
@@ -269,9 +252,9 @@ def signal_probabilities(label: SpinLabel, basis: Basis) -> tuple[float, float]:
 def measure_label(label: SpinLabel, basis: Basis, randomness: RandomStream) -> SpinLabel:
     """Measure a signal state in ``basis``; report the eigenstate it collapsed to.
 
-    Like ``measure``, it takes exactly one draw compared with the same ``p0``.
+    Like ``measure``, it takes exactly one draw through ``born_outcomes`` with the same ``p0``.
     """
-    return outcome_label(basis, _draw(signal_probabilities(label, basis)[0], randomness))
+    return basis_eigenstates(basis)[int(born_outcomes(signal_probabilities(label, basis)[0], randomness.random()))]
 
 
 def _as_density(obj) -> DensityMatrix:
@@ -405,21 +388,6 @@ def align_purifications(
     unitary = u_left.conj() @ v_right_h.conj()
     achieved = float(np.sum(singulars))
     return unitary, achieved
-
-
-def uhlmann_rotation(rho0: DensityMatrix, rho1: DensityMatrix) -> np.ndarray:
-    """Unitary on the purifier steering rho0's canonical purification onto rho1's.
-
-    Both purifiers are as large as the states (see :func:`purify`).
-    Applied to ``purify(rho0)``, the result overlaps ``purify(rho1)`` by
-    sqrt(F(rho0, rho1)).
-    """
-    if rho0.dim != rho1.dim:
-        raise ValueError(f"dimension mismatch: {rho0.dim} vs {rho1.dim}")
-    psi0 = purify(rho0)
-    psi1 = purify(rho1)
-    unitary, _ = align_purifications(psi0, psi1, rho0.dim)
-    return unitary
 
 
 def apply_purifier_unitary(state: StateVector, unitary: np.ndarray, system_dim: int) -> StateVector:

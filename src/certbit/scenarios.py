@@ -38,7 +38,7 @@ from .quantum import partial_trace
 from .rng import RandomStream
 from .spacetime import Event, Message
 
-__all__ = ["ExperimentResult", "ScenarioSpec", "SCENARIOS", "scenario_names"]
+__all__ = ["ExperimentResult", "ScenarioSpec", "SCENARIOS", "min_degradation_sessions", "scenario_names"]
 
 EXIT_OK = 0
 EXIT_EXPECTATION_FAILED = 1
@@ -263,6 +263,22 @@ def _run_purification_nogo(config) -> ExperimentResult:
     return result
 
 
+DEGRADED_FLIP = 0.01  # oracle-degradation's degraded oracle flips each certified bit with this probability
+
+
+def min_degradation_sessions(config) -> int:
+    """Fewest sessions at which oracle-degradation's flip check can fail, at the config's n0 and m.
+
+    With fewer, every accepted count's 99% Wilson interval holds the exact rate at ``DEGRADED_FLIP``.  At 7
+    sessions the interval of none or of all accepted already excludes any rate, so the search stops by then.
+    """
+    exact = honest_accept_probability_exact(config.params(flip_probability=DEGRADED_FLIP))
+    sessions = 1
+    while all(low <= exact <= high for low, high in (wilson_interval(k, sessions) for k in range(sessions + 1))):
+        sessions += 1
+    return sessions
+
+
 def _run_oracle_degradation(config) -> ExperimentResult:
     result = ExperimentResult("oracle-degradation", EXIT_OK)
     sessions = config.trials_or(300)
@@ -275,7 +291,7 @@ def _run_oracle_degradation(config) -> ExperimentResult:
     _expect(result, ideal.honest_accept_rate == 1.0, "knobs at 0: no completeness degradation")
     records.append(_degradation_record(ideal, _degradation_quantities(base, ideal)))
 
-    flipped = config.params(flip_probability=0.01)
+    flipped = config.params(flip_probability=DEGRADED_FLIP)
     degraded = weak_oracle_degradation(flipped, sessions, randomness, scenario=scenario)
     quantities = _degradation_quantities(flipped, degraded)
     exact, estimate = quantities["honest_accept_rate"]
@@ -283,7 +299,7 @@ def _run_oracle_degradation(config) -> ExperimentResult:
     _expect(
         result,
         low <= exact.value <= high,
-        f"flip=0.01: exact honest accept rate {exact.value:.4g}"
+        f"flip={DEGRADED_FLIP}: exact honest accept rate {exact.value:.4g}"
         f" inside the Monte Carlo 99% interval [{low:.4g}, {high:.4g}]",
     )
     records.append(_degradation_record(degraded, quantities))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from certbit import adversary, analysis, protocol, quantum
+from certbit import adversary, analysis, protocol, quantum, scenarios
 from certbit.adversary import ClassicalFlip, Honest
 from certbit.analysis import (
     MIN_DETECTION_TRIALS,
@@ -33,6 +33,7 @@ from certbit.protocol import (
     honest_bases,
     run_session,
 )
+from certbit.cli import ExperimentConfig
 from certbit.rng import RandomStream
 from certbit.spacetime import Event, Message, Site, Violation
 
@@ -285,6 +286,16 @@ class TestMonteCarloMemory:
         params, randomness, trials = ProtocolParams(n0=64, m=16), RandomStream(1), 80_000
         peak = _traced_peak(lambda: bob_information(params, trials=trials, randomness=randomness, mode="monte-carlo"))
         assert peak <= 8 * trials * params.m
+
+    def test_entangle_demo_peak_at_1e5_trials(self):
+        # Its four 10^5-trial samples hold one byte per reveal, not 8 bytes per uniform.
+        config = ExperimentConfig("entangle-demo", seed=1, trials=100_000)
+        run = scenarios.SCENARIOS["entangle-demo"].run
+        run(dataclasses.replace(config, trials=MIN_DETECTION_TRIALS))  # imports numpy.random, untraced
+        results = []
+        peak = _traced_peak(lambda: results.append(run(config)))
+        assert results[0].ok
+        assert peak <= 1e6
 
 
 class TestCheatSum:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from certbit.adversary import Honest
-from certbit.analysis import MIN_DETECTION_TRIALS
+from certbit.analysis import MIN_DETECTION_TRIALS, honest_accept_probability_exact, wilson_interval
 from certbit.cli import ConfigError, list_scenarios, main, parse_config, run_experiment
 from certbit import adversary, analysis, protocol, scenarios
 from certbit.scenarios import EXIT_CAUSAL_ABORT, EXIT_EXPECTATION_FAILED
@@ -441,6 +441,39 @@ suspension_rounds = 3
         assert len(failed) == 1
         scaled = factor * exact(config.params(flip_probability=0.01))
         assert failed[0].startswith(f"FAIL: flip=0.01: exact honest accept rate {scaled:.4g} inside")
+
+    def test_oracle_degradation_refuses_sessions_below_the_floor(self, tmp_path, capsys):
+        # Below the floor every accepted count's 99% interval holds the exact rate, so the flip check cannot fail.
+        config = parse_config(ROOT / "configs" / "oracle-degradation.ini")
+        floor = scenarios.min_degradation_sessions(config)
+        exact = honest_accept_probability_exact(config.params(flip_probability=0.01))
+        assert (floor, round(exact, 5)) == (7, 0.48647)
+        assert all(low <= exact <= high for low, high in (wilson_interval(k, floor - 1) for k in range(floor)))
+        assert not wilson_interval(floor, floor)[0] <= exact
+        out = tmp_path / "out"
+        argv = ["run", str(ROOT / "configs" / "oracle-degradation.ini"), "--out", str(out), "--trials", str(floor - 1)]
+        assert main(argv) == 2
+        message = "experiment.trials: must be >= 7 for oracle-degradation at n0=64, m=16"
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+        body = "[experiment]\nscenario = oracle-degradation\nseed = 1\ntrials = 6\n"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(write_config(tmp_path, body))
+
+    def test_oracle_degradation_fails_all_accepted_at_the_floor(self, tmp_path, monkeypatch):
+        original = scenarios.weak_oracle_degradation
+
+        def all_accepted(params, trials, randomness, scenario=None):
+            return dataclasses.replace(original(params, trials, randomness, scenario=scenario), accepted=trials)
+
+        monkeypatch.setattr(scenarios, "weak_oracle_degradation", all_accepted)
+        config = parse_config(ROOT / "configs" / "oracle-degradation.ini")
+        config = dataclasses.replace(config, trials=scenarios.min_degradation_sessions(config))
+        assert run_experiment(config, out_dir=tmp_path / "out") == EXIT_EXPECTATION_FAILED
+        summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+        failed = [line for line in summary if line.startswith("FAIL: ")]
+        assert len(failed) == 1
+        assert failed[0].startswith("FAIL: flip=0.01: exact honest accept rate 0.4865 inside")
 
     def test_purification_nogo_fails_on_a_weakened_attack(self, tmp_path, monkeypatch):
         def weakened(protocol, _attack=adversary.purification_attack):

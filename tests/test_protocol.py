@@ -1,6 +1,7 @@
 """Protocol engine: params, oracle, encoding, stages, full sessions."""
 
 import dataclasses
+import functools
 import json
 import math
 import re
@@ -13,7 +14,14 @@ import numpy as np
 import pytest
 
 from certbit import protocol, spacetime
-from certbit.adversary import ClassicalFlip, Honest, weak_oracle_degradation
+from certbit.adversary import (
+    ClassicalFlip,
+    Honest,
+    entangled_commit,
+    entangled_reveal_probability,
+    sample_entangled_reveals,
+    weak_oracle_degradation,
+)
 from certbit.analysis import evaluate_relativistic, honest_accept_probability_exact
 from certbit.protocol import (
     DEFAULT_ENCODING,
@@ -31,7 +39,18 @@ from certbit.protocol import (
     verify_reveal,
     verify_tested,
 )
-from certbit.quantum import Basis, SpinLabel, basis_eigenstates, measure_label, signal_probabilities
+from certbit.quantum import (
+    Basis,
+    SpinLabel,
+    StateVector,
+    basis_eigenstates,
+    born_outcomes,
+    measure,
+    measure_label,
+    measure_probabilities,
+    signal_probabilities,
+    spin_state,
+)
 from certbit.rng import RandomStream
 from certbit.spacetime import (
     Event,
@@ -1333,6 +1352,35 @@ class TestOneBornRule:
         targets = basis_eigenstates(basis)
         for u in (0.0, np.nextafter(p0, 0.0), p0, np.nextafter(1.0, 0.0)):
             seen = measure_label(label, basis, FixedUniform(u))
-            assert seen is targets[0 if u < p0 else 1]
+            assert seen is targets[0 if u < p0 else 1] is targets[int(born_outcomes(p0, u))]
             collapses = protocol._collapses(np.full(2, CODE[label]), np.array(codes(targets)), np.full(2, u))
             assert collapses.tolist() == [seen is target for target in targets], (u, p0)
+
+    @pytest.mark.parametrize("basis", list(Basis))
+    @pytest.mark.parametrize("u_at", ["p0", "below p0"])
+    def test_measure_and_the_entangle_sampler_give_the_rules_outcome(self, basis, u_at):
+        # At u == p0 the rule gives outcome 1 and one ulp below it outcome 0, on a float or an array.
+        cases = [
+            (spin_state(SpinLabel.RIGHT if basis is Basis.Z else SpinLabel.UP), 0),
+            (StateVector(np.array([math.sqrt(0.3), math.sqrt(0.7)])), 0),
+            (entangled_commit(math.sqrt(0.25), math.sqrt(0.75)), 1),
+        ]
+        for state, qubit in cases:
+            p0, _ = measure_probabilities(state, basis, qubit)
+            u = p0 if u_at == "p0" else np.nextafter(p0, 0.0)
+            expected = 1 if u_at == "p0" else 0
+            assert born_outcomes(p0, np.full(2, u)).tolist() == [born_outcomes(p0, u)] * 2 == [bool(expected)] * 2
+            outcome, post = measure(state, basis, qubit, FixedUniform(u))
+            assert outcome == expected
+            # The post-measurement state is the outcome's eigenstate projector on ``qubit``, applied and normalized.
+            eigenstate = spin_state(basis_eigenstates(basis)[outcome]).amplitudes
+            factors = [np.eye(2)] * state.n_qubits
+            factors[qubit] = np.outer(eigenstate, eigenstate.conj())
+            projected = functools.reduce(np.kron, factors) @ state.amplitudes
+            assert np.allclose(post.amplitudes, projected / np.linalg.norm(projected), atol=1e-12)
+        alpha, beta = math.sqrt(0.25), math.sqrt(0.75)
+        p0 = entangled_reveal_probability(alpha, beta)
+        u = p0 if u_at == "p0" else np.nextafter(p0, 0.0)
+        reveals = sample_entangled_reveals(alpha, beta, protocol.SESSION_CHUNK + 1, FixedUniform(u))
+        assert reveals.dtype == np.uint8
+        assert reveals.tolist() == [int(born_outcomes(p0, u))] * (protocol.SESSION_CHUNK + 1)

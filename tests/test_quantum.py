@@ -13,18 +13,17 @@ from certbit.quantum import (
     StateVector,
     align_purifications,
     apply_purifier_unitary,
+    basis_eigenstates,
+    born_outcomes,
     fidelity,
     measure,
     measure_label,
     measure_probabilities,
-    outcome_label,
     partial_trace,
     purify,
     schmidt_decompose,
     signal_probabilities,
     spin_state,
-    tensor,
-    uhlmann_rotation,
 )
 from certbit.rng import RandomStream
 import oracles
@@ -40,6 +39,11 @@ def random_state_vector(seed, n_qubits):
 def random_density_matrix(seed, dim, rank=None):
     gen = np.random.default_rng(seed)
     return DensityMatrix(oracles.random_density(gen, dim, rank))
+
+
+def tensor(a, b):
+    """Kronecker product of two registers; ``a``'s qubits come first."""
+    return StateVector(np.kron(a.amplitudes, b.amplitudes))
 
 
 class TestStateValidation:
@@ -131,15 +135,18 @@ class TestMeasurement:
         assert p1 == pytest.approx(0.5, abs=1e-12)
 
     def test_right_in_z_frequency(self, rng):
+        # ``measure`` decides each outcome by ``born_outcomes`` on one uniform, so one array of them is its frequency.
         trials = 100_000
-        ones = sum(measure(spin_state(SpinLabel.RIGHT), Basis.Z, 0, rng)[0] for _ in range(trials))
+        p0, _ = measure_probabilities(spin_state(SpinLabel.RIGHT), Basis.Z, 0)
+        ones = int(np.count_nonzero(born_outcomes(p0, rng.random(trials))))
         assert abs(ones / trials - 0.5) < 0.005
 
     def test_born_rule_chi_squared(self, rng):
         # Frequencies of a biased state must match Born probabilities.
         state = StateVector(np.array([np.sqrt(0.3), np.sqrt(0.7)]))
         trials = 100_000
-        ones = sum(measure(state, Basis.Z, 0, rng)[0] for _ in range(trials))
+        p0, _ = measure_probabilities(state, Basis.Z, 0)
+        ones = int(np.count_nonzero(born_outcomes(p0, rng.random(trials))))
         observed = [trials - ones, ones]
         expected = [0.3 * trials, 0.7 * trials]
         result = stats.chisquare(observed, expected)
@@ -164,10 +171,10 @@ class TestMeasurement:
             assert seen is label
 
     def test_outcome_label_table(self):
-        assert outcome_label(Basis.Z, 0) is SpinLabel.UP
-        assert outcome_label(Basis.Z, 1) is SpinLabel.DOWN
-        assert outcome_label(Basis.X, 0) is SpinLabel.RIGHT
-        assert outcome_label(Basis.X, 1) is SpinLabel.LEFT
+        assert basis_eigenstates(Basis.Z)[0] is SpinLabel.UP
+        assert basis_eigenstates(Basis.Z)[1] is SpinLabel.DOWN
+        assert basis_eigenstates(Basis.X)[0] is SpinLabel.RIGHT
+        assert basis_eigenstates(Basis.X)[1] is SpinLabel.LEFT
 
     def test_bad_qubit_index(self, rng):
         with pytest.raises(IndexError):
@@ -186,7 +193,7 @@ class TestBornTable:
             fast_stream, generic_stream = RandomStream(seed), RandomStream(seed)
             seen = measure_label(label, basis, fast_stream)
             outcome, _ = measure(state, basis, 0, generic_stream)
-            assert seen is outcome_label(basis, outcome)
+            assert seen is basis_eigenstates(basis)[outcome]
             # Both consumed the same number of draws: the streams stay in step.
             assert fast_stream.random() == generic_stream.random()
             outcomes.add(outcome)
@@ -305,7 +312,7 @@ class TestSchmidt:
 class TestUhlmannRotation:
     def test_identical_states_identity_overlap(self):
         rho = random_density_matrix(21, 2)
-        unitary = uhlmann_rotation(rho, rho)
+        unitary, _ = align_purifications(purify(rho), purify(rho), 2)
         psi = purify(rho)
         moved = apply_purifier_unitary(psi, unitary, 2)
         overlap = abs(np.vdot(purify(rho).amplitudes, moved.amplitudes)) ** 2
@@ -315,7 +322,7 @@ class TestUhlmannRotation:
         # Frozen from the brute-force 2x2 unitary sweep oracle: 0.5.
         zero = spin_state(SpinLabel.UP).density()
         plus = spin_state(SpinLabel.RIGHT).density()
-        unitary = uhlmann_rotation(zero, plus)
+        unitary, _ = align_purifications(purify(zero), purify(plus), 2)
         moved = apply_purifier_unitary(purify(zero), unitary, 2)
         overlap = abs(np.vdot(purify(plus).amplitudes, moved.amplitudes)) ** 2
         assert overlap == pytest.approx(0.5, abs=1e-6)
@@ -324,7 +331,7 @@ class TestUhlmannRotation:
         for seed in (3, 7, 31):
             rho0 = random_density_matrix(seed, 2)
             rho1 = random_density_matrix(seed + 100, 2)
-            unitary = uhlmann_rotation(rho0, rho1)
+            unitary, _ = align_purifications(purify(rho0), purify(rho1), 2)
             moved = apply_purifier_unitary(purify(rho0), unitary, 2)
             achieved = abs(np.vdot(purify(rho1).amplitudes, moved.amplitudes)) ** 2
             swept = oracles.brute_force_purifier_overlap(
@@ -336,14 +343,14 @@ class TestUhlmannRotation:
     def test_returns_unitary(self):
         rho0 = random_density_matrix(41, 2)
         rho1 = random_density_matrix(42, 2)
-        unitary = uhlmann_rotation(rho0, rho1)
+        unitary, _ = align_purifications(purify(rho0), purify(rho1), 2)
         assert np.allclose(unitary @ unitary.conj().T, np.eye(2), atol=1e-9)
 
     def test_dimension_mismatch_rejected(self):
         rho2 = random_density_matrix(1, 2)
         rho4 = random_density_matrix(2, 4)
-        with pytest.raises(ValueError, match="mismatch"):
-            uhlmann_rotation(rho2, rho4)
+        with pytest.raises(ValueError, match="purifier dimensions differ"):
+            align_purifications(purify(rho2), purify(rho4), 2)
 
     def test_alignment_overlap_equals_sqrt_fidelity(self):
         rho0 = random_density_matrix(55, 4)

@@ -326,7 +326,6 @@ def weak_oracle_degradation(
     params: ProtocolParams,
     trials: int,
     randomness: RandomStream,
-    scenario=None,
 ) -> WeakOracleReport:
     """Monte Carlo of honest sessions against a degraded oracle.
 
@@ -334,7 +333,7 @@ def weak_oracle_degradation(
     inputs) destroys completeness, and how much of the receiver's view the
     leak knob exposes.  With both knobs at zero the degradation is zero.
     """
-    accepted, leaked = run_sessions(params, trials, randomness, scenario=scenario)
+    accepted, leaked = run_sessions(params, trials, randomness)
     return WeakOracleReport(
         flip_probability=params.flip_probability,
         leak_probability=params.leak_probability,

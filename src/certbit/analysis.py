@@ -59,8 +59,8 @@ __all__ = [
 # ``statistics`` (and the fractions and decimal it imports) out of ``import certbit``.
 _Z99 = 2.5758293035489
 
-# Fewest trials ``detection_probability_mc`` accepts; the config checks of
-# flip-sweep, its one shipped caller, and of entangle-demo read it too.
+# Fewest trials ``detection_probability_mc`` accepts; flip-sweep, its one shipped caller,
+# and entangle-demo give it as their ``scenarios.ScenarioSpec.min_trials``, which ``cli`` checks.
 MIN_DETECTION_TRIALS = 10**3
 
 STRATEGY_CLASS_NOTE = (

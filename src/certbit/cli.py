@@ -1,13 +1,13 @@
 """Configuration, orchestration and report emission.
 
 Experiments are described by flat INI files with sections mirroring the
-package modules::
+package modules.  These are all the keys there are, at their defaults::
 
     [experiment]
-    scenario = flip-sweep        ; one of the shipped scenarios
+    scenario = <name>            ; one of the shipped scenarios
     seed = 1                     ; mandatory, no wall-clock default
-    trials = 100000              ; optional per-scenario workload override
-    out = runs/flip-sweep        ; output directory
+    trials = <scenario default>  ; per-scenario workload override
+    out = runs/<name>            ; output directory
     format = both                ; summary | machine | both
 
     [protocol]
@@ -25,8 +25,10 @@ package modules::
     alpha_squares = 0,0.25,0.5,1
     sessions = 200
 
-These are all the keys a config may set; any other section or key is an
-error that names it.  Only ``experiment.scenario`` and ``experiment.seed``
+A config may set ``experiment.scenario``, ``seed``, ``out`` and ``format``,
+and of the other keys only those its scenario reads, listed in the
+scenario's ``ScenarioSpec.fields``; any other key is an error that names
+it and the scenario.  Only ``experiment.scenario`` and ``experiment.seed``
 are required.  An unset ``out`` is ``runs/<scenario>``, and every other
 unset key takes the default of the :class:`ExperimentConfig` field of the
 same name.
@@ -46,9 +48,8 @@ import json
 import sys
 from pathlib import Path
 
-from .analysis import MIN_DETECTION_TRIALS
 from .protocol import ProtocolParams
-from .scenarios import EXIT_CONFIG_ERROR, EXIT_EXPECTATION_FAILED, SCENARIOS, min_degradation_sessions, scenario_names
+from .scenarios import EXIT_CONFIG_ERROR, EXIT_EXPECTATION_FAILED, SCENARIOS, scenario_names
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "run_experiment", "list_scenarios", "main"]
 
@@ -99,8 +100,9 @@ def _float_list(raw: str) -> tuple[float, ...]:
     return tuple(float(part) for part in raw.replace(" ", "").split(",") if part)
 
 
-# Every (section, key, converter) a config may set; anything else is an
-# error.  Each key is the name of an ExperimentConfig field.
+# The (section, key, converter) of every config field; each key is the name
+# of an ExperimentConfig field.  A config may set the _COMMON fields and
+# those its scenario's ScenarioSpec.fields lists.
 _FIELDS = (
     ("experiment", "scenario", str),
     ("experiment", "seed", int),
@@ -117,14 +119,11 @@ _FIELDS = (
     ("analysis", "theta_points", int),
     ("analysis", "alpha_squares", _float_list),
 )
-_KNOWN_FIELDS = {
-    section: tuple(key for s, key, _ in _FIELDS if s == section)
-    for section in dict.fromkeys(section for section, _, _ in _FIELDS)
-}
+_COMMON = (("experiment", "scenario"), ("experiment", "seed"), ("experiment", "out"), ("experiment", "format"))
 
 
-def parse_config(path: str | Path) -> ExperimentConfig:
-    """Load and validate an experiment config; diagnostics name the field."""
+def parse_config(path: str | Path, overrides: dict | None = None) -> ExperimentConfig:
+    """Load and validate an experiment config, with ``overrides`` set as experiment keys; diagnostics name the field."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -133,17 +132,23 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         parser.read(path)
     except configparser.Error as error:
         raise ConfigError(f"config parse error: {error}") from error
-
-    errors: list[str] = []
     if not parser.has_section("experiment"):
         raise ConfigError("experiment: section missing")
-    for section in parser.sections():
-        if section not in _KNOWN_FIELDS:
-            errors.append(f"{section}: unknown section; valid: {', '.join(_KNOWN_FIELDS)}")
-            continue
-        for key in parser.options(section):
-            if key not in _KNOWN_FIELDS[section]:
-                errors.append(f"{section}.{key}: unknown field; valid: {', '.join(_KNOWN_FIELDS[section])}")
+    parser.read_dict({"experiment": {key: str(value) for key, value in (overrides or {}).items()}})
+
+    errors: list[str] = []
+    scenario = parser.get("experiment", "scenario", fallback=None)
+    if scenario is None:
+        errors.append("experiment.scenario: required")
+    elif scenario not in SCENARIOS:
+        errors.append(f"experiment.scenario: unknown scenario {scenario!r}; valid: {', '.join(scenario_names())}")
+    else:
+        settable = _COMMON + SCENARIOS[scenario].fields
+        for section in parser.sections():
+            for key in parser.options(section):
+                if (section, key) not in settable:
+                    valid = ", ".join(f"{s}.{k}" for s, k in settable)
+                    errors.append(f"{section}.{key}: unknown field for {scenario}; valid: {valid}")
     values = {}
     for section, key, convert in _FIELDS:
         if parser.has_option(section, key):
@@ -152,15 +157,9 @@ def parse_config(path: str | Path) -> ExperimentConfig:
                 values[key] = convert(raw)
             except (ValueError, TypeError):
                 errors.append(f"{section}.{key}: cannot parse {raw!r}")
-    if "scenario" not in values:
-        errors.append("experiment.scenario: required")
-    elif values["scenario"] not in SCENARIOS:
-        errors.append(
-            f"experiment.scenario: unknown scenario {values['scenario']!r}; valid: {', '.join(scenario_names())}"
-        )
     if not parser.has_option("experiment", "seed"):
         errors.append("experiment.seed: required (no wall-clock default)")
-    scenario = values.setdefault("scenario", "")
+    values.setdefault("scenario", "")
     values.setdefault("seed", 0)
     values.setdefault("out", f"runs/{scenario or 'experiment'}")
     return _checked(ExperimentConfig(**values), errors)
@@ -168,15 +167,13 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 
 def _checked(config: ExperimentConfig, errors: list[str]) -> ExperimentConfig:
     """Return ``config`` if its values are in range; else raise with ``errors`` and every bad value."""
+    spec = SCENARIOS.get(config.scenario)
     if config.seed < 0:
         errors.append("experiment.seed: must be >= 0")
     if config.format not in ("summary", "machine", "both"):
         errors.append(f"experiment.format: {config.format!r} not one of summary|machine|both")
     if config.trials is not None and config.trials < 1:
         errors.append("experiment.trials: must be >= 1")
-    elif config.scenario in ("flip-sweep", "entangle-demo") and config.trials is not None:
-        if config.trials < MIN_DETECTION_TRIALS:  # fewer let a 4-sigma check pass whatever is sampled
-            errors.append(f"experiment.trials: must be >= {MIN_DETECTION_TRIALS} for {config.scenario}")
     if config.suspension_rounds < 0:
         errors.append("spacetime.suspension_rounds: must be >= 0")
     if config.sessions < 1:
@@ -187,8 +184,8 @@ def _checked(config: ExperimentConfig, errors: list[str]) -> ExperimentConfig:
         errors.append("analysis.k_values: must list at least one k")
     if any(k < 0 for k in config.k_values):
         errors.append("analysis.k_values: every k must be >= 0")
-    # flip-sweep, which reads k_values, declares k of the m untested particles falsely.
-    if config.scenario == "flip-sweep" and any(k > config.m for k in config.k_values):
+    # A scenario that reads k_values declares k of the m untested particles falsely.
+    if spec and ("analysis", "k_values") in spec.fields and any(k > config.m for k in config.k_values):
         errors.append(f"analysis.k_values: every k must be <= m = {config.m}")
     if not config.alpha_squares:
         errors.append("analysis.alpha_squares: must list at least one value")
@@ -199,11 +196,10 @@ def _checked(config: ExperimentConfig, errors: list[str]) -> ExperimentConfig:
         config.params()
     except ConfigError as error:
         errors.append(str(error))
-    else:  # oracle-degradation's session floor depends on n0 and m, so it waits for them to be valid
-        floor = min_degradation_sessions(config) if config.scenario == "oracle-degradation" and config.trials else 1
+    else:  # a trial floor may depend on n0 and m, so it waits for them to be valid
+        floor = spec.min_trials(config) if spec and config.trials else 1
         if config.trials is not None and 1 <= config.trials < floor:
-            where = f"oracle-degradation at n0={config.n0}, m={config.m}"
-            errors.append(f"experiment.trials: must be >= {floor} for {where}")
+            errors.append(f"experiment.trials: must be >= {floor} for {config.scenario}")
     if errors:
         raise ConfigError("; ".join(errors))
     return config
@@ -282,13 +278,9 @@ def main(argv=None) -> int:
             print(f"{name}: {description}")
         return 0
 
+    overrides = {key: value for key in ("seed", "trials", "format") if (value := getattr(args, key, None)) is not None}
     try:
-        config = parse_config(args.config)
-        if args.command == "run":
-            overrides = {
-                key: value for key in ("seed", "trials", "format") if (value := getattr(args, key)) is not None
-            }
-            config = _checked(dataclasses.replace(config, **overrides), [])
+        config = parse_config(args.config, overrides)
     except ConfigError as error:
         print(f"invalid config: {error}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

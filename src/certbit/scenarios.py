@@ -22,6 +22,7 @@ from .adversary import (
     weak_oracle_degradation,
 )
 from .analysis import (
+    MIN_DETECTION_TRIALS,
     Quantity,
     SecurityReport,
     bob_information,
@@ -33,7 +34,7 @@ from .analysis import (
     nogo_tradeoff_sweep,
     wilson_interval,
 )
-from .protocol import ReductionScenario, Verdict, default_scenario, run_session, run_sessions
+from .protocol import ProtocolParams, ReductionScenario, Verdict, default_scenario, run_session, run_sessions
 from .quantum import partial_trace
 from .rng import RandomStream
 from .spacetime import Event, Message
@@ -149,7 +150,7 @@ def _run_honest_default(config) -> ExperimentResult:
 
 def _run_flip_sweep(config) -> ExperimentResult:
     result = ExperimentResult("flip-sweep", EXIT_OK)
-    params = config.params()
+    params = ProtocolParams(config.n0, config.m)  # the sweep samples the reveal check, which no oracle knob reaches
     trials = config.trials_or(100_000)
     randomness = RandomStream(config.seed)
     table = []
@@ -283,16 +284,16 @@ def _run_oracle_degradation(config) -> ExperimentResult:
     result = ExperimentResult("oracle-degradation", EXIT_OK)
     sessions = config.trials_or(300)
     randomness = RandomStream(config.seed)
-    scenario = default_scenario(config.suspension_rounds)
     records = []
 
+    # Heartbeat rounds change no honest session's draws or verdict, so the sessions run on the default schedule.
     base = config.params()
-    ideal = weak_oracle_degradation(base, sessions, randomness, scenario=scenario)
+    ideal = weak_oracle_degradation(base, sessions, randomness)
     _expect(result, ideal.honest_accept_rate == 1.0, "knobs at 0: no completeness degradation")
     records.append(_degradation_record(ideal, _degradation_quantities(base, ideal)))
 
     flipped = config.params(flip_probability=DEGRADED_FLIP)
-    degraded = weak_oracle_degradation(flipped, sessions, randomness, scenario=scenario)
+    degraded = weak_oracle_degradation(flipped, sessions, randomness)
     quantities = _degradation_quantities(flipped, degraded)
     exact, estimate = quantities["honest_accept_rate"]
     low, high = estimate.ci
@@ -375,7 +376,7 @@ def _superluminal_spin(messages: list[Message]) -> list[Message]:
 
 def _run_causal_violation(config) -> ExperimentResult:
     result = ExperimentResult("causal-violation", EXIT_OK)
-    params = config.params()
+    params = ProtocolParams(config.n0, config.m)  # the injected violation aborts before any oracle knob acts
     scenario = ReductionScenario(
         name="superluminal-spin", suspension_rounds=config.suspension_rounds, tamper=_superluminal_spin
     )
@@ -406,11 +407,18 @@ def _run_causal_violation(config) -> ExperimentResult:
     return result
 
 
+_TRIALS = (("experiment", "trials"),)
+_SIZES = (("protocol", "n0"), ("protocol", "m"))
+_ORACLE = _SIZES + (("protocol", "flip_probability"), ("protocol", "leak_probability"))
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     name: str
     description: str
     run: callable
+    fields: tuple[tuple[str, str], ...]  # (section, key) fields run reads besides experiment.scenario/seed/out/format
+    min_trials: callable = lambda config: 1  # the fewest experiment.trials at which run's checks can fail
 
 
 SCENARIOS = {
@@ -420,31 +428,40 @@ SCENARIOS = {
             "honest-default",
             "honest sessions on the default line geometry; completeness, causality and hiding checks",
             _run_honest_default,
+            _TRIALS + _ORACLE + (("spacetime", "suspension_rounds"), ("analysis", "sessions")),
         ),
         ScenarioSpec(
             "flip-sweep",
             "false-declaration sweep: reveal pass rate vs exact 2^-k",
             _run_flip_sweep,
+            _TRIALS + _SIZES + (("analysis", "k_values"),),
+            lambda config: MIN_DETECTION_TRIALS,  # fewer let a 4-sigma check pass whatever is sampled
         ),
         ScenarioSpec(
             "entangle-demo",
             "superposed commitment with kept ancilla; delayed-choice reveal statistics",
             _run_entangle_demo,
+            _TRIALS + (("analysis", "alpha_squares"),),
+            lambda config: MIN_DETECTION_TRIALS,
         ),
         ScenarioSpec(
             "purification-nogo",
             "purifier-steering attack sweep: p0 + p1 = 1 + sqrt(F) hiding/binding tradeoff",
             _run_purification_nogo,
+            (("analysis", "theta_points"),),
         ),
         ScenarioSpec(
             "oracle-degradation",
             "composed-protocol sensitivity to oracle flip/leak imperfections",
             _run_oracle_degradation,
+            _TRIALS + _ORACLE,
+            min_degradation_sessions,
         ),
         ScenarioSpec(
             "causal-violation",
             "injected superluminal message; schedule validation must abort with exactly that violation",
             _run_causal_violation,
+            _SIZES + (("spacetime", "suspension_rounds"),),
         ),
     )
 }

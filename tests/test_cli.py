@@ -1,9 +1,11 @@
 """Config parsing, scenario orchestration, artifact determinism."""
 
+import configparser
 import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,8 +15,9 @@ import pytest
 
 from certbit.adversary import Honest
 from certbit.analysis import MIN_DETECTION_TRIALS, honest_accept_probability_exact, wilson_interval
-from certbit.cli import ConfigError, list_scenarios, main, parse_config, run_experiment
+from certbit.cli import ConfigError, ExperimentConfig, list_scenarios, main, parse_config, run_experiment
 from certbit import adversary, analysis, protocol, scenarios
+from certbit.rng import RandomStream
 from certbit.scenarios import EXIT_CAUSAL_ABORT, EXIT_EXPECTATION_FAILED
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -101,7 +104,7 @@ class TestConfigParsing:
 
     def test_unknown_section_rejected(self, tmp_path):
         path = write_config(tmp_path, MINIMAL + "\n[foo]\nbar = 1\n")
-        with pytest.raises(ConfigError, match="foo: unknown section"):
+        with pytest.raises(ConfigError, match="foo.bar: unknown field for causal-violation"):
             parse_config(path)
         assert main(["validate", str(path)]) == 2
 
@@ -115,26 +118,29 @@ class TestConfigParsing:
             parse_config(write_config(tmp_path, body))
 
     @pytest.mark.parametrize(
-        "key, value",
+        "scenario, key, value",
         [
-            ("sessions", "0"),
-            ("theta_points", "0"),
-            ("theta_points", "1"),
-            ("k_values", "1,17"),
-            ("k_values", "-1"),
-            ("alpha_squares", "0,1.5"),
-            ("alpha_squares", "-0.25"),
-            ("k_values", ""),
-            ("alpha_squares", ""),
+            ("honest-default", "sessions", "0"),
+            ("purification-nogo", "theta_points", "0"),
+            ("purification-nogo", "theta_points", "1"),
+            ("flip-sweep", "k_values", "1,17"),  # at the default m = 16
+            ("flip-sweep", "k_values", "-1"),
+            ("entangle-demo", "alpha_squares", "0,1.5"),
+            ("entangle-demo", "alpha_squares", "-0.25"),
+            ("flip-sweep", "k_values", ""),
+            ("entangle-demo", "alpha_squares", ""),
         ],
     )
-    def test_out_of_range_analysis_value_rejected(self, tmp_path, capsys, key, value):
-        body = MINIMAL.replace("causal-violation", "flip-sweep") + "\n[protocol]\nm = 16\n"
-        path = write_config(tmp_path, body + f"\n[analysis]\n{key} = {value}\n")
-        with pytest.raises(ConfigError, match=f"analysis.{key}: "):
+    def test_out_of_range_analysis_value_rejected(self, tmp_path, capsys, scenario, key, value):
+        # Each scenario reads its key, so the error is the range check's, never an unknown field.
+        body = MINIMAL.replace("causal-violation", scenario) + f"\n[analysis]\n{key} = {value}\n"
+        path = write_config(tmp_path, body)
+        message = f"analysis.{key}: (must|every)"
+        with pytest.raises(ConfigError, match=message) as error:
             parse_config(path)
+        assert "unknown field" not in str(error.value)
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
-        assert f"analysis.{key}: " in capsys.readouterr().err
+        assert re.search(message, capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -155,6 +161,136 @@ class TestConfigParsing:
         body = "[experiment]\nscenario = flip-sweep\n" + "".join(f"{k} = {v}\n" for k, v in values.items())
         with pytest.raises(ConfigError, match=message):
             parse_config(write_config(tmp_path, body))
+
+
+# The keys each scenario's run reads, besides experiment.scenario, seed, out
+# and format, which every config may set.
+READS = {
+    "honest-default": {"trials", "n0", "m", "flip_probability", "leak_probability", "suspension_rounds", "sessions"},
+    "flip-sweep": {"trials", "n0", "m", "k_values"},
+    "entangle-demo": {"trials", "alpha_squares"},
+    "purification-nogo": {"theta_points"},
+    "oracle-degradation": {"trials", "n0", "m", "flip_probability", "leak_probability"},
+    "causal-violation": {"n0", "m", "suspension_rounds"},
+}
+SECTIONS = {
+    "trials": "experiment",
+    "n0": "protocol",
+    "m": "protocol",
+    "flip_probability": "protocol",
+    "leak_probability": "protocol",
+    "suspension_rounds": "spacetime",
+    "sessions": "analysis",
+    "k_values": "analysis",
+    "theta_points": "analysis",
+    "alpha_squares": "analysis",
+}
+# A value that passes each key's own range check and differs from its shipped
+# and default values.  flip-sweep's n0 and m reach no output byte, only its
+# checks: n0 = 32 < 4 m fails its ProtocolParams, and m = 4 < k = 8 its k <= m.
+CHANGED = {
+    "trials": "1000",
+    "n0": "128",
+    "m": "8",
+    "flip_probability": "0.1",
+    "leak_probability": "0.1",
+    "suspension_rounds": "1",
+    "sessions": "10",
+    "k_values": "1,2",
+    "theta_points": "5",
+    "alpha_squares": "0.5",
+}
+CHANGED_FOR = {("flip-sweep", "n0"): "32", ("flip-sweep", "m"): "4"}
+# Small sizes at which each scenario runs through, setting only keys it reads.
+SMALL = {
+    "honest-default": dict(trials=200, n0=8, m=2, sessions=2),
+    "flip-sweep": dict(trials=MIN_DETECTION_TRIALS, n0=8, m=2, k_values=(1, 2)),
+    "entangle-demo": dict(trials=MIN_DETECTION_TRIALS, alpha_squares=(0.5,)),
+    "purification-nogo": dict(theta_points=2),
+    "oracle-degradation": dict(trials=10, n0=8, m=2),
+    "causal-violation": dict(n0=8, m=2),
+}
+PAIRS = [(name, key) for name in READS for key in SECTIONS]
+
+
+def shipped_with(tmp_path, name, key, value):
+    """The shipped config of ``name`` with ``key`` set to ``value``."""
+    parser = configparser.ConfigParser()
+    parser.read(ROOT / "configs" / f"{name}.ini")
+    if not parser.has_section(SECTIONS[key]):
+        parser.add_section(SECTIONS[key])
+    parser.set(SECTIONS[key], key, value)
+    path = tmp_path / f"{name}-{key}.ini"
+    with path.open("w", encoding="utf-8") as handle:
+        parser.write(handle)
+    return path
+
+
+def machine_outputs(path, out, *flags):
+    """Exit status, report.jsonl and transcript.jsonl bytes of one ``run``."""
+    status = main(["run", str(path), "--out", str(out), "--format", "machine", *flags])
+    files = (out / "report.jsonl", out / "transcript.jsonl")
+    return status, *(file.read_bytes() if file.exists() else None for file in files)
+
+
+@pytest.fixture(scope="module")
+def shipped_outputs(tmp_path_factory):
+    out = tmp_path_factory.mktemp("shipped")
+    return {name: machine_outputs(ROOT / "configs" / f"{name}.ini", out / name) for name in READS}
+
+
+class TestScenarioFields:
+    """A config sets only the keys its scenario reads; any other key is an error naming it and the scenario."""
+
+    def test_spec_fields_are_the_keys_read(self):
+        assert {name: set(spec.fields) for name, spec in scenarios.SCENARIOS.items()} == {
+            name: {(SECTIONS[key], key) for key in keys} for name, keys in READS.items()
+        }
+        assert sum(4 + len(keys) for keys in READS.values()) == 46
+
+    @pytest.mark.parametrize("name", READS)
+    def test_run_reads_exactly_its_fields(self, name):
+        class Recording(ExperimentConfig):
+            def __getattribute__(self, attribute):
+                if attribute in SECTIONS:
+                    object.__getattribute__(self, "reads").add(attribute)
+                return object.__getattribute__(self, attribute)
+
+        config = Recording(name, seed=1, **SMALL[name])
+        config.reads = set()
+        scenarios.SCENARIOS[name].run(config)  # reads through params() and trials_or included
+        assert config.reads == {key for _, key in scenarios.SCENARIOS[name].fields}
+
+    @pytest.mark.parametrize("name, key", [pair for pair in PAIRS if pair[1] not in READS[pair[0]]])
+    def test_undeclared_key_rejected(self, tmp_path, capsys, name, key):
+        path = shipped_with(tmp_path, name, key, CHANGED[key])
+        message = f"{SECTIONS[key]}.{key}: unknown field for {name}"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(path)
+        assert main(["validate", str(path)]) == 2
+        assert message in capsys.readouterr().err
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", [name for name, keys in READS.items() if "trials" not in keys])
+    def test_trials_override_rejected_where_unread(self, tmp_path, capsys, name):
+        argv = ["run", str(ROOT / "configs" / f"{name}.ini"), "--out", str(tmp_path / "out"), "--trials", "5000"]
+        assert main(argv) == 2
+        assert f"experiment.trials: unknown field for {name}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_flip_sweep_refuses_an_oracle_knob(self, tmp_path, capsys):
+        # It used to run and record fidelity_defect 0.5 in its epsilons, though no oracle knob reaches its sweep.
+        path = shipped_with(tmp_path, "flip-sweep", "flip_probability", "0.5")
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "protocol.flip_probability: unknown field for flip-sweep" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, key", [pair for pair in PAIRS if pair[1] in READS[pair[0]]])
+    def test_declared_key_changes_the_run(self, tmp_path, shipped_outputs, name, key):
+        value = CHANGED_FOR.get((name, key), CHANGED[key])
+        changed = machine_outputs(shipped_with(tmp_path, name, key, value), tmp_path / "out")
+        assert changed != shipped_outputs[name]
 
 
 class TestScenarioRegistry:
@@ -403,31 +539,13 @@ class TestSuspensionRounds:
         payloads = [r["payload"] for r in transcript_of(tmp_path / "out") if r["type"] == "message"]
         assert "heartbeat-out[0]" in payloads and "heartbeat-back[0]" in payloads
 
-    def test_oracle_degradation_scenario(self, tmp_path, monkeypatch):
-        seen = []
-        original = scenarios.weak_oracle_degradation
-
-        def spy(*args, scenario=None, **kwargs):
-            seen.append(scenario)
-            return original(*args, scenario=scenario, **kwargs)
-
-        monkeypatch.setattr(scenarios, "weak_oracle_degradation", spy)
-        body = """
-[experiment]
-scenario = oracle-degradation
-seed = 3
-trials = 40
-format = machine
-
-[protocol]
-n0 = 16
-m = 4
-
-[spacetime]
-suspension_rounds = 3
-"""
-        assert run_experiment(parse_config(write_config(tmp_path, body)), out_dir=tmp_path / "out") == 0
-        assert [s.suspension_rounds for s in seen] == [3, 3]
+    def test_heartbeats_change_no_degradation_session(self):
+        # Why oracle-degradation reads no suspension_rounds: its sessions draw and decide the same with heartbeats.
+        params = protocol.ProtocolParams(16, 4, flip_probability=0.01, leak_probability=0.5)
+        plain = protocol.run_sessions(params, 40, RandomStream(3))
+        rounds = protocol.run_sessions(params, 40, RandomStream(3), scenario=protocol.default_scenario(3))
+        for expected, got in zip(plain, rounds, strict=True):
+            np.testing.assert_array_equal(got, expected)
 
     @pytest.mark.parametrize("factor", [1.25, 0.75])
     def test_oracle_degradation_fails_on_a_wrong_closed_form(self, factor, tmp_path, monkeypatch):
@@ -453,7 +571,7 @@ suspension_rounds = 3
         out = tmp_path / "out"
         argv = ["run", str(ROOT / "configs" / "oracle-degradation.ini"), "--out", str(out), "--trials", str(floor - 1)]
         assert main(argv) == 2
-        message = "experiment.trials: must be >= 7 for oracle-degradation at n0=64, m=16"
+        message = "experiment.trials: must be >= 7 for oracle-degradation"
         assert message in capsys.readouterr().err
         assert not out.exists()
         body = "[experiment]\nscenario = oracle-degradation\nseed = 1\ntrials = 6\n"
@@ -463,8 +581,8 @@ suspension_rounds = 3
     def test_oracle_degradation_fails_all_accepted_at_the_floor(self, tmp_path, monkeypatch):
         original = scenarios.weak_oracle_degradation
 
-        def all_accepted(params, trials, randomness, scenario=None):
-            return dataclasses.replace(original(params, trials, randomness, scenario=scenario), accepted=trials)
+        def all_accepted(params, trials, randomness):
+            return dataclasses.replace(original(params, trials, randomness), accepted=trials)
 
         monkeypatch.setattr(scenarios, "weak_oracle_degradation", all_accepted)
         config = parse_config(ROOT / "configs" / "oracle-degradation.ini")

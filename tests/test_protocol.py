@@ -167,6 +167,48 @@ class TestOracle:
         assert oracle.leaked_view == {0: 1}
 
 
+def classical_by_the_earlier_rule(bits) -> bool:
+    """The classical-bit rule ``_certify`` used before its single comparison: the reference of the table below."""
+    return bool(((bits == 0) | (bits == 1)).all())
+
+
+def one_bit_set_to(value, dtype) -> np.ndarray:
+    """A (1, 128) block of classical bits of ``dtype`` with bit 5 set to ``value``."""
+    bits = np.zeros((1, 128), dtype=dtype)
+    bits[0, 1::2] = 1
+    bits[0, 5] = value
+    return bits
+
+
+# (dtype, values every bit may take, values no bit may take), each value exactly representable in its dtype.
+CLASSICAL_TABLE = [
+    (np.int64, [0, 1], [2, -1]),
+    (np.uint8, [0, 1], [2, 255]),
+    (np.bool_, [False, True], []),
+    (np.float64, [0.0, 1.0], [2.0, -1.0, 0.5, math.nan, math.inf, -math.inf]),
+]
+CLASSICAL_CASES = {
+    **{f"{dtype.__name__}-{v!r}": (one_bit_set_to(v, dtype), True) for dtype, good, _ in CLASSICAL_TABLE for v in good},
+    **{f"{dtype.__name__}-{v!r}": (one_bit_set_to(v, dtype), False) for dtype, _, bad in CLASSICAL_TABLE for v in bad},
+    "str": (np.array([["0", "1"]]), False),
+    "None": (np.asarray(None), False),
+}
+
+
+class TestCertify:
+    @pytest.mark.parametrize("bits, classical", CLASSICAL_CASES.values(), ids=CLASSICAL_CASES.keys())
+    def test_classical_bits_table(self, bits, classical, rng_calls):
+        assert classical_by_the_earlier_rule(bits) is classical
+        if classical:
+            certified, leak = protocol._certify(bits, 0.0, 0.0, RandomStream(1))
+            assert certified.dtype == np.int64 and certified.tolist() == bits.astype(np.int64).tolist()
+            assert not leak.any()
+        else:
+            with pytest.raises(ValueError, match="classical bits"):
+                protocol._certify(bits, 0.5, 0.5, RandomStream(1))
+            assert rng_calls.counts == {}  # refused before the oracle's draw
+
+
 class TestChallenge:
     def test_subset_size(self, rng):
         params = ProtocolParams(n0=3, m=2, strict=False)
@@ -1224,14 +1266,15 @@ class TestRunSessionCost:
 
     @pytest.mark.parametrize("strategy", [Honest(), ClassicalFlip(3)], ids=["honest", "flip3"])
     def test_a_second_session_builds_no_declaration(self, strategy, monkeypatch):
-        # The same seed makes the same (particle, basis) declarations, which the first session built.
+        # The same seed makes the same (particle, basis) declarations; reading the first session's built them.
         params = ProtocolParams(n0=64, m=16)
         built = counted_calls(monkeypatch, protocol.Declaration, "__init__")
         first = run_session(strategy, params, randomness=RandomStream(7))
+        assert len(first.declarations) == params.m
         built.clear()
         second = run_session(strategy, params, randomness=RandomStream(7))
-        assert built == {}
         assert len(second.declarations) == params.m
+        assert built == {}
         assert all(a is b for a, b in zip(first.declarations, second.declarations))
 
     def test_sessions_share_one_stage_rule(self, monkeypatch):
@@ -1295,6 +1338,101 @@ class TestRunSessionCost:
         IdealCommitmentOracle(flip, leak).commit(bits, RandomStream(2))
         assert sum(rng_calls.counts.values()) == draws
         assert rng_calls.rows == [2 * n0] * draws
+
+
+# The transcript fields that hold one entry per particle or commitment.
+PER_PARTICLE = (
+    "committed_bits", "sent_labels", "challenge", "untested", "declarations", "claimed_labels", "opened_indices"
+)
+
+
+class KeepsItsArrays(Honest):
+    """Honest, but it returns int64 arrays it owns and keeps them, so a test can write into them later."""
+
+    def __init__(self):
+        self.kept = []
+
+    def keep(self, values) -> np.ndarray:
+        self.kept.append(np.array(values, dtype=np.int64))
+        return self.kept[-1]
+
+    def commit_bits(self, params, randomness):
+        return self.keep(super().commit_bits(params, randomness))
+
+    def plan_declarations(self, particles, sent, randomness):
+        bit, bases = super().plan_declarations(particles, sent, randomness)
+        return bit, self.keep(bases)
+
+    def reveal_claim(self, bit, sent, bases, randomness):
+        claimed_bit, claimed = super().reveal_claim(bit, sent, bases, randomness)
+        return claimed_bit, self.keep(claimed)
+
+
+class TestTranscriptFieldsOnFirstRead:
+    """``run_session`` hands its transcript the session's arrays; each per-particle field is built on first read."""
+
+    params = ProtocolParams(n0=64, m=16)
+
+    def counted_builds(self, monkeypatch) -> dict[str, Counter]:
+        builds = {name: counted_calls(monkeypatch, vars(SessionTranscript)[name], "build") for name in PER_PARTICLE}
+        builds["_declaration_table"] = counted_calls(monkeypatch, protocol, "_declaration_table")
+        return builds
+
+    @pytest.mark.parametrize("strategy", [Honest(), ClassicalFlip(3)], ids=["honest", "flip3"])
+    def test_a_verdict_read_builds_no_field(self, strategy, monkeypatch):
+        builds = self.counted_builds(monkeypatch)
+        transcript = run_session(strategy, self.params, randomness=RandomStream(7))
+        assert transcript.failed_stage in (None, Stage.REVEAL) and transcript.claimed_bit in (0, 1)
+        assert all(count == {} for count in builds.values())
+        # The records write no per-particle field; they read the challenge for its size.
+        transcript.to_records()
+        assert [name for name, count in builds.items() if count] == ["challenge"]
+
+    def test_a_second_read_returns_what_the_first_read_built(self, monkeypatch):
+        fresh = run_session(Honest(), self.params, randomness=RandomStream(8))
+        builds = self.counted_builds(monkeypatch)
+        transcript = run_session(Honest(), self.params, randomness=RandomStream(8))
+        for name in PER_PARTICLE:
+            first = getattr(transcript, name)
+            assert getattr(transcript, name) is first
+            assert builds[name] == {"build": 1}, name
+        assert builds["_declaration_table"] == {"_declaration_table": 1}
+        assert transcript == fresh and repr(transcript) == repr(fresh)
+
+    def test_the_fields_do_not_follow_the_strategys_arrays(self):
+        strategy = KeepsItsArrays()
+        transcript = run_session(strategy, self.params, randomness=RandomStream(9))
+        assert len(strategy.kept) == 3 and transcript.accepted
+        for kept in strategy.kept:
+            kept ^= 1
+        fresh = run_session(Honest(), self.params, randomness=RandomStream(9))
+        for name in PER_PARTICLE:
+            assert getattr(transcript, name) == getattr(fresh, name), name
+
+    def test_replace_reads_the_value_it_is_given(self):
+        transcript = run_session(Honest(), self.params, randomness=RandomStream(10))
+        fresh = run_session(Honest(), self.params, randomness=RandomStream(10))
+        labels = tuple(reversed(fresh.claimed_labels))
+        replaced = dataclasses.replace(transcript, claimed_labels=labels)
+        assert replaced.claimed_labels is labels
+        assert transcript.claimed_labels == fresh.claimed_labels != labels
+        for name in set(PER_PARTICLE) - {"claimed_labels"}:
+            assert getattr(replaced, name) == getattr(transcript, name) == getattr(fresh, name), name
+
+    def test_tested_rejects_and_aborts_read_the_values_of_the_scalar_session(self):
+        params = ProtocolParams(n0=16, m=4, flip_probability=0.1)
+        scenarios = {Stage.TESTED: default_scenario(), Stage.SCHEDULE: ReductionScenario(tamper=instant_spin0)}
+        for stage, scenario in scenarios.items():
+            stages = {s: run_session(Honest(), params, scenario, RandomStream(s)).failed_stage for s in range(50)}
+            seed = next(s for s, failed in stages.items() if failed is stage)
+            transcript = run_session(Honest(), params, scenario, RandomStream(seed))
+            reference = oracles.scalar_run_session(Honest(), params, scenario, RandomStream(seed))
+            for name in PER_PARTICLE:
+                assert getattr(transcript, name) == getattr(reference, name), (stage, name)
+            assert transcript.declarations == transcript.claimed_labels == ()
+            if stage is Stage.SCHEDULE:
+                assert transcript.committed_bits == transcript.challenge == ()
+                assert transcript.opened_indices == frozenset()
 
 
 class TestSchedulePlanCost:

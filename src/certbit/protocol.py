@@ -347,7 +347,7 @@ def verify_reveal(untested, bound, claimed, sent, randomness: RandomStream) -> n
 
 
 class _BuiltOnFirstRead:
-    """A per-particle transcript field that ``build`` makes from the session's arrays, by name, on its first read."""
+    """A per-particle transcript field that ``build`` makes from the session's arrays on its first read."""
 
     def __init__(self, build: Callable, default=()):
         self.build, self.default = build, default
@@ -358,7 +358,7 @@ class _BuiltOnFirstRead:
     def __get__(self, transcript, owner=None):
         if transcript is None:
             return self.default
-        return vars(transcript).setdefault(self.name, self.build(**vars(transcript)["_built_from"]))
+        return vars(transcript).setdefault(self.name, self.build(transcript))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -375,17 +375,16 @@ class SessionTranscript:
 
     params: ProtocolParams
     strategy: str
-    committed_bits: tuple[int, ...] = _BuiltOnFirstRead(lambda committed, **_: tuple(committed.tolist()))
-    sent_labels: tuple[SpinLabel, ...] = _BuiltOnFirstRead(lambda sent, **_: tuple(_SIGNALS[sent].tolist()))
-    challenge: tuple[int, ...] = _BuiltOnFirstRead(lambda tested, **_: tuple(tested.tolist()))
-    untested: tuple[int, ...] = _BuiltOnFirstRead(lambda untested, **_: tuple(untested.tolist()))
+    committed_bits: tuple[int, ...] = _BuiltOnFirstRead(lambda t: tuple(t._committed.tolist()))
+    sent_labels: tuple[SpinLabel, ...] = _BuiltOnFirstRead(lambda t: tuple(_SIGNALS[t._sent].tolist()))
+    challenge: tuple[int, ...] = _BuiltOnFirstRead(lambda t: tuple(t._tested.tolist()))
+    untested: tuple[int, ...] = _BuiltOnFirstRead(lambda t: tuple(t._untested.tolist()))
     declarations: tuple[Declaration, ...] = _BuiltOnFirstRead(
-        lambda sent, untested, bases=None, **_: ()
-        if bases is None else tuple(_declaration_table(sent.size)[bases, untested].tolist())
+        lambda t: () if t._bases is None else tuple(_declaration_table(t._sent.size)[t._bases, t._untested].tolist())
     )
     claimed_bit: int | None = None
     claimed_labels: tuple[SpinLabel, ...] = _BuiltOnFirstRead(
-        lambda claimed=None, **_: () if claimed is None else tuple(_SIGNALS[claimed].tolist())
+        lambda t: () if t._claimed is None else tuple(_SIGNALS[t._claimed].tolist())
     )
     verdict: Verdict
     failed_stage: Stage | None = None
@@ -394,15 +393,16 @@ class SessionTranscript:
     schedule: Schedule
     violations: tuple[Violation, ...] = ()
     opened_indices: frozenset = _BuiltOnFirstRead(
-        lambda tested, **_: frozenset((2 * tested[:, None] + (0, 1)).ravel().tolist()), frozenset()
+        lambda t: frozenset((2 * t._tested[:, None] + (0, 1)).ravel().tolist()), frozenset()
     )
     _arrays: InitVar[dict | None] = None
+    _bases = _claimed = None  # a session rejected at tested verification declares and claims nothing
 
     def __post_init__(self, _arrays):
         # Given the session's arrays, the per-particle fields are dropped, so a read reaches their builders.
         if _arrays is not None:
             state = vars(self)
-            state["_built_from"] = _arrays
+            state.update(_arrays)
             for name in _PER_PARTICLE:
                 del state[name]
 
@@ -735,7 +735,7 @@ def run_session(
     is_untested[tested] = False
     (untested,) = is_untested.nonzero()
     # The transcript keeps a copy of the bits, so the strategy's later writes to its own array reach no field.
-    arrays = dict(committed=committed.astype(np.int64), sent=sent, tested=tested, untested=untested)
+    arrays = dict(_committed=committed.astype(np.int64), _sent=sent, _tested=tested, _untested=untested)
     base = dict(common, events=dict(events), _arrays=arrays)
     if reject is not None:
         return SessionTranscript(verdict=Verdict.REJECT, failed_stage=Stage.TESTED, reject_index=reject, **base)
@@ -758,7 +758,7 @@ def run_session(
         # A declaration binds bit 1 to the conjugate of its basis for bit 0.
         reject = _first_failure(untested, verify_reveal(untested, bases ^ int(claimed_bit), claimed, sent, randomness))
     accepted = well_formed and reject is None
-    arrays.update(bases=bases, claimed=claimed)
+    arrays.update(_bases=bases, _claimed=claimed)
     return SessionTranscript(
         verdict=Verdict.ACCEPT if accepted else Verdict.REJECT,
         failed_stage=None if accepted else Stage.REVEAL,

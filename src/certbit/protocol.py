@@ -399,7 +399,7 @@ class SessionTranscript:
     _bases = _claimed = None  # a session rejected at tested verification declares and claims nothing
 
     def __post_init__(self, _arrays):
-        # Given the session's arrays, the per-particle fields are dropped, so a read reaches their builders.
+        # Given the session's arrays, the per-particle fields are dropped, so their first read builds them.
         if _arrays is not None:
             state = vars(self)
             state.update(_arrays)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import functools
 import numbers
-from dataclasses import InitVar, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -171,8 +171,8 @@ class Declaration:
 
 
 def _codes(values, width: int, what: str) -> np.ndarray:
-    """``values``, taken whole, as a new 1-d int64 array of ``width``-bit codes; anything else is a ``ValueError``."""
-    codes = np.array(values if isinstance(values, np.ndarray) else list(values))
+    """``values``, taken whole, as a 1-d int64 array of ``width``-bit codes; anything else is a ``ValueError``."""
+    codes = np.asarray(values if isinstance(values, np.ndarray) else list(values))
     if codes.ndim != 1 or codes.size and (codes.dtype.kind not in "iu" or np.count_nonzero(codes >> width)):
         raise ValueError(f"{what} must be a 1-d array of integers in [0, {2**width})")
     return codes.astype(np.int64, copy=False)
@@ -346,21 +346,6 @@ def verify_reveal(untested, bound, claimed, sent, randomness: RandomStream) -> n
     return _collapses(np.asarray(sent, dtype=np.int64)[untested], claimed, randomness.random(untested.size))
 
 
-class _BuiltOnFirstRead:
-    """A per-particle transcript field that ``build`` makes from the session's arrays on its first read."""
-
-    def __init__(self, build: Callable, default=()):
-        self.build, self.default = build, default
-
-    def __set_name__(self, owner, name: str):
-        self.name = name
-
-    def __get__(self, transcript, owner=None):
-        if transcript is None:
-            return self.default
-        return vars(transcript).setdefault(self.name, self.build(transcript))
-
-
 @dataclass(frozen=True, kw_only=True)
 class SessionTranscript:
     """Everything one run produced, stamped with schedule events.
@@ -369,42 +354,24 @@ class SessionTranscript:
     default: an aborted session has no bits, labels or events, and a
     session rejected at tested verification has no declarations or claim.
     ``claimed_bit`` is ``None`` unless the strategy claimed an integer.
-    A ``run_session`` transcript builds each per-particle field (bits,
-    labels, particles, declarations) from the session's arrays on first read.
     """
 
     params: ProtocolParams
     strategy: str
-    committed_bits: tuple[int, ...] = _BuiltOnFirstRead(lambda t: tuple(t._committed.tolist()))
-    sent_labels: tuple[SpinLabel, ...] = _BuiltOnFirstRead(lambda t: tuple(_SIGNALS[t._sent].tolist()))
-    challenge: tuple[int, ...] = _BuiltOnFirstRead(lambda t: tuple(t._tested.tolist()))
-    untested: tuple[int, ...] = _BuiltOnFirstRead(lambda t: tuple(t._untested.tolist()))
-    declarations: tuple[Declaration, ...] = _BuiltOnFirstRead(
-        lambda t: () if t._bases is None else tuple(_declaration_table(t._sent.size)[t._bases, t._untested].tolist())
-    )
+    committed_bits: tuple[int, ...] = ()
+    sent_labels: tuple[SpinLabel, ...] = ()
+    challenge: tuple[int, ...] = ()
+    untested: tuple[int, ...] = ()
+    declarations: tuple[Declaration, ...] = ()
     claimed_bit: int | None = None
-    claimed_labels: tuple[SpinLabel, ...] = _BuiltOnFirstRead(
-        lambda t: () if t._claimed is None else tuple(_SIGNALS[t._claimed].tolist())
-    )
+    claimed_labels: tuple[SpinLabel, ...] = ()
     verdict: Verdict
     failed_stage: Stage | None = None
     reject_index: int | None = None
     events: dict = field(default_factory=dict)
     schedule: Schedule
     violations: tuple[Violation, ...] = ()
-    opened_indices: frozenset = _BuiltOnFirstRead(
-        lambda t: frozenset((2 * t._tested[:, None] + (0, 1)).ravel().tolist()), frozenset()
-    )
-    _arrays: InitVar[dict | None] = None
-    _bases = _claimed = None  # a session rejected at tested verification declares and claims nothing
-
-    def __post_init__(self, _arrays):
-        # Given the session's arrays, the per-particle fields are dropped, so their first read builds them.
-        if _arrays is not None:
-            state = vars(self)
-            state.update(_arrays)
-            for name in _PER_PARTICLE:
-                del state[name]
+    opened_indices: frozenset = frozenset()
 
     @property
     def accepted(self) -> bool:
@@ -461,8 +428,6 @@ class SessionTranscript:
         )
         return records
 
-
-_PER_PARTICLE = tuple(name for name, value in vars(SessionTranscript).items() if isinstance(value, _BuiltOnFirstRead))
 
 # Most distinct (scenario, n0) keys whose schedules ``run_session`` keeps.
 SCHEDULE_CACHE_SIZE = 16
@@ -675,6 +640,12 @@ def _declaration_table(n0: int) -> np.ndarray:
     return _frozen(np.array([[Declaration(i, basis) for i in range(n0)] for basis in _BASES], dtype=object))
 
 
+@functools.lru_cache(maxsize=SCHEDULE_CACHE_SIZE)
+def _commitment_indices(n0: int) -> frozenset[int]:
+    """The indices of all ``2 * n0`` commitments of a session with ``n0`` particles."""
+    return frozenset(range(2 * n0))
+
+
 def run_session(
     strategy,
     params: ProtocolParams,
@@ -696,8 +667,6 @@ def run_session(
     untested particle, or claiming a code outside 0..3 is a ``ValueError``.
     The plan of each ``(scenario, params.n0)`` is memoized (at most
     ``SCHEDULE_CACHE_SIZE`` keys), so its transcripts share one ``Schedule``.
-    Each per-particle field of the transcript is built from the session's
-    arrays on its first read, so a caller pays only for the fields it reads.
 
     Draws, all from the required ``randomness``, in order: the committed
     bits (one ``bits`` call for ``Honest`` and ``ClassicalFlip``), the
@@ -734,9 +703,16 @@ def run_session(
     is_untested = np.ones(params.n0, dtype=bool)
     is_untested[tested] = False
     (untested,) = is_untested.nonzero()
-    # The transcript keeps a copy of the bits, so the strategy's later writes to its own array reach no field.
-    arrays = dict(_committed=committed.astype(np.int64), _sent=sent, _tested=tested, _untested=untested)
-    base = dict(common, events=dict(events), _arrays=arrays)
+    suspended = 2 * untested  # the commitments 2i and 2i + 1 of each untested particle i stay closed
+    base = dict(
+        common,
+        committed_bits=tuple(committed.astype(np.int64, copy=False).tolist()),
+        sent_labels=tuple(_SIGNALS[sent].tolist()),
+        challenge=tuple(tested.tolist()),
+        untested=tuple(untested.tolist()),
+        events=dict(events),
+        opened_indices=_commitment_indices(params.n0).difference(suspended.tolist(), (suspended + 1).tolist()),
+    )
     if reject is not None:
         return SessionTranscript(verdict=Verdict.REJECT, failed_stage=Stage.TESTED, reject_index=reject, **base)
 
@@ -758,12 +734,13 @@ def run_session(
         # A declaration binds bit 1 to the conjugate of its basis for bit 0.
         reject = _first_failure(untested, verify_reveal(untested, bases ^ int(claimed_bit), claimed, sent, randomness))
     accepted = well_formed and reject is None
-    arrays.update(_bases=bases, _claimed=claimed)
     return SessionTranscript(
         verdict=Verdict.ACCEPT if accepted else Verdict.REJECT,
         failed_stage=None if accepted else Stage.REVEAL,
         reject_index=reject,
+        declarations=tuple(_declaration_table(params.n0)[bases, untested].tolist()),
         claimed_bit=int(claimed_bit) if integral else None,
+        claimed_labels=tuple(_SIGNALS[claimed].tolist()),
         **base,
     )
 

@@ -1266,15 +1266,14 @@ class TestRunSessionCost:
 
     @pytest.mark.parametrize("strategy", [Honest(), ClassicalFlip(3)], ids=["honest", "flip3"])
     def test_a_second_session_builds_no_declaration(self, strategy, monkeypatch):
-        # The same seed makes the same (particle, basis) declarations; reading the first session's built them.
+        # The same seed makes the same (particle, basis) declarations, which the first session built.
         params = ProtocolParams(n0=64, m=16)
         built = counted_calls(monkeypatch, protocol.Declaration, "__init__")
         first = run_session(strategy, params, randomness=RandomStream(7))
-        assert len(first.declarations) == params.m
         built.clear()
         second = run_session(strategy, params, randomness=RandomStream(7))
-        assert len(second.declarations) == params.m
         assert built == {}
+        assert len(second.declarations) == params.m
         assert all(a is b for a, b in zip(first.declarations, second.declarations))
 
     def test_sessions_share_one_stage_rule(self, monkeypatch):
@@ -1347,7 +1346,7 @@ PER_PARTICLE = (
 
 
 class KeepsItsArrays(Honest):
-    """Honest, but it returns int64 arrays it owns and keeps them, so a test can write into them later."""
+    """Honest, but it keeps the int64 arrays it returns and the bases it is handed, so a test can write into them."""
 
     def __init__(self):
         self.kept = []
@@ -1364,75 +1363,27 @@ class KeepsItsArrays(Honest):
         return bit, self.keep(bases)
 
     def reveal_claim(self, bit, sent, bases, randomness):
+        self.kept.append(bases)
         claimed_bit, claimed = super().reveal_claim(bit, sent, bases, randomness)
         return claimed_bit, self.keep(claimed)
 
 
-class TestTranscriptFieldsOnFirstRead:
-    """``run_session`` hands its transcript the session's arrays; each per-particle field is built on first read."""
-
-    params = ProtocolParams(n0=64, m=16)
-
-    def counted_builds(self, monkeypatch) -> dict[str, Counter]:
-        builds = {name: counted_calls(monkeypatch, vars(SessionTranscript)[name], "build") for name in PER_PARTICLE}
-        builds["_declaration_table"] = counted_calls(monkeypatch, protocol, "_declaration_table")
-        return builds
-
-    @pytest.mark.parametrize("strategy", [Honest(), ClassicalFlip(3)], ids=["honest", "flip3"])
-    def test_a_verdict_read_builds_no_field(self, strategy, monkeypatch):
-        builds = self.counted_builds(monkeypatch)
-        transcript = run_session(strategy, self.params, randomness=RandomStream(7))
-        assert transcript.failed_stage in (None, Stage.REVEAL) and transcript.claimed_bit in (0, 1)
-        assert all(count == {} for count in builds.values())
-        # The records write no per-particle field; they read the challenge for its size.
-        transcript.to_records()
-        assert [name for name, count in builds.items() if count] == ["challenge"]
-
-    def test_a_second_read_returns_what_the_first_read_built(self, monkeypatch):
-        fresh = run_session(Honest(), self.params, randomness=RandomStream(8))
-        builds = self.counted_builds(monkeypatch)
-        transcript = run_session(Honest(), self.params, randomness=RandomStream(8))
-        for name in PER_PARTICLE:
-            first = getattr(transcript, name)
-            assert getattr(transcript, name) is first
-            assert builds[name] == {"build": 1}, name
-        assert builds["_declaration_table"] == {"_declaration_table": 1}
-        assert transcript == fresh and repr(transcript) == repr(fresh)
-
+class TestTranscriptOwnsItsFields:
     def test_the_fields_do_not_follow_the_strategys_arrays(self):
+        params = ProtocolParams(n0=64, m=16)
         strategy = KeepsItsArrays()
-        transcript = run_session(strategy, self.params, randomness=RandomStream(9))
-        assert len(strategy.kept) == 3 and transcript.accepted
-        for kept in strategy.kept:
+        transcript = run_session(strategy, params, randomness=RandomStream(9))
+        assert len(strategy.kept) == 4 and transcript.accepted
+        for kept in {id(kept): kept for kept in strategy.kept}.values():  # the bases it is handed are its own
             kept ^= 1
-        fresh = run_session(Honest(), self.params, randomness=RandomStream(9))
+        fresh = run_session(Honest(), params, randomness=RandomStream(9))
         for name in PER_PARTICLE:
             assert getattr(transcript, name) == getattr(fresh, name), name
 
-    def test_replace_reads_the_value_it_is_given(self):
-        transcript = run_session(Honest(), self.params, randomness=RandomStream(10))
-        fresh = run_session(Honest(), self.params, randomness=RandomStream(10))
-        labels = tuple(reversed(fresh.claimed_labels))
-        replaced = dataclasses.replace(transcript, claimed_labels=labels)
-        assert replaced.claimed_labels is labels
-        assert transcript.claimed_labels == fresh.claimed_labels != labels
-        for name in set(PER_PARTICLE) - {"claimed_labels"}:
-            assert getattr(replaced, name) == getattr(transcript, name) == getattr(fresh, name), name
-
-    def test_tested_rejects_and_aborts_read_the_values_of_the_scalar_session(self):
-        params = ProtocolParams(n0=16, m=4, flip_probability=0.1)
-        scenarios = {Stage.TESTED: default_scenario(), Stage.SCHEDULE: ReductionScenario(tamper=instant_spin0)}
-        for stage, scenario in scenarios.items():
-            stages = {s: run_session(Honest(), params, scenario, RandomStream(s)).failed_stage for s in range(50)}
-            seed = next(s for s, failed in stages.items() if failed is stage)
-            transcript = run_session(Honest(), params, scenario, RandomStream(seed))
-            reference = oracles.scalar_run_session(Honest(), params, scenario, RandomStream(seed))
-            for name in PER_PARTICLE:
-                assert getattr(transcript, name) == getattr(reference, name), (stage, name)
-            assert transcript.declarations == transcript.claimed_labels == ()
-            if stage is Stage.SCHEDULE:
-                assert transcript.committed_bits == transcript.challenge == ()
-                assert transcript.opened_indices == frozenset()
+    def test_opened_indices_are_the_pairs_of_the_challenge(self):
+        for seed in range(20):
+            transcript = run_session(Honest(), ProtocolParams(n0=12, m=3), randomness=RandomStream(seed))
+            assert transcript.opened_indices == {j for i in transcript.challenge for j in (2 * i, 2 * i + 1)}
 
 
 class TestSchedulePlanCost:

@@ -73,12 +73,11 @@ def test_session_checks_accept_good_sessions_and_reject_bad_transcripts():
     assert checks.tampered_session_ok(tampered)
     assert not checks.tampered_session_ok(session()) and not checks.flip_session_ok(tampered)
 
-    # The two bad transcripts perfbench's tests build, each from a transcript no one has read.
+    # The two bad transcripts perfbench's tests build.
     transcript = session()
-    labels = list(session().claimed_labels)
+    labels = list(transcript.claimed_labels)
     labels[0] = next(x for x in basis_eigenstates(labels[0].basis) if x is not labels[0])
     assert not checks.honest_session_ok(dataclasses.replace(transcript, claimed_labels=tuple(labels)))
-    transcript = session()
-    first, *rest = session().declarations
+    first, *rest = transcript.declarations
     flipped = dataclasses.replace(first, basis_for_zero=first.basis_for_zero.conjugate())
     assert not checks.honest_session_ok(dataclasses.replace(transcript, declarations=(flipped, *rest)))

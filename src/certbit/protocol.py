@@ -19,6 +19,8 @@ import enum
 import functools
 import numbers
 from dataclasses import dataclass, field, fields
+from itertools import filterfalse
+from operator import attrgetter
 from typing import Callable
 
 import numpy as np
@@ -442,6 +444,12 @@ def _payload_names(n0: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
     return tuple([f"commit[{i}]" for i in range(2 * n0)]), tuple([f"spin[{i}]" for i in range(n0)])
 
 
+@functools.lru_cache(maxsize=SCHEDULE_CACHE_SIZE)
+def _payload_sets(n0: int) -> tuple[frozenset[str], frozenset[str]]:
+    """The commit and spin payloads of ``_payload_names(n0)`` as sets."""
+    return tuple(map(frozenset, _payload_names(n0)))
+
+
 @dataclass(frozen=True)
 class ReductionScenario:
     """Site geometry and transmission timing for one reduction run.
@@ -584,7 +592,7 @@ def _session_plan(
             routes.setdefault((flight.sender, flight.receiver), set()).update(flight.payloads)
         flights = _group_flights(scenario.tamper(list(built.messages)))
         kept = [routes.get((flight.sender, flight.receiver), set()).intersection(flight.payloads) for flight in flights]
-        commits, spins = map(frozenset, _payload_names(n0))
+        commits, spins = _payload_sets(n0)
         reveals = {f"oracle-reveals[{b_id}]" for _, b_id in scenario.oracle_pairs}
         b0 = built.sites[scenario.b0_id]
         confirmations = tuple([f.receive for f, k in zip(flights, kept) if not k.isdisjoint(commits)])
@@ -595,11 +603,13 @@ def _session_plan(
         wanted = {"declarations", "reveal", "challenge", f"spin[{n0 - 1}]"}
         for flight, k in zip(flights, kept):
             payloads, positions = flight.payloads, flight.positions
-            found += [(positions[payloads.index(p)], p, flight) for p in wanted.intersection(k)]
+            if not wanted.isdisjoint(k):
+                found += [(positions[payloads.index(p)], p, flight) for p in wanted.intersection(k)]
             if flight.emit.t <= t_c and not k.isdisjoint(spins):
                 late += [(position, p) for position, p in zip(positions, payloads) if p in k and p in spins]
         carried = set().union(*kept)
-        missing = [message.payload for message in built.messages if message.payload not in carried]
+        if len(carried) < len(built.messages):  # built payloads are distinct, so none is missing otherwise
+            missing = list(filterfalse(carried.__contains__, map(attrgetter("payload"), built.messages)))
     # A built schedule names the flights read here; in a tampered one the
     # first message of each payload, in message order, is the one used.
     first = dict(schedule.stage_flights)

@@ -10,7 +10,8 @@ sender, one receiver, one emit event and one receive event, so timing,
 validation and planning cost one check per flight.  ``Schedule.messages``
 builds the individual messages, in order, only when something reads them;
 ``_group_flights`` groups a tampered or hand-built message list back into
-flights.
+flights.  Each pays once per message: a flight's messages come from one
+constructor pass in C, and grouping is one pass over the list.
 
 An ``Event`` whose time and position are already exact floats, as every
 ``Site.event_at`` event is, is kept as given once they are shown finite;
@@ -23,6 +24,7 @@ import functools
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import itemgetter
 from types import MappingProxyType
 from typing import NamedTuple
@@ -36,7 +38,6 @@ __all__ = [
     "Schedule",
     "Violation",
     "in_past_cone",
-    "lorentz_boost",
     "validate_schedule",
     "earliest_commitment_time",
 ]
@@ -111,22 +112,6 @@ def in_past_cone(q: Event, p: Event, atol: float = CONE_ATOL) -> bool:
     return (p.t - q.t) - _dist(p.x, q.x) >= -atol
 
 
-def lorentz_boost(event: Event, beta: Vec3) -> Event:
-    """Coordinates of ``event`` in a frame moving at velocity ``beta``."""
-    beta = _as_vec3(beta)
-    b2 = sum(b * b for b in beta)
-    if b2 >= 1.0:
-        raise ValueError("boost velocity must be subluminal")
-    if b2 == 0.0:
-        return event
-    gamma = 1.0 / math.sqrt(1.0 - b2)
-    bx = sum(b * c for b, c in zip(beta, event.x))
-    t_new = gamma * (event.t - bx)
-    scale = (gamma - 1.0) * bx / b2 - gamma * event.t
-    x_new = tuple(c + scale * b for c, b in zip(event.x, beta))
-    return Event(t_new, x_new)
-
-
 class Message(NamedTuple):
     """One transmission: emitted at one site, received at another.
 
@@ -177,12 +162,13 @@ class Schedule:
     first knows every oracle commitment is in its causal past; ``t_c`` is
     its time coordinate and ``t_r`` the deadline for tested-commitment
     openings.  ``confirmations`` holds the receive event of each flight
-    that carries a commitment, built or tampered.  ``sites`` is stored as a read-only mapping, since one
-    schedule may be shared by many transcripts.  ``committer_ids`` names
-    the sites whose messages are committer actions.  ``stage_flights``
-    pairs the payloads whose events a session plan reads with the flight
-    that carries each, as built; a schedule made from messages has none,
-    and it takes no part in comparing schedules.
+    that carries a commitment, built or tampered.  ``sites`` is stored as
+    a read-only mapping, since one schedule may be shared by many
+    transcripts; a pickle or copy holds it as a plain dict and wraps it
+    again.  ``committer_ids`` names the sites whose messages are committer
+    actions.  ``stage_flights`` pairs the payloads whose events a session
+    plan reads with the flight that carries each, as built; a schedule made
+    from messages has none, and it takes no part in comparing schedules.
     """
 
     sites: Mapping[str, Site] = field(repr=False)
@@ -197,13 +183,21 @@ class Schedule:
     def __post_init__(self):
         object.__setattr__(self, "sites", MappingProxyType(dict(self.sites)))
 
+    def __getstate__(self):
+        return {**self.__dict__, "sites": dict(self.sites)}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state, sites=MappingProxyType(state["sites"]))
+
     @functools.cached_property
     def messages(self) -> tuple[Message, ...]:
         """Every message in order, built on first read; a flight's messages share its events."""
         slots: list = [None] * sum(len(flight.positions) for flight in self.flights)
         for sender, receiver, emit, receive, payloads, positions in self.flights:
-            for payload, position in zip(payloads, positions):
-                slots[position] = Message(sender, receiver, emit, receive, payload)
+            # tuple.__new__ is what Message's generated __new__ calls, without its Python frame.
+            shared = zip(repeat(sender), repeat(receiver), repeat(emit), repeat(receive), payloads)
+            for position, message in zip(positions, map(tuple.__new__, repeat(Message), shared)):
+                slots[position] = message
         return tuple(slots)
 
 
@@ -211,15 +205,19 @@ def _group_flights(messages) -> tuple[Flight, ...]:
     """The flights of ``messages``, in order of their first message.
 
     Messages that share sender, receiver and emit and receive ``Event``
-    objects form one flight.
+    objects form one flight.  One pass appends each message's payload and
+    position to its flight's lists.
     """
-    messages = tuple(messages)
-    groups: dict[tuple, list[int]] = {}
-    for position, (sender, receiver, emit, receive, _) in enumerate(messages):
-        groups.setdefault((sender, receiver, id(emit), id(receive)), []).append(position)
-    return tuple(
-        [Flight(*messages[ps[0]][:4], tuple([messages[p][4] for p in ps]), tuple(ps)) for ps in groups.values()]
-    )
+    groups: dict[tuple, tuple] = {}
+    for position, (sender, receiver, emit, receive, payload) in enumerate(messages):
+        key = (sender, receiver, id(emit), id(receive))
+        group = groups.get(key)
+        if group is None:
+            groups[key] = (sender, receiver, emit, receive, [payload], [position])
+        else:
+            group[4].append(payload)
+            group[5].append(position)
+    return tuple([Flight(s, r, e, v, tuple(p), tuple(q)) for s, r, e, v, p, q in groups.values()])
 
 
 def validate_schedule(schedule: Schedule) -> list[Violation]:

@@ -15,7 +15,9 @@ every pre-reveal view, built as tuples, instead of counting integer view
 codes, and a reference session commits, reveals and measures one bit or
 particle at a time through a dict oracle and ``quantum.measure_label``
 instead of in arrays of pair codes, and the Monte Carlo samplers make each
-of their draws as one whole array instead of in row blocks.
+of their draws as one whole array instead of in row blocks.  The library
+needs no Lorentz boost; ``lorentz_boost`` is here as the instrument that
+shows the library's light-cone verdicts do not depend on the frame.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from scipy import linalg, optimize
 from certbit import protocol
 from certbit.protocol import DEFAULT_ENCODING, Declaration, SessionTranscript, Stage, Verdict
 from certbit.quantum import measure_label
+from certbit.spacetime import Event
 
 # The basis of basis code b: the one whose eigenstates pairs (b, 0) and (b, 1) send.
 BASIS_OF_CODE = (DEFAULT_ENCODING[0, 0].basis, DEFAULT_ENCODING[1, 0].basis)
@@ -140,6 +143,21 @@ def brute_force_open_probability(
         options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 5000},
     )
     return max(best_value, -float(refined.fun))
+
+
+def lorentz_boost(event: Event, beta) -> Event:
+    """Coordinates of ``event`` in a frame moving at velocity ``beta`` (c = 1)."""
+    beta = tuple(map(float, beta))
+    b2 = sum(b * b for b in beta)
+    if b2 >= 1.0:
+        raise ValueError("boost velocity must be subluminal")
+    if b2 == 0.0:
+        return event
+    gamma = 1.0 / math.sqrt(1.0 - b2)
+    bx = sum(b * c for b, c in zip(beta, event.x))
+    t_new = gamma * (event.t - bx)
+    scale = (gamma - 1.0) * bx / b2 - gamma * event.t
+    return Event(t_new, tuple(c + scale * b for c, b in zip(event.x, beta)))
 
 
 def reference_violations(schedule, atol: float = 1e-9) -> list[tuple[str, str, str]]:

@@ -38,7 +38,7 @@ from certbit.quantum import (
 )
 from certbit.rng import RandomStream
 from certbit.scenarios import EXIT_CAUSAL_ABORT, SCENARIOS
-from certbit.spacetime import Event, Site, earliest_commitment_time, in_past_cone, lorentz_boost
+from certbit.spacetime import Event, Site, earliest_commitment_time, in_past_cone
 
 import oracles
 
@@ -172,7 +172,7 @@ def test_criterion_6_relativistic_validity():
     events = events[:60]
     for axis in range(3):
         beta = tuple(0.5 if i == axis else 0.0 for i in range(3))
-        boosted = [lorentz_boost(e, beta) for e in events]
+        boosted = [oracles.lorentz_boost(e, beta) for e in events]
         for (q, bq) in zip(events, boosted):
             for (p, bp) in zip(events, boosted):
                 assert in_past_cone(q, p, atol=1e-9) == in_past_cone(bq, bp, atol=1e-9)

@@ -1,11 +1,15 @@
 """Protocol engine: params, oracle, encoding, stages, full sessions."""
 
+import copy
 import dataclasses
 import functools
+import hashlib
 import json
 import math
+import pickle
 import re
 import sys
+import zlib
 from collections import Counter
 from pathlib import Path
 from types import MappingProxyType
@@ -1070,6 +1074,70 @@ class TestMissingMessages:
         assert not accepted.any()
 
 
+def digest_tampers(sites):
+    """Deterministic tampers of one geometry, by name; none picks a message by ``hash()``."""
+    sites = {site.id: site for site in sites}
+    b0 = sites["B0"]
+
+    def reroute_commit3(messages):
+        return [
+            Message(m.sender, "B0", m.emit, b0.event_at(_arrival(b0, m.emit)), m.payload)
+            if m.payload == "commit[3]"
+            else m
+            for m in messages
+        ]
+
+    def retime_reveal(messages):
+        (declarations,) = [m for m in messages if m.payload == "declarations"]
+        out = []
+        for m in messages:
+            if m.payload == "reveal":
+                emit = sites[m.sender].event_at(declarations.emit.t)
+                m = Message(m.sender, m.receiver, emit, b0.event_at(_arrival(b0, emit)), m.payload)
+            out.append(m)
+        return out
+
+    return {
+        "none": None,
+        "identity": list,
+        "spin0-early": tamper_spin0,
+        "drop": lambda messages: [m for m in messages if zlib.crc32(m.payload.encode()) % 5],
+        "reroute": reroute_commit3,
+        "repeat": lambda messages: [*messages, *messages[::7]],
+        "reverse": lambda messages: messages[::-1],
+        "retime-reveal": retime_reveal,
+    }
+
+
+class TestTamperedPlanDigest:
+    """Every float, flight, violation, event and message of tampered plans, pinned by one sha256."""
+
+    PLAN_DIGEST = "a6e3d7bb1c36d40eaa92e9f0b3f8ab19f10402ba72a2d24de3ad018cb55ace24"
+
+    def test_tampered_plans_reproduce_pinned_digest(self):
+        digest = hashlib.sha256()
+        for seed in range(24):
+            base = random_moving_scenario(1000 + seed, None, *SCHEDULE_SHAPES[seed % len(SCHEDULE_SHAPES)])
+            for name, tamper in digest_tampers(base.sites).items():
+                scenario = dataclasses.replace(base, tamper=tamper)
+                for n0 in (4, 16, 64):
+                    schedule, violations, events = protocol._session_plan.__wrapped__(scenario, n0)
+                    fingerprint = repr((
+                        name,
+                        n0,
+                        [(*flight[:5], tuple(flight.positions)) for flight in schedule.flights],
+                        schedule.commitment_point,
+                        schedule.t_c,
+                        schedule.t_r,
+                        schedule.confirmations,
+                        violations,
+                        sorted(events.items()),
+                        schedule.messages,
+                    ))
+                    digest.update((fingerprint + "\n").encode())
+        assert digest.hexdigest() == self.PLAN_DIGEST
+
+
 class TestRunSessions:
     """The batched engine against the scalar path and the closed form, at n0 = 64, m = 16."""
 
@@ -1376,10 +1444,12 @@ class TestTranscriptOwnsItsFields:
 
 
 class TestSchedulePlanCost:
-    @pytest.mark.parametrize("scenario", [default_scenario(3), moving_scenario()], ids=["line", "moving"])
-    def test_plan_pays_per_flight_not_per_message(self, scenario, monkeypatch):
-        # Events, light arrivals, causal checks and messages are counted the
-        # way rng_calls counts draws.
+    PER_FLIGHT = ("_arrival", "in_past_cone", "on_worldline", "earliest_commitment_time")
+
+    @staticmethod
+    def count_calls(monkeypatch) -> Counter:
+        # Events, light arrivals, causal checks, message lists and groupings
+        # are counted the way rng_calls counts draws.
         calls = Counter()
         for owner, name in (
             (Event, "__post_init__"),
@@ -1390,6 +1460,7 @@ class TestSchedulePlanCost:
             (Site, "on_worldline"),
             (spacetime, "in_past_cone"),
             (spacetime, "_as_vec3"),
+            (protocol, "_group_flights"),
         ):
 
             def counted(*args, _original=getattr(owner, name), _name=name, **kwargs):
@@ -1397,6 +1468,20 @@ class TestSchedulePlanCost:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(owner, name, counted)
+        build_messages = Schedule.messages.func
+
+        def counted_messages(schedule):
+            calls["messages"] += 1
+            return build_messages(schedule)
+
+        messages = functools.cached_property(counted_messages)
+        messages.__set_name__(Schedule, "messages")
+        monkeypatch.setattr(Schedule, "messages", messages)
+        return calls
+
+    @pytest.mark.parametrize("scenario", [default_scenario(3), moving_scenario()], ids=["line", "moving"])
+    def test_plan_pays_per_flight_not_per_message(self, scenario, monkeypatch):
+        calls = self.count_calls(monkeypatch)
         counts = []
         for n0 in (16, 128):
             calls.clear()
@@ -1406,9 +1491,43 @@ class TestSchedulePlanCost:
         assert counts[0] == counts[1]
         assert counts[0]["earliest_commitment_time"] == 1
         assert counts[0]["on_worldline"] > 0 and counts[0]["in_past_cone"] > 0
+        assert "messages" not in counts[0] and "_group_flights" not in counts[0]
         # Builder events are built from a validated site's floats and are
         # not converted again.
         assert counts[0]["__post_init__"] > 0 and "_as_vec3" not in counts[0]
+
+    @pytest.mark.parametrize("base", [default_scenario(3), moving_scenario()], ids=["line", "moving"])
+    def test_tampered_plan_builds_and_groups_the_messages_once(self, base, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        scenario = dataclasses.replace(base, tamper=list)
+        counts = []
+        for n0 in (16, 128):
+            calls.clear()
+            schedule, violations, _ = protocol._session_plan.__wrapped__(scenario, n0)
+            assert violations == ()
+            assert "messages" not in schedule.__dict__  # only the built schedule's messages are read
+            assert calls["messages"] == 1 and calls["_group_flights"] == 1
+            counts.append({name: calls[name] for name in self.PER_FLIGHT})
+        assert counts[0] == counts[1]
+        assert all(counts[0].values())
+
+
+class TestTranscriptsPickle:
+    @pytest.mark.parametrize(
+        "strategy, scenario, verdict",
+        [
+            pytest.param(Honest(), None, Verdict.ACCEPT, id="accepted"),
+            pytest.param(ClassicalFlip(3), None, Verdict.REJECT, id="rejected"),
+            pytest.param(Honest(), moving_scenario(tamper=tamper_spin0), Verdict.ABORT, id="aborted"),
+        ],
+    )
+    def test_round_trips(self, strategy, scenario, verdict):
+        transcript = run_session(strategy, ProtocolParams(n0=16, m=4), scenario, RandomStream(3))
+        assert transcript.verdict is verdict
+        for copied in (pickle.loads(pickle.dumps(transcript)), copy.deepcopy(transcript)):
+            assert copied == transcript
+            assert copied.schedule.messages == transcript.schedule.messages
+            assert isinstance(copied.schedule.sites, MappingProxyType)
 
 
 class FixedUniform:

@@ -13,9 +13,9 @@ from certbit.spacetime import (
     _group_flights,
     earliest_commitment_time,
     in_past_cone,
-    lorentz_boost,
     validate_schedule,
 )
+from oracles import lorentz_boost
 
 ORIGIN = Event(0.0, (0.0, 0.0, 0.0))
 

@@ -608,7 +608,7 @@ def _session_plan(
             if flight.emit.t <= t_c and not k.isdisjoint(spins):
                 late += [(position, p) for position, p in zip(positions, payloads) if p in k and p in spins]
         carried = set().union(*kept)
-        if len(carried) < len(built.messages):  # built payloads are distinct, so none is missing otherwise
+        if len(carried) < len(built.messages):  # carried holds only built payloads: as many means none is missing
             missing = list(filterfalse(carried.__contains__, map(attrgetter("payload"), built.messages)))
     # A built schedule names the flights read here; in a tampered one the
     # first message of each payload, in message order, is the one used.

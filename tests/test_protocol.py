@@ -1075,7 +1075,11 @@ class TestMissingMessages:
 
 
 def digest_tampers(sites):
-    """Deterministic tampers of one geometry, by name; none picks a message by ``hash()``."""
+    """Deterministic tampers of one geometry, by name.
+
+    Each picks its messages by payload name or CRC, never by ``hash()``,
+    which ``PYTHONHASHSEED`` salts.
+    """
     sites = {site.id: site for site in sites}
     b0 = sites["B0"]
 

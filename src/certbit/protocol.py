@@ -252,7 +252,7 @@ class IdealCommitmentOracle:
         return int(certified) if indices.ndim == 0 else certified
 
     @property
-    def opened_indices(self) -> frozenset[int]:
+    def opened(self) -> frozenset[int]:
         return frozenset(self._opened)
 
     @property
@@ -353,16 +353,14 @@ class SessionTranscript:
     """Everything one run produced, stamped with schedule events.
 
     Fields are keyword-only.  What a session never reached keeps its empty
-    default: an aborted session has no bits, labels or events, and a
-    session rejected at tested verification has no declarations or claim.
+    default: an aborted session has no labels or events, and a session
+    rejected at tested verification has no declarations or claim.
     ``claimed_bit`` is ``None`` unless the strategy claimed an integer.
     """
 
     params: ProtocolParams
     strategy: str
-    committed_bits: tuple[int, ...] = ()
     sent_labels: tuple[SpinLabel, ...] = ()
-    challenge: tuple[int, ...] = ()
     untested: tuple[int, ...] = ()
     declarations: tuple[Declaration, ...] = ()
     claimed_bit: int | None = None
@@ -373,7 +371,6 @@ class SessionTranscript:
     events: dict = field(default_factory=dict)
     schedule: Schedule
     violations: tuple[Violation, ...] = ()
-    opened_indices: frozenset = frozenset()
 
     @property
     def accepted(self) -> bool:
@@ -424,7 +421,7 @@ class SessionTranscript:
                 "failed_stage": self.failed_stage.value if self.failed_stage else None,
                 "reject_index": self.reject_index,
                 "claimed_bit": self.claimed_bit,
-                "challenge_size": len(self.challenge),
+                "challenge_size": 0 if self.verdict is Verdict.ABORT else self.params.n_tested,
                 "violations": [str(v) for v in self.violations],
             }
         )
@@ -556,7 +553,6 @@ class ReductionScenario:
             sites=sites,
             flights=tuple(flights),
             commitment_point=commitment_point,
-            t_c=t_c,
             t_r=t_r,
             confirmations=confirmations,
             committer_ids=frozenset([self.alice_id, *senders]),
@@ -598,7 +594,7 @@ def _session_plan(
         confirmations = tuple([f.receive for f, k in zip(flights, kept) if not k.isdisjoint(commits)])
         t_c = earliest_commitment_time(b0, confirmations) if confirmations else built.t_c
         t_r = max([t_c, *[f.receive.t for f, k in zip(flights, kept) if not k.isdisjoint(reveals)]])
-        timing = dict(commitment_point=b0.event_at(t_c), t_c=t_c, t_r=t_r, confirmations=confirmations)
+        timing = dict(commitment_point=b0.event_at(t_c), t_r=t_r, confirmations=confirmations)
         schedule = Schedule(sites=built.sites, flights=flights, committer_ids=built.committer_ids, **timing)
         wanted = {"declarations", "reveal", "challenge", f"spin[{n0 - 1}]"}
         for flight, k in zip(flights, kept):
@@ -648,12 +644,6 @@ def _session_plan(
 def _declaration_table(n0: int) -> np.ndarray:
     """The shared declarations ``table[b, i]`` of particle i with basis code b for bit 0."""
     return _frozen(np.array([[Declaration(i, basis) for i in range(n0)] for basis in _BASES], dtype=object))
-
-
-@functools.lru_cache(maxsize=SCHEDULE_CACHE_SIZE)
-def _commitment_indices(n0: int) -> frozenset[int]:
-    """The indices of all ``2 * n0`` commitments of a session with ``n0`` particles."""
-    return frozenset(range(2 * n0))
 
 
 def run_session(
@@ -713,15 +703,8 @@ def run_session(
     is_untested = np.ones(params.n0, dtype=bool)
     is_untested[tested] = False
     (untested,) = is_untested.nonzero()
-    suspended = 2 * untested  # the commitments 2i and 2i + 1 of each untested particle i stay closed
     base = dict(
-        common,
-        committed_bits=tuple(committed.astype(np.int64, copy=False).tolist()),
-        sent_labels=tuple(_SIGNALS[sent].tolist()),
-        challenge=tuple(tested.tolist()),
-        untested=tuple(untested.tolist()),
-        events=dict(events),
-        opened_indices=_commitment_indices(params.n0).difference(suspended.tolist(), (suspended + 1).tolist()),
+        common, sent_labels=tuple(_SIGNALS[sent].tolist()), untested=tuple(untested.tolist()), events=dict(events)
     )
     if reject is not None:
         return SessionTranscript(verdict=Verdict.REJECT, failed_stage=Stage.TESTED, reject_index=reject, **base)

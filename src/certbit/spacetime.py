@@ -158,13 +158,13 @@ class Schedule:
     """Message timings for one protocol run, as flights, plus its distinguished events.
 
     ``flights`` holds each distinct flight once, in the order of its first
-    message.  ``commitment_point`` is where the verifier's anchor site
-    first knows every oracle commitment is in its causal past; ``t_c`` is
-    its time coordinate and ``t_r`` the deadline for tested-commitment
-    openings.  ``confirmations`` holds the receive event of each flight
-    that carries a commitment, built or tampered.  ``sites`` is stored as
-    a read-only mapping, since one schedule may be shared by many
-    transcripts; a pickle or copy holds it as a plain dict and wraps it
+    message.  ``commitment_point`` is where the verifier's anchor site first
+    knows every oracle commitment is in its causal past; ``t_c`` is read
+    from it as its time coordinate, and ``t_r`` is the deadline for
+    tested-commitment openings.  ``confirmations`` holds the receive event
+    of each flight that carries a commitment, built or tampered.  ``sites``
+    is stored as a read-only mapping, since one schedule may be shared by
+    many transcripts; a pickle or copy holds it as a plain dict and wraps it
     again.  ``committer_ids`` names the sites whose messages are committer
     actions.  ``stage_flights`` pairs the payloads whose events a session
     plan reads with the flight that carries each, as built; a schedule made
@@ -174,7 +174,6 @@ class Schedule:
     sites: Mapping[str, Site] = field(repr=False)
     flights: tuple[Flight, ...]
     commitment_point: Event
-    t_c: float
     t_r: float
     confirmations: tuple = ()
     committer_ids: frozenset[str] = frozenset()
@@ -188,6 +187,10 @@ class Schedule:
 
     def __setstate__(self, state):
         self.__dict__.update(state, sites=MappingProxyType(state["sites"]))
+
+    @property
+    def t_c(self) -> float:
+        return self.commitment_point.t
 
     @functools.cached_property
     def messages(self) -> tuple[Message, ...]:

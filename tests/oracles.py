@@ -382,7 +382,8 @@ def scalar_run_session(strategy, params, scenario=None, randomness=None) -> Sess
     plan and the strategy's own draws, but commits each bit through a
     ``DictCommitmentOracle``, opens each tested pair by index, and measures
     each particle with ``quantum.measure_label``, stopping at the first
-    failure of a stage.
+    failure of a stage.  It asserts that its oracle opened exactly the
+    tested pairs, which no transcript field records.
     """
     scenario = scenario or protocol.default_scenario()
     n0 = params.n0
@@ -391,7 +392,10 @@ def scalar_run_session(strategy, params, scenario=None, randomness=None) -> Sess
     fields = dict(params=params, strategy=getattr(strategy, "name", type(strategy).__name__), schedule=schedule)
 
     def transcript(verdict, **changes):
-        return SessionTranscript(**{**fields, **changes}, verdict=verdict, opened_indices=frozenset(oracle.opened))
+        # The oracle opened exactly the tested pairs, or nothing before the schedule passed.
+        challenged = set(range(n0)).difference(fields.get("untested", range(n0)))
+        assert oracle.opened == {j for i in challenged for j in (2 * i, 2 * i + 1)}, oracle.opened
+        return SessionTranscript(**{**fields, **changes}, verdict=verdict)
 
     if violations:
         return transcript(Verdict.ABORT, failed_stage=Stage.SCHEDULE, violations=tuple(violations))
@@ -402,7 +406,7 @@ def scalar_run_session(strategy, params, scenario=None, randomness=None) -> Sess
     labels = tuple(DEFAULT_ENCODING[bits[2 * i], bits[2 * i + 1]] for i in range(n0))
     tested = tuple(sorted(int(i) for i in randomness.permutation(n0)[: params.n_tested]))
     untested = tuple(i for i in range(n0) if i not in tested)
-    fields.update(committed_bits=bits, sent_labels=labels, challenge=tested, untested=untested, events=dict(events))
+    fields.update(sent_labels=labels, untested=untested, events=dict(events))
 
     opened = {i: DEFAULT_ENCODING[oracle.reveal(2 * i), oracle.reveal(2 * i + 1)] for i in tested}
     for particle in tested:

@@ -422,6 +422,20 @@ sessions = 25
         failed = [line for line in summary if line.startswith("FAIL: ")]
         assert failed == ["FAIL: p(Q) within the binding bound at every point after commitment"]
 
+    def test_honest_default_fails_on_a_late_commitment_time(self, tmp_path, monkeypatch):
+        # A commitment time half a unit after the last confirmation reaches B0.
+        earliest = protocol.earliest_commitment_time
+        monkeypatch.setattr(protocol, "earliest_commitment_time", lambda *args: earliest(*args) + 0.5)
+        protocol._session_plan.cache_clear()
+        try:
+            config = parse_config(ROOT / "configs" / "honest-default.ini")
+            assert run_experiment(config, out_dir=tmp_path / "out") == EXIT_EXPECTATION_FAILED
+        finally:
+            protocol._session_plan.cache_clear()  # no later test may read the late plan
+        summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+        failed = [line for line in summary if line.startswith("FAIL: ")]
+        assert failed == ["FAIL: t_c = 3.5 equals the maximal confirmation light delay 3.0"]
+
     def test_honest_default_fails_on_a_session_without_declarations(self, tmp_path, capsys):
         # An oracle that flips every bit fails the first session's tested openings, so it
         # sends no declarations and p(Q) cannot be evaluated.

@@ -139,7 +139,7 @@ class TestOracle:
         oracle = IdealCommitmentOracle()
         oracle.commit((0, 1, 1, 0, 1, 1), rng)
         assert oracle.reveal(np.array([[0, 1], [4, 5]])).tolist() == [[0, 1], [1, 1]]
-        assert oracle.opened_indices == {0, 1, 4, 5}
+        assert oracle.opened == {0, 1, 4, 5}
         with pytest.raises(KeyError):
             oracle.reveal(np.array([5, 6]))
         with pytest.raises(KeyError):
@@ -367,19 +367,42 @@ class TestRunSession:
     def test_transcript_structure(self, make_rng):
         params = ProtocolParams(n0=16, m=4)
         transcript = run_session(Honest(), params, randomness=make_rng(3))
-        assert len(transcript.committed_bits) == 32
-        assert len(transcript.challenge) == 12
+        assert len(transcript.sent_labels) == 16
         assert len(transcript.untested) == 4
         assert len(transcript.declarations) == 4
         assert transcript.schedule.t_r > transcript.schedule.t_c
         assert validate_schedule(transcript.schedule) == []
 
-    def test_suspended_commitments_never_opened(self, make_rng):
-        params = ProtocolParams(n0=16, m=4)
-        transcript = run_session(Honest(), params, randomness=make_rng(4))
-        suspended = {j for i in transcript.untested for j in (2 * i, 2 * i + 1)}
-        assert not (suspended & transcript.opened_indices)
-        assert len(transcript.opened_indices) == 2 * params.n_tested
+    @pytest.mark.parametrize("flip", [0.0, 0.1])
+    @pytest.mark.parametrize("strategy", [Honest(), ClassicalFlip(3)], ids=["honest", "flip3"])
+    def test_untested_commitments_never_opened(self, strategy, flip, monkeypatch):
+        # Rerun each session with the certified bits of its untested pairs
+        # flipped after the oracle's draws: a session that never reads them
+        # draws the same numbers and writes the same transcript.
+        params = ProtocolParams(n0=16, m=4, flip_probability=flip)
+        certify = protocol._certify
+
+        def flip_untested(untested, bits, *knobs):
+            certified, leak = certify(bits, *knobs)
+            certified[:, 2 * untested] ^= 1
+            certified[:, 2 * untested + 1] ^= 1
+            return certified, leak
+
+        seen = Counter()
+        for seed in range(40):
+            stream, flipped_stream = RandomStream(seed), RandomStream(seed)
+            transcript = run_session(strategy, params, randomness=stream)
+            untested = np.array(transcript.untested, dtype=np.int64)
+            with monkeypatch.context() as patch:
+                patch.setattr(protocol, "_certify", functools.partial(flip_untested, untested))
+                flipped = run_session(strategy, params, randomness=flipped_stream)
+            for field in dataclasses.fields(SessionTranscript):
+                assert getattr(flipped, field.name) == getattr(transcript, field.name), (field.name, seed)
+            assert stream.random() == flipped_stream.random(), seed
+            seen[transcript.verdict, transcript.failed_stage] += 1
+        assert seen[Verdict.REJECT, Stage.TESTED] < 40  # some sessions reach the declarations
+        if flip:
+            assert seen[Verdict.REJECT, Stage.TESTED]
 
     def test_classical_flip_reject_rate(self, make_rng):
         # Acceptance of a k-false reveal is 2^-k; measured over sessions.
@@ -407,7 +430,7 @@ class TestRunSession:
             if not transcript.accepted:
                 rejected += 1
                 assert (transcript.verdict, transcript.failed_stage) == (Verdict.REJECT, Stage.TESTED)
-                assert transcript.reject_index in transcript.challenge
+                assert transcript.reject_index in set(range(params.n0)).difference(transcript.untested)
         expected = 1.0 - ((1.0 - flip) ** 2 + flip / 2.0) ** params.n_tested
         sigma = math.sqrt(expected * (1.0 - expected) / sessions)
         assert abs(rejected / sessions - expected) <= 4 * sigma

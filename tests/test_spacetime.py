@@ -159,7 +159,6 @@ def toy_schedule(messages, t_c=0.0, t_r=1.0, sites=None):
         flights=_group_flights(messages),
         sites=sites,
         commitment_point=Event(t_c, (0, 0, 0)),
-        t_c=t_c,
         t_r=t_r,
     )
 

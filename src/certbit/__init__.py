@@ -16,7 +16,6 @@ from .quantum import (
     measure,
     partial_trace,
     purify,
-    schmidt_decompose,
     spin_state,
 )
 from .spacetime import Event, Schedule, Site, earliest_commitment_time, in_past_cone, validate_schedule

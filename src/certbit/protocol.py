@@ -436,15 +436,15 @@ SPIN_DELAY = 1.0
 
 
 @functools.lru_cache(maxsize=SCHEDULE_CACHE_SIZE)
-def _payload_names(n0: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The 2*n0 commit payloads and the n0 spin payloads, in message order."""
-    return tuple([f"commit[{i}]" for i in range(2 * n0)]), tuple([f"spin[{i}]" for i in range(n0)])
+def _payloads(n0: int) -> tuple[tuple[str, ...], tuple[str, ...], tuple[int, ...]]:
+    """The 2*n0 commit payloads, the n0 spin payloads, and the positions of their messages, in order."""
+    return tuple(f"commit[{i}]" for i in range(2 * n0)), tuple(f"spin[{i}]" for i in range(n0)), tuple(range(3 * n0))
 
 
 @functools.lru_cache(maxsize=SCHEDULE_CACHE_SIZE)
 def _payload_sets(n0: int) -> tuple[frozenset[str], frozenset[str]]:
-    """The commit and spin payloads of ``_payload_names(n0)`` as sets."""
-    return tuple(map(frozenset, _payload_names(n0)))
+    """The commit and spin payloads of ``_payloads(n0)`` as sets."""
+    return tuple(map(frozenset, _payloads(n0)[:2]))
 
 
 @dataclass(frozen=True)
@@ -455,15 +455,15 @@ class ReductionScenario:
     rest, with committer and verifier sites alternating along a line at
     unit separations.  All messages travel at light speed.  ``tamper``
     exists so shipped scenarios can inject causal violations: it takes the
-    built schedule's messages as a list of ``Message`` and returns a list.
-    The session plan applies it (``build_schedule`` ignores it), groups the
-    result into flights, times it from the commit and oracle-reveals
-    messages it carries, and aborts on every built payload it drops.  A
-    payload counts as carried only from the sender to the receiver the
-    builder sent it between.  It must be a pure function of the message
-    list, because ``run_session`` plans a scenario once per
-    ``(scenario, n0)`` and reuses the plan.  A scenario must therefore also
-    be hashable, as the frozen fields it is made of are.
+    built schedule's messages as a list of ``Message`` and returns a list,
+    whose events it may rebuild freely.  The session plan applies it
+    (``build_schedule`` ignores it), groups the result into flights by value,
+    times it from the commit and oracle-reveals messages it carries, and
+    aborts on every built payload it drops.  A payload counts as carried only
+    from the sender to the receiver the builder sent it between.  A tamper
+    must be a pure function of the message list, because ``run_session``
+    plans a scenario once per ``(scenario, n0)`` and reuses the plan.  A
+    scenario must therefore also be hashable, as its frozen fields are.
     """
 
     name: str = "line-default"
@@ -495,7 +495,7 @@ class ReductionScenario:
         sites = {site.id: site for site in self.sites}
         b0, alice = sites[self.b0_id], sites[self.alice_id]
         n_commitments = 2 * n0
-        commit_names, spin_names = _payload_names(n0)
+        commit_names, spin_names, positions = _payloads(n0)
 
         # Oracle commitments, one per committed bit, assigned round-robin
         # over the committer/receiver site pairs: all commitments of one
@@ -504,7 +504,7 @@ class ReductionScenario:
         senders = {a_id for a_id, _ in self.oracle_pairs}
         t0 = {a_id: sites[a_id].event_at(0.0) for a_id in senders}  # each sender's event at t = 0
         flights = [
-            self._flight(sites[a_id], sites[b_id], t0[a_id], commit_names[j::stride], range(j, n_commitments, stride))
+            self._flight(sites[a_id], sites[b_id], t0[a_id], commit_names[j::stride], positions[j:n_commitments:stride])
             for j, (a_id, b_id) in enumerate(self.oracle_pairs[:n_commitments])
         ]
         confirmations = tuple([flight.receive for flight in flights])
@@ -513,9 +513,7 @@ class ReductionScenario:
 
         # Spin particles, emitted strictly after t_c, all on the same flight.
         spins_emit_t = t_c + SPIN_DELAY
-        spins = self._flight(
-            alice, b0, alice.event_at(spins_emit_t), spin_names, range(n_commitments, n_commitments + n0)
-        )
+        spins = self._flight(alice, b0, alice.event_at(spins_emit_t), spin_names, positions[n_commitments:])
         flights.append(spins)
 
         # Every later flight carries one message, in the order they are sent.
@@ -576,12 +574,12 @@ def _session_plan(
     schedule = scenario.build_schedule(n0)
     found, late, missing = [], [], []
     if scenario.tamper is not None:
-        # A tamper may drop, rename, repeat, re-time, reroute or reorder
+        # A tamper may drop, rename, repeat, re-time, reroute, reorder or rebuild
         # messages.  A payload counts as carried only on the route (sender,
-        # receiver) the builder sent it on.  The tampered schedule is timed
-        # from the flights that so carry commit and oracle-reveals payloads,
-        # and scanned for the messages of the payloads read here, for spins
-        # that leave at or before t_c and for the built payloads it drops.
+        # receiver) the builder sent it on.  The tampered schedule is timed from
+        # the flights that so carry commit and oracle-reveals payloads, and scanned
+        # for the messages of the payloads read here, for spins that leave at or
+        # before t_c and for the built payloads it drops.
         built = schedule
         routes: dict[tuple[str, str], set[str]] = {}
         for flight in built.flights:

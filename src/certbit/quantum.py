@@ -1,9 +1,8 @@
 """Dense linear algebra for small multi-qubit registers.
 
 Pure states, density matrices, conjugate-basis spin states, Born-rule
-measurement, partial trace, Uhlmann fidelity, Schmidt decomposition and
-purification alignment.  Registers are capped at 12 qubits; everything is
-dense complex128.
+measurement, partial trace, Uhlmann fidelity and purification alignment.
+Registers are capped at 12 qubits; everything is dense complex128.
 
 All value types are immutable; operations are pure given the state of the
 :class:`~certbit.rng.RandomStream` they are handed.
@@ -25,7 +24,6 @@ __all__ = [
     "SpinLabel",
     "StateVector",
     "DensityMatrix",
-    "SchmidtDecomposition",
     "spin_state",
     "basis_eigenstates",
     "born_outcomes",
@@ -35,7 +33,6 @@ __all__ = [
     "signal_probabilities",
     "partial_trace",
     "fidelity",
-    "schmidt_decompose",
     "purify",
     "align_purifications",
     "apply_purifier_unitary",
@@ -109,11 +106,6 @@ class StateVector:
     @property
     def dim(self) -> int:
         return self.amplitudes.shape[0]
-
-    def allclose(self, other: "StateVector", atol: float = STATE_ATOL) -> bool:
-        return self.dim == other.dim and bool(
-            np.allclose(self.amplitudes, other.amplitudes, atol=atol)
-        )
 
     def density(self) -> "DensityMatrix":
         return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
@@ -307,42 +299,6 @@ def fidelity(rho0, rho1) -> float:
     eigenvalues = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
     value = float(np.sum(np.sqrt(eigenvalues)) ** 2)
     return min(max(value, 0.0), 1.0)
-
-
-@dataclass(frozen=True, eq=False)
-class SchmidtDecomposition:
-    """Result of a bipartite Schmidt decomposition.
-
-    ``coefficients`` descend; ``left_vectors``/``right_vectors`` hold the
-    orthonormal Schmidt vectors as columns.
-    """
-
-    coefficients: np.ndarray
-    left_vectors: np.ndarray
-    right_vectors: np.ndarray
-
-    def reconstruct(self) -> StateVector:
-        amps = np.zeros(
-            self.left_vectors.shape[0] * self.right_vectors.shape[0], dtype=np.complex128
-        )
-        for i, c in enumerate(self.coefficients):
-            amps += c * np.kron(self.left_vectors[:, i], self.right_vectors[:, i])
-        return StateVector(amps)
-
-
-def schmidt_decompose(state: StateVector, left_qubits: int) -> SchmidtDecomposition:
-    """Schmidt decomposition across the cut after the first ``left_qubits``."""
-    if not 1 <= left_qubits < state.n_qubits:
-        raise ValueError(f"cut {left_qubits} invalid for {state.n_qubits} qubits")
-    dim_left = 2**left_qubits
-    dim_right = state.dim // dim_left
-    matrix = state.amplitudes.reshape(dim_left, dim_right)
-    u, s, vh = np.linalg.svd(matrix, full_matrices=False)
-    return SchmidtDecomposition(
-        coefficients=_frozen(s.copy()),
-        left_vectors=_frozen(u.copy()),
-        right_vectors=_frozen(vh.T.copy()),
-    )
 
 
 def _eigh_descending(rho: DensityMatrix):

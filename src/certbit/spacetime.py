@@ -9,9 +9,9 @@ A schedule is stored as its flights: the messages of one flight share one
 sender, one receiver, one emit event and one receive event, so timing,
 validation and planning cost one check per flight.  ``Schedule.messages``
 builds the individual messages, in order, only when something reads them;
-``_group_flights`` groups a tampered or hand-built message list back into
-flights.  Each pays once per message: a flight's messages come from one
-constructor pass in C, and grouping is one pass over the list.
+``_group_flights`` groups any message list into flights by value, so equal
+rebuilt events share one.  Each pays once per message: a flight's messages
+come from one constructor pass in C, and grouping is one pass over the list.
 
 An ``Event`` whose time and position are already exact floats, as every
 ``Site.event_at`` event is, is kept as given once they are shown finite;
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import itemgetter
@@ -127,7 +127,7 @@ class Message(NamedTuple):
 
 
 class Flight(NamedTuple):
-    """Messages that share one emission and one reception.
+    """Messages that share one sender, receiver, emission and reception, by value.
 
     ``payloads[i]`` is carried by the message at index ``positions[i]`` of
     the schedule's message order; positions increase.
@@ -138,7 +138,7 @@ class Flight(NamedTuple):
     emit: Event
     receive: Event
     payloads: tuple[str, ...]
-    positions: Sequence[int]
+    positions: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -207,19 +207,21 @@ class Schedule:
 def _group_flights(messages) -> tuple[Flight, ...]:
     """The flights of ``messages``, in order of their first message.
 
-    Messages that share sender, receiver and emit and receive ``Event``
-    objects form one flight.  One pass appends each message's payload and
-    position to its flight's lists.
+    Messages with equal sender, receiver and emit and receive events form
+    one flight, whose events are its first message's.  A flight is keyed by
+    its route and times, which hash faster than coordinates; a later flight
+    with the same route and times but other coordinates adds them to its key.
     """
     groups: dict[tuple, tuple] = {}
     for position, (sender, receiver, emit, receive, payload) in enumerate(messages):
-        key = (sender, receiver, id(emit), id(receive))
+        key = (sender, receiver, emit.t, receive.t)
         group = groups.get(key)
+        if group is not None and (group[2].x != emit.x or group[3].x != receive.x):
+            group = groups.get(key := (*key, emit.x, receive.x))
         if group is None:
-            groups[key] = (sender, receiver, emit, receive, [payload], [position])
-        else:
-            group[4].append(payload)
-            group[5].append(position)
+            group = groups[key] = (sender, receiver, emit, receive, [], [])
+        group[4].append(payload)
+        group[5].append(position)
     return tuple([Flight(s, r, e, v, tuple(p), tuple(q)) for s, r, e, v, p, q in groups.values()])
 
 

@@ -3,21 +3,26 @@
 Nothing here imports the code paths it verifies: fidelity goes through
 scipy's Schur-based matrix square root instead of the library's
 eigendecomposition, purifier alignment is maximized by brute parameter
-sweep instead of SVD, pass probabilities come from exhaustive
-enumeration of outcome strings instead of the closed form, the unitary
-sweep's grid is scanned one point at a time instead of in one numpy batch,
-schedules are validated one message at a time instead of once per
-shared flight, honest reveals are judged against the sent states one
-particle at a time instead of by whole-tuple comparison, and the regimes
-of points after commitment are found by sampling points instead of from
-closed-form witnesses, the exact hiding statistics sum a dict of
-every pre-reveal view, built as tuples, instead of counting integer view
-codes, and a reference session commits, reveals and measures one bit or
-particle at a time through a dict oracle and ``quantum.measure_label``
-instead of in arrays of pair codes, and the Monte Carlo samplers make each
-of their draws as one whole array instead of in row blocks.  The library
-needs no Lorentz boost; ``lorentz_boost`` is here as the instrument that
-shows the library's light-cone verdicts do not depend on the frame.
+sweep instead of SVD, pass probabilities come from exhaustive enumeration
+of outcome strings instead of the closed form, the unitary sweep's grid is
+scanned one point at a time instead of in one numpy batch, schedules are
+validated one message at a time instead of once per shared flight, session
+plans are derived one message at a time, with t_c found by bisection with
+``math.dist``, instead of from flights grouped by value and the
+closed-form light arrival, honest reveals are judged against the sent
+states one particle at a time instead of by whole-tuple comparison, and
+the regimes of points after commitment are found by sampling points
+instead of from closed-form witnesses, the exact hiding statistics sum a
+dict of every pre-reveal view, built as tuples, instead of counting
+integer view codes, and a reference session commits, reveals and measures
+one bit or particle at a time through a dict oracle and
+``quantum.measure_label`` instead of in arrays of pair codes, and the
+Monte Carlo samplers make each of their draws as one whole array instead
+of in row blocks.  The library needs no Lorentz boost; ``lorentz_boost`` is
+here as the instrument that shows the library's light-cone verdicts do not
+depend on the frame.  Nor does it need a Schmidt decomposition:
+``schmidt_decompose`` is here because only the numerical-core property
+checks read it.
 """
 
 from __future__ import annotations
@@ -25,13 +30,15 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 from scipy import linalg, optimize
 
 from certbit import protocol
 from certbit.protocol import DEFAULT_ENCODING, Declaration, SessionTranscript, Stage, Verdict
-from certbit.quantum import measure_label
+from certbit.quantum import StateVector, measure_label
 from certbit.spacetime import Event
 
 # The basis of basis code b: the one whose eigenstates pairs (b, 0) and (b, 1) send.
@@ -145,6 +152,34 @@ def brute_force_open_probability(
     return max(best_value, -float(refined.fun))
 
 
+class SchmidtDecomposition(NamedTuple):
+    """A bipartite Schmidt decomposition.
+
+    ``coefficients`` descend; ``left_vectors``/``right_vectors`` hold the
+    orthonormal Schmidt vectors as columns.
+    """
+
+    coefficients: np.ndarray
+    left_vectors: np.ndarray
+    right_vectors: np.ndarray
+
+    def reconstruct(self) -> StateVector:
+        amps = np.zeros(self.left_vectors.shape[0] * self.right_vectors.shape[0], dtype=np.complex128)
+        for i, c in enumerate(self.coefficients):
+            amps += c * np.kron(self.left_vectors[:, i], self.right_vectors[:, i])
+        return StateVector(amps)
+
+
+def schmidt_decompose(state: StateVector, left_qubits: int) -> SchmidtDecomposition:
+    """Schmidt decomposition across the cut after the first ``left_qubits``, by SVD."""
+    if not 1 <= left_qubits < state.n_qubits:
+        raise ValueError(f"cut {left_qubits} invalid for {state.n_qubits} qubits")
+    dim_left = 2**left_qubits
+    matrix = state.amplitudes.reshape(dim_left, state.dim // dim_left)
+    u, s, vh = np.linalg.svd(matrix, full_matrices=False)
+    return SchmidtDecomposition(coefficients=s, left_vectors=u, right_vectors=vh.T)
+
+
 def lorentz_boost(event: Event, beta) -> Event:
     """Coordinates of ``event`` in a frame moving at velocity ``beta`` (c = 1)."""
     beta = tuple(map(float, beta))
@@ -195,6 +230,94 @@ def reference_violations(schedule, atol: float = 1e-9) -> list[tuple[str, str, s
     if not schedule.t_r > schedule.t_c:
         found.append(("ordering", "t_r", f"t_r={schedule.t_r} must be strictly after t_c={schedule.t_c}"))
     return found
+
+
+def light_arrival(site, event) -> float:
+    """First time on ``site``'s worldline whose closed past light cone holds ``event``.
+
+    Bisects on ``(t - event.t) - math.dist(x(t), event.x)``, which grows with
+    t on a subluminal worldline, until the bracket is two adjacent floats,
+    instead of solving the library's quadratic.
+    """
+
+    def reached(t: float) -> bool:
+        here = [p + v * t for p, v in zip(site.position, site.velocity)]
+        return (t - event.t) - math.dist(here, event.x) >= 0.0
+
+    lo = hi = event.t
+    step = 1.0
+    while not reached(hi):
+        lo, hi, step = hi, event.t + step, 2.0 * step
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (lo, mid) if reached(mid) else (mid, hi)
+    return hi
+
+
+class ReferencePlan(NamedTuple):
+    """What a session plan derives from a scenario's messages, one message at a time."""
+
+    messages: list
+    violations: list[tuple[str, str]]  # (kind, payload), in the plan's order
+    t_c: float
+    t_r: float
+    confirmations: set
+    events: dict
+
+
+def reference_plan(scenario, n0: int) -> ReferencePlan:
+    """The session plan of ``scenario`` at ``n0``, message by message.
+
+    Applies the tamper to the built messages and walks the result one
+    message at a time, with no flights: a message carries its payload only
+    on the (sender, receiver) route the builder sent that payload on; t_c is
+    the latest ``light_arrival`` at the anchor site of a carried commitment,
+    or of a built one if none is carried; t_r is the latest carried
+    oracle-reveals reception, or t_c; causality comes from
+    ``reference_violations``, then every carried spin emitted at or before
+    t_c, every built payload no message carries, and a first carried reveal
+    emitted at or before the first carried declarations.  The stage events
+    are read from the first carried message of each payload.
+    """
+    built = scenario.build_schedule(n0).messages
+    messages = list(built) if scenario.tamper is None else list(scenario.tamper(list(built)))
+    sites = {site.id: site for site in scenario.sites}
+    anchor = sites[scenario.b0_id]
+    route = {m.payload: (m.sender, m.receiver) for m in built}
+    carried = [m for m in messages if route.get(m.payload) == (m.sender, m.receiver)]
+
+    def receptions(prefix: str, among) -> set:
+        return {m.receive for m in among if m.payload.startswith(prefix)}
+
+    def anchor_event(t: float) -> Event:
+        return Event(t, tuple(p + v * t for p, v in zip(anchor.position, anchor.velocity)))
+
+    confirmations = receptions("commit[", carried)
+    t_c = max(light_arrival(anchor, e) for e in confirmations or receptions("commit[", built))
+    t_r = max([t_c, *(e.t for e in receptions("oracle-reveals[", carried))])
+    timed = SimpleNamespace(messages=messages, sites=sites, t_c=t_c, t_r=t_r)
+    violations = [(kind, payload) for kind, payload, _ in reference_violations(timed)]
+    violations += [("ordering", m.payload) for m in carried if m.payload.startswith("spin[") and m.emit.t <= t_c]
+    payloads = {m.payload for m in carried}
+    violations += [("missing", m.payload) for m in built if m.payload not in payloads]
+    first = {}
+    for m in carried:
+        first.setdefault(m.payload, m)
+    declarations, reveal = first.get("declarations"), first.get("reveal")
+    if declarations and reveal and reveal.emit.t <= declarations.emit.t:
+        violations.append(("ordering", "reveal"))
+    commitment_point = anchor_event(t_c)
+    last_spin = first.get(f"spin[{n0 - 1}]")
+    events = {
+        "commitment_point": commitment_point,
+        "spins_received": last_spin.receive if last_spin else commitment_point,
+        "tested_verified": anchor_event(t_r),
+    }
+    for payload in ("challenge", "declarations", "reveal"):
+        message = first.get(payload)
+        events[f"{payload}_received"] = message and message.receive
+        if payload != "challenge":
+            events[f"{payload}_emitted"] = message and message.emit
+    return ReferencePlan(messages, violations, t_c, t_r, confirmations, events)
 
 
 def enumerate_flip_pass_probability(k: int) -> float:

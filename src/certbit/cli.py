@@ -35,7 +35,9 @@ same name.
 
 Machine-readable outputs are line-delimited JSON records carrying a
 ``schema`` version field; the human summary is derived from them and never
-parsed back.  The same config and seed reproduce byte-identical machine
+parsed back.  The ``experiment`` header of ``report.jsonl`` holds the
+scenario, seed, exit status and the value of each of the scenario's fields
+(``null`` for an unset ``trials``, the scenario's default).  The same config and seed reproduce byte-identical machine
 outputs.
 """
 
@@ -184,9 +186,6 @@ def _checked(config: ExperimentConfig, errors: list[str]) -> ExperimentConfig:
         errors.append("analysis.k_values: must list at least one k")
     if any(k < 0 for k in config.k_values):
         errors.append("analysis.k_values: every k must be >= 0")
-    # A scenario that reads k_values declares k of the m untested particles falsely.
-    if spec and ("analysis", "k_values") in spec.fields and any(k > config.m for k in config.k_values):
-        errors.append(f"analysis.k_values: every k must be <= m = {config.m}")
     if not config.alpha_squares:
         errors.append("analysis.alpha_squares: must list at least one value")
     if not all(0.0 <= a <= 1.0 for a in config.alpha_squares):
@@ -224,8 +223,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
         "type": "experiment",
         "scenario": config.scenario,
         "seed": config.seed,
-        "trials": config.trials,
         "status": result.status,
+        **{key: getattr(config, key) for _, key in spec.fields},
     }
     if config.format in ("machine", "both"):
         _write_records(out / "report.jsonl", [header, *result.records])

@@ -72,13 +72,12 @@ def test_criterion_2_cheat_detection_curve():
     """Monte Carlo pass rate within 4 sigma of exact 2^-k for k = 1..8."""
     budget = 300.0
     start = time.monotonic()
-    params = ProtocolParams(n0=64, m=16)
     randomness = RandomStream(2)
     trials = 100_000
     assert detection_probability_exact(8) == 0.00390625
     worst = 0.0
     for k in range(1, 9):
-        estimate = detection_probability_mc(ClassicalFlip(k), params, trials, randomness)
+        estimate = detection_probability_mc(ClassicalFlip(k), trials, randomness)
         exact = detection_probability_exact(k)
         sigma = math.sqrt(exact * (1.0 - exact) / trials)
         deviation = abs(estimate.value - exact) / sigma

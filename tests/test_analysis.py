@@ -97,38 +97,33 @@ class TestDetectionProbability:
 
     def test_honest_estimate_is_deterministic_unity(self, make_rng, rng_calls):
         # No false declaration: the pass rate is exactly 1, and nothing is sampled.
-        params = ProtocolParams(n0=64, m=16)
         for strategy in (Honest(), ClassicalFlip(0)):
-            quantity = detection_probability_mc(strategy, params, 10_000, make_rng(1))
+            quantity = detection_probability_mc(strategy, 10_000, make_rng(1))
             assert quantity == Quantity(1.0, "exact")
         assert not rng_calls.counts
 
     def test_flip_two_estimate(self, make_rng):
-        params = ProtocolParams(n0=64, m=16)
-        quantity = detection_probability_mc(ClassicalFlip(2), params, 100_000, make_rng(2))
+        quantity = detection_probability_mc(ClassicalFlip(2), 100_000, make_rng(2))
         assert quantity.ci[0] <= 0.25 <= quantity.ci[1]
 
     def test_mc_converges_for_all_k_up_to_ten(self, make_rng):
         # |estimate - 2^-k| < 4 sigma at 1e5 trials for every k <= 10.
-        params = ProtocolParams(n0=64, m=16)
         rng = make_rng(3)
         trials = 100_000
         for k in range(1, 11):
-            estimate = detection_probability_mc(ClassicalFlip(k), params, trials, rng)
+            estimate = detection_probability_mc(ClassicalFlip(k), trials, rng)
             exact = detection_probability_exact(k)
             sigma = math.sqrt(exact * (1.0 - exact) / trials)
             assert abs(estimate.value - exact) < 4.0 * sigma, f"k={k}"
 
     def test_seeded_reproducibility(self, make_rng):
-        params = ProtocolParams(n0=64, m=16)
-        first = detection_probability_mc(ClassicalFlip(3), params, 50_000, make_rng(4))
-        second = detection_probability_mc(ClassicalFlip(3), params, 50_000, make_rng(4))
+        first = detection_probability_mc(ClassicalFlip(3), 50_000, make_rng(4))
+        second = detection_probability_mc(ClassicalFlip(3), 50_000, make_rng(4))
         assert first == second
 
     def test_minimum_trials_enforced(self, make_rng):
-        params = ProtocolParams(n0=64, m=16)
         with pytest.raises(ValueError, match="10\\^3"):
-            detection_probability_mc(Honest(), params, 10, make_rng(5))
+            detection_probability_mc(Honest(), 10, make_rng(5))
 
     def test_one_match_probability_stands_for_every_conjugate_measurement(self):
         # The Monte Carlo draws no signal state and no claim: it measures sent UP
@@ -145,25 +140,24 @@ class TestDetectionProbability:
 
     @pytest.mark.parametrize("k", [1, 5, 16])
     def test_one_draw_per_call(self, k, rng_calls):
-        detection_probability_mc(ClassicalFlip(k), ProtocolParams(n0=64, m=16), 2000, RandomStream(k))
+        detection_probability_mc(ClassicalFlip(k), 2000, RandomStream(k))
         assert dict(rng_calls.counts) == {"random": 1}
         assert rng_calls.rows == [2000]
 
     def test_one_draw_per_row_block(self, rng_calls):
         trials = 2 * protocol.SESSION_CHUNK + 3
-        detection_probability_mc(ClassicalFlip(8), ProtocolParams(n0=64, m=16), trials, RandomStream(8))
+        detection_probability_mc(ClassicalFlip(8), trials, RandomStream(8))
         assert dict(rng_calls.counts) == {"random": math.ceil(trials / protocol.SESSION_CHUNK)}
         assert sum(rng_calls.rows) == trials
 
     @pytest.mark.parametrize("trials", [MIN_DETECTION_TRIALS, 2 * protocol.SESSION_CHUNK + 3])
     @pytest.mark.parametrize("k", [1, 8, 16])
     def test_row_blocks_count_what_the_one_draw_counts(self, k, trials):
-        params = ProtocolParams(n0=64, m=16)
         for seed in range(3):
             stream, reference = RandomStream(seed), RandomStream(seed)
             successes = oracles.one_shot_pass_count(k, trials, reference)
             expected = Quantity(successes / trials, "monte-carlo", trials=trials, ci=wilson_interval(successes, trials))
-            assert detection_probability_mc(ClassicalFlip(k), params, trials, stream) == expected
+            assert detection_probability_mc(ClassicalFlip(k), trials, stream) == expected
             assert stream.random() == reference.random()
 
 
@@ -279,8 +273,8 @@ class TestMonteCarloMemory:
 
     @pytest.mark.parametrize("trials", [100_000, 400_000])
     def test_detection_peak_does_not_grow_with_trials(self, trials):
-        params, randomness = ProtocolParams(n0=64, m=16), RandomStream(1)
-        assert _traced_peak(lambda: detection_probability_mc(ClassicalFlip(8), params, trials, randomness)) <= 1e6
+        randomness = RandomStream(1)
+        assert _traced_peak(lambda: detection_probability_mc(ClassicalFlip(8), trials, randomness)) <= 1e6
 
     def test_hiding_sampler_holds_at_most_eight_bytes_per_atom(self):
         params, randomness, trials = ProtocolParams(n0=64, m=16), RandomStream(1), 80_000
@@ -316,8 +310,8 @@ class TestCheatSum:
         # other, sampled by the reveal-stage Monte Carlo.
         params = ProtocolParams(n0=64, m=16)
         rng = make_rng(8)
-        p0 = detection_probability_mc(Honest(), params, 100_000, rng)
-        p1 = detection_probability_mc(ClassicalFlip(params.m), params, 100_000, rng)
+        p0 = detection_probability_mc(Honest(), 100_000, rng)
+        p1 = detection_probability_mc(ClassicalFlip(params.m), 100_000, rng)
         exact = cheat_sum(params).p_sum.value
         assert exact == 1.0 + 2.0**-16
         assert p0 == Quantity(1.0, "exact")

@@ -123,7 +123,6 @@ class TestConfigParsing:
             ("honest-default", "sessions", "0"),
             ("purification-nogo", "theta_points", "0"),
             ("purification-nogo", "theta_points", "1"),
-            ("flip-sweep", "k_values", "1,17"),  # at the default m = 16
             ("flip-sweep", "k_values", "-1"),
             ("entangle-demo", "alpha_squares", "0,1.5"),
             ("entangle-demo", "alpha_squares", "-0.25"),
@@ -167,7 +166,7 @@ class TestConfigParsing:
 # and format, which every config may set.
 READS = {
     "honest-default": {"trials", "n0", "m", "flip_probability", "leak_probability", "suspension_rounds", "sessions"},
-    "flip-sweep": {"trials", "n0", "m", "k_values"},
+    "flip-sweep": {"trials", "k_values"},
     "entangle-demo": {"trials", "alpha_squares"},
     "purification-nogo": {"theta_points"},
     "oracle-degradation": {"trials", "n0", "m", "flip_probability", "leak_probability"},
@@ -186,8 +185,7 @@ SECTIONS = {
     "alpha_squares": "analysis",
 }
 # A value that passes each key's own range check and differs from its shipped
-# and default values.  flip-sweep's n0 and m reach no output byte, only its
-# checks: n0 = 32 < 4 m fails its ProtocolParams, and m = 4 < k = 8 its k <= m.
+# and default values.
 CHANGED = {
     "trials": "1000",
     "n0": "128",
@@ -200,11 +198,10 @@ CHANGED = {
     "theta_points": "5",
     "alpha_squares": "0.5",
 }
-CHANGED_FOR = {("flip-sweep", "n0"): "32", ("flip-sweep", "m"): "4"}
 # Small sizes at which each scenario runs through, setting only keys it reads.
 SMALL = {
     "honest-default": dict(trials=200, n0=8, m=2, sessions=2),
-    "flip-sweep": dict(trials=MIN_DETECTION_TRIALS, n0=8, m=2, k_values=(1, 2)),
+    "flip-sweep": dict(trials=MIN_DETECTION_TRIALS, k_values=(1, 2)),
     "entangle-demo": dict(trials=MIN_DETECTION_TRIALS, alpha_squares=(0.5,)),
     "purification-nogo": dict(theta_points=2),
     "oracle-degradation": dict(trials=10, n0=8, m=2),
@@ -233,6 +230,12 @@ def machine_outputs(path, out, *flags):
     return status, *(file.read_bytes() if file.exists() else None for file in files)
 
 
+def without_header(outputs):
+    """``machine_outputs`` less line 1 of report.jsonl, the header, which echoes every declared key."""
+    status, report, transcript = outputs
+    return status, report and report.split(b"\n", 1)[1], transcript
+
+
 @pytest.fixture(scope="module")
 def shipped_outputs(tmp_path_factory):
     out = tmp_path_factory.mktemp("shipped")
@@ -246,7 +249,7 @@ class TestScenarioFields:
         assert {name: set(spec.fields) for name, spec in scenarios.SCENARIOS.items()} == {
             name: {(SECTIONS[key], key) for key in keys} for name, keys in READS.items()
         }
-        assert sum(4 + len(keys) for keys in READS.values()) == 46
+        assert sum(4 + len(keys) for keys in READS.values()) == 44
 
     @pytest.mark.parametrize("name", READS)
     def test_run_reads_exactly_its_fields(self, name):
@@ -288,9 +291,8 @@ class TestScenarioFields:
 
     @pytest.mark.parametrize("name, key", [pair for pair in PAIRS if pair[1] in READS[pair[0]]])
     def test_declared_key_changes_the_run(self, tmp_path, shipped_outputs, name, key):
-        value = CHANGED_FOR.get((name, key), CHANGED[key])
-        changed = machine_outputs(shipped_with(tmp_path, name, key, value), tmp_path / "out")
-        assert changed != shipped_outputs[name]
+        changed = machine_outputs(shipped_with(tmp_path, name, key, CHANGED[key]), tmp_path / "out")
+        assert without_header(changed) != without_header(shipped_outputs[name])
 
 
 class TestScenarioRegistry:
@@ -359,6 +361,25 @@ k_values = 0,1
         assert detection[0]["exact"] == {"provenance": "exact", "value": 1.0}
         assert "monte_carlo" not in detection[0]
         assert detection[1]["monte_carlo"]["provenance"] == "monte-carlo"
+
+    def test_flip_sweep_samples_a_k_above_the_default_m(self, tmp_path):
+        # The pass rate 2^-k depends on k alone, so no protocol size bounds k.
+        body = """
+[experiment]
+scenario = flip-sweep
+seed = 3
+trials = 2000
+
+[analysis]
+k_values = 1,17
+"""
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, body)), "--out", str(out), "--format", "machine"]) == 0
+        lines = (out / "report.jsonl").read_text().splitlines()
+        detection = {record["k"]: record for record in map(json.loads, lines) if record["type"] == "detection"}
+        assert sorted(detection) == [1, 17]
+        assert detection[17]["exact"] == {"provenance": "exact", "value": 2.0**-17}
+        assert detection[17]["monte_carlo"]["trials"] == 2000
 
     def test_summary_written(self, tmp_path, capsys):
         body = """

@@ -49,10 +49,8 @@ def leaked_fraction(leak):
 
 
 def detection(k):
-    params = ProtocolParams(n0=64, m=16)
-
     def audit(randomness):
-        estimate = detection_probability_mc(ClassicalFlip(k), params, 10_000, randomness)
+        estimate = detection_probability_mc(ClassicalFlip(k), 10_000, randomness)
         return estimate.ci, detection_probability_exact(k)
 
     return audit

@@ -53,6 +53,11 @@ light cone, the spins leave A1 one time unit later, and the tamper makes
 spin[0] arrive 0.25 after it left, at B0, one unit of distance away.  The
 audit recomputes both times from the sites written out here.
 
+Line 1 of every report, the ``experiment`` header, must name the
+scenario, the seed and the run's exit status, and exactly the fields the
+scenario's ``ScenarioSpec`` declares, at the values ``parse_config`` reads
+from the shipped config: tuples as JSON lists, an unset ``trials`` as null.
+
 A record type the audit has no check for fails it, and so does a
 directory of ``runs/`` that it has no audit for.
 """
@@ -67,7 +72,9 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
+from certbit.cli import parse_config
 from certbit.protocol import SPIN_DELAY, ReductionScenario
+from certbit.scenarios import EXIT_CAUSAL_ABORT, EXIT_OK, SCENARIOS
 
 ROOT = Path(__file__).resolve().parents[1]
 NOGO_REPORT = ROOT / "runs" / "purification-nogo" / "report.jsonl"
@@ -627,3 +634,18 @@ AUDITED_RUNS = {
 def test_every_shipped_run_is_audited():
     shipped = sorted(path.name for path in (ROOT / "runs").iterdir() if path.is_dir())
     assert shipped == sorted(AUDITED_RUNS)
+
+
+@pytest.mark.parametrize("name", sorted(AUDITED_RUNS))
+def test_report_header_records_the_declared_fields(name):
+    config = parse_config(ROOT / "configs" / f"{name}.ini")
+    declared = {key: getattr(config, key) for _, key in SCENARIOS[name].fields}
+    expected = {
+        "schema": 1,
+        "type": "experiment",
+        "scenario": name,
+        "seed": config.seed,
+        "status": EXIT_CAUSAL_ABORT if name == "causal-violation" else EXIT_OK,
+        **{key: list(value) if isinstance(value, tuple) else value for key, value in declared.items()},
+    }
+    assert load(ROOT / "runs" / name / "report.jsonl")[0] == expected

@@ -37,8 +37,8 @@ Machine-readable outputs are line-delimited JSON records carrying a
 ``schema`` version field; the human summary is derived from them and never
 parsed back.  The ``experiment`` header of ``report.jsonl`` holds the
 scenario, seed, exit status and the value of each of the scenario's fields
-(``null`` for an unset ``trials``, the scenario's default).  The same config and seed reproduce byte-identical machine
-outputs.
+(``null`` for an unset ``trials``, the scenario's default).  The same
+config and seed reproduce byte-identical machine outputs.
 """
 
 from __future__ import annotations

@@ -13,8 +13,6 @@ package modules.  These are all the keys there are, at their defaults::
     [protocol]
     n0 = 64
     m = 16
-    flip_probability = 0.0
-    leak_probability = 0.0
 
     [spacetime]
     suspension_rounds = 0
@@ -31,7 +29,8 @@ scenario's ``ScenarioSpec.fields``; any other key is an error that names
 it and the scenario.  Only ``experiment.scenario`` and ``experiment.seed``
 are required.  An unset ``out`` is ``runs/<scenario>``, and every other
 unset key takes the default of the :class:`ExperimentConfig` field of the
-same name.
+same name.  A list is comma-separated; an empty item or a repeated value
+is an error.
 
 Machine-readable outputs are line-delimited JSON records carrying a
 ``schema`` version field; the human summary is derived from them and never
@@ -69,8 +68,6 @@ class ExperimentConfig:
     format: str = "both"
     n0: int = 64
     m: int = 16
-    flip_probability: float = 0.0
-    leak_probability: float = 0.0
     suspension_rounds: int = 0
     sessions: int = 200
     k_values: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8)
@@ -78,15 +75,9 @@ class ExperimentConfig:
     alpha_squares: tuple[float, ...] = (0.0, 0.25, 0.5, 1.0)
 
     def params(self, **overrides) -> ProtocolParams:
-        values = dict(
-            n0=self.n0,
-            m=self.m,
-            flip_probability=self.flip_probability,
-            leak_probability=self.leak_probability,
-        )
-        values.update(overrides)
+        """The config's sizes on the ideal oracle, with any oracle knob a scenario sets passed as ``overrides``."""
         try:
-            return ProtocolParams(**values)
+            return ProtocolParams(self.n0, self.m, **overrides)
         except ValueError as error:
             raise ConfigError(f"protocol: {error}") from error
 
@@ -94,12 +85,13 @@ class ExperimentConfig:
         return self.trials if self.trials is not None else default
 
 
+# A blank value is the empty list; an empty item, as in "2,,2" or "2,", cannot be parsed.
 def _int_list(raw: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in raw.replace(" ", "").split(",") if part)
+    return tuple(int(part) for part in raw.split(",")) if raw.strip() else ()
 
 
 def _float_list(raw: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in raw.replace(" ", "").split(",") if part)
+    return tuple(float(part) for part in raw.split(",")) if raw.strip() else ()
 
 
 # The (section, key, converter) of every config field; each key is the name
@@ -113,8 +105,6 @@ _FIELDS = (
     ("experiment", "format", str),
     ("protocol", "n0", int),
     ("protocol", "m", int),
-    ("protocol", "flip_probability", float),
-    ("protocol", "leak_probability", float),
     ("spacetime", "suspension_rounds", int),
     ("analysis", "sessions", int),
     ("analysis", "k_values", _int_list),
@@ -186,10 +176,14 @@ def _checked(config: ExperimentConfig, errors: list[str]) -> ExperimentConfig:
         errors.append("analysis.k_values: must list at least one k")
     if any(k < 0 for k in config.k_values):
         errors.append("analysis.k_values: every k must be >= 0")
+    if len(set(config.k_values)) < len(config.k_values):
+        errors.append("analysis.k_values: every k must be listed once")
     if not config.alpha_squares:
         errors.append("analysis.alpha_squares: must list at least one value")
     if not all(0.0 <= a <= 1.0 for a in config.alpha_squares):
         errors.append("analysis.alpha_squares: every value must lie in [0, 1]")
+    if len(set(config.alpha_squares)) < len(config.alpha_squares):
+        errors.append("analysis.alpha_squares: every value must be listed once")
     # Validate protocol sizes eagerly so bad configs fail before running.
     try:
         config.params()

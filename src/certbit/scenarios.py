@@ -34,7 +34,7 @@ from .analysis import (
     nogo_tradeoff_sweep,
     wilson_interval,
 )
-from .protocol import ProtocolParams, ReductionScenario, Verdict, default_scenario, run_session, run_sessions
+from .protocol import ReductionScenario, Verdict, default_scenario, run_session, run_sessions
 from .quantum import partial_trace
 from .rng import RandomStream
 from .spacetime import Event, Message
@@ -369,7 +369,7 @@ def _superluminal_spin(messages: list[Message]) -> list[Message]:
 
 def _run_causal_violation(config) -> ExperimentResult:
     result = ExperimentResult("causal-violation", EXIT_OK)
-    params = ProtocolParams(config.n0, config.m)  # the injected violation aborts before any oracle knob acts
+    params = config.params()
     scenario = ReductionScenario(
         name="superluminal-spin", suspension_rounds=config.suspension_rounds, tamper=_superluminal_spin
     )
@@ -402,7 +402,6 @@ def _run_causal_violation(config) -> ExperimentResult:
 
 _TRIALS = (("experiment", "trials"),)
 _SIZES = (("protocol", "n0"), ("protocol", "m"))
-_ORACLE = _SIZES + (("protocol", "flip_probability"), ("protocol", "leak_probability"))
 
 
 @dataclass(frozen=True)
@@ -421,7 +420,7 @@ SCENARIOS = {
             "honest-default",
             "honest sessions on the default line geometry; completeness, causality and hiding checks",
             _run_honest_default,
-            _TRIALS + _ORACLE + (("spacetime", "suspension_rounds"), ("analysis", "sessions")),
+            _TRIALS + _SIZES + (("spacetime", "suspension_rounds"), ("analysis", "sessions")),
         ),
         ScenarioSpec(
             "flip-sweep",
@@ -447,7 +446,7 @@ SCENARIOS = {
             "oracle-degradation",
             "composed-protocol sensitivity to oracle flip/leak imperfections",
             _run_oracle_degradation,
-            _TRIALS + _ORACLE,
+            _TRIALS + _SIZES,
             min_degradation_sessions,
         ),
         ScenarioSpec(

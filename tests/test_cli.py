@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 from certbit.adversary import Honest
 from certbit.analysis import MIN_DETECTION_TRIALS, honest_accept_probability_exact, wilson_interval
 from certbit.cli import ConfigError, ExperimentConfig, list_scenarios, main, parse_config, run_experiment
-from certbit import adversary, analysis, protocol, scenarios
+from certbit import adversary, analysis, cli, protocol, scenarios
 from certbit.rng import RandomStream
 from certbit.scenarios import EXIT_CAUSAL_ABORT, EXIT_EXPECTATION_FAILED
 
@@ -118,28 +119,36 @@ class TestConfigParsing:
             parse_config(write_config(tmp_path, body))
 
     @pytest.mark.parametrize(
-        "scenario, key, value",
+        "scenario, key, value, error",
         [
-            ("honest-default", "sessions", "0"),
-            ("purification-nogo", "theta_points", "0"),
-            ("purification-nogo", "theta_points", "1"),
-            ("flip-sweep", "k_values", "-1"),
-            ("entangle-demo", "alpha_squares", "0,1.5"),
-            ("entangle-demo", "alpha_squares", "-0.25"),
-            ("flip-sweep", "k_values", ""),
-            ("entangle-demo", "alpha_squares", ""),
+            pytest.param(*row, id="-".join(row[:3]))
+            for row in (
+                ("honest-default", "sessions", "0", "must be >= 1"),
+                ("purification-nogo", "theta_points", "0", "must be >= 2, to reach both endpoints"),
+                ("purification-nogo", "theta_points", "1", "must be >= 2, to reach both endpoints"),
+                ("flip-sweep", "k_values", "-1", "every k must be >= 0"),
+                ("entangle-demo", "alpha_squares", "0,1.5", "every value must lie in [0, 1]"),
+                ("entangle-demo", "alpha_squares", "-0.25", "every value must lie in [0, 1]"),
+                ("flip-sweep", "k_values", "", "must list at least one k"),
+                ("entangle-demo", "alpha_squares", "", "must list at least one value"),
+                ("flip-sweep", "k_values", "2,,2", "cannot parse '2,,2'"),
+                ("flip-sweep", "k_values", "1,2,", "cannot parse '1,2,'"),
+                ("flip-sweep", "k_values", "2,2", "every k must be listed once"),
+                ("entangle-demo", "alpha_squares", "0.5,,1", "cannot parse '0.5,,1'"),
+                ("entangle-demo", "alpha_squares", "0.5,0.50", "every value must be listed once"),
+            )
         ],
     )
-    def test_out_of_range_analysis_value_rejected(self, tmp_path, capsys, scenario, key, value):
-        # Each scenario reads its key, so the error is the range check's, never an unknown field.
+    def test_out_of_range_analysis_value_rejected(self, tmp_path, capsys, scenario, key, value, error):
+        # Each scenario reads its key, so the error is the key's own check, never an unknown field.
         body = MINIMAL.replace("causal-violation", scenario) + f"\n[analysis]\n{key} = {value}\n"
         path = write_config(tmp_path, body)
-        message = f"analysis.{key}: (must|every)"
-        with pytest.raises(ConfigError, match=message) as error:
+        message = f"analysis.{key}: {error}"
+        with pytest.raises(ConfigError, match=re.escape(message)) as raised:
             parse_config(path)
-        assert "unknown field" not in str(error.value)
+        assert "unknown field" not in str(raised.value)
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
-        assert re.search(message, capsys.readouterr().err)
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -163,13 +172,14 @@ class TestConfigParsing:
 
 
 # The keys each scenario's run reads, besides experiment.scenario, seed, out
-# and format, which every config may set.
+# and format, which every config may set.  SECTIONS also holds the oracle
+# knobs, which no scenario reads, so every config must refuse them.
 READS = {
-    "honest-default": {"trials", "n0", "m", "flip_probability", "leak_probability", "suspension_rounds", "sessions"},
+    "honest-default": {"trials", "n0", "m", "suspension_rounds", "sessions"},
     "flip-sweep": {"trials", "k_values"},
     "entangle-demo": {"trials", "alpha_squares"},
     "purification-nogo": {"theta_points"},
-    "oracle-degradation": {"trials", "n0", "m", "flip_probability", "leak_probability"},
+    "oracle-degradation": {"trials", "n0", "m"},
     "causal-violation": {"n0", "m", "suspension_rounds"},
 }
 SECTIONS = {
@@ -198,6 +208,10 @@ CHANGED = {
     "theta_points": "5",
     "alpha_squares": "0.5",
 }
+# The one declared change that moves the exit status: at 1000 trials honest-default's Monte Carlo
+# hiding check fails the ideal oracle on seed 1, a known false alarm of the sampled estimator at small
+# trial counts.  It is pinned, not avoided, so that mending the estimator makes this case fail.
+STATUS_CHANGED = {("honest-default", "trials"): EXIT_EXPECTATION_FAILED}
 # Small sizes at which each scenario runs through, setting only keys it reads.
 SMALL = {
     "honest-default": dict(trials=200, n0=8, m=2, sessions=2),
@@ -249,7 +263,7 @@ class TestScenarioFields:
         assert {name: set(spec.fields) for name, spec in scenarios.SCENARIOS.items()} == {
             name: {(SECTIONS[key], key) for key in keys} for name, keys in READS.items()
         }
-        assert sum(4 + len(keys) for keys in READS.values()) == 44
+        assert sum(4 + len(keys) for keys in READS.values()) == 40
 
     @pytest.mark.parametrize("name", READS)
     def test_run_reads_exactly_its_fields(self, name):
@@ -283,16 +297,39 @@ class TestScenarioFields:
         assert f"experiment.trials: unknown field for {name}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_flip_sweep_refuses_an_oracle_knob(self, tmp_path, capsys):
-        # It used to run and record fidelity_defect 0.5 in its epsilons, though no oracle knob reaches its sweep.
-        path = shipped_with(tmp_path, "flip-sweep", "flip_probability", "0.5")
-        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
-        assert "protocol.flip_probability: unknown field for flip-sweep" in capsys.readouterr().err
-
     @pytest.mark.parametrize("name, key", [pair for pair in PAIRS if pair[1] in READS[pair[0]]])
     def test_declared_key_changes_the_run(self, tmp_path, shipped_outputs, name, key):
         changed = machine_outputs(shipped_with(tmp_path, name, key, CHANGED[key]), tmp_path / "out")
+        # A refused config differs too, by exit 2 and no files, so the run must exit as the shipped one does.
+        assert changed[0] == STATUS_CHANGED.get((name, key), shipped_outputs[name][0])
         assert without_header(changed) != without_header(shipped_outputs[name])
+
+
+class TestDocsMatchTheCode:
+    """The cli docstring and README's table of settable keys say what parse_config accepts."""
+
+    def test_cli_docstring_lists_every_field_at_its_default(self):
+        block = cli.__doc__.split("::\n", 1)[1].split("\nA config may set", 1)[0]
+        parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+        parser.read_string(textwrap.dedent(block))
+        documented = [(section, key) for section in parser.sections() for key in parser.options(section)]
+        assert sorted(documented) == sorted((section, key) for section, key, _ in cli._FIELDS)
+        defaults = {field.name: field.default for field in dataclasses.fields(ExperimentConfig)}
+        unfixed = {key for key, default in defaults.items() if default is dataclasses.MISSING or default is None}
+        assert unfixed == {"scenario", "seed", "trials"}
+        for section, key, convert in cli._FIELDS:
+            if key not in unfixed and key != "out":  # parse_config's unset out is runs/<scenario>
+                assert convert(parser.get(section, key)) == defaults[key], f"{section}.{key}"
+
+    def test_readme_table_counts_each_scenarios_keys(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        rows = re.findall(r"^\| ([a-z-]+) \| (\d+): ([^|]*) \|$", readme, re.MULTILINE)
+        table = {name: (int(count), keys.split(", ")) for name, count, keys in rows}
+        assert table == {
+            name: (4 + len(spec.fields), [key for _, key in spec.fields]) for name, spec in scenarios.SCENARIOS.items()
+        }
+        (total,) = re.findall(r"That is (\d+) \(scenario, key\)\s+pairs in all", readme)
+        assert int(total) == sum(count for count, _ in table.values()) == 40
 
 
 class TestScenarioRegistry:
@@ -457,11 +494,12 @@ sessions = 25
         failed = [line for line in summary if line.startswith("FAIL: ")]
         assert failed == ["FAIL: t_c = 3.5 equals the maximal confirmation light delay 3.0"]
 
-    def test_honest_default_fails_on_a_session_without_declarations(self, tmp_path, capsys):
+    def test_honest_default_fails_on_a_session_without_declarations(self, tmp_path, capsys, monkeypatch):
         # An oracle that flips every bit fails the first session's tested openings, so it
         # sends no declarations and p(Q) cannot be evaluated.
-        body = SMALL_HONEST.format(rounds=0).replace("m = 4\n", "m = 4\nflip_probability = 1.0\n")
-        path = write_config(tmp_path, body)
+        params = ExperimentConfig.params
+        monkeypatch.setattr(ExperimentConfig, "params", lambda self: params(self, flip_probability=1.0))
+        path = write_config(tmp_path, SMALL_HONEST.format(rounds=0))
         assert main(["run", str(path), "--out", str(tmp_path / "out"), "--format", "summary"]) == 1
         failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
         assert "FAIL: p(Q) within the binding bound at every point after commitment" in failed

@@ -372,8 +372,6 @@ def honest_config() -> dict:
     config = read_config(HONEST_CONFIG)
     return {
         "m": config.getint("protocol", "m"),
-        "flip_probability": config.getfloat("protocol", "flip_probability", fallback=0.0),
-        "leak_probability": config.getfloat("protocol", "leak_probability", fallback=0.0),
         "trials": config.getint("experiment", "trials", fallback=HONEST_HIDING_TRIALS),
     }
 
@@ -390,7 +388,7 @@ def audit_honest(records: list[dict], transcript: list[dict], config: dict) -> l
     if [len(found) for found in kinds.values()] != [1, len(HONEST_POINTS), 1, 1]:
         problems.append(f"record counts {[len(found) for found in kinds.values()]}, expected [1, 3, 1, 1]")
     for record in kinds["epsilons"]:
-        expected = (config["flip_probability"], config["leak_probability"])
+        expected = (0.0, 0.0)  # honest-default runs on the ideal oracle
         if (record["fidelity_defect"], record["leak"]) != expected:
             problems.append(f"epsilons: ({record['fidelity_defect']!r}, {record['leak']!r}), expected {expected!r}")
 

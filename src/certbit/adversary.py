@@ -76,7 +76,9 @@ class ClassicalFlip:
     particle it must name an eigenstate of a basis conjugate to the
     particle's actual state, and the guess picks one of the two uniformly.
     Each such particle passes the measurement check with probability 1/2,
-    so the reveal is accepted with probability 2^-k.
+    so the reveal is accepted with probability 2^-k.  The k particles are
+    the first k of one ``permutation(m)``, the challenge's subset rule, and
+    the k guesses are one ``bits(k)``.
     """
 
     name = "classical-flip"
@@ -98,14 +100,14 @@ class ClassicalFlip:
             raise ValueError(f"k={self.k} exceeds the {len(particles)} untested particles")
         bit = randomness.bit()
         bases = honest_bases(bit, sent)
-        bases[randomness.choice(len(particles), size=self.k, replace=False)] ^= 1
+        bases[randomness.permutation(len(particles))[: self.k]] ^= 1
         return bit, bases
 
     def reveal_claim(self, bit, sent, bases, randomness: RandomStream):
         # A declaration false for the claimed bit leaves a uniform guess in its basis.
         false = np.flatnonzero(bases ^ bit != sent >> 1)
         claims = sent.copy()
-        claims[false] = _EIGENSTATES[bases[false] ^ bit, randomness.integers(0, 2, size=false.size)]
+        claims[false] = _EIGENSTATES[bases[false] ^ bit, randomness.bits(false.size)]
         return bit, claims
 
 

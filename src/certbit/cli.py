@@ -64,7 +64,7 @@ class ExperimentConfig:
     scenario: str
     seed: int
     trials: int | None = None
-    out: str = "runs/latest"
+    out: str | None = None  # unset: runs/<scenario>
     format: str = "both"
     n0: int = 64
     m: int = 16
@@ -153,7 +153,6 @@ def parse_config(path: str | Path, overrides: dict | None = None) -> ExperimentC
         errors.append("experiment.seed: required (no wall-clock default)")
     values.setdefault("scenario", "")
     values.setdefault("seed", 0)
-    values.setdefault("out", f"runs/{scenario or 'experiment'}")
     return _checked(ExperimentConfig(**values), errors)
 
 
@@ -210,7 +209,9 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
     spec = SCENARIOS[config.scenario]
     result = spec.run(config)
 
-    out = Path(out_dir if out_dir is not None else config.out)
+    if out_dir is None:
+        out_dir = config.out if config.out is not None else f"runs/{config.scenario}"
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     header = {
         "schema": 1,

@@ -312,8 +312,8 @@ def _commit_and_test(params: ProtocolParams, bits: np.ndarray, randomness: Rando
     Returns per row: pair codes sent, tested particles (read through commitments 2i, 2i + 1), pass flags, leak mask.
     """
     certified, leak = _certify(bits, params.flip_probability, params.leak_probability, randomness)
-    sent = 2 * bits[:, 0::2] + bits[:, 1::2]
-    opened = 2 * certified[:, 0::2] + certified[:, 1::2]
+    sent = bits.reshape(len(bits), params.n0, 2) @ (2, 1)
+    opened = certified.reshape(len(bits), params.n0, 2) @ (2, 1)
     tested = draw_challenge(params, len(bits), randomness)
     passed = verify_tested(tested, opened[np.arange(len(bits))[:, None], tested], sent, randomness)
     return sent, tested, passed, leak
@@ -670,11 +670,10 @@ def run_session(
     bits (one ``bits`` call for ``Honest`` and ``ClassicalFlip``), the
     oracle's one array (see ``_oracle_masks``), the challenge permutation,
     ``n0 - m`` tested uniforms, the protocol bit, for ``ClassicalFlip(k)``
-    one ``choice`` of its k false declarations and one
-    ``integers(0, 2, size=k)`` of its guesses (on Philox, the values and
-    stream position of k ``bit()`` calls), and ``m`` reveal uniforms (see
-    ``verify_reveal``): the values, in order, of one draw per bit and per
-    measured particle.  A rejecting stage has drawn its whole array.  A
+    one ``permutation(m)`` whose first k entries are its false declarations
+    and one ``bits(k)`` of its guesses (the values of k ``bit()`` calls),
+    and ``m`` reveal uniforms (see ``verify_reveal``): the values, in
+    order, of one draw per bit and per measured particle.  A rejecting stage has drawn its whole array.  A
     schedule abort draws nothing, and neither does a malformed claim, which
     is rejected at the reveal: a claimed bit other than the integer 0 or 1
     or a claim whose length is not ``m`` (with no reject index), or a
@@ -776,7 +775,7 @@ def run_sessions(
         return np.zeros(n, dtype=bool), np.zeros(n, dtype=np.int64)
     accepted, leaked = [], []
     for block in _row_blocks(n):
-        bits = randomness.integers(0, 2, size=(block.stop - block.start, params.n_commitments))
+        bits = randomness.bits((block.stop - block.start, params.n_commitments))
         _, _, passed, leak = _commit_and_test(params, bits, randomness)
         accepted.append(passed.all(axis=1))
         leaked.append(np.count_nonzero(leak, axis=1))

@@ -4,9 +4,11 @@ Every probabilistic operation in the package takes a :class:`RandomStream`
 argument; there is no hidden global randomness.  Streams are backed by the
 counter-based Philox generator, and ``split`` derives statistically
 independent child streams deterministically, so parallel batches and
-re-runs with the same seed reproduce bit-identical results.  A ``random``
-or ``integers(0, 2)`` array drawn in consecutive row blocks gives the one
-draw's values and leaves the stream where that draw would.
+re-runs with the same seed reproduce bit-identical results.  A fair bit
+is a uniform below 1/2, so ``bits(n)`` gives the values of ``n`` ``bit()``
+calls.  A ``random``, ``bits`` or ``integers(0, 2)`` array drawn in
+consecutive row blocks gives the one draw's values and leaves the stream
+where that draw would.
 """
 
 from __future__ import annotations
@@ -43,11 +45,11 @@ class RandomStream:
         return self._generator.integers(low, high, size=size)
 
     def bit(self) -> int:
-        return int(self._generator.integers(0, 2))
+        return int(self._generator.random() < 0.5)
 
-    def bits(self, n: int) -> np.ndarray:
-        """``n`` fair bits: the array of one draw of ``integers(0, 2, size=n)``."""
-        return self._generator.integers(0, 2, size=n)
+    def bits(self, size) -> np.ndarray:
+        """Fair int64 bits of shape ``size``: one ``random(size)`` draw, each uniform below 1/2 a 1."""
+        return (self._generator.random(size) < 0.5).astype(np.int64)
 
     def permutation(self, n: int, rows: int | None = None) -> np.ndarray:
         """A permutation of ``range(n)``; with ``rows``, a ``(rows, n)`` array of the ones ``rows`` calls would give."""

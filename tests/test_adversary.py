@@ -1,5 +1,6 @@
 """Attacks: declaration flipping, entangled commits, purifier steering."""
 
+import functools
 import hashlib
 import math
 
@@ -39,6 +40,17 @@ def codes(labels) -> list[int]:
     """The pair code 2*b0 + b1 of the pair that sends each label."""
     code = {label: 2 * b0 + b1 for (b0, b1), label in DEFAULT_ENCODING.items()}
     return [code[label] for label in labels]
+
+
+@functools.cache
+def flip_sessions(k: int) -> tuple:
+    """The ``ClassicalFlip(k)`` sessions that FLIP_DIGEST pins: seeds 0..299 at n0 = 32, m = 8."""
+    params = ProtocolParams(32, 8)
+    return tuple(run_session(ClassicalFlip(k), params, randomness=RandomStream(seed)) for seed in range(300))
+
+
+def within_4_sigma(rate, p, n) -> bool:
+    return abs(rate - p) <= 4 * math.sqrt(p * (1 - p) / n)
 
 
 def density(seed, dim=2, rank=None):
@@ -89,16 +101,16 @@ class TestClassicalFlipPlan:
         assert (claims >> 1 == bases ^ bit).all()
 
     # sha256 of the fingerprints below over 300 seeded sessions for each k,
-    # computed with the earlier, stateful strategies: a change to the flip
+    # computed with fair bits drawn as uniforms below 1/2 and the k false
+    # declarations drawn as a permutation prefix: a change to the flip
     # strategy's draws, their order or their use fails here.
-    FLIP_DIGEST = "4b87829a8e5eb3f8dcf21d57060441403b4aa8c1ab91fc4cb6f2159a5aae9b17"
+    FLIP_DIGEST = "41c1010f10884acb4719090955a79d3b235f2bfe5782d86e2e9cd358c57585d6"
+    FLIP_KS = (0, 1, 3, 8)
 
     def test_flip_sessions_reproduce_pinned_digest(self):
         digest = hashlib.sha256()
-        params = ProtocolParams(32, 8)
-        for k in (0, 1, 3, 8):
-            for seed in range(300):
-                t = run_session(ClassicalFlip(k), params, randomness=RandomStream(seed))
+        for k in self.FLIP_KS:
+            for t in flip_sessions(k):
                 fingerprint = "|".join([
                     t.verdict.value,
                     t.failed_stage.value if t.failed_stage else "-",
@@ -109,6 +121,24 @@ class TestClassicalFlipPlan:
                 ])
                 digest.update((fingerprint + "\n").encode())
         assert digest.hexdigest() == self.FLIP_DIGEST
+
+    # What the digest's draws must do, so a re-pinned digest is checked against the strategy's law.
+    @pytest.mark.parametrize("k", FLIP_KS)
+    def test_flip_sessions_pass_at_two_to_the_minus_k(self, k):
+        sessions = flip_sessions(k)
+        assert within_4_sigma(sum(t.accepted for t in sessions) / len(sessions), 2.0**-k, len(sessions))
+
+    @pytest.mark.parametrize("k", FLIP_KS)
+    def test_each_untested_position_is_falsely_declared_at_k_over_m(self, k):
+        # Declaration j is false for the claimed bit when it binds that bit to a basis its particle is not in.
+        false = np.array([
+            [d.basis_for(t.claimed_bit) is not t.sent_labels[d.particle].basis for d in t.declarations]
+            for t in flip_sessions(k)
+        ])
+        m = 8
+        assert false.shape == (300, m)
+        assert (false.sum(axis=1) == k).all()
+        assert all(within_4_sigma(rate, k / m, len(false)) for rate in false.mean(axis=0))
 
 
 class TestStrategiesKeepNoState:

@@ -316,9 +316,9 @@ class TestDocsMatchTheCode:
         assert sorted(documented) == sorted((section, key) for section, key, _ in cli._FIELDS)
         defaults = {field.name: field.default for field in dataclasses.fields(ExperimentConfig)}
         unfixed = {key for key, default in defaults.items() if default is dataclasses.MISSING or default is None}
-        assert unfixed == {"scenario", "seed", "trials"}
+        assert unfixed == {"scenario", "seed", "trials", "out"}
         for section, key, convert in cli._FIELDS:
-            if key not in unfixed and key != "out":  # parse_config's unset out is runs/<scenario>
+            if key not in unfixed:
                 assert convert(parser.get(section, key)) == defaults[key], f"{section}.{key}"
 
     def test_readme_table_counts_each_scenarios_keys(self):
@@ -350,6 +350,19 @@ class TestScenarioRegistry:
 
 
 class TestRunExperiment:
+    def test_unset_out_is_runs_scenario(self, tmp_path, monkeypatch):
+        # A config built in Python and one parsed without ``out`` both write where the cli docstring says.
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, "[experiment]\nscenario = purification-nogo\nseed = 1\nformat = machine\n")
+        built = ExperimentConfig("purification-nogo", seed=1, theta_points=2, format="machine")
+        for config in (built, parse_config(path)):
+            assert config.out is None
+            assert run_experiment(config) == 0
+            assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()) == [
+                "experiment.ini",
+                "runs/purification-nogo/report.jsonl",
+            ]
+
     def test_causal_violation_aborts_with_status(self, tmp_path):
         config = parse_config(write_config(tmp_path, MINIMAL))
         status = run_experiment(config, out_dir=tmp_path / "out")

@@ -1548,7 +1548,7 @@ class TestRunSessionCost:
         assert sum(counts[0].values()) <= 6
 
     def test_classical_flip_draws_do_not_grow_with_k(self, rng_calls):
-        # The k guesses are one integers draw, so every k makes the same calls.
+        # One permutation picks the k false declarations and one bits draw the k guesses, at every k.
         counts = []
         for k in (0, 1, 2, 5, 16):
             rng_calls.counts.clear()
@@ -1556,7 +1556,7 @@ class TestRunSessionCost:
             assert transcript.failed_stage in (None, Stage.REVEAL)
             counts.append(dict(rng_calls.counts))
         assert all(count == counts[0] for count in counts)
-        assert counts[0]["integers"] == 1
+        assert counts[0] == {"bits": 2, "permutation": 2, "bit": 1, "random": 2}
 
     @pytest.mark.parametrize("strategy", [Honest(), ClassicalFlip(3)], ids=["honest", "flip3"])
     def test_no_python_loop_grows_with_the_session(self, strategy):

@@ -26,29 +26,41 @@ def test_permutation_rows_are_successive_permutations(n, rows):
     assert stream.random() == single.random()
 
 
-def test_bits_is_the_integers_draw_itself():
+@pytest.mark.parametrize("size", [128, (3, 5)])
+def test_bits_is_one_random_draw_below_a_half(size):
     stream, reference = RandomStream(4), RandomStream(4)
-    drawn = stream.bits(128)
+    drawn = stream.bits(size)
     assert isinstance(drawn, np.ndarray) and drawn.dtype == np.int64
-    assert drawn.tolist() == reference.integers(0, 2, size=128).tolist()
+    assert drawn.tolist() == (reference.random(size) < 0.5).astype(int).tolist()
     assert stream.random() == reference.random()
 
 
+@pytest.mark.parametrize("n", [0, 1, 128])
+def test_bits_are_the_values_of_as_many_bit_calls(n):
+    stream, twin = RandomStream(5), RandomStream(5)
+    assert stream.bits(n).tolist() == [twin.bit() for _ in range(n)]
+    assert stream.random() == twin.random()
+
+
 def _draw(stream, method, rows, cols):
-    return stream.random((rows, cols)) if method == "random" else stream.integers(0, 2, size=(rows, 2))
+    if method == "random":
+        return stream.random((rows, cols))
+    if method == "bits":
+        return stream.bits((rows, cols))
+    return stream.integers(0, 2, size=(rows, 2))
 
 
 @pytest.mark.parametrize("rows", [1, 5, 300, 2 * 4096 + 3])
-@pytest.mark.parametrize("method", ["random", "integers"])
+@pytest.mark.parametrize("method", ["random", "bits", "integers"])
 def test_row_blocks_are_the_one_draw_itself(method, rows):
-    # The Monte Carlo samplers in ``analysis`` draw in row blocks and report the one draw's numbers.
+    # run_sessions and the Monte Carlo samplers draw in row blocks and report the one draw's numbers.
     pick = np.random.default_rng(rows)
     for seed in range(4):
         cols = int(pick.integers(1, 17))
         bounds = [0, *sorted(pick.integers(0, rows + 1, size=seed + 1).tolist()), rows]
         stream, reference = RandomStream(seed), RandomStream(seed)
         if seed % 2:  # start mid-word: a 32-bit draw leaves half of Philox's next 64-bit output
-            assert stream.bit() == reference.bit()
+            assert stream.integers(0, 2) == reference.integers(0, 2)
         drawn = [_draw(stream, method, stop - start, cols) for start, stop in zip(bounds, bounds[1:])]
         assert np.concatenate(drawn).tolist() == _draw(reference, method, rows, cols).tolist()
         assert stream.random() == reference.random()

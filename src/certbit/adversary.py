@@ -77,8 +77,7 @@ class ClassicalFlip:
     particle's actual state, and the guess picks one of the two uniformly.
     Each such particle passes the measurement check with probability 1/2,
     so the reveal is accepted with probability 2^-k.  The k particles are
-    the first k of one ``permutation(m)``, the challenge's subset rule, and
-    the k guesses are one ``bits(k)``.
+    a ``permutation(m)`` prefix, the challenge's rule; the guesses one ``bits(k)``.
     """
 
     name = "classical-flip"

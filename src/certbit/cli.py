@@ -27,10 +27,10 @@ A config may set ``experiment.scenario``, ``seed``, ``out`` and ``format``,
 and of the other keys only those its scenario reads, listed in the
 scenario's ``ScenarioSpec.fields``; any other key is an error that names
 it and the scenario.  Only ``experiment.scenario`` and ``experiment.seed``
-are required.  An unset ``out`` is ``runs/<scenario>``, and every other
-unset key takes the default of the :class:`ExperimentConfig` field of the
-same name.  A list is comma-separated; an empty item or a repeated value
-is an error.
+are required.  An unset or empty ``out`` is ``runs/<scenario>``, and
+every other unset key takes the default of the :class:`ExperimentConfig`
+field of the same name.  A list is comma-separated; an empty item or a
+repeated value is an error.
 
 Machine-readable outputs are line-delimited JSON records carrying a
 ``schema`` version field; the human summary is derived from them and never
@@ -64,7 +64,7 @@ class ExperimentConfig:
     scenario: str
     seed: int
     trials: int | None = None
-    out: str | None = None  # unset: runs/<scenario>
+    out: str | None = None  # unset or empty: runs/<scenario>
     format: str = "both"
     n0: int = 64
     m: int = 16
@@ -209,9 +209,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
     spec = SCENARIOS[config.scenario]
     result = spec.run(config)
 
-    if out_dir is None:
-        out_dir = config.out if config.out is not None else f"runs/{config.scenario}"
-    out = Path(out_dir)
+    out = Path(out_dir or config.out or f"runs/{config.scenario}")
     out.mkdir(parents=True, exist_ok=True)
     header = {
         "schema": 1,

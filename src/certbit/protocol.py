@@ -670,10 +670,9 @@ def run_session(
     bits (one ``bits`` call for ``Honest`` and ``ClassicalFlip``), the
     oracle's one array (see ``_oracle_masks``), the challenge permutation,
     ``n0 - m`` tested uniforms, the protocol bit, for ``ClassicalFlip(k)``
-    one ``permutation(m)`` whose first k entries are its false declarations
-    and one ``bits(k)`` of its guesses (the values of k ``bit()`` calls),
-    and ``m`` reveal uniforms (see ``verify_reveal``): the values, in
-    order, of one draw per bit and per measured particle.  A rejecting stage has drawn its whole array.  A
+    one ``permutation(m)`` and one ``bits(k)``, and ``m`` reveal uniforms
+    (see ``verify_reveal``): the values, in order, of one draw per bit and
+    per measured particle.  A rejecting stage has drawn its whole array.  A
     schedule abort draws nothing, and neither does a malformed claim, which
     is rejected at the reveal: a claimed bit other than the integer 0 or 1
     or a claim whose length is not ``m`` (with no reject index), or a

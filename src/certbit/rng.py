@@ -4,11 +4,10 @@ Every probabilistic operation in the package takes a :class:`RandomStream`
 argument; there is no hidden global randomness.  Streams are backed by the
 counter-based Philox generator, and ``split`` derives statistically
 independent child streams deterministically, so parallel batches and
-re-runs with the same seed reproduce bit-identical results.  A fair bit
-is a uniform below 1/2, so ``bits(n)`` gives the values of ``n`` ``bit()``
-calls.  A ``random``, ``bits`` or ``integers(0, 2)`` array drawn in
-consecutive row blocks gives the one draw's values and leaves the stream
-where that draw would.
+re-runs with the same seed reproduce bit-identical results.  A fair bit is
+a uniform below 1/2.  A ``random``, ``bits`` or ``integers(0, 2)`` array
+drawn in consecutive row blocks gives the one draw's values and leaves the
+stream where that draw would.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ class RandomStream:
         return int(self._generator.random() < 0.5)
 
     def bits(self, size) -> np.ndarray:
-        """Fair int64 bits of shape ``size``: one ``random(size)`` draw, each uniform below 1/2 a 1."""
+        """Fair int64 bits of shape ``size`` from one ``random(size)``: the values of as many ``bit()`` calls."""
         return (self._generator.random(size) < 0.5).astype(np.int64)
 
     def permutation(self, n: int, rows: int | None = None) -> np.ndarray:

@@ -350,13 +350,15 @@ class TestScenarioRegistry:
 
 
 class TestRunExperiment:
-    def test_unset_out_is_runs_scenario(self, tmp_path, monkeypatch):
-        # A config built in Python and one parsed without ``out`` both write where the cli docstring says.
+    @pytest.mark.parametrize("out", [None, ""])
+    def test_unset_out_is_runs_scenario(self, tmp_path, monkeypatch, out):
+        # A config built in Python and one parsed with ``out`` unset or empty write where the cli docstring says.
         monkeypatch.chdir(tmp_path)
-        path = write_config(tmp_path, "[experiment]\nscenario = purification-nogo\nseed = 1\nformat = machine\n")
-        built = ExperimentConfig("purification-nogo", seed=1, theta_points=2, format="machine")
+        body = "[experiment]\nscenario = purification-nogo\nseed = 1\nformat = machine\n"
+        path = write_config(tmp_path, body if out is None else body + f"out = {out}\n")
+        built = ExperimentConfig("purification-nogo", seed=1, theta_points=2, format="machine", out=out)
         for config in (built, parse_config(path)):
-            assert config.out is None
+            assert config.out == out
             assert run_experiment(config) == 0
             assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()) == [
                 "experiment.ini",

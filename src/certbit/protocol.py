@@ -141,6 +141,7 @@ _OUTCOME = np.array([basis_eigenstates(c.basis).index(c) for c in _SIGNALS], dty
 _CODES = {label.value: code for code, label in enumerate(_SIGNALS)}
 # _BASES[b]: the basis of basis code b, which pair codes 2b and 2b + 1 send eigenstates of.
 _BASES = (_SIGNALS[0].basis, _SIGNALS[2].basis)
+_PAIR_WEIGHTS = np.array([2, 1])  # the weights of the bits (b0, b1) in the pair code 2*b0 + b1
 
 
 def _collapses(sent, target, uniforms) -> np.ndarray:
@@ -199,11 +200,12 @@ def _oracle_masks(shape, flip_probability: float, leak_probability: float, rando
 
 
 def _certify(bits: np.ndarray, flip_probability: float, leak_probability: float, randomness: RandomStream):
-    """The certified values of classical ``bits`` and the leak mask; other bits raise before the draw."""
+    """Classical ``bits`` certified as int64 (int64 bits uncopied at flip 0) and the leak mask; others raise first."""
     if np.count_nonzero((bits != 0) != bits):
         raise ValueError("oracle accepts classical bits only")
     flip, leak = _oracle_masks(bits.shape, flip_probability, leak_probability, randomness)
-    return bits.astype(np.int64, copy=False) ^ flip, leak
+    certified = bits.astype(np.int64, copy=False)
+    return (certified ^ flip if flip_probability > 0.0 else certified), leak
 
 
 class IdealCommitmentOracle:
@@ -235,7 +237,7 @@ class IdealCommitmentOracle:
     def commit(self, bits, randomness: RandomStream) -> None:
         if self._committed:
             raise ValueError("bits already committed")
-        self._stored, leak = _certify(np.asarray(bits), self.flip_probability, self.leak_probability, randomness)
+        self._stored, leak = _certify(np.array(bits), self.flip_probability, self.leak_probability, randomness)
         self._leaked = np.flatnonzero(leak)
         self._committed = True
 
@@ -275,48 +277,49 @@ class Stage(enum.Enum):
     REVEAL = "reveal"
 
 
-def draw_challenge(params: ProtocolParams, n: int, randomness: RandomStream) -> np.ndarray:
-    """Each of ``n`` sessions' uniformly random subset of n0 - m particle indices, sorted, as rows.
+def draw_challenge(params: ProtocolParams, n: int, randomness: RandomStream) -> tuple[np.ndarray, np.ndarray]:
+    """Each of ``n`` sessions' tested and untested particle indices, as rows of two arrays.
 
-    One ``permutation(n0, rows=n)`` draw, whose rows are those of ``n``
-    successive ``permutation(n0)`` calls.
+    One ``permutation(n0, rows=n)`` draw, whose rows are those of ``n`` successive
+    ``permutation(n0)`` calls: its first n0 - m columns sorted, and its other m sorted.
     """
-    picked = randomness.permutation(params.n0, rows=n)[:, : params.n_tested]
-    return np.sort(picked, axis=1)
+    order = randomness.permutation(params.n0, rows=n)
+    return np.sort(order[:, : params.n_tested], axis=1), np.sort(order[:, params.n_tested :], axis=1)
 
 
-def verify_tested(tested, opened, sent, randomness: RandomStream) -> np.ndarray:
+def verify_tested(sent, opened, randomness: RandomStream) -> np.ndarray:
     """Measure each session's challenged particles in the bases their opened pairs name.
 
-    Row ``r`` is session ``r``: ``opened[r, j]`` is the pair code 2*b0 + b1
-    the oracle certified for particle ``tested[r, j]``, and particle ``i`` is
-    in the signal state of pair code ``sent[r, i]``.  Returns whether each
+    Row ``r`` is session ``r``: its ``j``-th tested particle is in the
+    signal state of pair code ``sent[r, j]``, and ``opened[r, j]`` is the
+    pair code 2*b0 + b1 the oracle certified for it.  Returns whether each
     particle's single-shot outcome is the exact eigenstate its opened pair
     encodes (each particle is one copy); a session passes iff its row does.
 
-    Draws once: ``randomness.random(tested.shape)``, uniform ``[r, j]`` for
-    particle ``tested[r, j]``, all of it even when a particle fails, so a
-    shared stream is further along after a rejection.
+    Draws once: ``randomness.random(sent.shape)``, uniform ``[r, j]`` for particle ``[r, j]``, all of it
+    even when a particle fails, so a shared stream is further along after a rejection.
     """
-    tested = np.asarray(tested, dtype=np.int64)
+    sent = np.asarray(sent, dtype=np.int64)
     opened = np.asarray(opened, dtype=np.int64)
-    if opened.shape != tested.shape:
-        raise ValueError(f"oracle reveals of shape {opened.shape} for tested particles of shape {tested.shape}")
-    sent = np.asarray(sent, dtype=np.int64)[np.arange(len(tested))[:, None], tested]
-    return _collapses(sent, opened, randomness.random(tested.shape))
+    if opened.shape != sent.shape:
+        raise ValueError(f"oracle reveals of shape {opened.shape} for tested particles of shape {sent.shape}")
+    return _collapses(sent, opened, randomness.random(sent.shape))
 
 
 def _commit_and_test(params: ProtocolParams, bits: np.ndarray, randomness: RandomStream):
     """Commit and tested verification of one session per row of committed ``bits``.
 
-    Returns per row: pair codes sent, tested particles (read through commitments 2i, 2i + 1), pass flags, leak mask.
+    Returns per row: pair codes sent, tested and untested particles (read through commitments 2i, 2i + 1),
+    pass flags, leak mask.  Where ``_certify`` returns ``bits`` itself, the opened codes are the sent ones.
     """
     certified, leak = _certify(bits, params.flip_probability, params.leak_probability, randomness)
-    sent = bits.reshape(len(bits), params.n0, 2) @ (2, 1)
-    opened = certified.reshape(len(bits), params.n0, 2) @ (2, 1)
-    tested = draw_challenge(params, len(bits), randomness)
-    passed = verify_tested(tested, opened[np.arange(len(bits))[:, None], tested], sent, randomness)
-    return sent, tested, passed, leak
+    sent = bits.reshape(len(bits), params.n0, 2) @ _PAIR_WEIGHTS
+    tested, untested = draw_challenge(params, len(bits), randomness)
+    at = (np.arange(len(bits))[:, None], tested)
+    sent_tested = sent[at]
+    opened = sent_tested if certified is bits else certified.reshape(len(bits), params.n0, 2)[at] @ _PAIR_WEIGHTS
+    passed = verify_tested(sent_tested, opened, randomness)
+    return sent, tested, untested, passed, leak
 
 
 def honest_bases(bit: int, sent: np.ndarray) -> np.ndarray:
@@ -324,28 +327,27 @@ def honest_bases(bit: int, sent: np.ndarray) -> np.ndarray:
     return (sent >> 1) ^ bit
 
 
-def verify_reveal(untested, bound, claimed, sent, randomness: RandomStream) -> np.ndarray:
+def verify_reveal(bound, claimed, held, randomness: RandomStream) -> np.ndarray:
     """Measure one session's untested particles in the bases its declarations bind to the claimed bit.
 
-    ``bound[j]`` is the basis (0 for Z, 1 for X) that declaration ``j``
-    binds to the claimed bit, ``claimed[j]`` the pair code 2*b0 + b1 of the
-    label claimed for particle ``untested[j]``, and particle ``i`` is in the
-    signal state of pair code ``sent[i]``.  Returns whether each particle
+    For the ``j``-th untested particle, ``bound[j]`` is the basis (0 for Z,
+    1 for X) that its declaration binds to the claimed bit, ``claimed[j]``
+    the pair code 2*b0 + b1 of the label claimed for it, and ``held[j]`` the
+    pair code of the signal state it is in.  Returns whether each particle
     passes: its claimed label lies in its bound basis and its single-shot
     outcome there is that label.
 
     A claim with a label outside its bound basis fails at those particles
     without measurement and without a draw.  Otherwise it draws once:
-    ``randomness.random(len(untested))``, one uniform per particle in
-    order, all of them even when a particle fails, as ``verify_tested``
-    does.
+    ``randomness.random(held.size)``, one uniform per particle in order,
+    all of them even when a particle fails, as ``verify_tested`` does.
     """
-    untested = np.asarray(untested, dtype=np.int64)
+    held = np.asarray(held, dtype=np.int64)
     claimed = np.asarray(claimed, dtype=np.int64)
     in_basis = claimed >> 1 == np.asarray(bound)
     if np.count_nonzero(in_basis) < in_basis.size:
         return in_basis
-    return _collapses(np.asarray(sent, dtype=np.int64)[untested], claimed, randomness.random(untested.size))
+    return _collapses(held, claimed, randomness.random(held.size))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -691,14 +693,11 @@ def run_session(
     committed = np.asarray(strategy.commit_bits(params, randomness))
     if committed.shape != (params.n_commitments,):
         raise ValueError(f"strategy committed {committed.size} bits, expected {params.n_commitments}")
-    (sent,), (tested,), (passed,), _ = _commit_and_test(params, committed[None], randomness)
+    (sent,), (tested,), (untested,), (passed,), _ = _commit_and_test(params, committed[None], randomness)
     reject = _first_failure(tested, passed)
 
     # Spin transmission: B0 holds particle i in the state of pair code sent[i].
     sent = sent.astype(np.int64, copy=False)
-    is_untested = np.ones(params.n0, dtype=bool)
-    is_untested[tested] = False
-    (untested,) = is_untested.nonzero()
     base = dict(
         common, sent_labels=tuple(_SIGNALS[sent].tolist()), untested=tuple(untested.tolist()), events=dict(events)
     )
@@ -721,7 +720,7 @@ def run_session(
     well_formed = integral and claimed_bit in (0, 1) and claimed.shape == untested.shape
     if well_formed:
         # A declaration binds bit 1 to the conjugate of its basis for bit 0.
-        reject = _first_failure(untested, verify_reveal(untested, bases ^ int(claimed_bit), claimed, sent, randomness))
+        reject = _first_failure(untested, verify_reveal(bases ^ int(claimed_bit), claimed, held, randomness))
     accepted = well_formed and reject is None
     return SessionTranscript(
         verdict=Verdict.ACCEPT if accepted else Verdict.REJECT,
@@ -775,7 +774,7 @@ def run_sessions(
     accepted, leaked = [], []
     for block in _row_blocks(n):
         bits = randomness.bits((block.stop - block.start, params.n_commitments))
-        _, _, passed, leak = _commit_and_test(params, bits, randomness)
+        *_, passed, leak = _commit_and_test(params, bits, randomness)
         accepted.append(passed.all(axis=1))
         leaked.append(np.count_nonzero(leak, axis=1))
     return np.concatenate(accepted), np.concatenate(leaked)

@@ -473,7 +473,7 @@ sessions = 25
     def test_honest_default_catches_a_wrong_claimed_bit(self, tmp_path, capsys, monkeypatch):
         # A verifier that accepts every reveal, and a committer that claims
         # the other bit: the claim check must fail on its own.
-        monkeypatch.setattr(protocol, "verify_reveal", lambda untested, *rest: np.ones(len(untested), dtype=bool))
+        monkeypatch.setattr(protocol, "verify_reveal", lambda bound, *rest: np.ones(len(bound), dtype=bool))
         monkeypatch.setattr(
             Honest, "reveal_claim", lambda self, bit, sent, *rest: (1 - bit, sent)
         )

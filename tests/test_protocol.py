@@ -171,6 +171,21 @@ class TestOracle:
         oracle.commit((1,), rng)
         assert oracle.leaked_view == {0: 1}
 
+    @pytest.mark.parametrize("flip", [0.0, 0.1])
+    def test_commit_keeps_its_own_copy(self, flip):
+        # Writing into the committed array after commit changes no reveal and no leaked value.
+        bits = RandomStream(3).bits(64)
+        oracle = IdealCommitmentOracle(flip, 0.5)
+        oracle.commit(bits, RandomStream(4))
+        leaked = oracle.leaked_view
+        reference = IdealCommitmentOracle(flip, 0.5)
+        reference.commit(bits.copy(), RandomStream(4))
+        bits ^= 1
+        assert leaked and oracle.leaked_view == leaked
+        assert oracle.reveal(np.arange(64)).tolist() == reference.reveal(np.arange(64)).tolist()
+        if not flip:
+            assert oracle.reveal(np.arange(64)).tolist() == (bits ^ 1).tolist()
+
 
 def classical_by_the_earlier_rule(bits) -> bool:
     """The classical-bit rule ``_certify`` used before its single comparison: the reference of the table below."""
@@ -213,52 +228,73 @@ class TestCertify:
                 protocol._certify(bits, 0.5, 0.5, RandomStream(1))
             assert rng_calls.counts == {}  # refused before the oracle's draw
 
+    @pytest.mark.parametrize("flip", [0.0, 0.1])
+    def test_unflipped_int64_bits_come_back_uncopied(self, flip):
+        bits = RandomStream(1).bits((2, 64))
+        certified, _ = protocol._certify(bits, flip, 0.0, RandomStream(2))
+        assert (certified is bits) is (flip == 0.0)
+
 
 class TestChallenge:
     def test_subset_size(self, rng):
         params = ProtocolParams(n0=3, m=2, strict=False)
-        assert draw_challenge(params, 5, rng).shape == (5, 1)
+        tested, untested = draw_challenge(params, 5, rng)
+        assert (tested.shape, untested.shape) == ((5, 1), (5, 2))
 
     def test_degenerate_empty_subset(self, rng):
         params = ProtocolParams(n0=2, m=2, strict=False)
-        assert draw_challenge(params, 3, rng).shape == (3, 0)
+        tested, untested = draw_challenge(params, 3, rng)
+        assert tested.shape == (3, 0)
+        assert untested.tolist() == [[0, 1]] * 3
 
     def test_uniform_membership(self, rng):
         # Each index of 8 appears in a size-4 subset with frequency 1/2.
         params = ProtocolParams(n0=8, m=4, strict=False)
         draws = 100_000
-        challenges = draw_challenge(params, draws, rng)
+        challenges, _ = draw_challenge(params, draws, rng)
         assert (np.diff(challenges, axis=1) > 0).all()  # sorted, no index twice
         frequencies = np.bincount(challenges.ravel(), minlength=8) / draws
         assert np.all(np.abs(frequencies - 0.5) < 0.01)
+
+    @pytest.mark.parametrize("n0, m", [(8, 1), (16, 4), (5, 5)], ids=["m=1", "n0=16", "n0=m"])
+    def test_untested_is_the_sorted_complement_from_one_draw(self, n0, m, rng_calls):
+        params = ProtocolParams(n0=n0, m=m, strict=False)
+        rows = 500
+        tested, untested = draw_challenge(params, rows, RandomStream(n0))
+        assert (dict(rng_calls.counts), rng_calls.rows) == ({"permutation": 1}, [rows])
+        assert (tested.shape, untested.shape) == ((rows, n0 - m), (rows, m))
+        for row_tested, row_untested in zip(tested.tolist(), untested.tolist()):
+            assert row_untested == sorted(set(range(n0)).difference(row_tested))
 
 
 class TestVerifyTested:
     def test_honest_accepts_with_certainty(self, rng):
         bits = (0, 0, 0, 1, 1, 0, 1, 1)
         sent = opened = [2 * bits[2 * i] + bits[2 * i + 1] for i in range(4)]
-        assert verify_tested([range(4)] * 25, [opened] * 25, [sent] * 25, rng).all()
+        assert verify_tested([sent] * 25, [opened] * 25, rng).all()
 
     def test_conjugate_swap_detected_half_the_time(self, rng):
         # A particle in the conjugate basis passes the check with p = 1/2.
         trials = 100_000
-        tested, opened = np.zeros((trials, 1), dtype=int), np.full((trials, 1), CODE[SpinLabel.UP])
-        passed = verify_tested(tested, opened, np.full((trials, 1), CODE[SpinLabel.RIGHT]), rng)
+        opened = np.full((trials, 1), CODE[SpinLabel.UP])
+        passed = verify_tested(np.full((trials, 1), CODE[SpinLabel.RIGHT]), opened, rng)
         assert abs(passed.mean() - 0.5) < 0.005
 
     def test_empty_subset_vacuous_accept(self, rng):
-        passed = verify_tested(np.zeros((2, 0), dtype=int), np.zeros((2, 0)), [[], []], rng)
+        passed = verify_tested(np.zeros((2, 0), dtype=int), np.zeros((2, 0)), rng)
         assert passed.shape == (2, 0) and passed.all(axis=1).tolist() == [True, True]
 
-    def test_missing_reveal_raises(self, rng):
+    def test_missing_reveal_raises(self, rng, rng_calls):
         with pytest.raises(ValueError, match=r"reveals of shape \(1, 0\) for tested particles of shape \(1, 1\)"):
-            verify_tested([[0]], [[]], [codes([SpinLabel.UP])], rng)
+            verify_tested([codes([SpinLabel.UP])], [[]], rng)
+        assert not rng_calls.counts
 
-    def test_each_session_checks_its_own_particles(self, rng):
-        # Session 0: particle 1 is orthogonal to its claim; session 1 is honest.
+    def test_each_session_checks_its_own_particles(self, rng_calls):
+        # Session 0: its second particle is orthogonal to its claim; session 1 is honest.
         opened = [[CODE[SpinLabel.UP], CODE[SpinLabel.DOWN]], [CODE[SpinLabel.UP], CODE[SpinLabel.UP]]]
-        passed = verify_tested([[0, 1], [0, 1]], opened, [codes([SpinLabel.UP, SpinLabel.UP])] * 2, rng)
+        passed = verify_tested([codes([SpinLabel.UP, SpinLabel.UP])] * 2, opened, RandomStream(1))
         assert passed.tolist() == [[True, False], [True, True]]
+        assert (dict(rng_calls.counts), rng_calls.rows) == ({"random": 1}, [2])
 
 
 class TestDeclarations:
@@ -287,21 +323,21 @@ class TestVerifyReveal:
     def test_honest_reveal_accepts(self, rng):
         labels = [SpinLabel.UP, SpinLabel.LEFT, SpinLabel.RIGHT, SpinLabel.DOWN]
         for _ in range(25):
-            passed = verify_reveal(range(4), self._bound(1, labels), codes(labels), codes(labels), rng)
+            passed = verify_reveal(self._bound(1, labels), codes(labels), codes(labels), rng)
             assert passed.tolist() == [True] * 4
 
     def test_measures_untested_particles_in_one_draw(self, rng_calls):
-        # Particles 1 and 3 of five; particle 3 is orthogonal to its claim.
+        # Particles 1 and 3 of five, held in the states of their sent codes; particle 3 is orthogonal to its claim.
         sent = codes([SpinLabel.DOWN, SpinLabel.UP, SpinLabel.LEFT, SpinLabel.RIGHT, SpinLabel.UP])
         claimed = codes([SpinLabel.UP, SpinLabel.LEFT])
-        passed = verify_reveal([1, 3], [0, 1], claimed, sent, RandomStream(1))
+        passed = verify_reveal([0, 1], claimed, np.array(sent)[[1, 3]], RandomStream(1))
         assert passed.tolist() == [True, False]
         assert (dict(rng_calls.counts), rng_calls.rows) == ({"random": 1}, [2])
 
     def test_label_outside_bound_basis_fails_without_measurement(self, rng, rng_calls):
         labels = [SpinLabel.UP, SpinLabel.LEFT, SpinLabel.DOWN]
         claims = [SpinLabel.UP, SpinLabel.DOWN, SpinLabel.DOWN]  # DOWN is no eigenstate of X
-        passed = verify_reveal([0, 1, 2], self._bound(0, labels), codes(claims), codes(labels), rng)
+        passed = verify_reveal(self._bound(0, labels), codes(claims), codes(labels), rng)
         assert passed.tolist() == [True, False, True]
         assert not rng_calls.counts
 
@@ -317,7 +353,7 @@ class TestVerifyReveal:
         guesses = rng.integers(CODE[SpinLabel.LEFT], CODE[SpinLabel.RIGHT] + 1, size=bound.size)
         claimed = np.where(bound == 1, guesses, CODE[SpinLabel.UP])
         sent = np.full(bound.size, CODE[SpinLabel.UP])
-        passed = verify_reveal(np.arange(bound.size), bound, claimed, sent, rng).reshape(trials, 4).all(axis=1)
+        passed = verify_reveal(bound, claimed, sent, rng).reshape(trials, 4).all(axis=1)
         expected = 2.0**-k
         sigma = math.sqrt(expected * (1 - expected) / trials)
         assert abs(passed.mean() - expected) < 4 * sigma
@@ -385,6 +421,7 @@ class TestRunSession:
 
         def flip_untested(untested, bits, *knobs):
             certified, leak = certify(bits, *knobs)
+            certified = certified.copy()  # at flip 0 it is the committed array itself
             certified[:, 2 * untested] ^= 1
             certified[:, 2 * untested + 1] ^= 1
             return certified, leak
@@ -404,6 +441,33 @@ class TestRunSession:
         assert seen[Verdict.REJECT, Stage.TESTED] < 40  # some sessions reach the declarations
         if flip:
             assert seen[Verdict.REJECT, Stage.TESTED]
+
+    def test_unflipped_session_reads_the_certified_codes(self, monkeypatch):
+        # At flip 0 the certified array is the committed one, and the tested
+        # check reads its codes as the sent ones.  A certify that hands back a
+        # copy with one tested pair's value bit flipped must still be read: that
+        # particle is certified as the orthogonal state, so it fails for sure.
+        params = ProtocolParams(n0=16, m=4)
+        certify = protocol._certify
+
+        def flip_value_bit(particle, bits, *knobs):
+            certified, leak = certify(bits, *knobs)
+            certified = certified.copy()
+            certified[:, 2 * particle + 1] ^= 1
+            return certified, leak
+
+        for seed in range(10):
+            transcript = run_session(Honest(), params, randomness=RandomStream(seed))
+            assert transcript.accepted
+            tested = sorted(set(range(params.n0)).difference(transcript.untested))
+            for particle in (tested[0], tested[-1]):
+                with monkeypatch.context() as patch:
+                    patch.setattr(protocol, "_certify", functools.partial(flip_value_bit, particle))
+                    flipped = run_session(Honest(), params, randomness=RandomStream(seed))
+                    accepted, _ = run_sessions(params, 1, RandomStream(seed))
+                assert (flipped.verdict, flipped.failed_stage) == (Verdict.REJECT, Stage.TESTED)
+                assert flipped.reject_index == particle
+                assert not accepted[0]
 
     def test_classical_flip_reject_rate(self, make_rng):
         # Acceptance of a k-false reveal is 2^-k; measured over sessions.

@@ -175,16 +175,17 @@ class TestOracle:
     def test_commit_keeps_its_own_copy(self, flip):
         # Writing into the committed array after commit changes no reveal and no leaked value.
         bits = RandomStream(3).bits(64)
-        oracle = IdealCommitmentOracle(flip, 0.5)
+        committed = bits.copy()
+        oracle, reference = IdealCommitmentOracle(flip, 0.5), IdealCommitmentOracle(flip, 0.5)
         oracle.commit(bits, RandomStream(4))
+        reference.commit(committed, RandomStream(4))
         leaked = oracle.leaked_view
-        reference = IdealCommitmentOracle(flip, 0.5)
-        reference.commit(bits.copy(), RandomStream(4))
         bits ^= 1
-        assert leaked and oracle.leaked_view == leaked
-        assert oracle.reveal(np.arange(64)).tolist() == reference.reveal(np.arange(64)).tolist()
+        revealed = oracle.reveal(np.arange(64)).tolist()
+        assert leaked and oracle.leaked_view == leaked == reference.leaked_view
+        assert revealed == reference.reveal(np.arange(64)).tolist()
         if not flip:
-            assert oracle.reveal(np.arange(64)).tolist() == (bits ^ 1).tolist()
+            assert revealed == committed.tolist()
 
 
 def classical_by_the_earlier_rule(bits) -> bool:

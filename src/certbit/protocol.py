@@ -237,6 +237,7 @@ class IdealCommitmentOracle:
     def commit(self, bits, randomness: RandomStream) -> None:
         if self._committed:
             raise ValueError("bits already committed")
+        # A copy: at flip 0 ``_certify`` returns its input, which the caller may still write to.
         self._stored, leak = _certify(np.array(bits), self.flip_probability, self.leak_probability, randomness)
         self._leaked = np.flatnonzero(leak)
         self._committed = True

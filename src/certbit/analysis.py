@@ -59,8 +59,8 @@ __all__ = [
 # ``statistics`` (and the fractions and decimal it imports) out of ``import certbit``.
 _Z99 = 2.5758293035489
 
-# Fewest trials ``detection_probability_mc`` accepts at any k; flip-sweep, its one shipped caller,
-# and entangle-demo give it as their ``scenarios.ScenarioSpec.min_trials``, which ``cli`` checks.
+# Fewest trials ``detection_probability_mc`` accepts at any k.  flip-sweep, its one shipped caller, and
+# entangle-demo derive their ``scenarios.ScenarioSpec.min_trials`` from their 4-sigma gates, never below it.
 MIN_DETECTION_TRIALS = 10**3
 
 STRATEGY_CLASS_NOTE = (

@@ -282,10 +282,14 @@ def draw_challenge(params: ProtocolParams, n: int, randomness: RandomStream) -> 
     """Each of ``n`` sessions' tested and untested particle indices, as rows of two arrays.
 
     One ``permutation(n0, rows=n)`` draw, whose rows are those of ``n`` successive
-    ``permutation(n0)`` calls: its first n0 - m columns sorted, and its other m sorted.
+    ``permutation(n0)`` calls: its first n0 - m columns and its other m, each sorted in
+    place, so the two halves are views of the one freshly drawn array.
     """
     order = randomness.permutation(params.n0, rows=n)
-    return np.sort(order[:, : params.n_tested], axis=1), np.sort(order[:, params.n_tested :], axis=1)
+    tested, untested = order[:, : params.n_tested], order[:, params.n_tested :]
+    tested.sort(axis=1)
+    untested.sort(axis=1)
+    return tested, untested
 
 
 def verify_tested(sent, opened, randomness: RandomStream) -> np.ndarray:
@@ -318,7 +322,7 @@ def _commit_and_test(params: ProtocolParams, bits: np.ndarray, randomness: Rando
     tested, untested = draw_challenge(params, len(bits), randomness)
     at = (np.arange(len(bits))[:, None], tested)
     sent_tested = sent[at]
-    opened = sent_tested if certified is bits else certified.reshape(len(bits), params.n0, 2)[at] @ _PAIR_WEIGHTS
+    opened = sent_tested if certified is bits else (certified.reshape(len(bits), params.n0, 2) @ _PAIR_WEIGHTS)[at]
     passed = verify_tested(sent_tested, opened, randomness)
     return sent, tested, untested, passed, leak
 
@@ -561,7 +565,9 @@ class ReductionScenario:
         )
 
 
+@functools.lru_cache(maxsize=SCHEDULE_CACHE_SIZE)
 def default_scenario(suspension_rounds: int = 0) -> ReductionScenario:
+    """The default line scenario, one shared object per ``suspension_rounds``, so its hash is computed once."""
     return ReductionScenario(suspension_rounds=suspension_rounds)
 
 
@@ -694,7 +700,8 @@ def run_session(
     committed = np.asarray(strategy.commit_bits(params, randomness))
     if committed.shape != (params.n_commitments,):
         raise ValueError(f"strategy committed {committed.size} bits, expected {params.n_commitments}")
-    (sent,), (tested,), (untested,), (passed,), _ = _commit_and_test(params, committed[None], randomness)
+    sent, tested, untested, passed, _ = _commit_and_test(params, committed[None], randomness)
+    sent, tested, untested, passed = sent[0], tested[0], untested[0], passed[0]
     reject = _first_failure(tested, passed)
 
     # Spin transmission: B0 holds particle i in the state of pair code sent[i].

@@ -142,6 +142,31 @@ def _run_honest_default(config) -> ExperimentResult:
     return result
 
 
+def _within_4_sigma(frequency: float, rate: float, trials: int) -> bool:
+    """flip-sweep's and entangle-demo's gate: ``frequency`` over ``trials`` lies within 4 sigma of ``rate``."""
+    return abs(frequency - rate) <= 4.0 * math.sqrt(rate * (1.0 - rate) / trials)
+
+
+def _min_gate_trials(rates) -> int:
+    """Fewest trials, and at least ``MIN_DETECTION_TRIALS``, at which ``_within_4_sigma`` fails 0 and 1 at each rate.
+
+    At a rate p strictly between 0 and 1 the gate passes a frequency of 0 while trials <= 16(1 - p)/p, and one
+    of 1 while trials <= 16p/(1 - p).  The search starts two below the first count past the larger bound,
+    taken exactly, and evaluates the gate itself, so float rounding cannot put the floor one trial off.  From
+    2^52 trials on, where floats no longer tell counts apart, the exact bound stands.
+    """
+    floor = MIN_DETECTION_TRIALS
+    for rate in rates:
+        if 0.0 < rate < 1.0:
+            a, b = float(rate).as_integer_ratio()  # rate = a / b exactly
+            past = max(16 * (b - a) // a, 16 * a // (b - a)) + 1
+            trials = max(floor, past - 2 if past < 2**52 else past)
+            while trials < 2**52 and (_within_4_sigma(0.0, rate, trials) or _within_4_sigma(1.0, rate, trials)):
+                trials += 1
+            floor = trials
+    return floor
+
+
 def _run_flip_sweep(config) -> ExperimentResult:
     result = ExperimentResult("flip-sweep", EXIT_OK)
     trials = config.trials_or(100_000)
@@ -150,11 +175,9 @@ def _run_flip_sweep(config) -> ExperimentResult:
     for k in config.k_values:
         exact = detection_probability_exact(k)
         estimate = detection_probability_mc(ClassicalFlip(k), trials, randomness)
-        sigma = math.sqrt(exact * (1.0 - exact) / trials)
-        within = abs(estimate.value - exact) <= 4.0 * sigma
         _expect(
             result,
-            within,
+            _within_4_sigma(estimate.value, exact, trials),
             f"k={k}: pass rate {estimate.value:.6f} within 4 sigma of exact {exact:.6f}",
         )
         # With k = 0 nothing is sampled, so the record has no Monte Carlo column.
@@ -184,10 +207,9 @@ def _run_entangle_demo(config) -> ExperimentResult:
         reveals = sample_entangled_reveals(alpha, beta, trials, randomness)
         zeros = int(np.count_nonzero(reveals == 0))
         frequency = zeros / trials
-        sigma = math.sqrt(alpha_sq * (1.0 - alpha_sq) / trials)
         _expect(
             result,
-            abs(frequency - alpha_sq) <= 4.0 * sigma,
+            _within_4_sigma(frequency, alpha_sq, trials),
             f"alpha^2={alpha_sq}: reveal-0 frequency {frequency:.5f} within 4 sigma of {alpha_sq}",
         )
         records.append(
@@ -427,14 +449,15 @@ SCENARIOS = {
             "false-declaration sweep: reveal pass rate vs exact 2^-k",
             _run_flip_sweep,
             _TRIALS + (("analysis", "k_values"),),
-            lambda config: MIN_DETECTION_TRIALS,  # fewer let a 4-sigma check pass whatever is sampled
+            # fewer let a 4-sigma check pass whatever is sampled: 4,081 trials at k = 8
+            lambda config: _min_gate_trials(map(detection_probability_exact, config.k_values)),
         ),
         ScenarioSpec(
             "entangle-demo",
             "superposed commitment with kept ancilla; delayed-choice reveal statistics",
             _run_entangle_demo,
             _TRIALS + (("analysis", "alpha_squares"),),
-            lambda config: MIN_DETECTION_TRIALS,
+            lambda config: _min_gate_trials(config.alpha_squares),
         ),
         ScenarioSpec(
             "purification-nogo",

@@ -9,11 +9,14 @@ class's own ``__dict__``, so a method a class only inherits does not
 resolve.  ``perfbench/checks.py`` judges every session the benchmark runs
 by the transcript's fields; it is loaded the same way, and must accept the
 sessions it is written for and reject the bad transcripts the benchmark's
-own tests build.
+own tests build.  Every committed ``BENCH_*.json`` record has the layout
+its readers rely on.
 """
 
 import dataclasses
 import importlib.util
+import json
+import re
 from pathlib import Path
 
 from certbit.adversary import ClassicalFlip, Honest
@@ -81,3 +84,20 @@ def test_session_checks_accept_good_sessions_and_reject_bad_transcripts():
     first, *rest = transcript.declarations
     flipped = dataclasses.replace(first, basis_for_zero=first.basis_for_zero.conjugate())
     assert not checks.honest_session_ok(dataclasses.replace(transcript, declarations=(flipped, *rest)))
+
+
+def test_every_bench_record_has_its_layout():
+    # The file name is BENCH_<date>_<sha>: the date of the record and a prefix of the measured change's sha.
+    paths = sorted(PERFBENCH.parent.glob("BENCH_*.json"))
+    assert paths
+    problems = []
+    for path in paths:
+        record = json.loads(path.read_text(encoding="utf-8"))
+        named = re.fullmatch(r"BENCH_(\d{4}-\d{2}-\d{2})_([0-9a-f]{7,40})\.json", path.name)
+        missing = [key for key in ("schema", "date", "command", "method", "workloads") if key not in record]
+        shas = [record.get(side, {}).get("git_sha") for side in ("parent", "change")]
+        if missing or None in shas or not named:
+            problems.append(f"{path.name}: missing {missing or 'no key'}, shas {shas}")
+        elif not shas[1].startswith(named[2]) or record["date"] != named[1]:
+            problems.append(f"{path.name}: names {named.groups()}, records {record['date']} and {shas[1]}")
+    assert problems == []

@@ -571,6 +571,51 @@ sessions = 25
         failed = [line.split(":")[1].strip() for line in summary if line.startswith("FAIL: ")]
         assert failed == ["alpha^2=0.25", "alpha^2=0.5", "alpha^2=1.0"]
 
+    @pytest.mark.parametrize(
+        "name, values, floor",
+        [("flip-sweep", "k_values = 6,7,8", 4081), ("entangle-demo", "alpha_squares = 0,0.01,0.5", 1585)],
+    )
+    def test_gate_floor_refuses_one_trial_fewer(self, name, values, floor, tmp_path, capsys):
+        # 16(2^8 - 1) + 1 at k = 8 and the first count past 16(1 - 0.01)/0.01 at alpha^2 = 0.01, as the gate rounds.
+        body = f"[experiment]\nscenario = {name}\nseed = 1\ntrials = {floor - 1}\n\n[analysis]\n{values}\n"
+        message = f"experiment.trials: must be >= {floor} for {name}"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(write_config(tmp_path, body))
+        assert main(["run", str(write_config(tmp_path, body)), "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert parse_config(write_config(tmp_path, body.replace(f"= {floor - 1}", f"= {floor}"))).trials == floor
+
+    @pytest.mark.parametrize("rate, floor", [(2.0**-8, 4081), (0.01, 1585)], ids=["k=8", "alpha^2=0.01"])
+    def test_gate_floor_is_the_first_count_that_fails_a_zero_frequency(self, rate, floor):
+        assert scenarios._within_4_sigma(0.0, rate, floor - 1)
+        assert not scenarios._within_4_sigma(0.0, rate, floor)
+        assert scenarios._min_gate_trials([rate]) == floor
+
+    def test_flip_sweep_fails_reveals_that_never_pass_at_the_floor(self, tmp_path, monkeypatch):
+        # One trial below the floor the k = 8 gate still passes a zero count; at the floor every k fails it.
+        monkeypatch.setattr(analysis, "_collapses", lambda sent, target, uniforms: np.zeros(uniforms.shape, bool))
+        config = dataclasses.replace(parse_config(ROOT / "configs" / "flip-sweep.ini"), k_values=(6, 7, 8))
+        outcomes = {}
+        for trials in (4080, 4081):
+            out = tmp_path / str(trials)
+            status = run_experiment(dataclasses.replace(config, trials=trials), out_dir=out)
+            summary = (out / "summary.txt").read_text().splitlines()
+            outcomes[trials] = status, [line.split(":")[1].strip() for line in summary if line.startswith("FAIL: ")]
+        assert outcomes == {4080: (1, ["k=6", "k=7"]), 4081: (1, ["k=6", "k=7", "k=8"])}
+
+    def test_entangle_demo_fails_all_one_reveals_at_a_small_alpha_floor(self, tmp_path, monkeypatch):
+        # Every reveal 1 is a zero count: at alpha^2 = 0.01 the gate passes it at 1,584 trials and fails it at 1,585.
+        monkeypatch.setattr(scenarios, "sample_entangled_reveals", lambda alpha, beta, trials, randomness: np.ones(trials))
+        config = dataclasses.replace(parse_config(ROOT / "configs" / "entangle-demo.ini"), alpha_squares=(0.01,))
+        outcomes = {}
+        for trials in (1584, 1585):
+            out = tmp_path / str(trials)
+            status = run_experiment(dataclasses.replace(config, trials=trials), out_dir=out)
+            summary = (out / "summary.txt").read_text().splitlines()
+            outcomes[trials] = status, [line.split(":")[1].strip() for line in summary if line.startswith("FAIL: ")]
+        assert outcomes == {1584: (0, []), 1585: (1, ["alpha^2=0.01"])}
+
     def test_entangle_frequency_carries_its_interval(self):
         # Each sampled frequency is a monte-carlo quantity whose 99% Wilson interval covers alpha^2.
         records = [json.loads(line) for line in (ROOT / "runs" / "entangle-demo" / "report.jsonl").open()]

@@ -267,6 +267,15 @@ class TestChallenge:
         for row_tested, row_untested in zip(tested.tolist(), untested.tolist()):
             assert row_untested == sorted(set(range(n0)).difference(row_tested))
 
+    @pytest.mark.parametrize("rows", [1, 500])
+    @pytest.mark.parametrize("n0, m", [(8, 1), (16, 4), (5, 5)], ids=["m=1", "n0=16", "n0=m"])
+    def test_halves_are_the_sorted_halves_of_one_permutation(self, n0, m, rows):
+        params = ProtocolParams(n0=n0, m=m, strict=False)
+        tested, untested = draw_challenge(params, rows, RandomStream(rows + n0))
+        order = RandomStream(rows + n0).permutation(n0, rows=rows)  # the twin stream's one draw
+        np.testing.assert_array_equal(tested, np.sort(order[:, : n0 - m], axis=1))
+        np.testing.assert_array_equal(untested, np.sort(order[:, n0 - m :], axis=1))
+
 
 class TestVerifyTested:
     def test_honest_accepts_with_certainty(self, rng):
@@ -1576,6 +1585,33 @@ class TestRunSessionCost:
         built = counted_calls(monkeypatch, IdealCommitmentOracle, "__init__")
         assert run_session(Honest(), ProtocolParams(n0=64, m=16), randomness=RandomStream(5)).accepted
         assert built == {}
+
+    def test_honest_session_sorts_no_copy(self, monkeypatch):
+        # The challenge halves are sorted in place: np.sort, which returns a sorted copy, is never called.
+        sorts = counted_calls(monkeypatch, np, "sort")
+        assert run_session(Honest(), ProtocolParams(n0=64, m=16), randomness=RandomStream(5)).accepted
+        assert sorts == {}
+
+    def test_scenario_less_sessions_hash_one_default(self, monkeypatch):
+        computed = Counter()
+
+        def counted(scenario, _original=ReductionScenario.__dict__["_hash"].func):
+            computed["_hash"] += 1
+            return _original(scenario)
+
+        hashed = functools.cached_property(counted)
+        hashed.__set_name__(ReductionScenario, "_hash")
+        monkeypatch.setattr(ReductionScenario, "_hash", hashed)
+        params = ProtocolParams(n0=64, m=16)
+        first = run_session(Honest(), params, randomness=RandomStream(8))
+        misses = protocol._session_plan.cache_info().misses
+        second = run_session(Honest(), params, randomness=RandomStream(9))
+        run_sessions(params, 2, RandomStream(9))
+        assert protocol._session_plan.cache_info().misses == misses
+        assert computed["_hash"] <= 1
+        for seed, transcript in ((8, first), (9, second)):
+            explicit = run_session(Honest(), params, default_scenario(), RandomStream(seed))
+            assert transcript.to_records() == explicit.to_records()
 
     @pytest.mark.parametrize("strategy", [Honest(), ClassicalFlip(3)], ids=["honest", "flip3"])
     def test_a_second_session_builds_no_declaration(self, strategy, monkeypatch):
